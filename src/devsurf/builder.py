@@ -1,13 +1,16 @@
 """Assembly, verification and implicitization of standard-form ruled
-parametrizations P(s, t) = P0(t) + s * P1(t)."""
+parametrizations P(s, t) = P0(t) + s * P1(t).
+
+Implicitization is one exact construction: the μ-basis of the planes
+that contain the rulings, then a single Sylvester resultant in t."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import DevsurfError
-from .linalg import nullspace
+from .linalg import _rref, nullspace
 from .poly import MultiPoly, Q, exact_div, gcd_many, gcd_multi, resultant, squarefree_part
 from .ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute_map_is_zero
 from .curves import COORDS, is_proper_curve
@@ -101,30 +104,9 @@ def build_cylindrical(direction: Sequence, curve: RationalMap3, check_proper: bo
 
 
 def _is_planar_curve(curve: RationalMap3) -> bool:
-    """Exact test for affine dependence of the three components."""
-    dens = [c.den for c in curve.components]
-    D = MultiPoly.const(1)
-    for d in dens:
-        D = exact_div(D * d, gcd_multi(D, d)) or D * d
-    cols = []
-    for c in curve.components:
-        q = exact_div(D, c.den)
-        cols.append(c.num * q)
-    cols.append(D)
-    support = set()
-    maps = []
-    for p in cols:
-        m = {}
-        for exps, cf in p.terms.items():
-            key = exps[p.vars.index("t")] if "t" in p.vars else 0
-            m[key] = cf
-        maps.append(m)
-        support |= set(m)
-    rows = [[m.get(k, Q(0)) for m in maps] for k in sorted(support)]
-    for vec in nullspace(rows, 4):
-        if any(v != 0 for v in vec[:3]):
-            return True
-    return False
+    """Exact test for affine dependence of the three components: some
+    constant plane contains the whole curve."""
+    return bool(_moving_planes([_homogeneous(curve, False)], 0))
 
 
 def build_tangential(edge: RationalMap3, check_proper: bool = True) -> ParamResult:
@@ -146,122 +128,79 @@ def build_tangential(edge: RationalMap3, check_proper: bool = True) -> ParamResu
 # ---------------------------------------------------------------------------
 
 
-def _eliminant_for_route(p0, p1, route: int, reparam: Optional[RatFunc]) -> Optional[MultiPoly]:
-    """Eliminate s by solving it from component `route`, then eliminate t
-    by a resultant of the two remaining numerators."""
-    comps0 = list(p0.components)
-    comps1 = list(p1.components)
-    if reparam is not None:
-        comps0 = [c.subs({"t": reparam}) for c in comps0]
-        comps1 = [c.subs({"t": reparam}) for c in comps1]
-    if comps1[route].is_zero():
-        return None
-    others = [i for i in range(3) if i != route]
-    eqs = []
-    Xr = RatFunc(MultiPoly.var(COORDS[route]))
-    for i in others:
-        Xi = RatFunc(MultiPoly.var(COORDS[i]))
-        eq = (Xi - comps0[i]) * comps1[route] - (Xr - comps0[route]) * comps1[i]
-        if eq.is_zero():
-            return None
-        eqs.append(eq.num)
-    a, b = eqs
-    da, db = a.degree_in("t"), b.degree_in("t")
-    if da == 0 and db == 0:
-        return None
-    if da == 0:
-        r = a
-    elif db == 0:
-        r = b
-    else:
-        g = gcd_multi(a, b)
-        if g.degree_in("t") > 0:
-            a = exact_div(a, g)
-            b = exact_div(b, g)
-            if a.degree_in("t") == 0 and b.degree_in("t") == 0:
-                return None
-        if a.degree_in("t") == 0:
-            r = a
-        elif b.degree_in("t") == 0:
-            r = b
-        else:
-            r = resultant(a, b, "t")
-    if r.is_zero():
-        return None
-    r = MultiPoly((), {}) if r.is_constant() else squarefree_part(r)
-    return None if r.is_zero() or r.is_constant() else r
+def _homogeneous(m: RationalMap3, at_infinity: bool) -> list[MultiPoly]:
+    """Numerators of m over one common denominator, then that denominator
+    (0 for a direction, a point at infinity), divided by the gcd of the
+    four entries."""
+    D = MultiPoly.const(1)
+    for c in m.components:
+        D = exact_div(D * c.den, gcd_multi(D, c.den))
+    entries = [c.num * exact_div(D, c.den) for c in m.components]
+    entries.append(MultiPoly.zero() if at_infinity else D)
+    g = gcd_many(entries)
+    return entries if g.is_zero() else [exact_div(e, g) for e in entries]
 
 
-def _surface_samples(full: RationalMap3, count: int = 20):
-    samples = []
-    k = 0
-    sval = 2
-    while len(samples) < count and k < 200:
-        k += 1
-        tval = Q(k, 7) + 3
-        pt = full.eval_all({"s": Q(sval), "t": tval})
-        if pt is None:
-            continue
-        samples.append(pt)
-        sval += 1
-    return samples
+def _moving_planes(points: Sequence[Sequence[MultiPoly]], d: int) -> list[list[Q]]:
+    """Basis of the moving planes L(t) of degree <= d with L(t).V(t) == 0
+    identically for every homogeneous point V; entry 4*k + i of a vector
+    is the coefficient of t^k in L_i."""
+    rows = []
+    for V in points:
+        coeffs = [{k: c.constant_value() for k, c in v.coeffs_in("t").items()} for v in V]
+        top = d + max(max(c, default=0) for c in coeffs)
+        rows.extend([c.get(m - k, Q(0)) for k in range(d + 1) for c in coeffs] for m in range(top + 1))
+    return nullspace(rows, 4 * (d + 1))
+
+
+def _plane_poly(vec: Sequence[Q]) -> MultiPoly:
+    """L(t).(x, y, z, 1) for a coefficient vector of _moving_planes."""
+    terms = {}
+    for idx, c in enumerate(vec):
+        k, i = divmod(idx, 4)
+        terms[(k,) + tuple(int(i == j) for j in range(3))] = c
+    return MultiPoly(("t",) + COORDS, terms)
 
 
 def implicitize_ruled(p: ParamResult) -> MultiPoly:
-    """Implicit equation of a standard-form ruled surface.
+    """Implicit equation of a standard-form ruled surface, squarefree and
+    normalized, from the μ-basis of its moving planes (Chen, Zheng &
+    Sederberg, "The μ-basis of a rational ruled surface", CAGD 18, 2001).
 
-    s is eliminated linearly, t by a univariate resultant; extraneous
-    factors are stripped by gcds across elimination routes and parameter
-    changes, then by exact vanishing at sampled surface points.
+    The ruling at t joins A(t), the point P0 in homogeneous coordinates,
+    to B(t), the direction P1 as a point at infinity.  The planes L(t)
+    with L.A == L.B == 0 form a free Q[t]-module of rank 2; its basis
+    p, q of least degrees mu <= nu is read off exact nullspaces, degree by
+    degree.  With X = (x, y, z, 1), Res_t(p.X, q.X) -- a Sylvester
+    determinant of size mu + nu with entries linear in x, y, z -- is F^k
+    for the tracing index k of the map, so its squarefree part is F.
+
+    Raises DevsurfError when the rulings do not sweep a surface.
     """
-    t = MultiPoly.var("t")
-    reparams = [None, RatFunc(t + 1), RatFunc(t - 2, t + 3)]
-    candidates = []
-    for route in range(3):
-        for rp in reparams:
-            r = _eliminant_for_route(p.p0, p.p1, route, rp)
-            if r is not None:
-                candidates.append(r)
-                if len(candidates) >= 4:
-                    break
-        if len(candidates) >= 4:
+    lines = [_homogeneous(p.p0, False), _homogeneous(p.p1, True)]
+    bound = sum(max(e.degree_in("t") for e in v) for v in lines)  # mu + nu <= bound
+    found: list[tuple[int, list[Q]]] = []  # (degree, coefficient vector)
+    for d in range(bound + 1):
+        null = _moving_planes(lines, d)
+        # the planes t^k * b of degree <= d for the basis vectors b so far
+        span = [[Q(0)] * (4 * k) + v + [Q(0)] * (4 * (d - e - k)) for e, v in found for k in range(d - e + 1)]
+        if len(found) + len(null) - len(span) > 2:
+            raise DevsurfError("the rulings do not sweep a surface: more than two independent moving planes")
+        for v in null:
+            if len(found) < 2 and len(_rref(span + [v])[1]) > len(span):
+                found.append((d, v))
+                span.append(v)
+        if len(found) == 2:
             break
-    if not candidates:
-        raise DevsurfError("all eliminations degenerate; the map may not define a surface")
-    g = candidates[0]
-    for c in candidates[1:]:
-        g2 = gcd_multi(g, c)
-        if not g2.is_constant():
-            g = g2
-    g = squarefree_part(g)
-
-    # split off any factor that fails to vanish on sampled surface points
-    samples = _surface_samples(p.full_map())
-    if not samples:
-        raise DevsurfError("could not sample the surface away from its poles")
-    pieces = [g]
-    for c in candidates:
-        new_pieces = []
-        for piece in pieces:
-            shared = gcd_multi(piece, c)
-            if shared.is_constant() or shared == piece:
-                new_pieces.append(piece)
-                continue
-            rest = exact_div(piece, shared)
-            new_pieces.extend([shared, rest])
-        pieces = new_pieces
-    kept = []
-    for piece in pieces:
-        if piece.is_constant():
-            continue
-        if all(piece.eval_all(dict(zip(COORDS, pt))) == 0 for pt in samples):
-            kept.append(piece)
-    if not kept:
-        raise DevsurfError("implicitization lost the surface factor")
-    result = kept[0]
-    for piece in kept[1:]:
-        result = result * piece
-    return squarefree_part(result)
+    else:  # rank 2 puts nu <= bound, so this is an internal fault
+        raise ArithmeticError("μ-basis search passed its degree bound")
+    (_, pv), (nu, qv) = found
+    if nu == 0:
+        raise DevsurfError("the rulings all lie on one line; the map does not sweep a surface")
+    F = resultant(_plane_poly(pv), _plane_poly(qv), "t")
+    if F.is_constant():
+        raise DevsurfError("the moving planes have a constant resultant; the map does not sweep a surface")
+    return squarefree_part(F)
 
 
 def verify_on_surface(p: ParamResult, F: MultiPoly) -> bool:

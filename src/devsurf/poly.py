@@ -825,7 +825,8 @@ def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     cont = gcd_multi(cp, cq)
     a = exact_div(p1, cp)
     b = exact_div(q1, cq)
-    assert a is not None and b is not None
+    if a is None or b is None:
+        raise ArithmeticError("gcd content division lost exactness")
     g = _gcd_eval_primitive(a, b, var)
     if g is None:
         # primitive PRS fallback for cases the evaluation route rejects
@@ -839,7 +840,8 @@ def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             else:
                 rc = _content_wrt(r, var)
                 b = exact_div(r, rc)
-                assert b is not None
+                if b is None:
+                    raise ArithmeticError("primitive PRS lost exactness")
         g = a
     return (shared_mono * cont * g).normalized()
 
@@ -865,7 +867,8 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
         if g.is_constant():
             return p.normalized()
     h = exact_div(p, g)
-    assert h is not None
+    if h is None:
+        raise ArithmeticError("squarefree division lost exactness")
     return h.normalized()
 
 

@@ -18,7 +18,7 @@ from devsurf.builder import (
     ruling_triple_product,
     verify_on_surface,
 )
-from conftest import random_space_curve
+from conftest import random_cone, random_cylinder, random_space_curve, random_tangent_surface
 import cases
 
 X, Y, Z, T = (MultiPoly.var(v) for v in "xyzt")
@@ -120,6 +120,43 @@ class TestImplicitize:
                 continue
             F = implicitize_ruled(result)
             assert verify_on_surface(result, F)
+
+    @pytest.mark.parametrize(
+        "p0, p1",
+        [
+            ("( t, t, t )", "( 1, 1, 1 )"),  # every ruling is the line x = y = z
+            ("( t, t^2, t^3 )", "( 0, 0, 0 )"),  # no ruling direction at all
+        ],
+    )
+    def test_degenerate_lines_rejected(self, p0, p1):
+        lines = ParamResult(parse_map(p0, params=("t",)), parse_map(p1, params=("t",)), "Cylindrical")
+        with pytest.raises(DevsurfError, match="surface"):
+            implicitize_ruled(lines)
+
+    def test_sympy_oracle(self):
+        sympy = pytest.importorskip("sympy")
+
+        def to_sympy(poly):
+            return sympy.Add(*(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(sympy.Symbol(v) ** e for v, e in zip(poly.vars, exps)))
+                for exps, c in poly.terms.items()
+            ))
+
+        rng = random.Random(2001)
+        surfaces = [random_cone(rng, 2)[0], random_cone(rng, 3)[0], random_cylinder(rng, 2)[0],
+                    random_cylinder(rng, 3)[0], random_tangent_surface(rng, 3)[0],
+                    random_tangent_surface(rng, 2, with_denominator=True)[0],
+                    build_tangential(parse_map("( 1/t, t^2/(t+1), t^3 )", params=("t",)))]
+        improper = parse_map("( (1-t^4)/(1+t^4), 2*t^2/(1+t^4), 1 )", params=("t",))
+        cone = build_conical((0, 0, 0), improper, check_proper=False)
+        assert implicitize_ruled(cone) == (X**2 + Y**2 - Z**2).normalized()
+        for built in surfaces + [cone]:
+            F = to_sympy(implicitize_ruled(built))
+            _, factors = sympy.factor_list(F)
+            assert len(factors) == 1 and factors[0][1] == 1
+            point = [to_sympy(c.num) / to_sympy(c.den) for c in built.full_map().components]
+            assert sympy.cancel(F.subs(dict(zip(sympy.symbols("x y z"), point)), simultaneous=True)) == 0
 
 
 class TestVerify:
