@@ -4,7 +4,9 @@ Supported families:
 
 * degree 1 (lines),
 * curves linear in one coordinate (graph curves),
-* degree 2 with a rational point (pencil of lines through the point),
+* degree 2 with a rational point (pencil of lines through the point);
+  Legendre's theorem decides whether the point exists, a bounded search
+  finds it,
 * degree d with a rational (d-1)-fold singular point (pencil through it),
 * degree 4 whose singular scheme is three double points, not necessarily
   rational individually (conic adjoints through the scheme plus one
@@ -213,8 +215,8 @@ def rational_point_on_curve(c: MultiPoly, names: tuple[str, str], budget: int = 
     return None
 
 
-def _conic_has_no_real_point(c: MultiPoly, names: tuple[str, str]) -> bool:
-    """Sylvester definiteness test on the projective matrix of a conic."""
+def _conic_matrix(c: MultiPoly, names: tuple[str, str]) -> list[list[Q]]:
+    """Symmetric 3x3 matrix of the conic, homogenized in a third coordinate."""
     u, w = names
 
     def coeff(i, j):
@@ -226,24 +228,178 @@ def _conic_has_no_real_point(c: MultiPoly, names: tuple[str, str]) -> bool:
 
     a, b, cc = coeff(2, 0), coeff(1, 1), coeff(0, 2)
     d, e, f = coeff(1, 0), coeff(0, 1), coeff(0, 0)
-    m = [
+    return [
         [a, b / 2, d / 2],
         [b / 2, cc, e / 2],
         [d / 2, e / 2, f],
     ]
 
-    def definite(mat):
-        m1 = mat[0][0]
-        m2 = mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0]
-        m3 = (
-            mat[0][0] * (mat[1][1] * mat[2][2] - mat[1][2] * mat[2][1])
-            - mat[0][1] * (mat[1][0] * mat[2][2] - mat[1][2] * mat[2][0])
-            + mat[0][2] * (mat[1][0] * mat[2][1] - mat[1][1] * mat[2][0])
-        )
-        return m1 > 0 and m2 > 0 and m3 > 0
 
-    neg = [[-v for v in row] for row in m]
-    return definite(m) or definite(neg)
+def _congruent_diagonal(m: list[list[Q]]) -> Optional[list[Q]]:
+    """Diagonal of a form congruent over Q to the symmetric matrix m (row
+    and column operations applied in pairs), or None when m is singular."""
+    m = [row[:] for row in m]
+    n = len(m)
+
+    def add(dst, src, f):
+        # row dst += f * row src, then column dst += f * column src
+        for k in range(n):
+            m[dst][k] += f * m[src][k]
+        for k in range(n):
+            m[k][dst] += f * m[k][src]
+
+    for i in range(n):
+        if m[i][i] == 0:
+            j = next((j for j in range(i + 1, n) if m[j][j] != 0), None)
+            if j is not None:
+                m[i], m[j] = m[j], m[i]
+                for row in m:
+                    row[i], row[j] = row[j], row[i]
+            else:
+                # all later diagonal entries are 0 too: adding row/column j
+                # makes the pivot 2*m[i][j]
+                j = next((j for j in range(i + 1, n) if m[i][j] != 0), None)
+                if j is None:
+                    return None
+                add(i, j, 1)
+        for j in range(i + 1, n):
+            if m[j][i] != 0:
+                add(j, i, -m[j][i] / m[i][i])
+    return [m[i][i] for i in range(n)]
+
+
+# Exact factoring for Legendre's theorem.  Miller-Rabin with the first 13
+# prime bases is a proof of primality below _MR_EXACT_BOUND (Sorenson &
+# Webster, Math. Comp. 86, 2017); a larger cofactor, or Pollard rho running
+# past _RHO_BUDGET iterations, leaves the decision open rather than trust a
+# probable prime.
+_TRIAL_LIMIT = 1000
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BOUND = 3317044064679887385961981
+_RHO_BUDGET = 1 << 16
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the bases _MR_BASES; exact for n < _MR_EXACT_BOUND."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_factor(n: int) -> Optional[int]:
+    """A proper factor of the odd composite n by Pollard rho with Brent's
+    cycle search, or None once _RHO_BUDGET iterations are spent."""
+    steps = 0
+    c = 0
+    while True:
+        c += 1
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                batch = min(128, r - k)
+                for _ in range(batch):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += batch
+            steps += 2 * r
+            if steps > _RHO_BUDGET:
+                return None
+            r *= 2
+        if g == n:
+            # the batch overshot: replay it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _factor(n: int) -> Optional[dict[int, int]]:
+    """Prime factorization {p: e} of the integer n >= 1, or None when it
+    cannot be certified within the bounds above."""
+    factors: dict[int, int] = {}
+    d = 2
+    while d < _TRIAL_LIMIT and d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m >= _MR_EXACT_BOUND:
+            return None
+        if _is_prime(m):
+            factors[m] = factors.get(m, 0) + 1
+            continue
+        f = _rho_factor(m)
+        if f is None:
+            return None
+        pending += [f, m // f]
+    return factors
+
+
+def _legendre(a: int, b: int, c: int) -> tuple[Optional[bool], str]:
+    """Whether a x^2 + b y^2 + c z^2 = 0 (nonzero integers a, b, c) has a
+    nontrivial rational solution, by Legendre's theorem: (True, ""),
+    (False, reason) or (None, reason) when factoring is out of bounds."""
+    if (a > 0) == (b > 0) == (c > 0):
+        return False, "it has no real point"
+    primes = []
+    for v in (a, b, c):
+        f = _factor(abs(v))
+        if f is None:
+            return None, f"{abs(v)} could not be factored within the bounds"
+        primes.append({p for p, e in f.items() if e % 2})
+    # squarefree parts made pairwise coprime: p | a, b turns a, b, c into
+    # a/p, b/p, c*p (multiply by p, scale x, y by p), p^2 | c*p drops out
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        common = primes[i] & primes[j]
+        primes[i] -= common
+        primes[j] -= common
+        primes[k] ^= common
+    coef = [(1 if v > 0 else -1) * math.prod(ps) for v, ps in zip((a, b, c), primes)]
+    # -bc, -ca, -ab must be squares modulo |a|, |b|, |c|; modulo 2 every
+    # residue is a square, so only odd primes are checked (Euler's criterion)
+    for i in range(3):
+        other = -coef[(i + 1) % 3] * coef[(i + 2) % 3]
+        for p in sorted(primes[i]):
+            if p != 2 and pow(other % p, (p - 1) // 2, p) != 1:
+                return False, f"{other} is not a square modulo {p} (Legendre's theorem)"
+    return True, ""
+
+
+def _conic_point_decision(c: MultiPoly, names: tuple[str, str]) -> tuple[Optional[bool], str]:
+    """Whether the conic c has a rational point, as `_legendre` answers for
+    a diagonal form congruent to its matrix; undecided when degenerate."""
+    diag = _congruent_diagonal(_conic_matrix(c, names))
+    if diag is None:
+        return None, "degenerate conic"
+    # d x^2 with d = n/q is n*q (x/q)^2
+    return _legendre(*(int(d.numerator) * int(d.denominator) for d in diag))
 
 
 # ---------------------------------------------------------------------------
@@ -314,17 +470,29 @@ def _parametrize_graph(curve: PlaneCurve, param: Optional[str] = None) -> Option
 
 
 def parametrize_conic(curve: PlaneCurve, budget: int = 200, param: Optional[str] = None) -> CurveParam:
-    """Rational point by bounded search, then the pencil of lines through it."""
+    """Pencil of lines through a rational point of the conic.
+
+    Legendre's theorem first decides whether a nondegenerate conic has a
+    rational point; if it has none, NotRationalError names the failed
+    condition.  Otherwise the point comes from a search bounded by
+    `budget`; PointSearchExhaustedError means the search missed a point
+    that provably exists, or that existence was not decided (a degenerate
+    conic, or coefficients too large to factor within the bounds)."""
     c = curve.poly
     names = curve.names
     if c.total_degree() != 2:
         raise ValueError("parametrize_conic expects a degree-2 curve")
     u, w = names
     t = param or _pick_param(names)
+    has_point, reason = _conic_point_decision(c, names)
+    if has_point is False:
+        raise NotRationalError(f"conic has no rational point, hence no rational parametrization: {reason}")
     point = rational_point_on_curve(c, names, budget)
     if point is None:
-        if _conic_has_no_real_point(c, names):
-            raise NotRationalError("conic has no real point, hence no rational parametrization")
+        if has_point:
+            raise PointSearchExhaustedError(
+                "conic has a rational point (Legendre's theorem), but none was found within the search budget"
+            )
         raise PointSearchExhaustedError(
             "conic parametrization over the rationals not found within the search budget"
         )

@@ -19,10 +19,12 @@ class UnsupportedCurveError(DevsurfError):
 
 
 class PointSearchExhaustedError(DevsurfError):
-    """A rational point probably exists but was not found within the
-    configured search budget.  Distinct from provable non-rationality."""
+    """A rational point exists, or its existence was not decided, and the
+    bounded point search missed it.  Distinct from provable
+    non-rationality."""
 
 
 class NotRationalError(DevsurfError):
-    """No rational parametrization over the rationals exists (for example
-    a conic with no real point)."""
+    """Provably no parametrization over the rationals exists, for example
+    a conic without a rational point: no real point, or a failed
+    condition of Legendre's theorem."""

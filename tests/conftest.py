@@ -4,6 +4,7 @@ surface generators used by the module tests and the acceptance suite."""
 from __future__ import annotations
 
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -105,6 +106,46 @@ def sylvester_oracle(p, q, var):
     from devsurf.poly import sylvester_matrix
 
     return perm_det(sylvester_matrix(p, q, var))
+
+
+def _squarefree_int(n):
+    """n with every square factor divided out, by trial division."""
+    sign, n = (-1 if n < 0 else 1), abs(n)
+    d = 2
+    while d * d <= n:
+        while n % (d * d) == 0:
+            n //= d * d
+        d += 1
+    return sign * n
+
+
+def ternary_form_solvable(a, b, c):
+    """Brute force: does a x^2 + b y^2 + c z^2 = 0 (a, b, c nonzero integers)
+    have a nontrivial integer zero?
+
+    The form is first reduced to squarefree, pairwise coprime coefficients
+    with the same solvability (g = gcd(a, b): multiply by g, scale x, y by g).
+    Holzer's theorem then puts a zero, if there is one, within
+    |x| <= sqrt|bc|, |y| <= sqrt|ca|, |z| <= sqrt|ab|, so searching x and y
+    there and solving for z is complete."""
+    v = [_squarefree_int(a), _squarefree_int(b), _squarefree_int(c)]
+    reduced = False
+    while not reduced:
+        reduced = True
+        for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+            g = math.gcd(v[i], v[j])
+            if g > 1:
+                v[i], v[j], v[k] = v[i] // g, v[j] // g, _squarefree_int(v[k] * g)
+                reduced = False
+    a, b, c = v
+    for x in range(math.isqrt(abs(b * c)) + 1):  # x -> -x is a symmetry
+        for y in range(-math.isqrt(abs(c * a)), math.isqrt(abs(c * a)) + 1):
+            if x == 0 and y == 0:
+                continue
+            num = -(a * x * x + b * y * y)
+            if num % c == 0 and num // c >= 0 and math.isqrt(num // c) ** 2 == num // c:
+                return True
+    return False
 
 
 # ---------------------------------------------------------------------------

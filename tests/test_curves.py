@@ -1,9 +1,12 @@
 """Plane-curve parametrization: conics, (d-1)-fold curves, nodal quartics,
-lifting, properness."""
+lifting, properness, the rational-point decision for conics."""
+
+import random
+import time
 
 import pytest
 
-from devsurf.poly import MultiPoly, resultant, squarefree_part
+from devsurf.poly import MultiPoly, Q, resultant, squarefree_part
 from devsurf.ratfunc import RatFunc, compose_is_zero, substitute_map
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.errors import NotRationalError, PointSearchExhaustedError, UnsupportedCurveError
@@ -22,8 +25,9 @@ from devsurf.curves import (
     rational_point_on_curve,
     section_implicit,
 )
+from devsurf.curves import _conic_point_decision, _factor, _is_prime, _legendre
 
-from conftest import map2_with_zero
+from conftest import map2_with_zero, ternary_form_solvable
 
 import cases
 
@@ -206,9 +210,101 @@ class TestSectionMachinery:
         F = Z * (X**2 + Y**2 - 1)
         assert section_implicit(F, Z) is None
 
+    def test_conic_with_real_but_no_rational_points(self):
+        # x^2 + y^2 = 3 * 7^2: real points, but 3 = 3 mod 4 rules out rational ones
+        with pytest.raises(NotRationalError, match="not a square modulo 3"):
+            parametrize_conic(PlaneCurve(X**2 + Y**2 - 147, None), budget=30)
+
     def test_rational_point_search_budget_error(self):
-        # conic with real points but none of small height: x^2 + y^2 = 3 * 7^2
-        c = X**2 + Y**2 - 147
-        assert rational_point_on_curve(c, ("x", "y"), budget=30) is None
-        with pytest.raises(PointSearchExhaustedError):
-            parametrize_conic(PlaneCurve(c, None), budget=30)
+        # x^2 + y^2 = 1009 has the rational point (28, 15), of height beyond
+        # the sweep at budget 30 and at the default 200
+        c = X**2 + Y**2 - 1009
+        for budget in (30, 200):
+            assert rational_point_on_curve(c, ("x", "y"), budget=budget) is None
+            with pytest.raises(PointSearchExhaustedError, match="has a rational point"):
+                parametrize_conic(PlaneCurve(c, None), budget=budget)
+
+
+class TestLegendre:
+    """The conic rational-point decision against brute-force oracles."""
+
+    def test_diagonal_forms_match_holzer_oracle(self):
+        rng = random.Random(20260811)
+        nonzero = [v for v in range(-30, 31) if v]
+        for _ in range(300):
+            a, b, c = (rng.choice(nonzero) for _ in range(3))
+            assert _legendre(a, b, c)[0] is ternary_form_solvable(a, b, c), (a, b, c)
+
+    def test_nondiagonal_conics_match_holzer_oracle(self):
+        # M = U^T diag(a, b, c) U with det U != 0 has a rational zero exactly
+        # when the diagonal form does; the decision sees only the affine
+        # conic of M, divided by a small integer
+        rng = random.Random(4242)
+        nonzero = [v for v in range(-12, 13) if v]
+        v = (X, Y, MultiPoly.const(1))
+        checked = 0
+        while checked < 120:
+            d = [rng.choice(nonzero) for _ in range(3)]
+            u = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+            det = (
+                u[0][0] * (u[1][1] * u[2][2] - u[1][2] * u[2][1])
+                - u[0][1] * (u[1][0] * u[2][2] - u[1][2] * u[2][0])
+                + u[0][2] * (u[1][0] * u[2][1] - u[1][1] * u[2][0])
+            )
+            if det == 0:
+                continue
+            m = [[sum(u[k][i] * d[k] * u[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+            c = sum(
+                (v[i] * v[j] * m[i][j] for i in range(3) for j in range(3)), MultiPoly.zero()
+            ) * Q(1, rng.randint(1, 6))
+            if c.total_degree() != 2:
+                continue
+            expected = ternary_form_solvable(*d)
+            assert _conic_point_decision(c, ("x", "y"))[0] is expected, (d, u)
+            if checked < 30:
+                try:
+                    cp = parametrize_conic(PlaneCurve(c, None), budget=30)
+                except NotRationalError:
+                    assert not expected, (d, u)
+                except PointSearchExhaustedError as err:
+                    assert expected and "has a rational point" in str(err), (d, u)
+                else:
+                    assert expected and on_curve(cp, c), (d, u)
+            checked += 1
+
+    def test_conics_with_zero_pivots(self):
+        # a zero in the matrix diagonal is a rational point at infinity
+        for c in (X * Y - 1, 2 * X * Y - 2 * Y**2 - 1, Y**2 - X, X * Y + Y**2 + X + 3):
+            assert _conic_point_decision(c, ("x", "y"))[0] is True, c
+        assert _conic_point_decision(X * Y, ("x", "y"))[0] is None
+
+    def test_factor_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(11)
+        samples = [1, 2, 97, 2**61 - 1, 999983**3, 2**10 * 3**7 * 1009**2]
+        # a strong pseudoprime to the bases 2, 3, ..., 23
+        samples.append(3825123056546413051)
+        samples += [rng.randint(1, 10**12) for _ in range(150)]
+        for _ in range(30):
+            samples.append(
+                sympy.prod(sympy.randprime(2, 10**7) for _ in range(rng.randint(2, 3)))
+            )
+        for n in samples:
+            assert _factor(int(n)) == sympy.factorint(n), n
+
+    def test_probable_primes_are_never_taken_for_primes(self):
+        # strong pseudoprime to the bases 2, ..., 37; base 41 exposes it
+        assert not _is_prime(318665857834031151167461)
+        # strong pseudoprime to all 13 bases, hence the exactness bound
+        assert _factor(3317044064679887385961981) is None
+
+    def test_large_semiprime_coefficient_is_undecided_within_bounds(self):
+        # two 12-digit factors: below the primality bound, beyond rho's budget
+        start = time.perf_counter()
+        assert _factor(399165290221 * 798330580441) is None
+        # two 20-digit factors: the product is past the primality bound
+        c = X**2 + Y**2 - 10000000000000000051 * 30000000000000000041
+        assert _conic_point_decision(c, ("x", "y"))[0] is None
+        with pytest.raises(PointSearchExhaustedError, match="not found within the search budget"):
+            parametrize_conic(PlaneCurve(c, None))
+        assert time.perf_counter() - start < 10

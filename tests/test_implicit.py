@@ -230,4 +230,5 @@ class TestFullAnalysis:
         a = analyze_implicit(X**2 + Y**2 - 3 * Z**2)
         assert a.classification.tag == "Conical"
         assert a.parametrization is None
-        assert "not found" in a.failure or "no real point" in a.failure
+        assert "no rational point" in a.failure
+        assert "not a square modulo 3" in a.failure
