@@ -11,7 +11,7 @@ Reports are single JSON documents on stdout (``--pretty`` switches to a
 human-readable rendering).  Exit codes: 0 rational developable surface
 with a verified parametrization, 1 input error, 2 developable but
 unsupported / not rational / degenerate input, 3 not developable,
-4 verification mismatch.
+4 verification mismatch, 5 internal error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import time
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DegenerateInputError, DevsurfError
+from .errors import DevsurfError
 from .exprs import ParseError, parse_map, parse_poly, print_map, print_poly, print_ratfunc
 from .implicit import NOT_DEVELOPABLE, analyze_implicit
 from .parametric import analyze_parametric
@@ -35,6 +35,7 @@ EXIT_INPUT = 1
 EXIT_UNSUPPORTED = 2
 EXIT_NOT_DEVELOPABLE = 3
 EXIT_VERIFY_FAILED = 4
+EXIT_INTERNAL = 5
 
 
 def _read_source(value: str) -> str:
@@ -196,29 +197,15 @@ def _run_one(kind: str, src: str, args) -> dict:
             return _analyze_implicit_source(src, args)
         return _analyze_parametric_source(src, args)
     except ParseError as err:
-        return {
-            "command": kind,
-            "input": src,
-            "error": str(err),
-            "exit_code": EXIT_INPUT,
-            "timings_ms": {},
-        }
-    except DegenerateInputError as err:
-        return {
-            "command": kind,
-            "input": src,
-            "error": str(err),
-            "exit_code": EXIT_UNSUPPORTED,
-            "timings_ms": {},
-        }
-    except (DevsurfError, ZeroDivisionError) as err:
-        return {
-            "command": kind,
-            "input": src,
-            "error": str(err),
-            "exit_code": EXIT_UNSUPPORTED,
-            "timings_ms": {},
-        }
+        error, code = str(err), EXIT_INPUT
+    except DevsurfError as err:
+        error, code = str(err), EXIT_UNSUPPORTED
+    except Exception as err:  # a fault in devsurf itself, never a verdict
+        import traceback  # only on this path: keeps start-up lean
+
+        traceback.print_exc()
+        error, code = f"internal error: {type(err).__name__}: {err}", EXIT_INTERNAL
+    return {"command": kind, "input": src, "error": error, "exit_code": code, "timings_ms": {}}
 
 
 def _cmd_analyze(kind: str, args) -> int:

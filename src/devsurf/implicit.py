@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import (
-    DegenerateInputError,
-    DevsurfError,
-    NotRationalError,
-    PointSearchExhaustedError,
-    UnsupportedCurveError,
-)
+from .errors import DegenerateInputError, DevsurfError
 from .linalg import nullspace, primitive_integer_vector, solve_exact
 from .poly import (
     MultiPoly,
@@ -215,7 +209,9 @@ def classify_implicit(F: MultiPoly) -> tuple[SurfaceClass, MultiPoly, MultiPoly]
     K = gaussian_form_implicit(Fs)
     if Fs.total_degree() == 1:
         return SurfaceClass(tag=PLANE), K, Fs
-    if not vanishes_on_surface(K, Fs):
+    # developable iff Fs divides K; Fs is squarefree already, and
+    # vanishes_on_surface would reduce it a second time
+    if not divides(Fs, K)[0]:
         return SurfaceClass(tag=NOT_DEVELOPABLE), K, Fs
     status, apex = detect_apex(Fs)
     if status == "point":
@@ -340,7 +336,7 @@ def analyze_implicit(
                         "substitution into the defining polynomial reduced to zero"
                     )
                     return out
-                except (UnsupportedCurveError, PointSearchExhaustedError, NotRationalError, DevsurfError, ValueError, ArithmeticError) as err:
+                except DevsurfError as err:
                     last = str(err)
                     continue
             out.failure = last
@@ -370,12 +366,12 @@ def analyze_implicit(
                     "substitution into the defining polynomial reduced to zero"
                 )
                 return out
-            except (UnsupportedCurveError, PointSearchExhaustedError, NotRationalError, DevsurfError, ValueError, ArithmeticError) as err:
+            except DevsurfError as err:
                 last = str(err)
                 continue
         out.failure = last
         return out
-    except (PointSearchExhaustedError, NotRationalError, UnsupportedCurveError, DevsurfError) as err:
+    except DevsurfError as err:
         out.failure = str(err)
         return out
 

@@ -520,10 +520,10 @@ def rebuild_and_verify(
                     ),
                     fimp,
                 )
-            except (UnsupportedCurveError, PointSearchExhaustedError, NotRationalError, DevsurfError, ValueError, ArithmeticError) as err:
+            except DevsurfError as err:
                 last = err
                 continue
-        raise last if isinstance(last, DevsurfError) else DevsurfError(str(last))
+        raise last
 
     if cls.tag == TANGENTIAL:
         nd = nd or surface_normal(P)
@@ -551,10 +551,10 @@ def rebuild_and_verify(
                     ),
                     fimp,
                 )
-            except (UnsupportedCurveError, PointSearchExhaustedError, NotRationalError, DevsurfError, ValueError, ArithmeticError) as err:
+            except DevsurfError as err:
                 last = err
                 continue
-        raise last if isinstance(last, DevsurfError) else DevsurfError(str(last))
+        raise last
 
     raise ValueError(f"no rebuild for classification {cls.tag}")
 
@@ -607,6 +607,6 @@ def analyze_parametric(
         out.parametrization, out.implicit_equation = rebuild_and_verify(
             P, cls, nd, plane_budget, point_budget, refine
         )
-    except (DevsurfError, ValueError, ArithmeticError) as err:
+    except DevsurfError as err:
         out.failure = str(err)
     return out

@@ -12,8 +12,14 @@ exponents refer to.  The representation is canonical:
 Canonical storage makes structural equality and hashing coincide with
 mathematical equality, which the rest of the package relies on: every
 geometric decision reduces to "is this polynomial identically zero".
-Coefficients are gmpy2.mpq when available, fractions.Fraction otherwise;
-there is no floating point anywhere in a decision path.
+Coefficients are fractions.Fraction, or gmpy2.mpq when the optional
+gmpy2 extra is installed; there is no floating point anywhere in a
+decision path.  Products and exact divisions work on Python integers:
+each operand is scaled to integer numerators over one common denominator
+(read through ``.numerator`` and ``.denominator`` only, which both types
+provide), and only the output terms become rationals again.  Internal
+results that are canonical by construction skip re-canonicalization
+through the trusted constructor ``MultiPoly._make``.
 
 Besides the arithmetic operators, the module provides the elimination
 toolkit used by the analyzers: formal derivatives, cofactor determinants,
@@ -25,12 +31,14 @@ exact division, and linear subresultants.
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from fractions import Fraction
+from operator import add, neg, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
-try:  # gmpy2's mpq is a drop-in exact rational, several times faster
+try:  # optional extra: gmpy2's mpq is a drop-in exact rational
     from gmpy2 import mpq as Q
 except ImportError:  # pragma: no cover - slower but fully equivalent
     Q = Fraction
@@ -72,8 +80,10 @@ class MultiPoly:
                 continue
             if len(exps) != nvars:
                 raise ValueError("exponent vector length does not match variable count")
-            cleaned[tuple(exps)] = cleaned.get(tuple(exps), Q(0)) + c
-        cleaned = {e: c for e, c in cleaned.items() if c != 0}
+            key = tuple(exps)
+            prev = cleaned.get(key)
+            cleaned[key] = c if prev is None else prev + c
+        cleaned = {e: c for e, c in cleaned.items() if c}
 
         # Drop unused variables, then sort the remainder canonically.
         used = [i for i in range(nvars) if any(e[i] for e in cleaned)]
@@ -85,6 +95,21 @@ class MultiPoly:
             key = tuple(exps[used[k]] for k in order)
             remap[key] = c
         object.__setattr__(self, "terms", remap)
+
+    @staticmethod
+    def _make(variables: tuple[str, ...], terms: dict[tuple[int, ...], Q]) -> "MultiPoly":
+        """Trusted constructor for internal results: ``variables`` are in
+        canonical order and every coefficient is already a ``Q``.  Only
+        zero terms and unused variables are dropped."""
+        terms = {e: c for e, c in terms.items() if c}
+        used = [i for i, col in enumerate(zip(*terms)) if any(col)]
+        if len(used) != len(variables):
+            variables = tuple(variables[i] for i in used)
+            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        obj = object.__new__(MultiPoly)
+        object.__setattr__(obj, "vars", variables)
+        object.__setattr__(obj, "terms", terms)
+        return obj
 
     def __setattr__(self, *_):
         raise AttributeError("MultiPoly is immutable")
@@ -195,20 +220,26 @@ class MultiPoly:
         vars_, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
-            out[e] = out.get(e, Q(0)) + c
-        return MultiPoly(vars_, out)
+            prev = out.get(e)
+            out[e] = c if prev is None else prev + c
+        return MultiPoly._make(vars_, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, _COEFF_TYPES):
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        return self + (-other)
+        vars_, a, b = self._aligned(other)
+        out = dict(a)
+        for e, c in b.items():
+            prev = out.get(e)
+            out[e] = -c if prev is None else prev - c
+        return MultiPoly._make(vars_, out)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -218,17 +249,24 @@ class MultiPoly:
             c = Q(other)
             if c == 0:
                 return MultiPoly.zero()
-            return MultiPoly(self.vars, {e: co * c for e, co in self.terms.items()})
+            return MultiPoly._make(self.vars, {e: co * c for e, co in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
+        # Convolve integer numerators over one common denominator per
+        # operand; only the output terms become rationals.
         vars_, a, b = self._aligned(other)
-        out: dict[tuple[int, ...], Q] = {}
+        da, a = _int_terms(a)
+        db, b = _int_terms(b)
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                key = tuple(i + j for i, j in zip(ea, eb))
-                prev = out.get(key)
-                out[key] = ca * cb if prev is None else prev + ca * cb
-        return MultiPoly(vars_, out)
+                key = tuple(map(add, ea, eb))
+                out[key] = get(key, 0) + ca * cb
+        den = da * db
+        if den == 1:
+            return MultiPoly._make(vars_, {e: Q(n) for e, n in out.items() if n})
+        return MultiPoly._make(vars_, {e: Q(n, den) for e, n in out.items() if n})
 
     __rmul__ = __mul__
 
@@ -277,16 +315,25 @@ class MultiPoly:
     def eval_partial(self, bindings: Mapping[str, object]) -> "MultiPoly":
         """Substitute rational values for a subset of the variables."""
         keep = [i for i, name in enumerate(self.vars) if name not in bindings]
-        vals = {i: Q(bindings[name]) for i, name in enumerate(self.vars) if name in bindings}
-        out: dict[tuple[int, ...], Q] = {}
-        for exps, coeff in self.terms.items():
-            c = coeff
-            for i, v in vals.items():
-                if exps[i]:
-                    c *= v ** exps[i]
+        den, ints = _int_terms(self.terms)
+        # a value a/b of a variable of degree d enters as a^k * b^(d-k) over
+        # b^d, so every term stays an integer over one common denominator
+        powers = []
+        for i, name in enumerate(self.vars):
+            if name in bindings:
+                value = Q(bindings[name])
+                a, b = value.numerator, value.denominator
+                d = max((e[i] for e in ints), default=0)
+                powers.append((i, [a**k * b ** (d - k) for k in range(d + 1)]))
+                den *= b**d
+        out: dict[tuple[int, ...], int] = {}
+        for exps, n in ints.items():
+            for i, pw in powers:
+                n *= pw[exps[i]]
             key = tuple(exps[i] for i in keep)
-            out[key] = out.get(key, Q(0)) + c
-        return MultiPoly(tuple(self.vars[i] for i in keep), out)
+            out[key] = out.get(key, 0) + n
+        vars_ = tuple(self.vars[i] for i in keep)
+        return MultiPoly._make(vars_, {e: Q(n, den) for e, n in out.items() if n})
 
     def subs_poly(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for variables (pure polynomial composition)."""
@@ -325,11 +372,9 @@ class MultiPoly:
         out: dict[tuple[int, ...], Q] = {}
         for exps, coeff in self.terms.items():
             e = exps[i]
-            if e == 0:
-                continue
-            key = exps[:i] + (e - 1,) + exps[i + 1 :]
-            out[key] = out.get(key, Q(0)) + coeff * e
-        return MultiPoly(self.vars, out)
+            if e:
+                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = coeff * e
+        return MultiPoly._make(self.vars, out)
 
     # -- views as a univariate polynomial -----------------------------------
 
@@ -344,7 +389,7 @@ class MultiPoly:
             k = exps[i]
             key = exps[:i] + exps[i + 1 :]
             buckets.setdefault(k, {})[key] = coeff
-        return {k: MultiPoly(rest, t) for k, t in buckets.items()}
+        return {k: MultiPoly._make(rest, t) for k, t in buckets.items()}
 
     def lead_coeff_in(self, var: str) -> "MultiPoly":
         coeffs = self.coeffs_in(var)
@@ -360,22 +405,39 @@ class MultiPoly:
         into c as well."""
         if not self.terms:
             return Q(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        unit = Q(num_gcd, den_lcm)
-        _, lead = self.leading()
-        if lead < 0:
-            unit = -unit
-        return unit
+        unit, _ = _primitive_ints(self.terms)
+        return -unit if self.leading()[1] < 0 else unit
 
     def normalized(self) -> "MultiPoly":
         """Integer-primitive representative with positive leading coefficient."""
         if not self.terms:
             return self
-        return self * (1 / self.content_unit())
+        _, ints = _primitive_ints(self.terms)
+        sign = -1 if self.leading()[1] < 0 else 1
+        return MultiPoly._make(self.vars, {e: Q(sign * n) for e, n in ints.items()})
+
+
+def _int_terms(terms: Mapping[tuple[int, ...], Q]) -> tuple[int, dict[tuple[int, ...], int]]:
+    """Common denominator d and integer numerators n with terms == n / d."""
+    den = 1
+    for c in terms.values():
+        d = c.denominator
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    if den == 1:
+        return 1, {e: c.numerator for e, c in terms.items()}
+    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _primitive_ints(terms: Mapping[tuple[int, ...], Q]) -> tuple[Q, dict[tuple[int, ...], int]]:
+    """Positive content c and integer primitive part n with terms == c * n."""
+    den, ints = _int_terms(terms)
+    g = 0
+    for n in ints.values():
+        g = math.gcd(g, n)
+    if g != 1:
+        ints = {e: n // g for e, n in ints.items()}
+    return Q(g, den), ints
 
 
 def _reindex(terms, old_vars, new_vars):
@@ -514,7 +576,12 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
 
 
 def exact_div(q: MultiPoly, p: MultiPoly) -> Optional[MultiPoly]:
-    """Quotient h with q = p*h, or None when p does not divide q exactly."""
+    """Quotient h with q = p*h, or None when p does not divide q exactly.
+
+    Divides the integer primitive parts.  By Gauss's lemma their quotient,
+    if any, has integer coefficients, so a remainder whose leading
+    coefficient is not a multiple of p's already certifies "no".
+    """
     if p.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if q.is_zero():
@@ -524,25 +591,40 @@ def exact_div(q: MultiPoly, p: MultiPoly) -> Optional[MultiPoly]:
     if not set(p.vars) <= set(q.vars):
         return None
     vars_, qt, pt = q._aligned(p)
-    lead_p = max(pt, key=_grlex_key)
-    lc_p = pt[lead_p]
-    rem = dict(qt)
-    quot: dict[tuple[int, ...], Q] = {}
-    while rem:
-        lead_r = max(rem, key=_grlex_key)
-        diff = tuple(a - b for a, b in zip(lead_r, lead_p))
-        if any(d < 0 for d in diff):
+    cq, rem = _primitive_ints(qt)
+    cp, pi = _primitive_ints(pt)
+    lead_p = max(pi, key=_grlex_key)
+    lc_p = pi.pop(lead_p)
+    # max-heap on graded-lex order; entries of cancelled terms go stale
+    heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
+    heapq.heapify(heap)
+    quot: dict[tuple[int, ...], int] = {}
+    while heap:
+        lead_r = heapq.heappop(heap)[2]
+        cr = rem.pop(lead_r, 0)
+        if not cr:
+            continue
+        diff = tuple(map(sub, lead_r, lead_p))
+        if min(diff) < 0:
             return None
-        c = rem[lead_r] / lc_p
-        quot[diff] = quot.get(diff, Q(0)) + c
-        for e, pc in pt.items():
-            key = tuple(a + b for a, b in zip(e, diff))
-            val = rem.get(key, Q(0)) - c * pc
-            if val == 0:
-                rem.pop(key, None)
-            else:
+        h, r = divmod(cr, lc_p)
+        if r:
+            return None
+        quot[diff] = h
+        for e, c in pi.items():
+            key = tuple(map(add, e, diff))
+            prev = rem.get(key)
+            if prev is None:
+                heapq.heappush(heap, (-sum(key), tuple(map(neg, key)), key))
+                prev = 0
+            val = prev - h * c
+            if val:
                 rem[key] = val
-    return MultiPoly(vars_, quot)
+            else:
+                del rem[key]
+    scale = cq / cp
+    num, den = scale.numerator, scale.denominator
+    return MultiPoly._make(vars_, {e: Q(h * num, den) for e, h in quot.items()})
 
 
 def divides(p: MultiPoly, q: MultiPoly) -> tuple[bool, Optional[MultiPoly]]:
@@ -555,21 +637,13 @@ def divides(p: MultiPoly, q: MultiPoly) -> tuple[bool, Optional[MultiPoly]]:
 
 
 def _int_coeff_list(p: MultiPoly, var: str) -> list[int]:
-    """Dense integer coefficient list (ascending), content removed."""
-    coeffs = {k: v.constant_value() for k, v in p.coeffs_in(var).items()}
-    deg = max(coeffs)
-    den_lcm = 1
-    for c in coeffs.values():
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    ints = [0] * (deg + 1)
-    for k, c in coeffs.items():
-        ints[k] = int(c * den_lcm)
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    """Dense integer coefficient list (ascending), content removed; p is
+    univariate in var."""
+    _, ints = _primitive_ints(p.terms)
+    dense = [0] * (p.degree_in(var) + 1)
+    for (k,), n in ints.items():
+        dense[k] = n
+    return dense
 
 
 def _gcd_univar(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
@@ -632,7 +706,7 @@ def _strip_monomial(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
     if not any(mins):
         return tuple(0 for _ in p.vars), p
     stripped = {tuple(a - b for a, b in zip(e, mins)): c for e, c in p.terms.items()}
-    return tuple(mins), MultiPoly(p.vars, stripped)
+    return tuple(mins), MultiPoly._make(p.vars, stripped)
 
 
 def _random_point(names, avoid_zero=True):

@@ -68,6 +68,24 @@ class TestExitCodes:
         assert code == 2
         assert "curve" in json.loads(out)["error"]
 
+    @pytest.mark.parametrize(
+        "module, argv",
+        [
+            ("devsurf.implicit", ["implicit", cases.ELLIPTIC_CONE_F]),
+            ("devsurf.parametric", ["parametric", cases.IMPROPER_CONE_MAP]),
+        ],
+    )
+    def test_kernel_fault_is_internal_error(self, monkeypatch, module, argv):
+        # a fault inside a section attempt must not read as "unsupported"
+        def broken(*args, **kwargs):
+            raise ArithmeticError("fraction-free elimination lost exactness")
+
+        monkeypatch.setattr(f"{module}.parametrize_plane_curve", broken)
+        code, out = run_cli(argv)
+        report = json.loads(out)
+        assert code == 5 and report["exit_code"] == 5
+        assert report["error"] == "internal error: ArithmeticError: fraction-free elimination lost exactness"
+
 
 class TestVerifyCommand:
     def test_matching_pair(self):

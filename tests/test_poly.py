@@ -8,9 +8,11 @@ import pytest
 from devsurf.poly import (
     MultiPoly,
     Q,
+    canonical_vars,
     det4,
     det_bareiss,
     divides,
+    exact_div,
     gcd_multi,
     partial_derivative,
     poly_divmod_univar,
@@ -184,6 +186,13 @@ class TestDivision:
         ok, h = divides(X + Y, (X + Y) * (X**2 - 3))
         assert ok and h == X**2 - 3
 
+    def test_leading_coefficient_not_divisible(self):
+        # 3x^2 + x = x*(2x + 1) + x^2: the lower terms cancel exactly, only
+        # the leading coefficient 3 is not a multiple of 2
+        assert exact_div(3 * X**2 + X, 2 * X + 1) is None
+        assert exact_div(6 * X**2 + 3 * X, 2 * X + 1) == 3 * X
+        assert exact_div(3 * X**2 + X, 2 * X + 1 - Y) is None
+
     def test_division_matches_evaluation_at_random_points(self):
         rng = random.Random(31)
         p = X**2 + 3 * Y - 1
@@ -205,6 +214,101 @@ class TestRingAxioms:
             assert (p + q) * r == p * r + q * r
             assert p * q == q * p
             assert (p - p).is_zero()
+
+
+def assert_canonical(r):
+    """r is stored canonically and equals its re-canonicalized twin."""
+    assert r.vars == canonical_vars(r.vars)
+    for i in range(len(r.vars)):
+        assert any(e[i] for e in r.terms), f"unused variable {r.vars[i]}"
+    for e, c in r.terms.items():
+        assert len(e) == len(r.vars)
+        assert type(c) is Q and c != 0
+    twin = MultiPoly(r.vars, r.terms)
+    assert r == twin and hash(r) == hash(twin)
+
+
+class TestIntegerKernel:
+    """Differential check of the integer-coefficient products, sums and
+    exact division on seeded random pairs: 1-4 variables, differing
+    variable sets, integer and rational coefficients, cancelling sums."""
+
+    NAMES = ("t", "z", "x", "y")  # deliberately not in canonical order
+
+    @classmethod
+    def random_poly(cls, rng):
+        names = rng.sample(cls.NAMES, rng.randint(1, 4))
+        dens = (1,) if rng.random() < 0.5 else (1, 2, 3, 14)
+        terms = {}
+        for _ in range(rng.randint(1, 6)):
+            exps = tuple(rng.randint(0, 3) for _ in names)
+            terms[exps] = Q(rng.choice((-9, -4, -1, 1, 2, 3, 8)), rng.choice(dens))
+        return MultiPoly(names, terms)
+
+    @classmethod
+    def pairs(cls, count=150):
+        rng = random.Random(20260811)
+        for i in range(count):
+            a, b = cls.random_poly(rng), cls.random_poly(rng)
+            if i % 4 == 0:
+                b = b - a  # a + b cancels every term of a
+            yield a, b
+
+    def test_results_are_canonical(self):
+        for a, b in self.pairs():
+            for r in (a + b, a - b, a * b, -a, a - a, (a + b) - b, a * 3, a * Q(-2, 7)):
+                assert_canonical(r)
+            assert (a - a).is_zero() and (a - a).vars == ()
+            assert (a + b) - b == a
+            h = exact_div(a * b, a)
+            assert_canonical(h)
+            for v in a.vars:
+                assert_canonical(a.derivative(v))
+                for c in a.coeffs_in(v).values():
+                    assert_canonical(c)
+                part = a.eval_partial({v: Q(-3, 2)})
+                assert_canonical(part)
+                point = {n: Q(k + 2, 3) for k, n in enumerate(a.vars)}
+                point[v] = Q(-3, 2)
+                assert part.eval_all(point) == a.eval_all(point)
+
+    def test_exact_div_recovers_factor(self):
+        for a, b in self.pairs():
+            if b.is_zero():
+                continue
+            assert exact_div(a * b, a) == b
+            assert exact_div(a * b, b) == a
+            if not a.is_constant():
+                assert exact_div(a * b + 1, a) is None
+                assert exact_div(a * b + Q(1, 3), a) is None
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        gens = sympy.symbols(self.NAMES)
+        by_name = dict(zip(self.NAMES, gens))
+
+        def to_sympy(p):
+            expr = sympy.Add(*(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(by_name[v] ** e for v, e in zip(p.vars, exps)))
+                for exps, c in p.terms.items()
+            ))
+            return sympy.Poly(expr, *gens, domain="QQ")
+
+        for a, b in self.pairs(100):
+            sa, sb = to_sympy(a), to_sympy(b)
+            assert to_sympy(a * b) == sa * sb
+            assert to_sympy(a + b) == sa + sb
+            assert to_sympy(a - b) == sa - sb
+            ab = a * b
+            bumped = ab + MultiPoly(ab.vars, {ab.leading()[0]: 1})  # lc(ab) + 1
+            for num in (ab, ab + b, b, bumped):
+                quo, rem = sympy.div(to_sympy(num), sa)
+                h = exact_div(num, a)
+                if rem.is_zero:
+                    assert h is not None and to_sympy(h) == quo
+                else:
+                    assert h is None
 
 
 class TestUnivariateHelpers:
