@@ -17,6 +17,7 @@ unsupported / not rational / degenerate input, 3 not developable,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -339,6 +340,7 @@ def _cmd_mesh(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on the first call, reused by every later main()
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="devsurf",

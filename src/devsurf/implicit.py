@@ -11,10 +11,11 @@ is sampled to decide anything.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DegenerateInputError, DevsurfError
+from .errors import DegenerateInputError, DevsurfError, NotRationalError
 from .linalg import nullspace, primitive_integer_vector, solve_exact
 from .poly import (
     MultiPoly,
@@ -273,6 +274,48 @@ def _plane_param(Fs: MultiPoly):
     return build_cylindrical(tuple(dvec), directrix)
 
 
+def _sections_by_degree(Fs: MultiPoly, cls: SurfaceClass, plane_budget: int):
+    """Admissible candidate planes with the degree of their section,
+    stably sorted by that degree; no section is computed here.
+
+    A plane is admissible when it misses the apex of a cone or is not
+    parallel to the direction of a cylinder.  Then the section of the
+    squarefree Fs is already squarefree: for a cone it is the
+    dehomogenization of the apex-centred form, for a cylinder an affine
+    image of the base curve.  Its degree is deg Fs, minus 1 exactly when
+    the top-degree form of Fs vanishes on the plane's direction, which
+    happens only when a plane component through the apex is parallel to
+    the candidate.  A binary form of degree d that vanishes at the d + 1
+    points (1, k), k = 0..d, of the direction plane is zero.
+    """
+    d = Fs.total_degree()
+    top = MultiPoly._make(Fs.vars, {e: c for e, c in Fs.terms.items() if sum(e) == d})
+    drops = {}  # by plane normal: the candidates share a few directions
+    keyed = []
+    for plane in plane_candidates(plane_budget):
+        normal = tuple(plane.derivative(v).constant_value() if v in plane.vars else Q(0) for v in COORDS)
+        if cls.tag == CONICAL:
+            if plane.eval_all(dict(zip(COORDS, cls.apex))) == 0:
+                continue
+        elif sum(n * c for n, c in zip(normal, cls.direction)) == 0:
+            continue
+        if normal not in drops:
+            # (1, k) in the basis n_s*e_u - n_u*e_s, n_s*e_w - n_w*e_s
+            s = max(i for i in range(3) if normal[i])
+            u, w = (i for i in range(3) if i != s)
+            point = [Q(0)] * 3
+            vanishes = True
+            for k in range(d + 1):
+                point[u], point[w], point[s] = normal[s], k * normal[s], -normal[u] - k * normal[w]
+                if top.eval_all(dict(zip(COORDS, point))) != 0:
+                    vanishes = False
+                    break
+            drops[normal] = vanishes
+        keyed.append((plane, d - 1 if drops[normal] else d))
+    keyed.sort(key=lambda pk: pk[1])
+    return keyed
+
+
 def analyze_implicit(
     F: MultiPoly,
     plane_budget: int = 35,
@@ -302,22 +345,13 @@ def analyze_implicit(
 
         if cls.tag in (CONICAL, CYLINDRICAL):
             last = "no usable section plane within budget"
-            sections = []
-            for plane in plane_candidates(plane_budget):
-                if cls.tag == CONICAL:
-                    apex_val = plane.eval_all(dict(zip(COORDS, cls.apex)))
-                    if apex_val == 0:
-                        continue
-                else:
-                    normal = [plane.derivative(v).constant_value() if v in plane.vars else Q(0) for v in COORDS]
-                    if sum(n * d for n, d in zip(normal, cls.direction)) == 0:
-                        continue
+            d = Fs.total_degree()
+            for plane, key in _sections_by_degree(Fs, cls, plane_budget):
                 sec = section_implicit(Fs, plane)
-                if sec is None:
-                    continue
-                sections.append(sec)
-            sections.sort(key=lambda s: s.poly.total_degree())
-            for sec in sections:
+                if sec is None or sec.poly.total_degree() != key:
+                    raise ArithmeticError(
+                        f"section by {plane.to_text()} = 0 does not have the predicted degree {key}"
+                    )
                 try:
                     cp = parametrize_plane_curve(sec, budget=point_budget, param="t")
                     curve3 = lift_to_space(cp, sec.frame)
@@ -336,15 +370,31 @@ def analyze_implicit(
                         "substitution into the defining polynomial reduced to zero"
                     )
                     return out
+                except NotRationalError as err:
+                    # Sections of full degree are birational over Q to every
+                    # other admissible section (central projection from the
+                    # rational apex, or projection along the direction), and
+                    # rationality over Q is a birational invariant: no other
+                    # plane can succeed.  A section of degree d - 1 has lost
+                    # a plane component through the apex to infinity, which
+                    # other sections keep as a line, so the sweep goes on.
+                    # An unsupported family or a missed point search says
+                    # nothing about other sections and never stops it.
+                    if key == d:
+                        out.failure = str(err)
+                        return out
+                    last = str(err)
                 except DevsurfError as err:
                     last = str(err)
-                    continue
             out.failure = last
             return out
 
         # tangential
         last = "no cuspidal edge candidate could be parametrized"
-        for h, g in _iter_singular_systems(Fs):
+        # classification already found the first system; the others are
+        # computed only if it fails
+        rest = (s for s in _iter_singular_systems(Fs) if s != cls.edge_system)
+        for h, g in itertools.chain([cls.edge_system], rest):
             try:
                 kept = tuple(n for n in COORDS if n not in (_elim_var(h, g),))
                 frame = EdgeFrame(relation=h, kept=kept, solved=_elim_var(h, g))

@@ -495,10 +495,18 @@ def det3(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 
 def det4(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """4x4 determinant by cofactor expansion."""
+    """4x4 determinant by Laplace expansion along the first two rows: the
+    sum over the six column pairs of the 2x2 minor of rows 0-1 times the
+    complementary minor of rows 2-3, each minor computed once."""
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise ValueError("det4 expects a 4x4 grid")
-    return _det_cofactor([list(r) for r in rows])
+    a, b, c, d = rows
+    total = MultiPoly.zero()
+    for j, k in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+        l, m = (i for i in range(4) if i not in (j, k))
+        term = (a[j] * b[k] - a[k] * b[j]) * (c[l] * d[m] - c[m] * d[l])
+        total = total + term if (j + k) % 2 else total - term
+    return total
 
 
 def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:

@@ -11,10 +11,12 @@ parameter list; arity 1 maps are space curves, arity 2 maps are surfaces.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import MultiPoly, Q, canonical_vars, exact_div, gcd_multi, poly_divmod_univar
+from .poly import MultiPoly, Q, _int_terms, _reindex, canonical_vars, exact_div, gcd_multi, poly_divmod_univar
 
 _ONE = MultiPoly.const(1)
 
@@ -394,14 +396,44 @@ def substitute_map(p: MultiPoly, map3: RationalMap3, coords=("x", "y", "z")) -> 
     return substitute(p, {v: bindings[v] for v in p.vars})
 
 
+def _int_binding(rf: RatFunc, params: tuple[str, ...]) -> tuple[list, list]:
+    """Numerator and denominator of rf as integer term lists over params,
+    both scaled by one common integer, so that their ratio is rf."""
+    dn, num = _int_terms(rf.num.terms)
+    dd, den = _int_terms(rf.den.terms)
+    scale = math.lcm(dn, dd)
+    out = []
+    for poly, ints, factor in ((rf.num, num, scale // dn), (rf.den, den, scale // dd)):
+        for v in poly.vars:
+            if v not in params:
+                raise KeyError(f"unbound variable {v!r}")
+        out.append([(e, n * factor) for e, n in _reindex(ints, poly.vars, params).items()])
+    return out[0], out[1]
+
+
+def _eval_int(terms: list, point: tuple[int, ...]) -> int:
+    total = 0
+    for exps, n in terms:
+        for x, e in zip(point, exps):
+            if e:
+                n *= x**e
+        total += n
+    return total
+
+
 def compose_is_zero(p: MultiPoly, bindings: Mapping[str, RatFunc], params: Sequence[str]) -> bool:
     """Certified exact test that p composed with the bindings vanishes
     identically, without expanding the composition.
 
-    The cleared numerator N of the composition has a computable degree
-    bound in each parameter; evaluating N on an integer grid strictly
-    larger than those bounds certifies N = 0.  Everything is exact
-    rational arithmetic; there is no sampling uncertainty.
+    The cleared numerator N = sum_e c_e * prod_n num_n^e_n * den_n^(cap_n - e_n)
+    (cap_n the degree of p in n) has a computable degree bound in each of
+    the 1 or 2 parameters; N vanishes on an integer grid one point wider
+    than those bounds in each parameter exactly when N = 0.  The test runs
+    in Python ints: p is scaled to integer coefficients over one
+    denominator, and each binding's numerator and denominator by one
+    common integer L_n, which leaves the binding unchanged and multiplies
+    N by the nonzero integer den_p * prod_n L_n^cap_n.  There is no
+    sampling uncertainty.
     """
     for v in p.vars:
         if v not in bindings:
@@ -410,87 +442,39 @@ def compose_is_zero(p: MultiPoly, bindings: Mapping[str, RatFunc], params: Seque
         return True
     if p.is_constant():
         return p.constant_value() == 0
-    names = list(p.vars)
-    caps = {n: p.degree_in(n) for n in names}
     params = tuple(params)
+    if len(params) not in (1, 2):
+        raise ValueError("compose_is_zero supports 1 or 2 parameters")
+    caps = [p.degree_in(n) for n in p.vars]
+    pairs = [_int_binding(bindings[n], params) for n in p.vars]
     # degree bound of the cleared numerator in each parameter
-    bounds = {}
-    for pv in params:
-        worst = 0
-        dn = {n: bindings[n].num.degree_in(pv) for n in names}
-        dd = {n: bindings[n].den.degree_in(pv) for n in names}
-        for exps in p.terms:
-            total = 0
-            for n, e in zip(names, exps):
-                total += e * dn[n] + (caps[n] - e) * dd[n]
-            worst = max(worst, total)
-        bounds[pv] = worst
-
-    term_items = list(p.terms.items())
-
-    def eval_at(point: dict) -> Q:
-        nvals = {}
-        dvals = {}
-        npows = {}
-        dpows = {}
-        for n in names:
-            nvals[n] = bindings[n].num.eval_all(point)
-            dvals[n] = bindings[n].den.eval_all(point)
-            npow = [Q(1)]
-            dpow = [Q(1)]
-            for _ in range(caps[n]):
-                npow.append(npow[-1] * nvals[n])
-                dpow.append(dpow[-1] * dvals[n])
-            npows[n] = npow
-            dpows[n] = dpow
-        acc = Q(0)
-        for exps, coeff in term_items:
-            term = coeff
-            for n, e in zip(names, exps):
-                term = term * npows[n][e] * dpows[n][caps[n] - e]
-            acc += term
-        return acc
-
-    if len(params) == 1:
-        pv = params[0]
-        for a in range(bounds[pv] + 1):
-            if eval_at({pv: Q(a)}) != 0:
-                return False
-        return True
-    if len(params) == 2:
-        u, w = params
-        # collapse each numerator/denominator per u-value, then sweep w
-        for a in range(bounds[u] + 1):
-            collapsed = {}
-            for n in names:
-                rf = bindings[n]
-                cn = rf.num.eval_partial({u: Q(a)}) if u in rf.num.vars else rf.num
-                cd = rf.den.eval_partial({u: Q(a)}) if u in rf.den.vars else rf.den
-                collapsed[n] = (cn, cd)
-            for b in range(bounds[w] + 1):
-                point = {w: Q(b)}
-                acc = Q(0)
-                pows = {}
-                for n in names:
-                    cn, cd = collapsed[n]
-                    nv = cn.eval_all(point) if cn.vars else cn.constant_value()
-                    dv = cd.eval_all(point) if cd.vars else cd.constant_value()
-                    npow = [Q(1)]
-                    dpow = [Q(1)]
-                    for _ in range(caps[n]):
-                        npow.append(npow[-1] * nv)
-                        dpow.append(dpow[-1] * dv)
-                    pows[n] = (npow, dpow)
-                for exps, coeff in term_items:
-                    term = coeff
-                    for n, e in zip(names, exps):
-                        npow, dpow = pows[n]
-                        term = term * npow[e] * dpow[caps[n] - e]
-                    acc += term
-                if acc != 0:
-                    return False
-        return True
-    raise ValueError("compose_is_zero supports 1 or 2 parameters")
+    bounds = []
+    for i in range(len(params)):
+        dn = [max((e[i] for e, _ in num), default=0) for num, _ in pairs]
+        dd = [max((e[i] for e, _ in den), default=0) for _, den in pairs]
+        bounds.append(max(
+            sum(e * a + (cap - e) * b for e, a, b, cap in zip(exps, dn, dd, caps))
+            for exps in p.terms
+        ))
+    _, coeffs = _int_terms(p.terms)
+    terms = list(coeffs.items())
+    for point in itertools.product(*(range(b + 1) for b in bounds)):
+        pows = []
+        for (num, den), cap in zip(pairs, caps):
+            nv, dv = _eval_int(num, point), _eval_int(den, point)
+            npow, dpow = [1], [1]
+            for _ in range(cap):
+                npow.append(npow[-1] * nv)
+                dpow.append(dpow[-1] * dv)
+            pows.append((npow, dpow))
+        acc = 0
+        for exps, c in terms:
+            for (npow, dpow), e, cap in zip(pows, exps, caps):
+                c *= npow[e] * dpow[cap - e]
+            acc += c
+        if acc:
+            return False
+    return True
 
 
 def substitute_map_is_zero(p: MultiPoly, map3: RationalMap3, coords=("x", "y", "z")) -> bool:

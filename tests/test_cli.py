@@ -213,3 +213,42 @@ class TestMultipleInputs:
         assert code == 0
         assert "classification: Conical" in out
         assert "apex: (1/2, 1/3, 0)" in out
+
+
+class TestParserReuse:
+    ARGVS = [
+        ["implicit", cases.TANGENT_QUARTIC_F, "--no-refine"],
+        ["implicit", cases.SPHERE_F, "--pretty"],
+        ["parametric", cases.UNIT_CIRCLE_CONE_MAP],
+        ["verify", cases.ELLIPTIC_CONE_F, cases.ELLIPTIC_CONE_FULL_MAP],
+        ["mesh", cases.UNIT_CIRCLE_CONE_MAP, "--s", "0:1", "--t", "-3:3", "--res", "3"],
+        ["implicit", cases.TANGENT_QUARTIC_F],
+        ["implicit", "x^2 +* y"],
+    ]
+
+    @staticmethod
+    def _stable(out):
+        lines = []
+        for line in out.splitlines():
+            if line.startswith("{"):
+                report = json.loads(line)
+                report.pop("timings_ms", None)
+                line = json.dumps(report, sort_keys=True)
+            lines.append(line)
+        return lines
+
+    def test_successive_calls_match_fresh_ones(self):
+        from devsurf.cli import build_parser
+
+        fresh = []
+        for argv in self.ARGVS:
+            build_parser.cache_clear()
+            fresh.append(run_cli(argv))
+        build_parser.cache_clear()
+        reused = [run_cli(argv) for argv in self.ARGVS]
+        assert build_parser.cache_info().misses == 1
+        assert [code for code, _ in reused] == [code for code, _ in fresh] == [0, 3, 0, 0, 0, 0, 1]
+        for (_, a), (_, b) in zip(reused, fresh):
+            assert self._stable(a) == self._stable(b)
+        # a flag given to one call does not leak into the next
+        assert json.loads(reused[5][1])["parametrization"]["refined"] is True

@@ -232,3 +232,83 @@ class TestFullAnalysis:
         assert a.parametrization is None
         assert "no rational point" in a.failure
         assert "not a square modulo 3" in a.failure
+
+
+class TestSectionSweep:
+    """Sections are computed one at a time, in degree order, and a section
+    with no rational parametrization ends the sweep when it certifies that
+    no other section can have one."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        import devsurf.implicit as implicit
+
+        calls = []
+        original = getattr(implicit, name)
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(implicit, name, counting)
+        return calls
+
+    @pytest.mark.parametrize("src", [cases.ELLIPTIC_CONE_F, cases.QUARTIC_CYLINDER_F])
+    def test_reference_surfaces_compute_one_section(self, monkeypatch, src):
+        calls = self._count(monkeypatch, "section_implicit")
+        a = analyze_implicit(parse_poly(src, ("x", "y", "z")))
+        assert a.parametrization is not None
+        assert len(calls) == 1
+
+    def test_certified_stop_after_one_conic(self, monkeypatch):
+        # every section of x^2 + y^2 = 3 z^2 off the apex is a conic without
+        # a rational point, and all of them are birational to each other
+        calls = self._count(monkeypatch, "parametrize_plane_curve")
+        a = analyze_implicit(X**2 + Y**2 - 3 * Z**2)
+        assert a.parametrization is None
+        assert "not a square modulo 3" in a.failure
+        assert len(calls) == 1
+
+    def test_degree_order_kept(self):
+        # the conic y = 1 has degree 2 and is tried before the cubic x = 1,
+        # which precedes it among the candidate planes
+        from devsurf.exprs import print_map
+
+        a = analyze_implicit(Y * (X**2 + Y**2 - Z**2))
+        assert print_map(a.parametrization.p1) == "((2*t)/(t^2 - 1), 1, (t^2 + 1)/(t^2 - 1))"
+
+    def test_degree_dropped_section_does_not_stop(self):
+        # y = 1 cuts y*(x^2 - 2 z^2) in two conjugate lines (no rational
+        # parametrization), but the plane component y = 0 lies at infinity
+        # there; the section x = 1 keeps it as the line y = 0
+        from devsurf.exprs import print_map
+
+        a = analyze_implicit(Y * (X**2 - 2 * Z**2))
+        assert a.parametrization is not None
+        assert print_map(a.parametrization.p1) == "(1, 0, t)"
+
+    def test_section_degree_differs_from_key(self, monkeypatch):
+        import devsurf.implicit as implicit
+        from devsurf.curves import PlaneCurve, plane_frame
+
+        def wrong_degree(F, plane):
+            return PlaneCurve(MultiPoly.var("x") ** 3 + MultiPoly.var("y"), plane_frame(plane))
+
+        monkeypatch.setattr(implicit, "section_implicit", wrong_degree)
+        with pytest.raises(ArithmeticError, match="predicted degree 2"):
+            analyze_implicit(X**2 + Y**2 - Z**2)
+
+    def test_tangential_reuses_first_singular_system(self, monkeypatch, tangent_quartic):
+        import devsurf.implicit as implicit
+
+        started = []
+        original = implicit._iter_singular_systems
+
+        def counting(F):
+            started.append(F)
+            yield from original(F)
+
+        monkeypatch.setattr(implicit, "_iter_singular_systems", counting)
+        a = analyze_implicit(tangent_quartic)
+        assert a.parametrization is not None
+        assert len(started) == 1  # the classification's, never restarted

@@ -84,6 +84,16 @@ class TestDeterminants:
             ]
             assert det_bareiss([list(r) for r in rows]) == perm_det(rows)
 
+    def test_det4_equals_permutation_oracle_randomized(self):
+        rng = random.Random(78)
+        for _ in range(30):
+            rows = [
+                [random_small_multipoly(rng, ("x", "y", "z"), 2, density=0.6, lo=-3, hi=3) for _ in range(4)]
+                for _ in range(4)
+            ]
+            rows[rng.randrange(4)][rng.randrange(4)] = MultiPoly.zero()
+            assert det4(rows) == perm_det(rows)
+
 
 class TestResultant:
     def test_substitution_case(self):

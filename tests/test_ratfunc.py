@@ -1,5 +1,6 @@
 """Rational functions: canonical reduction, arithmetic, substitution."""
 
+import itertools
 import random
 
 import pytest
@@ -128,3 +129,71 @@ def test_map_rename_and_derivative():
     assert d.components[2] == RatFunc(3 * T**2)
     renamed = tw.rename_params({"t": "u"})
     assert renamed.params == ("u",)
+
+
+def test_compose_is_zero_grid_is_complete():
+    # the cleared numerators vanish at every grid point but the last one in
+    # each parameter, so a grid one point short would call them zero
+    S = MultiPoly.var("s")
+    cubic = T * (T - 1) * (T - 2)
+    assert not compose_is_zero(X, {"x": RatFunc(cubic)}, ("t",))
+    assert not compose_is_zero(X * Y, {"x": RatFunc(S * (S - 1)), "y": RatFunc(cubic, T + 5)}, ("s", "t"))
+
+
+@pytest.mark.parametrize("params", [("t",), ("s", "t")])
+def test_compose_is_zero_against_sympy_cancel(params):
+    # p = (B*z - A) * R vanishes on x = X, y = Y, z = A(X, Y)/B(X, Y); the
+    # same p with one coefficient bumped by 1/q is the nonzero case.  The
+    # oracle composes in sympy's rational function field, which cancels
+    # numerator and denominator after every operation.
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.fields import field
+    from sympy.polys.rings import ring
+
+    rng = random.Random(4100 + len(params))
+    K, *pars = field(",".join(params), sympy.QQ)
+    R3, x, y, z = ring("x,y,z", sympy.QQ)
+
+    def rand_poly(domain, gens, deg):
+        while True:
+            expr = sum(
+                (
+                    sympy.QQ(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
+                    * sympy.prod([g**e for g, e in zip(gens, exps) if e], start=1)
+                    for exps in itertools.product(range(deg + 1), repeat=len(gens))
+                    if sum(exps) <= deg and rng.random() < 0.7
+                ),
+                0,
+            )
+            if expr != 0:
+                return domain(expr)
+
+    def compose(P, values):
+        out = K(0)
+        for exps, c in P.terms():
+            out += K(c) * sympy.prod([v**e for v, e in zip(values, exps) if e], start=K(1))
+        return out
+
+    def to_multipoly(P, names):
+        return MultiPoly(names, {e: Q(int(c.numerator), int(c.denominator)) for e, c in P.terms()})
+
+    checked = {True: 0, False: 0}
+    while min(checked.values()) < 10:
+        X = rand_poly(K, pars, 2) / rand_poly(K, pars, 1)
+        Y = rand_poly(K, pars, 2) / rand_poly(K, pars, 1)
+        A, B = rand_poly(R3, (x, y), 2), rand_poly(R3, (x, y), 1)
+        BXY = compose(B, (X, Y))
+        if BXY == 0:
+            continue
+        Z = compose(A, (X, Y)) / BXY
+        p = (B * z - A) * rand_poly(R3, (x, y, z), 1)
+        exps, _ = rng.choice(p.terms())
+        bumped = p + sympy.QQ(1, rng.randint(2, 7)) * R3({exps: 1})
+        bindings = {
+            n: RatFunc(to_multipoly(v.numer, params), to_multipoly(v.denom, params))
+            for n, v in zip("xyz", (X, Y, Z))
+        }
+        for P in (p, bumped):
+            oracle = compose(P, (X, Y, Z)) == 0
+            assert compose_is_zero(to_multipoly(P, ("x", "y", "z")), bindings, params) == oracle
+            checked[oracle] += 1
