@@ -211,40 +211,20 @@ def _run_one(kind: str, src: str, args) -> dict:
 
 def _cmd_analyze(kind: str, args) -> int:
     sources = [_read_source(v) for v in args.source]
-    if args.jobs > 1 and len(sources) > 1:
+    # fork starts every worker on the first submit: never more than can run
+    workers = min(args.jobs, len(sources), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures
 
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(_WorkerJob(kind, args), sources))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(functools.partial(_run_one, kind, args=args), sources))
     else:
         reports = [_run_one(kind, src, args) for src in sources]
     code = 0
     for report in reports:
-        if "error" in report:
-            out = dict(report)
-            _emit(out, args.pretty)
-        else:
-            _emit(report, args.pretty)
+        _emit(report, args.pretty)
         code = max(code, report["exit_code"])
     return code
-
-
-class _WorkerJob:
-    """Picklable helper for --jobs fan-out."""
-
-    def __init__(self, kind: str, args):
-        self.kind = kind
-        self.plane_budget = args.plane_budget
-        self.point_search_budget = args.point_search_budget
-        self.no_refine = args.no_refine
-
-    def __call__(self, src: str) -> dict:
-        ns = argparse.Namespace(
-            plane_budget=self.plane_budget,
-            point_search_budget=self.point_search_budget,
-            no_refine=self.no_refine,
-        )
-        return _run_one(self.kind, src, ns)
 
 
 def _cmd_verify(args) -> int:

@@ -179,25 +179,6 @@ def _is_square(f: Q) -> Optional[Q]:
     return None
 
 
-def _univar_rational_roots(p: MultiPoly, var: str) -> list[Q]:
-    """Rational roots of a univariate polynomial, degree-2 case solved
-    directly by the quadratic formula."""
-    deg = p.degree_in(var)
-    coeffs = {k: v.constant_value() for k, v in p.coeffs_in(var).items()}
-    if deg == 0:
-        return []
-    if deg == 1:
-        return [-coeffs.get(0, Q(0)) / coeffs[1]]
-    if deg == 2:
-        a, b, c = coeffs.get(2, Q(0)), coeffs.get(1, Q(0)), coeffs.get(0, Q(0))
-        disc = b * b - 4 * a * c
-        r = _is_square(disc)
-        if r is None:
-            return []
-        return sorted({(-b + r) / (2 * a), (-b - r) / (2 * a)})
-    return rational_roots(p, var)
-
-
 def rational_point_on_curve(c: MultiPoly, names: tuple[str, str], budget: int = 200):
     """First rational point found by sweeping lines u = const and w = const."""
     u, w = names
@@ -208,7 +189,7 @@ def rational_point_on_curve(c: MultiPoly, names: tuple[str, str], budget: int = 
                 return (val, Q(0)) if sweep_var == u else (Q(0), val)
             if restricted.is_constant():
                 continue
-            roots = _univar_rational_roots(restricted, other)
+            roots = rational_roots(restricted, other)
             if roots:
                 r = roots[0]
                 return (val, r) if sweep_var == u else (r, val)
@@ -546,7 +527,7 @@ def _solve_two_var_system(polys: Sequence[MultiPoly], names: tuple[str, str]) ->
                     continue
                 if r.is_constant():
                     return []
-                u_candidates = _univar_rational_roots(r, u)
+                u_candidates = rational_roots(r, u)
                 break
             if u_candidates is not None:
                 break
@@ -554,7 +535,7 @@ def _solve_two_var_system(polys: Sequence[MultiPoly], names: tuple[str, str]) ->
         w_free = [p for p in ps if p.degree_in(w) == 0]
         if not w_free:
             return []
-        u_candidates = _univar_rational_roots(w_free[0], u)
+        u_candidates = rational_roots(w_free[0], u)
     points = []
     for u0 in u_candidates:
         w_roots: Optional[list[Q]] = None
@@ -566,7 +547,7 @@ def _solve_two_var_system(polys: Sequence[MultiPoly], names: tuple[str, str]) ->
                 w_roots = []
                 break
             if restricted.degree_in(w) > 0:
-                roots = _univar_rational_roots(restricted, w)
+                roots = rational_roots(restricted, w)
                 w_roots = roots if w_roots is None else [r for r in w_roots if r in roots]
                 if not w_roots:
                     break
@@ -820,7 +801,7 @@ def _rational_simple_point(c: MultiPoly, names, budget):
             restricted = c.eval_partial({sweep_var: val})
             if restricted.is_zero() or restricted.is_constant():
                 continue
-            for r in _univar_rational_roots(restricted, other):
+            for r in rational_roots(restricted, other):
                 pt = (val, r) if sweep_var == u else (r, val)
                 grad_u = cu.eval_all({u: pt[0], w: pt[1]})
                 grad_w = cw.eval_all({u: pt[0], w: pt[1]})

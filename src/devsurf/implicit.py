@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegenerateInputError, DevsurfError, NotRationalError
-from .linalg import nullspace, primitive_integer_vector, solve_exact
+from .linalg import coefficient_rows, nullspace, primitive_integer_vector, solve_exact
 from .poly import (
     MultiPoly,
     Q,
@@ -37,12 +37,19 @@ from .curves import (
     plane_candidates,
     section_implicit,
 )
+from .builder import (
+    CONICAL,
+    CYLINDRICAL,
+    TANGENTIAL,
+    build_conical,
+    build_cylindrical,
+    build_tangential,
+    reduce_directrix,
+    verify_on_surface,
+)
 
 NOT_DEVELOPABLE = "NotDevelopable"
 PLANE = "Plane"
-CONICAL = "Conical"
-CYLINDRICAL = "Cylindrical"
-TANGENTIAL = "Tangential"
 UNRESOLVED = "DevelopableUnresolved"
 
 
@@ -102,17 +109,8 @@ def detect_apex(F: MultiPoly) -> tuple[str, Optional[tuple[Q, Q, Q]]]:
     rhs_poly = sum(
         (MultiPoly.var(v) * g for v, g in zip(COORDS, grads)), MultiPoly.zero()
     ) - F * d
-    gmaps = [_coeff_map3(g) for g in grads]
-    rmap = _coeff_map3(rhs_poly)
-    support = set(rmap)
-    for m in gmaps:
-        support |= set(m)
-    rows = []
-    rhs = []
-    for key in sorted(support):
-        rows.append([m.get(key, Q(0)) for m in gmaps])
-        rhs.append(rmap.get(key, Q(0)))
-    status, sol = solve_exact(rows, rhs)
+    rows = coefficient_rows(grads + [rhs_poly], COORDS)
+    status, sol = solve_exact([r[:3] for r in rows], [r[3] for r in rows])
     if status == "unique":
         return "point", tuple(sol)
     if status == "underdetermined":
@@ -120,25 +118,11 @@ def detect_apex(F: MultiPoly) -> tuple[str, Optional[tuple[Q, Q, Q]]]:
     return "none", None
 
 
-def _coeff_map3(p: MultiPoly) -> dict:
-    """Monomial-to-coefficient map over the full (x, y, z) exponent keys."""
-    out = {}
-    for exps, c in p.terms.items():
-        key = tuple(exps[p.vars.index(v)] if v in p.vars else 0 for v in COORDS)
-        out[key] = c
-    return out
-
-
 def detect_ruling_direction(F: MultiPoly) -> tuple[str, Optional[tuple[int, ...]]]:
     """Common ruling direction: exact kernel of the coefficient matrix of
     the three gradient components."""
     grads = [F.derivative(v) for v in COORDS]
-    gmaps = [_coeff_map3(g) for g in grads]
-    support = set()
-    for m in gmaps:
-        support |= set(m)
-    rows = [[m.get(key, Q(0)) for m in gmaps] for key in sorted(support)]
-    basis = nullspace(rows, 3)
+    basis = nullspace(coefficient_rows(grads, COORDS), 3)
     if len(basis) == 0:
         return "none", None
     if len(basis) > 1:
@@ -253,8 +237,6 @@ class ImplicitAnalysis:
 
 def _plane_param(Fs: MultiPoly):
     """Canonical ruled parametrization of a plane."""
-    from .builder import build_cylindrical
-
     frame_data = {v: Fs.derivative(v).constant_value() for v in COORDS if v in Fs.vars}
     solved = next(v for v in ("z", "y", "x") if frame_data.get(v))
     kept = [v for v in COORDS if v != solved]
@@ -323,8 +305,6 @@ def analyze_implicit(
     refine: bool = True,
 ) -> ImplicitAnalysis:
     """Run the implicit pipeline end to end, verification included."""
-    from .builder import build_conical, build_cylindrical, build_tangential, reduce_directrix, verify_on_surface
-
     cls, K, Fs = classify_implicit(F)
     out = ImplicitAnalysis(classification=cls, k_poly=K, surface=Fs)
     if cls.tag == NOT_DEVELOPABLE:

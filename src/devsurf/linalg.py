@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .poly import Q
+from .poly import MultiPoly, Q
 
 
 def _rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
@@ -35,6 +35,17 @@ def _rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
         if r == len(m):
             break
     return m, pivots
+
+
+def coefficient_rows(polys: Sequence[MultiPoly], variables: Sequence[str]) -> list[list[Q]]:
+    """Coefficient matrix of a linear identity among polynomials: one row
+    per monomial in ``variables`` of the union of their supports, in sorted
+    exponent order, and one column per polynomial."""
+    maps = []
+    for p in polys:
+        pos = [p.vars.index(v) if v in p.vars else None for v in variables]
+        maps.append({tuple(0 if i is None else e[i] for i in pos): c for e, c in p.terms.items()})
+    return [[m.get(key, Q(0)) for m in maps] for key in sorted(set().union(*maps))]
 
 
 def solve_exact(rows: Sequence[Sequence[Q]], rhs: Sequence[Q]) -> tuple[str, list[Q] | None]:

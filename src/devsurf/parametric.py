@@ -22,7 +22,7 @@ from .errors import (
     PointSearchExhaustedError,
     UnsupportedCurveError,
 )
-from .linalg import nullspace, primitive_integer_vector, solve_exact
+from .linalg import coefficient_rows, nullspace, primitive_integer_vector, solve_exact
 from .poly import MultiPoly, Q, det3, exact_div, gcd_many, gcd_multi, resultant, squarefree_part
 from .ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute, substitute_map_is_zero
 from .curves import (
@@ -112,19 +112,8 @@ def detect_apex_parametric(nd: NormalData, P: RationalMap3):
     for comp in nd.n:
         cols.append(comp.num * exact_div(den, comp.den))
     rhs_poly = nd.tangent_rhs.num * exact_div(den, nd.tangent_rhs.den)
-
-    support = set()
-    maps = []
-    for p in cols + [rhs_poly]:
-        m = {}
-        for exps, cf in p.terms.items():
-            key = tuple(exps[p.vars.index(v)] if v in p.vars else 0 for v in ("s", "t"))
-            m[key] = cf
-        maps.append(m)
-        support |= set(m)
-    rows = [[maps[i].get(k, Q(0)) for i in range(3)] for k in sorted(support)]
-    rhs = [maps[3].get(k, Q(0)) for k in sorted(support)]
-    status, sol = solve_exact(rows, rhs)
+    rows = coefficient_rows(cols + [rhs_poly], ("s", "t"))
+    status, sol = solve_exact([r[:3] for r in rows], [r[3] for r in rows])
     if status == "unique":
         return "point", tuple(sol)
     if status == "underdetermined":
@@ -135,17 +124,7 @@ def detect_apex_parametric(nd: NormalData, P: RationalMap3):
 def detect_direction_parametric(nd: NormalData):
     """Fixed direction orthogonal to the normal: exact kernel of the
     coefficient matrix of the cleared normal numerators."""
-    support = set()
-    maps = []
-    for p in nd.cleared:
-        m = {}
-        for exps, cf in p.terms.items():
-            key = tuple(exps[p.vars.index(v)] if v in p.vars else 0 for v in ("s", "t"))
-            m[key] = cf
-        maps.append(m)
-        support |= set(m)
-    rows = [[maps[i].get(k, Q(0)) for i in range(3)] for k in sorted(support)]
-    basis = nullspace(rows, 3)
+    basis = nullspace(coefficient_rows(nd.cleared, ("s", "t")), 3)
     if not basis:
         return "none", None
     if len(basis) > 1:
@@ -442,17 +421,7 @@ def _is_planar_surface(P: RationalMap3) -> Optional[MultiPoly]:
     for c in P.components:
         den = _lcm_poly(den, c.den)
     cols = [c.num * exact_div(den, c.den) for c in P.components] + [den]
-    support = set()
-    maps = []
-    for p in cols:
-        m = {}
-        for exps, cf in p.terms.items():
-            key = tuple(exps[p.vars.index(v)] if v in p.vars else 0 for v in ("s", "t"))
-            m[key] = cf
-        maps.append(m)
-        support |= set(m)
-    rows = [[maps[i].get(k, Q(0)) for i in range(4)] for k in sorted(support)]
-    for vec in nullspace(rows, 4):
+    for vec in nullspace(coefficient_rows(cols, ("s", "t")), 4):
         if any(v != 0 for v in vec[:3]):
             plane = sum(
                 (MultiPoly.var(n) * vec[i] for i, n in enumerate(COORDS)), MultiPoly.const(vec[3])

@@ -1025,108 +1025,71 @@ def poly_divmod_univar(p: MultiPoly, q: MultiPoly, var: str) -> tuple[MultiPoly,
     return to_poly(quo), to_poly(a)
 
 
-def _univar_fracs(p: MultiPoly, var: str) -> dict[int, Q]:
-    return {k: v.constant_value() for k, v in p.coeffs_in(var).items()}
+def _eval_mod(coeffs: list[int], x: int, m: int) -> int:
+    """Value mod m at x of the ascending integer coefficient list."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % m
+    return acc
 
 
-def _eval_univar(coeffs: dict[int, Q], x: Q) -> Q:
-    total = Q(0)
-    for k, c in coeffs.items():
-        total += c * x**k
-    return total
+def _primes() -> Iterable[int]:
+    n = 2
+    while True:
+        if all(n % q for q in range(2, math.isqrt(n) + 1)):
+            yield n
+        n += 1
 
 
-def _convergents(value: Q, max_den: int) -> list[Q]:
-    """Continued-fraction convergents of a rational value."""
-    out = []
-    a, b = value.numerator, value.denominator
-    h0, h1 = 1, 0
-    k0, k1 = 0, 1
-    while b:
-        q, r = divmod(a, b)
-        h0, h1 = q * h0 + h1, h0
-        k0, k1 = q * k0 + k1, k0
-        if k0 > max_den:
-            break
-        out.append(Q(h0, k0))
-        a, b = b, r
-    return out
+def rational_roots(p: MultiPoly, var: str) -> list[Q]:
+    """All rational roots of a univariate polynomial, exactly and sorted.
 
+    p-adic lifting (R. Loos, "Computing rational zeros of integral
+    polynomials by p-adic expansion", SIAM J. Comput. 12, 1983).  Take the
+    primitive integer polynomial f = a*t^d + ... + f0, strip the factor
+    t^k (root 0) so that f0 != 0, and make f squarefree.  Pick the first
+    prime p with p not dividing a and f'(r) != 0 mod p at every root r of
+    f mod p; only the finitely many primes dividing a*disc(f) fail.  Each
+    root mod p is Newton-lifted to a root mod M > 2*|a*f0|, and the
+    symmetric residue n of a*r mod M gives the candidate n/a, kept only
+    when f(n/a) == 0 exactly.
 
-def rational_roots(p: MultiPoly, var: str, max_den: int = 10**7) -> list[Q]:
-    """All rational roots of a univariate polynomial, exactly.
-
-    Real roots are isolated by exact sign changes on a fine grid of
-    [-1, 1] for the polynomial and its reversal (covering |root| >= 1);
-    candidates come from continued-fraction convergents of the bisected
-    approximations and are verified by exact evaluation.
+    Completeness: a root u/v in lowest terms has u | f0 and v | a, so p
+    does not divide v and u/v is a simple root mod p, which lifts
+    uniquely; a*u/v is an integer with |a*u/v| <= |a*f0| < M/2, so it is
+    the symmetric residue of a*r.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has every root")
-    if any(v != var for v in p.vars):
-        if p.is_constant():
-            return []
+    if p.is_constant():
+        return []
+    if p.vars != (var,):
         raise ValueError("rational_roots expects univariate input")
-    coeffs = _univar_fracs(p, var)
-    roots: set[Q] = set()
-    low = min(coeffs)
-    if low > 0:
-        roots.add(Q(0))
-        coeffs = {k - low: v for k, v in coeffs.items()}
-    # squarefree reduction keeps sign changes at every real root
-    poly = MultiPoly((var,), {(k,): v for k, v in coeffs.items()})
-    if poly.is_constant():
-        return sorted(roots)
-    der = poly.derivative(var)
-    g = _gcd_univar(poly, der, var)
+    f = _int_coeff_list(p, var)
+    roots = [Q(0)] if f[0] == 0 else []
+    f = f[next(k for k, c in enumerate(f) if c) :]
+    if len(f) == 1:
+        return roots
+    poly = MultiPoly._make((var,), {(k,): Q(c) for k, c in enumerate(f)})
+    g = _gcd_univar(poly, poly.derivative(var), var)
     if not g.is_constant():
-        poly, _ = poly_divmod_univar(poly, g, var)
-    coeffs = _univar_fracs(poly, var)
-
-    def direct(x: Q):
-        if _eval_univar(coeffs, x) == 0:
-            roots.add(x)
-
-    for k in range(-8, 9):
-        direct(Q(k))
-        if k != 0:
-            direct(Q(1, k))
-
-    rev = {max(coeffs) - k: v for k, v in coeffs.items()}
-
-    def scan(cdict, invert):
-        steps = 256
-        prev_x = Q(-1)
-        prev_v = _eval_univar(cdict, prev_x)
-        for i in range(1, steps + 1):
-            x = Q(-1) + Q(2 * i, steps)
-            v = _eval_univar(cdict, x)
-            if v == 0:
-                if not invert:
-                    roots.add(x)
-                elif x != 0:
-                    roots.add(1 / x)
-            elif prev_v != 0 and (v < 0) != (prev_v < 0):
-                lo, hi = prev_x, x
-                flo = prev_v
-                for _ in range(60):
-                    mid = (lo + hi) / 2
-                    fm = _eval_univar(cdict, mid)
-                    if fm == 0:
-                        lo = hi = mid
-                        break
-                    if (fm < 0) == (flo < 0):
-                        lo, flo = mid, fm
-                    else:
-                        hi = mid
-                approx = (lo + hi) / 2
-                for cand in _convergents(approx, max_den):
-                    target = cand if not invert else (1 / cand if cand != 0 else None)
-                    if target is not None and _eval_univar(coeffs, target) == 0:
-                        roots.add(target)
-                        break
-            prev_x, prev_v = x, v
-
-    scan(coeffs, invert=False)
-    scan(rev, invert=True)
+        f = _int_coeff_list(poly_divmod_univar(poly, g, var)[0], var)
+    a, d = f[-1], len(f) - 1
+    df = [k * c for k, c in enumerate(f)][1:]
+    for prime in _primes():
+        if a % prime:
+            residues = [r for r in range(prime) if _eval_mod(f, r, prime) == 0]
+            if all(_eval_mod(df, r, prime) for r in residues):
+                break
+    bound = 2 * abs(a * f[0])
+    m = prime
+    while m <= bound:
+        m *= m
+        residues = [(r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m for r in residues]
+    for r in residues:
+        n = a * r % m
+        if n > m // 2:
+            n -= m
+        if sum(c * n**k * a ** (d - k) for k, c in enumerate(f)) == 0:
+            roots.append(Q(n, a))
     return sorted(roots)

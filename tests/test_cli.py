@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, report structure, golden files,
 mesh sampling."""
 
+import concurrent.futures
 import contextlib
 import io
 import json
+import os
+import pickle
 from pathlib import Path
 
 import pytest
@@ -206,6 +209,32 @@ class TestMultipleInputs:
         code, out = run_cli(["implicit", cases.SPHERE_F, cases.ELLIPTIC_CONE_F, "--jobs", "2"])
         lines = [json.loads(l) for l in out.splitlines() if l.strip()]
         assert [r["exit_code"] for r in lines] == [3, 0]
+        assert code == 3
+
+    @pytest.mark.parametrize("cpus, workers", [(64, 3), (2, 2)])
+    def test_jobs_capped_without_starting_processes(self, monkeypatch, cpus, workers):
+        created = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                fn = pickle.loads(pickle.dumps(fn))  # the job must reach a worker
+                return [fn(item) for item in items]
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        argv = ["implicit", cases.SPHERE_F, "x^2 +", cases.ELLIPTIC_CONE_F, "--jobs", "10000"]
+        code, out = run_cli(argv)
+        assert created == [workers]
+        assert [json.loads(l)["exit_code"] for l in out.splitlines() if l.strip()] == [3, 1, 0]
         assert code == 3
 
     def test_pretty_renders_text(self):

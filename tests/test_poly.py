@@ -22,6 +22,7 @@ from devsurf.poly import (
     subresultant_linear,
 )
 from devsurf.exprs import parse_poly
+from devsurf import poly as poly_module
 
 from conftest import bordered_hessian_oracle, perm_det, random_small_multipoly, sylvester_oracle
 
@@ -344,6 +345,88 @@ class TestUnivariateHelpers:
         p = (T - 37) * (2 * T + 91)
         roots = rational_roots(p, "t")
         assert roots == sorted([Q(37), Q(-91, 2)])
+
+    @pytest.mark.parametrize(
+        "text, roots",
+        [
+            # tiny, huge and close roots, each missed by a grid scan with
+            # continued fractions capped at denominator 10^7
+            ("t - 1/20000000", [Q(1, 20000000)]),
+            ("(1000*t-1)*(1000*t-2)*(t^2+1)", [Q(1, 1000), Q(1, 500)]),
+            ("(t-100001)*(t-100002)", [Q(100001), Q(100002)]),
+            ("(12345678*t-1)*(t^2+2)", [Q(1, 12345678)]),
+            ("(t-1/3)*(t-1/3-1/1000)*(t^2+5)", [Q(1, 3), Q(1003, 3000)]),
+            # roots 1 and 4 meet mod 3 and f has a double root mod 2
+            ("(t-1)*(t-4)*(t^2+1)", [Q(1), Q(4)]),
+            # 3 and 5 divide the leading coefficient
+            ("(15*t-1)*(t-2)", [Q(1, 15), Q(2)]),
+            ("(15*t-1)*(t-3)", [Q(1, 15), Q(3)]),
+            ("t^3*(2*t-3)^2*(t^2-2)", [Q(0), Q(3, 2)]),
+            ("7*t^4", [Q(0)]),
+        ],
+    )
+    def test_rational_roots_complete(self, text, roots):
+        assert rational_roots(P(text, ("t",)), "t") == roots
+
+    @staticmethod
+    def _random_products(seed, count):
+        rng = random.Random(seed)
+        quadratics = [T**2 + 1, T**2 - 2, 3 * T**2 + 5, T**2 + T + 1, 2 * T**2 - 7]
+        for _ in range(count):
+            p = MultiPoly.const(rng.choice([1, -2, 3]))
+            for _ in range(rng.randint(1, 4)):
+                if rng.random() < 0.7:
+                    p = p * (rng.randint(1, 12) * T - rng.randint(-12, 12))
+                else:
+                    p = p * rng.choice(quadratics)
+            yield p
+
+    def test_rational_roots_brute_force_oracle(self):
+        # rational root theorem: every root is +-u/v with u | a0 and v | an
+        def divisors(n):
+            return [d for d in range(1, int(n) + 1) if n % d == 0]
+
+        for p in self._random_products(20261018, 60):
+            dense = {k: c.constant_value() for k, c in p.coeffs_in("t").items()}
+            low = min(dense)
+            a0, an = abs(dense[low]), abs(dense[max(dense)])
+            assert a0.denominator == an.denominator == 1
+            wanted = {Q(0)} if low > 0 else set()
+            for u in divisors(a0):
+                for v in divisors(an):
+                    wanted |= {r for r in (Q(u, v), Q(-u, v)) if p.eval_all({"t": r}) == 0}
+            assert rational_roots(p, "t") == sorted(wanted)
+
+    def test_rational_roots_sympy_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        rng = random.Random(7)
+        polys = list(self._random_products(4242, 30))
+        polys += [
+            sum((rng.randint(-9, 9) * T**k for k in range(1, rng.randint(2, 7))), MultiPoly.const(rng.randint(-9, 9)))
+            for _ in range(30)
+        ]
+        for p in polys:
+            if p.is_constant():
+                continue
+            expr = sympy.Add(
+                *(sympy.Rational(c.numerator, c.denominator) * t ** e[0] for e, c in p.terms.items())
+            )
+            expected = sorted(Q(int(r.p), int(r.q)) for r in sympy.Poly(expr, t).ground_roots())
+            assert rational_roots(p, "t") == expected
+
+    def test_rational_roots_leaves_probe_rng_alone(self):
+        state = poly_module._PROBE_RNG.getstate()
+        for p in self._random_products(99, 20):
+            rational_roots(p * p, "t")
+        assert poly_module._PROBE_RNG.getstate() == state
+
+    def test_rational_roots_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            rational_roots(MultiPoly.zero(), "t")
+        with pytest.raises(ValueError):
+            rational_roots(T * X - 1, "t")
+        assert rational_roots(MultiPoly.const(3), "t") == []
 
     def test_subresultant_linear_tracks_shared_root(self):
         p = (T - 1) * (T - 2)
