@@ -13,7 +13,7 @@ from .errors import DevsurfError
 from .linalg import _rref, nullspace
 from .poly import MultiPoly, Q, exact_div, gcd_many, gcd_multi, resultant, squarefree_part
 from .ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute_map_is_zero
-from .curves import COORDS, is_proper_curve
+from .curves import COORDS
 
 CONICAL = "Conical"
 CYLINDRICAL = "Cylindrical"
@@ -69,13 +69,9 @@ def _curve_hits_point(curve: RationalMap3, point: Sequence[Q]) -> bool:
     return g.degree_in("t") > 0
 
 
-def build_conical(apex: Sequence, curve: RationalMap3, check_proper: bool = True) -> ParamResult:
+def build_conical(apex: Sequence, curve: RationalMap3) -> ParamResult:
     """Cone over a directrix: P(s,t) = (1-s)*apex + s*curve(t)."""
     apex = tuple(Q(a) for a in apex)
-    if check_proper:
-        proper, idx = is_proper_curve(curve, curve.params[0])
-        if not proper:
-            raise DevsurfError(f"directrix is improper (tracing index {idx})")
     if _curve_hits_point(curve, apex):
         raise DevsurfError("directrix passes through the apex")
     apex_map = _as_constant_map(apex)
@@ -86,15 +82,11 @@ def build_conical(apex: Sequence, curve: RationalMap3, check_proper: bool = True
     return ParamResult(p0=apex_map, p1=p1, kind=CONICAL)
 
 
-def build_cylindrical(direction: Sequence, curve: RationalMap3, check_proper: bool = True) -> ParamResult:
+def build_cylindrical(direction: Sequence, curve: RationalMap3) -> ParamResult:
     """Cylinder over a directrix: P(s,t) = curve(t) + s*direction."""
     dvec = tuple(Q(d) for d in direction)
     if all(d == 0 for d in dvec):
         raise DevsurfError("ruling direction is zero")
-    if check_proper:
-        proper, idx = is_proper_curve(curve, curve.params[0])
-        if not proper:
-            raise DevsurfError(f"directrix is improper (tracing index {idx})")
     dmap = _as_constant_map(dvec)
     dcurve = curve.derivative("t")
     cr = cross3(dcurve.components, dmap.components)
@@ -109,12 +101,8 @@ def _is_planar_curve(curve: RationalMap3) -> bool:
     return bool(_moving_planes([_homogeneous(curve, False)], 0))
 
 
-def build_tangential(edge: RationalMap3, check_proper: bool = True) -> ParamResult:
+def build_tangential(edge: RationalMap3) -> ParamResult:
     """Tangent developable of a space curve: P(s,t) = edge(t) + s*edge'(t)."""
-    if check_proper:
-        proper, idx = is_proper_curve(edge, edge.params[0])
-        if not proper:
-            raise DevsurfError(f"cuspidal edge parametrization is improper (tracing index {idx})")
     dedge = edge.derivative("t")
     if all(c.is_zero() for c in dedge.components):
         raise DevsurfError("edge curve is constant")

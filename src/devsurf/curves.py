@@ -27,6 +27,7 @@ from .linalg import nullspace
 from .poly import (
     MultiPoly,
     Q,
+    _gcd_univar,
     exact_div,
     gcd_many,
     gcd_multi,
@@ -406,8 +407,14 @@ def _validate_on_curve(c: MultiPoly, names, comps) -> None:
 
 
 def _finish(c: MultiPoly, names, comps, param, source) -> CurveParam:
+    """Certify a parametrization of c and compute its tracing index, the
+    only time it is computed: every family here is a proper pencil by
+    construction, and lifting a plane parametrization to space cannot make
+    it improper, so an improper result is an internal error."""
     _validate_on_curve(c, names, comps)
     proper, idx = is_proper_curve(comps, param)
+    if not proper:
+        raise ArithmeticError(f"plane curve parametrization is improper (tracing index {idx})")
     return CurveParam(tuple(comps), tuple(names), param, proper, idx, source)
 
 
@@ -788,8 +795,6 @@ def parametrize_quartic_adjoint(
 
 
 def _coprime_univar(a: MultiPoly, g: MultiPoly, var: str) -> bool:
-    from .poly import _gcd_univar
-
     return _gcd_univar(a, g, var).is_constant()
 
 

@@ -24,16 +24,15 @@ through the trusted constructor ``MultiPoly._make``.
 Besides the arithmetic operators, the module provides the elimination
 toolkit used by the analyzers: formal derivatives, cofactor determinants,
 Sylvester resultants (fraction-free Bareiss elimination), multivariate
-gcd (certified coprimality probe, then evaluation-interpolation verified
-by exact division, with a primitive-PRS fallback), squarefree parts,
-exact division, and linear subresultants.
+gcd (a certified coprimality probe at one fixed point, then a complete,
+deterministic evaluation-interpolation certified by exact division),
+squarefree parts, exact division, and linear subresultants.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import random
 from fractions import Fraction
 from operator import add, neg, sub
 from typing import Iterable, Mapping, Optional, Sequence
@@ -47,10 +46,6 @@ _COEFF_TYPES = (int, Q, Fraction)
 
 _CANONICAL = ("x", "y", "z", "s", "t", "u", "v", "w")
 _CANON_RANK = {name: i for i, name in enumerate(_CANONICAL)}
-
-# Deterministic source of evaluation points for the gcd fast path.
-_PROBE_RNG = random.Random(0x5EED)
-
 
 def var_sort_key(name: str) -> tuple[int, str]:
     return (_CANON_RANK.get(name, len(_CANONICAL)), name)
@@ -315,6 +310,8 @@ class MultiPoly:
     def eval_partial(self, bindings: Mapping[str, object]) -> "MultiPoly":
         """Substitute rational values for a subset of the variables."""
         keep = [i for i, name in enumerate(self.vars) if name not in bindings]
+        if len(keep) == len(self.vars):
+            return self
         den, ints = _int_terms(self.terms)
         # a value a/b of a variable of degree d enters as a^k * b^(d-k) over
         # b^d, so every term stays an integer over one common denominator
@@ -654,54 +651,57 @@ def _int_coeff_list(p: MultiPoly, var: str) -> list[int]:
     return dense
 
 
+def _primitive_list(v: list[int]) -> list[int]:
+    g = 0
+    for c in v:
+        g = math.gcd(g, c)
+    return [c // g for c in v] if g > 1 else v
+
+
+def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
+    """gcd of two nonzero dense (ascending) primitive integer coefficient
+    lists by the primitive pseudo-remainder sequence; primitive, of either
+    sign."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        lc, db = b[-1], len(b) - 1
+        r = list(a)
+        while len(r) > db:
+            cr, shift = r[-1], len(r) - 1 - db
+            r = [lc * c for c in r]
+            for k, c in enumerate(b):
+                r[k + shift] -= cr * c
+            while r and r[-1] == 0:
+                r.pop()
+        a, b = b, _primitive_list(r)
+    return a
+
+
+def _div_ints(f: list[int], g: list[int]) -> list[int]:
+    """Quotient of dense integer lists when g divides f; for a primitive g
+    the quotient is integral by Gauss's lemma, so the division is exact."""
+    r = list(f)
+    quot = [0] * (len(f) - len(g) + 1)
+    for k in reversed(range(len(quot))):
+        quot[k] = r[k + len(g) - 1] // g[-1]
+        for j, c in enumerate(g):
+            r[k + j] -= quot[k] * c
+    return quot
+
+
 def _gcd_univar(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """Primitive-PRS gcd of two univariate polynomials, over integers."""
+    """gcd of two univariate polynomials, over the integers."""
     if p.is_zero():
         return q.normalized()
     if q.is_zero():
         return p.normalized()
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(1)
-    a = _int_coeff_list(p, var)
-    b = _int_coeff_list(q, var)
-    if len(a) < len(b):
-        a, b = b, a
-
-    def strip(v):
-        while v and v[-1] == 0:
-            v.pop()
-        return v
-
-    def primitive(v):
-        g = 0
-        for c in v:
-            g = math.gcd(g, abs(c))
-        if g > 1:
-            v = [c // g for c in v]
-        return v
-
-    while b:
-        da, db = len(a) - 1, len(b) - 1
-        if da < db:
-            a, b = b, a
-            continue
-        lc = b[-1]
-        r = list(a)
-        while len(r) - 1 >= db and r:
-            dr = len(r) - 1
-            cr = r[-1]
-            r = [lc * c for c in r]
-            shift = dr - db
-            for k, c in enumerate(b):
-                r[k + shift] -= cr * c
-            r = strip(r)
-        a, b = b, primitive(strip(r))
-    if not a:
-        return MultiPoly.zero()
-    if len(a) == 1:
+    g = _gcd_ints(_int_coeff_list(p, var), _int_coeff_list(q, var))
+    if len(g) == 1:
         return MultiPoly.const(1)
-    out = MultiPoly((var,), {(k,): Q(c) for k, c in enumerate(a)})
-    return out.normalized()
+    return MultiPoly((var,), {(k,): Q(c) for k, c in enumerate(g)}).normalized()
 
 
 def _strip_monomial(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
@@ -717,61 +717,37 @@ def _strip_monomial(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
     return tuple(mins), MultiPoly._make(p.vars, stripped)
 
 
-def _random_point(names, avoid_zero=True):
-    point = {}
-    for n in names:
-        v = _PROBE_RNG.randint(-3559, 3559)
-        while avoid_zero and v == 0:
-            v = _PROBE_RNG.randint(-3559, 3559)
-        point[n] = Q(v)
-    return point
+def _probe_value(i: int) -> int:
+    """Coordinate of the fixed coprimality probe point for the variable at
+    position i of the sorted variables: nonzero, at most 3559 in absolute
+    value, distinct for i < 3559 (3559 is prime)."""
+    return (-1) ** i * ((i + 1) * 1579 % 3559 + 1)
 
 
 def _certified_coprime(p: MultiPoly, q: MultiPoly, common: Sequence[str]) -> bool:
     """Certified test that gcd(p, q) is constant.
 
-    For each shared variable v, evaluate all other variables at a random
-    point under which p keeps its v-degree.  Any common divisor g satisfies
-    lc_v(g) | lc_v(p), so g keeps its v-degree too; a constant univariate
-    gcd then certifies deg_v(gcd) = 0.  Succeeding for every shared
-    variable proves the gcd constant.
+    For each shared variable v, evaluate every other variable at one fixed
+    point (``_probe_value`` of its position in the sorted variables of p
+    and q).  If p keeps its v-degree there, so does any common divisor g,
+    since lc_v(g) | lc_v(p); a constant univariate gcd of the images then
+    certifies deg_v(gcd) = 0.  Succeeding for every shared variable proves
+    the gcd constant.  There is one probe per variable and no retry: when
+    lc_v(p) vanishes at the point, the image of q is zero or the images
+    share a factor, the probe returns False and the caller's complete
+    route decides.
     """
+    names = canonical_vars(p.vars + q.vars)
     for v in common:
-        ok = False
-        others = [n for n in set(p.vars) | set(q.vars) if n != v]
-        for _ in range(4):
-            point = _random_point(others)
-            lcp = p.lead_coeff_in(v)
-            if lcp.eval_all(point) == 0:
-                continue
-            pu = p.eval_partial(point)
-            qu = q.eval_partial(point)
-            if pu.is_zero() or qu.is_zero():
-                continue
-            if pu.is_constant() or qu.is_constant():
-                ok = True
-                break
-            g = _gcd_univar(pu, qu, v)
-            if g.is_constant():
-                ok = True
-                break
-        if not ok:
+        point = {n: _probe_value(i) for i, n in enumerate(names) if n != v}
+        if p.lead_coeff_in(v).eval_all(point) == 0:
+            return False
+        qu = q.eval_partial(point)
+        if qu.is_zero():
+            return False
+        if not qu.is_constant() and not _gcd_univar(p.eval_partial(point), qu, v).is_constant():
             return False
     return True
-
-
-def _prem(a: MultiPoly, b: MultiPoly, var: str) -> MultiPoly:
-    """Pseudo-remainder of a by b with respect to var."""
-    db = b.degree_in(var)
-    lcb = b.lead_coeff_in(var)
-    r = a
-    while not r.is_zero():
-        dr = r.degree_in(var)
-        if dr < db:
-            break
-        lcr = r.lead_coeff_in(var)
-        r = r * lcb - b * lcr * poly_from_var_power(var, dr - db)
-    return r
 
 
 def _content_wrt(p: MultiPoly, var: str) -> MultiPoly:
@@ -801,74 +777,71 @@ def _interp_newton(xs: list[int], ys: list[MultiPoly], var: str) -> MultiPoly:
     return result
 
 
-def _gcd_eval_rec(p: MultiPoly, q: MultiPoly, v: str, others: list[str]) -> Optional[MultiPoly]:
-    """gcd of p, q (as polynomials in v over the other variables) by
-    evaluation and interpolation.  Returns a polynomial proportional to
-    (gamma / lc(G)) * G where gamma = gcd of the leading coefficients, or
-    None on failure; the caller strips content and verifies."""
+def _gcd_primitive(p: MultiPoly, q: MultiPoly, v: str) -> MultiPoly:
+    """gcd G of p and q, both primitive in v, normalized; complete and
+    deterministic (W. S. Brown, "On Euclid's algorithm and the computation
+    of polynomial greatest common divisors", J. ACM 18, 1971).
+
+    With no other variable this is the univariate gcd.  Otherwise w is the
+    last other variable and gamma = gcd(lc_v p, lc_v q).  Points w = c run
+    through 0, 1, -1, 2, ...; points where gamma, lc_v p or lc_v q vanish
+    are skipped.  At any other point the image gcd(p(c), q(c)) has v-degree
+    at least deg_v G, since G(c) keeps its v-degree and divides both.  An
+    image of v-degree 0 therefore proves G = 1 at once.  Only images of
+    the least v-degree seen are kept, each scaled by rho so that its
+    leading coefficient in v is gamma(c); the scaled images of degree
+    deg_v G are the values of gamma * G / lc_v(G), whose w-degree is below
+    ``bound``.  Once ``bound`` images are in, Newton interpolation in w,
+    removal of the v-content and trial division of p and q certify the
+    result: a divisor of both whose v-degree is at least deg_v G is G.
+
+    If the division fails, every image used had too high a degree; no
+    image of that degree or higher is used again, and sampling goes on.
+    The loop ends: the unlucky points, where the image degree exceeds
+    deg_v G, are roots of the resultant in v of the cofactors p/G and q/G,
+    which is nonzero; rho fails only where the image picks up a content
+    in the remaining variables, also at finitely many points; and each
+    failed division lowers the admissible degree.
+    """
+    others = [n for n in canonical_vars(p.vars + q.vars) if n != v]
     if not others:
         return _gcd_univar(p, q, v)
     w = others[-1]
-    lcp = p.lead_coeff_in(v)
-    lcq = q.lead_coeff_in(v)
+    lcp, lcq = p.lead_coeff_in(v), q.lead_coeff_in(v)
     gamma = gcd_multi(lcp, lcq)
     bound = gamma.degree_in(w) + min(p.degree_in(w), q.degree_in(w)) + 1
+    # every image kept has v-degree best; no image exceeds min(deg_v p, deg_v q)
+    best = min(p.degree_in(v), q.degree_in(v)) + 1
     xs: list[int] = []
     ys: list[MultiPoly] = []
-    best: Optional[int] = None
     c = 0
-    tried = 0
-    while len(xs) < bound and tried < 4 * bound + 24:
+    while True:
         point = c
         c = -c if c > 0 else -c + 1  # 0, 1, -1, 2, -2, ...
-        tried += 1
-        ev = {w: Q(point)}
-        gev = gamma.eval_partial(ev) if w in gamma.vars else gamma
-        if gev.is_zero():
+        ev = {w: point}
+        gev = gamma.eval_partial(ev)
+        if gev.is_zero() or lcp.eval_partial(ev).is_zero() or lcq.eval_partial(ev).is_zero():
             continue
-        if (lcp.eval_partial(ev) if w in lcp.vars else lcp).is_zero():
-            continue
-        if (lcq.eval_partial(ev) if w in lcq.vars else lcq).is_zero():
-            continue
-        pe = p.eval_partial(ev)
-        qe = q.eval_partial(ev)
-        ge = gcd_multi(pe, qe)
+        ge = gcd_multi(p.eval_partial(ev), q.eval_partial(ev))
         dg = ge.degree_in(v)
         if dg == 0:
             return MultiPoly.const(1)
-        if best is None or dg < best:
-            best = dg
-            xs, ys = [], []
-        elif dg > best:
+        if dg > best:
             continue
+        if dg < best:
+            best, xs, ys = dg, [], []
         rho = exact_div(gev, ge.lead_coeff_in(v))
         if rho is None:
             continue
         xs.append(point)
         ys.append(ge * rho)
-    if len(xs) < bound:
-        return None
-    return _interp_newton(xs, ys, w)
-
-
-def _gcd_eval_primitive(p: MultiPoly, q: MultiPoly, v: str) -> Optional[MultiPoly]:
-    """Verified evaluation-interpolation gcd of polynomials primitive in v."""
-    others = [n for n in canonical_vars(p.vars + q.vars) if n != v]
-    if not others:
-        return _gcd_univar(p, q, v)
-    h = _gcd_eval_rec(p, q, v, others)
-    if h is None or h.is_zero():
-        return None
-    if h.is_constant():
-        return MultiPoly.const(1)
-    cont = _content_wrt(h, v)
-    h = exact_div(h, cont)
-    if h is None:
-        return None
-    h = h.normalized()
-    if exact_div(p, h) is None or exact_div(q, h) is None:
-        return None
-    return h
+        if len(xs) < bound:
+            continue
+        h = _interp_newton(xs, ys, w)
+        h = exact_div(h, _content_wrt(h, v)).normalized()
+        if exact_div(p, h) is not None and exact_div(q, h) is not None:
+            return h
+        best, xs, ys = best - 1, [], []
 
 
 def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
@@ -892,14 +865,10 @@ def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
             shared_mono = shared_mono * poly_from_var_power(name, min(e, mono[name]))
 
     common = [v for v in p1.vars if v in q1.vars]
-    if not common:
-        return shared_mono.normalized()
-    if p1.is_constant() or q1.is_constant():
-        return shared_mono.normalized()
-    if _certified_coprime(p1, q1, common):
+    if not common or _certified_coprime(p1, q1, common):
         return shared_mono.normalized()
 
-    # Main variable: smallest worst-case degree keeps the PRS short.
+    # Main variable: the smallest worst-case degree keeps the images small.
     var = min(common, key=lambda v: min(p1.degree_in(v), q1.degree_in(v)))
 
     cp = _content_wrt(p1, var)
@@ -909,23 +878,7 @@ def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     b = exact_div(q1, cq)
     if a is None or b is None:
         raise ArithmeticError("gcd content division lost exactness")
-    g = _gcd_eval_primitive(a, b, var)
-    if g is None:
-        # primitive PRS fallback for cases the evaluation route rejects
-        if a.degree_in(var) < b.degree_in(var):
-            a, b = b, a
-        while not b.is_zero():
-            r = _prem(a, b, var)
-            a = b
-            if r.is_zero():
-                b = r
-            else:
-                rc = _content_wrt(r, var)
-                b = exact_div(r, rc)
-                if b is None:
-                    raise ArithmeticError("primitive PRS lost exactness")
-        g = a
-    return (shared_mono * cont * g).normalized()
+    return (shared_mono * cont * _gcd_primitive(a, b, var)).normalized()
 
 
 def gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:
@@ -1070,10 +1023,10 @@ def rational_roots(p: MultiPoly, var: str) -> list[Q]:
     f = f[next(k for k, c in enumerate(f) if c) :]
     if len(f) == 1:
         return roots
-    poly = MultiPoly._make((var,), {(k,): Q(c) for k, c in enumerate(f)})
-    g = _gcd_univar(poly, poly.derivative(var), var)
-    if not g.is_constant():
-        f = _int_coeff_list(poly_divmod_univar(poly, g, var)[0], var)
+    if len(f) > 2:  # a linear f is squarefree
+        g = _gcd_ints(f, _primitive_list([k * c for k, c in enumerate(f)][1:]))
+        if len(g) > 1:
+            f = _div_ints(f, g)
     a, d = f[-1], len(f) - 1
     df = [k * c for k, c in enumerate(f)][1:]
     for prime in _primes():

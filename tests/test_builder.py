@@ -149,7 +149,7 @@ class TestImplicitize:
                     random_tangent_surface(rng, 2, with_denominator=True)[0],
                     build_tangential(parse_map("( 1/t, t^2/(t+1), t^3 )", params=("t",)))]
         improper = parse_map("( (1-t^4)/(1+t^4), 2*t^2/(1+t^4), 1 )", params=("t",))
-        cone = build_conical((0, 0, 0), improper, check_proper=False)
+        cone = build_conical((0, 0, 0), improper)
         assert implicitize_ruled(cone) == (X**2 + Y**2 - Z**2).normalized()
         for built in surfaces + [cone]:
             F = to_sympy(implicitize_ruled(built))

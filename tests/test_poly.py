@@ -162,6 +162,85 @@ class TestGcd:
             assert okg
             assert gcd_multi(c1, c2).is_constant()
 
+    def test_unlucky_first_point_retries_interpolation(self, monkeypatch):
+        # w = s, and at s = 0 the image gcd has degree 2 in t; that point
+        # alone fills the bound, its interpolation fails the trial division
+        # and the second round, below degree 2, gives t - 1
+        rounds = []
+        interp = poly_module._interp_newton
+        monkeypatch.setattr(poly_module, "_interp_newton", lambda *a: rounds.append(a) or interp(*a))
+        p = P("8*s*t - 4*t^2 - 8*s + 8*t - 4", ("s", "t"))
+        q = P("(t-1)^4", ("s", "t"))
+        assert gcd_multi(p, q) == T - 1
+        assert len(rounds) == 2
+
+    def test_probe_that_cannot_decide(self):
+        # lc_y(p) = x - c vanishes at the probe point, so the probe says
+        # nothing and the complete route proves the gcd
+        c = poly_module._probe_value(0)  # x is first of the sorted (x, y)
+        p = (X - c) * Y**2 + X
+        q = Y**2 + X * Y + 1
+        assert not poly_module._certified_coprime(p, q, ["x", "y"])
+        assert gcd_multi(p, q) == 1
+        g = X * Y - 2
+        assert gcd_multi(g * p, g * q) == g
+
+    def test_gcd_independent_of_call_history(self, monkeypatch):
+        # the probe point and the evaluation points are fixed: the same
+        # gcds make the same univariate gcd calls whatever ran before
+        calls = []
+        univar = poly_module._gcd_univar
+
+        def record(p, q, var):
+            calls.append((p, q, var))
+            return univar(p, q, var)
+
+        monkeypatch.setattr(poly_module, "_gcd_univar", record)
+        rng = random.Random(12)
+        pairs = []
+        for _ in range(12):
+            g, a, b = (random_small_multipoly(rng, ("x", "y", "z"), 2) for _ in range(3))
+            pairs.append((g * a, g * b))
+
+        def run():
+            calls.clear()
+            return [gcd_multi(p, q) for p, q in pairs], list(calls)
+
+        first = run()
+        for p, q in pairs[:4]:
+            gcd_multi(p * (X + 3), q * Y)
+            rational_roots((T - 2) ** 2 * (T**2 + 1), "t")
+        assert run() == first
+
+    def test_sympy_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        names = ("x", "y", "z", "t")
+        gens = sympy.symbols(names)
+
+        def to_sympy(p):
+            return sympy.Poly(
+                {tuple(dict(zip(p.vars, e)).get(n, 0) for n in names): sympy.Rational(c.numerator, c.denominator)
+                 for e, c in p.terms.items()},
+                *gens,
+                domain="QQ",
+            )
+
+        rng = random.Random(20261018)
+
+        def factor(vars_):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = tuple(rng.randint(0, 2) for _ in vars_)
+                terms[exps] = Q(rng.choice((-5, -2, -1, 1, 3, 7)), rng.choice((1, 1, 2, 3)))
+            return MultiPoly(vars_, terms)
+
+        for _ in range(60):
+            vars_ = rng.sample(names, rng.randint(2, 4))
+            g, a, b = factor(vars_), factor(vars_), factor(vars_)
+            mine = to_sympy(gcd_multi(g * a, g * b))
+            expected = sympy.gcd(to_sympy(g * a), to_sympy(g * b))
+            assert mine.monic() == expected.monic()
+
 
 class TestSquarefree:
     def test_square_drops(self):
@@ -414,12 +493,6 @@ class TestUnivariateHelpers:
             )
             expected = sorted(Q(int(r.p), int(r.q)) for r in sympy.Poly(expr, t).ground_roots())
             assert rational_roots(p, "t") == expected
-
-    def test_rational_roots_leaves_probe_rng_alone(self):
-        state = poly_module._PROBE_RNG.getstate()
-        for p in self._random_products(99, 20):
-            rational_roots(p * p, "t")
-        assert poly_module._PROBE_RNG.getstate() == state
 
     def test_rational_roots_rejects_bad_input(self):
         with pytest.raises(ValueError):
