@@ -787,10 +787,7 @@ def parametrize_quartic_adjoint(
             continue
         if k:
             comps = (comps[0] + comps[1] * k, comps[1])
-        try:
-            return _finish(c0, names, comps, t, "plane-section")
-        except ArithmeticError:
-            continue
+        return _finish(c0, names, comps, t, "plane-section")
     raise last_err
 
 
@@ -878,16 +875,19 @@ def parametrize_plane_curve(
 # ---------------------------------------------------------------------------
 
 
-def plane_candidates(budget: int = 35):
-    """Deterministic stream of candidate section planes."""
-    x, y, z = (MultiPoly.var(n) for n in COORDS)
-    count = 0
-    for cval in (0, 1, -1, 2, -2, 3, -3):
-        for base in (x, y, z, x - z, x + y + z):
-            yield base - cval
-            count += 1
-            if count >= budget:
-                return
+# candidate section planes n.(x, y, z) - c with their normals n, in sweep
+# order: x, y, z, x - z, x + y + z for each c
+_PLANES = tuple(
+    (sum((MultiPoly.var(v) * Q(n) for v, n in zip(COORDS, normal)), MultiPoly.const(-c)), tuple(map(Q, normal)))
+    for c in (0, 1, -1, 2, -2, 3, -3)
+    for normal in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (1, 1, 1))
+)
+
+
+def plane_candidates(budget: int = 35) -> tuple[tuple[MultiPoly, tuple[Q, Q, Q]], ...]:
+    """The first `budget` candidate section planes with their normals, at
+    least one and at most 35."""
+    return _PLANES[: max(budget, 1)]
 
 
 def plane_frame(plane: MultiPoly) -> PlaneFrame:

@@ -256,31 +256,35 @@ def _plane_param(Fs: MultiPoly):
     return build_cylindrical(tuple(dvec), directrix)
 
 
+def admissible_planes(cls: SurfaceClass, budget: int):
+    """The candidate planes, with their normals, that miss the apex of a
+    cone or are not parallel to the direction of a cylinder."""
+    for plane, normal in plane_candidates(budget):
+        if cls.tag == CONICAL:
+            if plane.eval_all(dict(zip(COORDS, cls.apex))) == 0:
+                continue
+        elif sum(n * d for n, d in zip(normal, cls.direction)) == 0:
+            continue
+        yield plane, normal
+
+
 def _sections_by_degree(Fs: MultiPoly, cls: SurfaceClass, plane_budget: int):
     """Admissible candidate planes with the degree of their section,
     stably sorted by that degree; no section is computed here.
 
-    A plane is admissible when it misses the apex of a cone or is not
-    parallel to the direction of a cylinder.  Then the section of the
-    squarefree Fs is already squarefree: for a cone it is the
-    dehomogenization of the apex-centred form, for a cylinder an affine
-    image of the base curve.  Its degree is deg Fs, minus 1 exactly when
-    the top-degree form of Fs vanishes on the plane's direction, which
-    happens only when a plane component through the apex is parallel to
-    the candidate.  A binary form of degree d that vanishes at the d + 1
+    On an admissible plane the section of the squarefree Fs is already
+    squarefree: for a cone it is the dehomogenization of the apex-centred
+    form, for a cylinder an affine image of the base curve.  Its degree is
+    deg Fs, minus 1 exactly when the top-degree form of Fs vanishes on the
+    plane's direction, which happens only when a plane component through
+    the apex is parallel to the candidate.  A binary form of degree d that vanishes at the d + 1
     points (1, k), k = 0..d, of the direction plane is zero.
     """
     d = Fs.total_degree()
     top = MultiPoly._make(Fs.vars, {e: c for e, c in Fs.terms.items() if sum(e) == d})
     drops = {}  # by plane normal: the candidates share a few directions
     keyed = []
-    for plane in plane_candidates(plane_budget):
-        normal = tuple(plane.derivative(v).constant_value() if v in plane.vars else Q(0) for v in COORDS)
-        if cls.tag == CONICAL:
-            if plane.eval_all(dict(zip(COORDS, cls.apex))) == 0:
-                continue
-        elif sum(n * c for n, c in zip(normal, cls.direction)) == 0:
-            continue
+    for plane, normal in admissible_planes(cls, plane_budget):
         if normal not in drops:
             # (1, k) in the basis n_s*e_u - n_u*e_s, n_s*e_w - n_w*e_s
             s = max(i for i in range(3) if normal[i])

@@ -25,15 +25,7 @@ from .errors import (
 from .linalg import coefficient_rows, nullspace, primitive_integer_vector, solve_exact
 from .poly import MultiPoly, Q, det3, exact_div, gcd_many, gcd_multi, resultant, squarefree_part
 from .ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute, substitute_map_is_zero
-from .curves import (
-    COORDS,
-    PlaneCurve,
-    is_proper_curve,
-    lift_to_space,
-    parametrize_plane_curve,
-    plane_candidates,
-    plane_frame,
-)
+from .curves import COORDS, PlaneCurve, is_proper_curve, parametrize_plane_curve, plane_frame
 from .implicit import (
     CONICAL,
     CYLINDRICAL,
@@ -43,6 +35,7 @@ from .implicit import (
     UNRESOLVED,
     SurfaceClass,
     _plane_param,
+    admissible_planes,
 )
 from .builder import ParamResult, build_conical, build_cylindrical, build_tangential, implicitize_ruled, reduce_directrix
 
@@ -230,29 +223,26 @@ def reparametrize_space_curve(curve: RationalMap3, point_budget: int = 200) -> R
             continue
         try:
             cp = parametrize_plane_curve(PlaneCurve(proj, None), budget=point_budget)
-        except (UnsupportedCurveError, PointSearchExhaustedError, NotRationalError):
+        except (UnsupportedCurveError, PointSearchExhaustedError, NotRationalError) as err:
+            last = DevsurfError(f"no projection of the curve could be reparametrized: {err}")
             continue
         names = proj.vars
         vals = dict(zip(cp.names, cp.components))
-        # third coordinate: common root of the two eliminants in z-direction
         if Ek.degree_in(t) == 0:
             third = curve.components[k]
         else:
-            Rik = squarefree_part(resultant(Ei, Ek, t))
-            Rjk = squarefree_part(resultant(Ej, Ek, t))
-            third = _linear_root_on_curve(Rik, nk, vals)
-            if third is None:
-                third = _linear_root_on_curve(Rjk, nk, vals)
-            if third is None:
-                # gcd of the substituted eliminants, univariate in the
-                # remaining coordinate over the parameter field
-                Rik2 = substitute_poly_with_ratfuncs(Rik, vals, nk)
-                Rjk2 = substitute_poly_with_ratfuncs(Rjk, vals, nk)
-                g = gcd_multi(Rik2, Rjk2)
-                if g.degree_in(nk) != 1:
-                    continue
-                cfs = g.coeffs_in(nk)
-                third = RatFunc(-cfs.get(0, MultiPoly.zero()), cfs[1])
+            # over a point of the projection the two eliminants share the
+            # third coordinate as their one common root, since the
+            # projection is birational when this candidate is accepted
+            bind = {**vals, nk: RatFunc(MultiPoly.var(nk))}
+            g = gcd_multi(
+                substitute(squarefree_part(resultant(Ei, Ek, t)), bind).num,
+                substitute(squarefree_part(resultant(Ej, Ek, t)), bind).num,
+            )
+            if g.degree_in(nk) != 1:
+                continue
+            cfs = g.coeffs_in(nk)
+            third = RatFunc(-cfs.get(0, MultiPoly.zero()), cfs[1])
         out_vals = {names[0]: vals[names[0]], names[1]: vals[names[1]], nk: third}
         cand = RationalMap3([out_vals[n] for n in COORDS], (cp.param,))
         if cp.param != "t":
@@ -262,26 +252,6 @@ def reparametrize_space_curve(curve: RationalMap3, point_budget: int = 200) -> R
             return cand
         last = DevsurfError("projection reparametrization failed the exactness audit")
     raise last
-
-
-def substitute_poly_with_ratfuncs(p: MultiPoly, vals, keep: str) -> MultiPoly:
-    """Substitute rational functions for all variables except `keep`;
-    returns the numerator polynomial (in keep and the parameter)."""
-    bindings = {v: vals[v] for v in p.vars if v != keep}
-    bindings[keep] = RatFunc(MultiPoly.var(keep))
-    return substitute(p, bindings).num
-
-
-def _linear_root_on_curve(R: MultiPoly, var: str, vals) -> Optional[RatFunc]:
-    if R.degree_in(var) != 1:
-        return None
-    cfs = R.coeffs_in(var)
-    a1, a0 = cfs[1], cfs.get(0, MultiPoly.zero())
-    a1v = substitute(a1, {v: vals[v] for v in a1.vars}) if not a1.is_constant() else RatFunc(a1)
-    if a1v.is_zero():
-        return None
-    a0v = substitute(a0, {v: vals[v] for v in a0.vars}) if not a0.is_constant() else RatFunc(a0)
-    return -a0v / a1v
 
 
 def _sample_points(P: RationalMap3, count: int) -> list[tuple[Q, Q, Q]]:
@@ -343,63 +313,74 @@ def _same_curve(a: RationalMap3, b: RationalMap3) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _res_guarded(a: MultiPoly, b: MultiPoly, var: str) -> Optional[MultiPoly]:
-    if a.is_zero() or b.is_zero():
-        return None
-    da, db = a.degree_in(var), b.degree_in(var)
-    if da == 0 and db == 0:
-        return None
-    if da == 0:
-        return a
-    if db == 0:
-        return b
-    g = gcd_multi(a, b)
-    if g.degree_in(var) > 0:
-        a = exact_div(a, g)
-        b = exact_div(b, g)
-        da, db = a.degree_in(var), b.degree_in(var)
-        if da == 0:
-            return a if not a.is_constant() else None
-        if db == 0:
-            return b if not b.is_constant() else None
-    r = resultant(a, b, var)
-    return None if r.is_zero() else r
+def section_parametric(P: RationalMap3, plane: MultiPoly, cls: SurfaceClass) -> RationalMap3:
+    """Section of a parametric cone or cylinder by an admissible plane (one
+    that misses the apex, or is not parallel to the direction), as a curve
+    in t read off P itself.
+
+    The lines s = c, then t = c, are tried for c = 0, 1, -1, 2, -2, ...
+    A line L(t) of the parameter plane is sent into the plane from the
+    apex A, X = A + lam*(L - A), or along the direction v, X = L + lam*v,
+    with lam chosen so that X lies on the plane.  A line is skipped when a
+    denominator of P vanishes on all of it, or when X is one point: the
+    line then runs inside one ruling.  Otherwise X is a nonconstant piece
+    of the irreducible section curve, hence a parametrization of all of it.
+
+    Only finitely many c are skipped, unless every line of one family runs
+    inside a ruling; then no line of the other family does, and only its
+    lines on a pole are skipped.  In numbers: by Lueroth's theorem
+    X = G(r) for a proper parametrization G of the section curve, of
+    degree m >= 2 since the surface is not a plane, and some r = a/b in
+    Q(s, t).  The line s = c is one point exactly when s - c divides
+    a_t*b - a*b_t, whose s-degree is at most
+    2*max(deg_s a, deg_s b) = 2*deg_s G(a, b)/m, at most the sum S_s of
+    the s-degrees of the components of P; S_s bounds the lines s = c on a
+    pole as well.  So at most min(2*S_s, 2*S_t) <= S_s + S_t values of c
+    fail on both lines (at most S_t when every line s = c is a ruling),
+    and passing 2 + S_s + S_t values is an internal fault.
+    """
+    bound = 2 + sum(max(c.num.degree_in(v), c.den.degree_in(v)) for c in P.components for v in ("s", "t"))
+    if cls.tag == CONICAL:
+        level = plane.eval_all(dict(zip(COORDS, cls.apex)))  # nonzero: the plane misses the apex
+    else:
+        # the plane's normal dotted with the direction, nonzero
+        rate = plane.eval_all(dict(zip(COORDS, cls.direction))) - plane.eval_all(dict.fromkeys(COORDS, 0))
+    for k in range(bound):
+        c = (k + 1) // 2 * (-1) ** (k + 1)  # 0, 1, -1, 2, -2, ...
+        for fixed, free in (("s", "t"), ("t", "s")):
+            dens = [f.den.eval_partial({fixed: c}) for f in P.components]
+            if any(d.is_zero() for d in dens):
+                continue
+            L = [
+                RatFunc(f.num.eval_partial({fixed: c}), d).rename_vars({free: "t"})
+                for f, d in zip(P.components, dens)
+            ]
+            ell = substitute(plane, dict(zip(COORDS, L)))
+            if cls.tag == CONICAL:
+                if (ell - level).is_zero():  # L lies in the plane through the apex parallel to the section
+                    continue
+                lam = level / (level - ell)
+                X = [lam * (x - a) + a for a, x in zip(cls.apex, L)]
+            else:
+                lam = ell * (-1 / rate)
+                X = [x + lam * v for x, v in zip(L, cls.direction)]
+            if not all(x.is_constant() for x in X):
+                return RationalMap3(X, ("t",))
+    raise ArithmeticError(f"no parameter line maps onto the section by {plane.to_text()} = 0 within {bound} values")
 
 
-def section_parametric(P: RationalMap3, plane: MultiPoly, frame) -> Optional[PlaneCurve]:
-    """Implicit curve of the projection of the section {L(P(s,t)) = 0}
-    onto the frame's kept coordinate plane, by double resultants."""
-    Lcomp = substitute(plane, {v: P.components[COORDS.index(v)] for v in plane.vars})
-    C = Lcomp.num
-    if C.is_zero():
-        return None
-    k1, k2 = frame.kept
-    E1 = (RatFunc(MultiPoly.var(k1)) - P.components[COORDS.index(k1)]).num
-    E2 = (RatFunc(MultiPoly.var(k2)) - P.components[COORDS.index(k2)]).num
-    candidates = []
-    for first, second in (("t", "s"), ("s", "t")):
-        r1 = _res_guarded(E1, C, first)
-        r2 = _res_guarded(E2, C, first)
-        if r1 is None or r2 is None:
+def _mobius_normalized(curve: RationalMap3, kept: tuple[str, str]) -> RationalMap3:
+    """The first coordinate, in kept order, that is a Moebius function of t
+    made to read t, by substituting its inverse; otherwise the curve."""
+    tv = MultiPoly.var("t")
+    for name in kept:
+        f = curve.components[COORDS.index(name)]
+        if f.is_constant() or max(f.num.degree_in("t"), f.den.degree_in("t")) > 1:
             continue
-        m = _res_guarded(r1, r2, second)
-        if m is None or m.is_constant():
-            continue
-        candidates.append(squarefree_part(m))
-    if not candidates:
-        return None
-    g = candidates[0]
-    for c in candidates[1:]:
-        g2 = gcd_multi(g, c)
-        if not g2.is_constant():
-            g = g2
-    g = squarefree_part(g)
-    if g.is_constant():
-        return None
-    keep = [v for v in g.vars if v in (k1, k2)]
-    if not keep:
-        return None
-    return PlaneCurve(g, frame)
+        # f = (a*t + b)/(g*t + h) with a*h != b*g, reduced and nonconstant
+        (b, a), (h, g) = ([p.coeffs_in("t").get(i, MultiPoly.zero()) for i in (0, 1)] for p in (f.num, f.den))
+        return curve.subs({"t": RatFunc(h * tv - b, a - g * tv)}, ("t",))
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +411,17 @@ def _is_planar_surface(P: RationalMap3) -> Optional[MultiPoly]:
     return None
 
 
+def _implicitized(result: ParamResult, P: RationalMap3, refine: bool) -> Optional[tuple[ParamResult, MultiPoly]]:
+    """Refine and implicitize a rebuilt surface, certified by the original
+    map satisfying its equation exactly; None when it does not."""
+    if refine:
+        result = reduce_directrix(result)
+    fimp = implicitize_ruled(result)
+    if not substitute_map_is_zero(fimp, P):
+        return None
+    return result.with_verification("original map satisfies the implicit equation of the rebuilt surface"), fimp
+
+
 def rebuild_and_verify(
     P: RationalMap3,
     cls: SurfaceClass,
@@ -454,45 +446,23 @@ def rebuild_and_verify(
         )
 
     if cls.tag in (CONICAL, CYLINDRICAL):
-        last = DevsurfError("no usable section plane within budget")
-        for plane in plane_candidates(plane_budget):
-            if cls.tag == CONICAL:
-                if plane.eval_all(dict(zip(COORDS, cls.apex))) == 0:
-                    continue
-            else:
-                normal = [
-                    plane.derivative(v).constant_value() if v in plane.vars else Q(0)
-                    for v in COORDS
-                ]
-                if sum(n * d for n, d in zip(normal, cls.direction)) == 0:
-                    continue
-            frame = plane_frame(plane)
-            try:
-                sec = section_parametric(P, plane, frame)
-                if sec is None:
-                    continue
-                cp = parametrize_plane_curve(sec, budget=point_budget, param="t")
-                curve3 = lift_to_space(cp, frame)
-                if cls.tag == CONICAL:
-                    result = build_conical(cls.apex, curve3)
-                else:
-                    result = build_cylindrical(cls.direction, curve3)
-                if refine:
-                    result = reduce_directrix(result)
-                fimp = implicitize_ruled(result)
-                if not substitute_map_is_zero(fimp, P):
-                    last = DevsurfError("original map does not satisfy the rebuilt implicit equation")
-                    continue
-                return (
-                    result.with_verification(
-                        "original map satisfies the implicit equation of the rebuilt surface"
-                    ),
-                    fimp,
-                )
-            except DevsurfError as err:
-                last = err
-                continue
-        raise last
+        plane = next((plane for plane, _ in admissible_planes(cls, plane_budget)), None)
+        if plane is None:
+            raise DevsurfError("no usable section plane within budget")
+        curve = section_parametric(P, plane, cls)
+        if not is_proper_curve(curve, "t")[0]:
+            curve = reparametrize_space_curve(curve, point_budget)
+        curve = _mobius_normalized(curve, plane_frame(plane).kept)
+        if cls.tag == CONICAL:
+            result = build_conical(cls.apex, curve)
+        else:
+            result = build_cylindrical(cls.direction, curve)
+        rebuilt = _implicitized(result, P, refine)
+        if rebuilt is None:
+            # the curve is a section of the image of P, so P lies on the cone
+            # or cylinder over it
+            raise ArithmeticError("original map does not satisfy the equation of the surface over its own section")
+        return rebuilt
 
     if cls.tag == TANGENTIAL:
         nd = nd or surface_normal(P)
@@ -508,18 +478,11 @@ def rebuild_and_verify(
                 if not all(_point_on_ruled(pt, result) for pt in check_points):
                     last = DevsurfError("candidate edge's tangent surface misses the original surface")
                     continue
-                if refine:
-                    result = reduce_directrix(result)
-                fimp = implicitize_ruled(result)
-                if not substitute_map_is_zero(fimp, P):
+                rebuilt = _implicitized(result, P, refine)
+                if rebuilt is None:
                     last = DevsurfError("original map does not satisfy the rebuilt implicit equation")
                     continue
-                return (
-                    result.with_verification(
-                        "original map satisfies the implicit equation of the rebuilt surface"
-                    ),
-                    fimp,
-                )
+                return rebuilt
             except DevsurfError as err:
                 last = err
                 continue

@@ -12,7 +12,7 @@ from devsurf.poly import MultiPoly, Q, divides, gcd_multi, resultant
 from devsurf.ratfunc import RatFunc, RationalMap3, substitute_map, substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.errors import DegenerateInputError
-from devsurf.implicit import analyze_implicit, classify_implicit, gaussian_form_implicit, vanishes_on_surface
+from devsurf.implicit import SurfaceClass, analyze_implicit, classify_implicit, gaussian_form_implicit, vanishes_on_surface
 from devsurf.parametric import (
     analyze_parametric,
     detect_apex_parametric,
@@ -25,7 +25,6 @@ from devsurf.builder import (
     ruling_triple_product,
     verify_on_surface,
 )
-from devsurf.curves import plane_frame
 from devsurf.cli import main as cli_main
 
 from conftest import (
@@ -93,16 +92,16 @@ def test_criterion_4_parametric_cone(improper_cone_map):
     nd = surface_normal(improper_cone_map)
     status, apex = detect_apex_parametric(nd, improper_cone_map)
     assert status == "point" and apex == (Q(1), Q(1), Q(0))
-    plane = Z - 1
-    section = section_parametric(improper_cone_map, plane, plane_frame(plane))
+    # the z = 1 section read off the map lies on the reference conic; both
+    # are irreducible, so they are the same curve
+    section = section_parametric(improper_cone_map, Z - 1, SurfaceClass(tag="Conical", apex=apex))
     conic = parse_poly(cases.IMPROPER_CONE_SECTION_CONIC, ("x", "y"))
-    ok, _ = divides(conic, section.poly)
-    assert ok
+    assert substitute_map_is_zero(conic, section)
     analysis = analyze_parametric(improper_cone_map)
     assert analysis.classification.tag == "Conical"
     assert analysis.parametrization is not None and analysis.parametrization.verified
     assert substitute_map_is_zero(analysis.implicit_equation, improper_cone_map)
-    report(4, "parametric cone: K(s,t) = 0, apex (1, 1, 0), z = 1 projection divisible by the conic, verified rebuild")
+    report(4, "parametric cone: K(s,t) = 0, apex (1, 1, 0), z = 1 section on the conic, verified rebuild")
 
 
 def test_criterion_5_parametric_tangent(tangent_dev_map):

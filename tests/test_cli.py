@@ -83,7 +83,9 @@ class TestExitCodes:
         def broken(*args, **kwargs):
             raise ArithmeticError("fraction-free elimination lost exactness")
 
-        monkeypatch.setattr(f"{module}.parametrize_plane_curve", broken)
+        # the step each pipeline runs on its section plane
+        step = {"devsurf.implicit": "parametrize_plane_curve", "devsurf.parametric": "section_parametric"}[module]
+        monkeypatch.setattr(f"{module}.{step}", broken)
         code, out = run_cli(argv)
         report = json.loads(out)
         assert code == 5 and report["exit_code"] == 5

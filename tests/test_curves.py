@@ -119,6 +119,15 @@ class TestQuarticAdjoint:
         cp = parametrize_plane_curve(PlaneCurve(c, None))
         assert on_curve(cp, c) and cp.proper
 
+    def test_off_curve_result_is_internal_error(self, monkeypatch):
+        # a parametrization that misses its curve is a fault to surface,
+        # not one more retry that ends as an unsupported curve
+        y_t, z_t = T**3 - 2 * T, T**4 - T
+        c = squarefree_part(resultant((RatFunc(Y) - RatFunc(y_t)).num, (RatFunc(Z) - RatFunc(z_t)).num, "t"))
+        monkeypatch.setattr("devsurf.curves._pencil_residual", lambda *args: (RatFunc(T), RatFunc(T)))
+        with pytest.raises(ArithmeticError):
+            parametrize_quartic_adjoint(PlaneCurve(c, None))
+
 
 class TestLift:
     def test_lift_through_slanted_plane(self, elliptic_cone):

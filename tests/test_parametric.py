@@ -1,11 +1,15 @@
 """Parametric pipeline: K(s,t), tangent-plane fixed point, ruling kernel,
 singular parameter loci, rebuild with verification."""
 
+import contextlib
+import io
+import json
 import random
+from pathlib import Path
 
 import pytest
 
-from devsurf.poly import MultiPoly, Q, divides
+from devsurf.poly import MultiPoly, Q
 from devsurf.ratfunc import RatFunc, RationalMap3, substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.errors import DegenerateInputError, DevsurfError
@@ -19,7 +23,9 @@ from devsurf.parametric import (
     singular_parameter_locus,
     surface_normal,
 )
-from devsurf.curves import is_proper_curve, plane_frame
+from devsurf.curves import is_proper_curve
+from devsurf.implicit import SurfaceClass
+from devsurf.cli import main as cli_main
 
 from conftest import random_space_curve
 import cases
@@ -138,11 +144,11 @@ class TestRebuild:
         assert substitute_map_is_zero(a.implicit_equation, improper_cone_map)
 
     def test_plane_z1_projection_divisible_by_reference_conic(self, improper_cone_map):
-        plane = Z - 1
-        sec = section_parametric(improper_cone_map, plane, plane_frame(plane))
+        # the section read off the map lies on the irreducible reference conic
+        cls = SurfaceClass(tag="Conical", apex=(Q(1), Q(1), Q(0)))
+        sec = section_parametric(improper_cone_map, Z - 1, cls)
         conic = parse_poly(cases.IMPROPER_CONE_SECTION_CONIC, ("x", "y"))
-        ok, _ = divides(conic, sec.poly)
-        assert ok
+        assert substitute_map_is_zero(conic, sec)
 
     def test_tangent_rebuild_matches_reference_implicit(self, tangent_dev_map):
         a = analyze_parametric(tangent_dev_map)
@@ -204,6 +210,84 @@ class TestRebuild:
         assert a.classification.tag == "Conical"
         assert a.classification.apex == (Q(0), Q(0), Q(0))
         assert a.parametrization is not None and a.parametrization.verified
+
+
+QUINTIC_CONE = "(s*(t^5+2*t+1), s*(t^4-3*t^2+2), s*(t^3+t+5))"
+QUINTIC_CONE_TRANSLATED = "(s*(t^5+2*t+1)+1, s*(t^4-3*t^2+2)+2, s*(t^3+t+5)-1)"
+QUINTIC_CYLINDER = "(t^5 + s, t^3 - t + 2*s, t^2 + 3*s)"
+
+
+def run_parametric(text):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli_main(["parametric", text])
+    return code, json.loads(buf.getvalue())
+
+
+class TestSectionFromMap:
+    """Cone and cylinder sections are read off the input map."""
+
+    @pytest.mark.parametrize("text", [QUINTIC_CONE, QUINTIC_CONE_TRANSLATED, QUINTIC_CYLINDER])
+    def test_quintic_rebuild_verified(self, text):
+        code, report = run_parametric(text)
+        assert code == 0 and report["parametrization"]["verified"] is True
+        assert report["classification"]["tag"] in ("Conical", "Cylindrical")
+
+    @pytest.mark.parametrize("text", [QUINTIC_CONE, QUINTIC_CONE_TRANSLATED, QUINTIC_CYLINDER])
+    def test_quintic_sympy_oracle(self, text):
+        # independent of devsurf's kernels: the printed equation is
+        # irreducible over Q and vanishes on the input map
+        sympy = pytest.importorskip("sympy")
+        _, report = run_parametric(text)
+        F = sympy.sympify(report["implicit_equation"].replace("^", "**"))
+        _, factors = sympy.factor_list(F)
+        assert len(factors) == 1 and factors[0][1] == 1
+        point = sympy.sympify(text.replace("^", "**"))
+        assert sympy.cancel(F.subs(dict(zip(sympy.symbols("x y z"), point)), simultaneous=True)) == 0
+
+    def test_lines_inside_rulings_are_skipped(self):
+        # s = 0 maps to the apex (1, 2, -1) and t = 0 into one ruling
+        P = parse_map(QUINTIC_CONE_TRANSLATED, params=("s", "t"))
+        cls = SurfaceClass(tag="Conical", apex=(Q(1), Q(2), Q(-1)))
+        sec = section_parametric(P, X, cls)
+        assert sec.components[0].is_zero() and not sec.is_constant()
+        assert substitute_map_is_zero(analyze_parametric(P).implicit_equation, sec)
+
+    def test_index_three_circle_cone(self):
+        u = "(t^3 + t)"
+        text = f"( s*(1-{u}^2)/(1+{u}^2), s*2*{u}/(1+{u}^2), s )"
+        P = parse_map(text, params=("s", "t"))
+        a = analyze_parametric(P)
+        assert a.classification.tag == "Conical"
+        assert a.parametrization is not None and a.parametrization.verified
+        assert a.implicit_equation == (X**2 + Y**2 - Z**2).normalized()
+        assert is_proper_curve(a.parametrization.p1, "t")[0]
+
+    def test_improper_directrix_outside_families_is_unsupported(self):
+        # a degree-10 directrix of index 2 whose proper quintic lies outside
+        # the plane-curve families
+        code, report = run_parametric("(s*(t^10+2*t^2+1), s*(t^8-3*t^4+2), s*(t^6+t^2+5))")
+        assert code == 2
+        assert report["classification"]["tag"] == "Conical"
+        assert "could be reparametrized" in report["failure"]
+        assert "outside the supported families" in report["failure"]
+
+    def test_moebius_composed_cone_keeps_golden_directrix(self, improper_cone_map):
+        golden = json.loads((Path(__file__).parent / "goldens" / "improper_cone_parametric.json").read_text())
+        tv = MultiPoly.var("t")
+        composed = improper_cone_map.subs({"t": RatFunc(2 * tv + 1, tv - 3)}, ("s", "t"))
+        a = analyze_parametric(composed)
+        assert a.parametrization is not None and a.parametrization.verified
+        assert a.parametrization.p1 == parse_map(golden["parametrization"]["p1"], params=("t",))
+
+    def test_wrong_section_is_internal_error(self, monkeypatch):
+        # the section is a curve of the surface by construction, so a
+        # rebuilt surface that misses the input map is a fault, not exit 2
+        wrong = parse_map("(0, t, t^3)", params=("t",))
+        monkeypatch.setattr("devsurf.parametric.section_parametric", lambda *args: wrong)
+        code, report = run_parametric(cases.IMPROPER_CONE_MAP)
+        assert code == 5
+        assert report["error"].startswith("internal error: ArithmeticError")
 
 
 class TestTripleProductEquivalence:
