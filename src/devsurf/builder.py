@@ -7,10 +7,10 @@ that contain the rulings, then a single Sylvester resultant in t."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import DevsurfError
-from .linalg import _rref, nullspace
+from .linalg import _rref, coefficient_rows, nullspace
 from .poly import MultiPoly, Q, exact_div, gcd_many, gcd_multi, resultant, squarefree_part
 from .ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute_map_is_zero
 from .curves import COORDS
@@ -95,36 +95,49 @@ def build_cylindrical(direction: Sequence, curve: RationalMap3) -> ParamResult:
     return ParamResult(p0=curve, p1=dmap, kind=CYLINDRICAL)
 
 
-def _is_planar_curve(curve: RationalMap3) -> bool:
-    """Exact test for affine dependence of the three components: some
-    constant plane contains the whole curve."""
-    return bool(_moving_planes([_homogeneous(curve, False)], 0))
-
-
 def build_tangential(edge: RationalMap3) -> ParamResult:
     """Tangent developable of a space curve: P(s,t) = edge(t) + s*edge'(t)."""
     dedge = edge.derivative("t")
     if all(c.is_zero() for c in dedge.components):
         raise DevsurfError("edge curve is constant")
-    if _is_planar_curve(edge):
+    if affine_plane(edge) is not None:
         raise DevsurfError("edge curve is planar; its tangent surface is just that plane")
     return ParamResult(p0=edge, p1=dedge, kind=TANGENTIAL)
 
 
 # ---------------------------------------------------------------------------
-# implicitization
+# homogeneous form and implicitization
 # ---------------------------------------------------------------------------
 
 
-def _homogeneous(m: RationalMap3, at_infinity: bool) -> list[MultiPoly]:
-    """Numerators of m over one common denominator, then that denominator
-    (0 for a direction, a point at infinity), divided by the gcd of the
-    four entries."""
-    D = MultiPoly.const(1)
+def homogeneous_form(m: RationalMap3) -> list[MultiPoly]:
+    """[X1, X2, X3, W]: the numerators of m over the lcm W of its component
+    denominators, then W, so that m = X/W.  W is 1 for a polynomial map."""
+    W = MultiPoly.const(1)
     for c in m.components:
-        D = exact_div(D * c.den, gcd_multi(D, c.den))
-    entries = [c.num * exact_div(D, c.den) for c in m.components]
-    entries.append(MultiPoly.zero() if at_infinity else D)
+        if not c.den.is_constant():
+            W = W * exact_div(c.den, gcd_multi(W, c.den))
+    return [c.num if c.den == W else c.num * exact_div(W, c.den) for c in m.components] + [W]
+
+
+def affine_plane(m: RationalMap3) -> Optional[MultiPoly]:
+    """A plane a.x + b = 0 that contains the whole image of m, normalized,
+    or None when there is none: (a, b) is the first nullspace vector of
+    the coefficient matrix of the identity a.X + b*W == 0.  As W is not 0,
+    a is not 0."""
+    basis = nullspace(coefficient_rows(homogeneous_form(m), m.params), 4)
+    if not basis:
+        return None
+    a = basis[0]
+    return sum((MultiPoly.var(n) * v for n, v in zip(COORDS, a)), MultiPoly.const(a[3])).normalized()
+
+
+def _homogeneous(m: RationalMap3, at_infinity: bool) -> list[MultiPoly]:
+    """The homogeneous form of m, with 0 for W when m is a direction (a
+    point at infinity), divided by the gcd of its four entries."""
+    entries = homogeneous_form(m)
+    if at_infinity:
+        entries[3] = MultiPoly.zero()
     g = gcd_many(entries)
     return entries if g.is_zero() else [exact_div(e, g) for e in entries]
 

@@ -2,8 +2,7 @@
 
 Supported families:
 
-* degree 1 (lines),
-* curves linear in one coordinate (graph curves),
+* curves linear in one coordinate (graph curves), lines among them,
 * degree 2 with a rational point (pencil of lines through the point);
   Legendre's theorem decides whether the point exists, a bounded search
   finds it,
@@ -86,19 +85,6 @@ class CurveParam:
     tracing_index: int
     source: str
 
-    def rename_param(self, new: str) -> "CurveParam":
-        if new == self.param:
-            return self
-        mapping = {self.param: new}
-        return CurveParam(
-            tuple(c.rename_vars(mapping) for c in self.components),
-            self.names,
-            new,
-            self.proper,
-            self.tracing_index,
-            self.source,
-        )
-
 
 # ---------------------------------------------------------------------------
 # properness
@@ -180,21 +166,24 @@ def _is_square(f: Q) -> Optional[Q]:
     return None
 
 
-def rational_point_on_curve(c: MultiPoly, names: tuple[str, str], budget: int = 200):
-    """First rational point found by sweeping lines u = const and w = const."""
+def _rational_points(c: MultiPoly, names: tuple[str, str], budget: int):
+    """Rational points of c on the lines u = v, then w = v, for v in
+    small_rationals(budget): every rational root on each line, or the
+    point (v, 0) or (0, v) of a line that lies in c."""
     u, w = names
-    for i, val in enumerate(small_rationals(budget)):
+    for val in small_rationals(budget):
         for sweep_var, other in ((u, w), (w, u)):
             restricted = c.eval_partial({sweep_var: val})
             if restricted.is_zero():
-                return (val, Q(0)) if sweep_var == u else (Q(0), val)
-            if restricted.is_constant():
-                continue
-            roots = rational_roots(restricted, other)
-            if roots:
-                r = roots[0]
-                return (val, r) if sweep_var == u else (r, val)
-    return None
+                yield (val, Q(0)) if sweep_var == u else (Q(0), val)
+            elif not restricted.is_constant():
+                for r in rational_roots(restricted, other):
+                    yield (val, r) if sweep_var == u else (r, val)
+
+
+def rational_point_on_curve(c: MultiPoly, names: tuple[str, str], budget: int = 200):
+    """First rational point found by sweeping lines u = const and w = const."""
+    return next(_rational_points(c, names, budget), None)
 
 
 def _conic_matrix(c: MultiPoly, names: tuple[str, str]) -> list[list[Q]]:
@@ -418,22 +407,6 @@ def _finish(c: MultiPoly, names, comps, param, source) -> CurveParam:
     return CurveParam(tuple(comps), tuple(names), param, proper, idx, source)
 
 
-def parametrize_line(curve: PlaneCurve, param: Optional[str] = None) -> CurveParam:
-    c = curve.poly
-    names = curve.names
-    u, w = names
-    t = param or _pick_param(names)
-    a = c.derivative(u).constant_value() if not c.derivative(u).is_zero() else Q(0)
-    b = c.derivative(w).constant_value() if not c.derivative(w).is_zero() else Q(0)
-    e = c.eval_partial({u: 0, w: 0}).constant_value() if not c.is_zero() else Q(0)
-    tv = RatFunc(MultiPoly.var(t))
-    if b != 0:
-        comps = (tv, RatFunc(MultiPoly.var(t) * (-a / b) + MultiPoly.const(-e / b)))
-    else:
-        comps = (RatFunc(MultiPoly.const(-e / a)), tv)
-    return _finish(c, names, comps, t, "plane-section")
-
-
 def _parametrize_graph(curve: PlaneCurve, param: Optional[str] = None) -> Optional[CurveParam]:
     """Curves linear in one coordinate: solve it as a rational function of
     the other."""
@@ -470,7 +443,7 @@ def parametrize_conic(curve: PlaneCurve, budget: int = 200, param: Optional[str]
     names = curve.names
     if c.total_degree() != 2:
         raise ValueError("parametrize_conic expects a degree-2 curve")
-    u, w = names
+    w = names[1]
     t = param or _pick_param(names)
     has_point, reason = _conic_point_decision(c, names)
     if has_point is False:
@@ -484,21 +457,12 @@ def parametrize_conic(curve: PlaneCurve, budget: int = 200, param: Optional[str]
         raise PointSearchExhaustedError(
             "conic parametrization over the rationals not found within the search budget"
         )
-    p1, p2 = point
-    sh = c.subs_poly({u: MultiPoly.var(u) + p1, w: MultiPoly.var(w) + p2})
-    grouped: dict[int, dict[int, Q]] = {}
-    for exps, cf in sh.terms.items():
-        e = dict(zip(sh.vars, exps))
-        i, j = e.get(u, 0), e.get(w, 0)
-        grouped.setdefault(i + j, {})[j] = grouped.get(i + j, {}).get(j, Q(0)) + cf
-    lin = grouped.get(1, {})
-    quad = grouped.get(2, {})
-    tv = MultiPoly.var(t)
-    if not lin:
-        # singular rational point: the conic is a pair of lines through it
-        A = quad.get(0, Q(0))
-        B = quad.get(1, Q(0))
-        C = quad.get(2, Q(0))
+    comps = _pencil(c, names, point, t)
+    if comps is None:
+        # singular rational point: the conic is a pair of lines through it,
+        # in the directions where its top form A*u^2 + B*u*w + C*w^2 vanishes
+        top = {dict(zip(c.vars, e)).get(w, 0): cf for e, cf in c.terms.items() if sum(e) == 2}
+        A, B, C = (top.get(j, Q(0)) for j in range(3))
         if A == 0:
             direction = (Q(1), Q(0))
         else:
@@ -506,16 +470,31 @@ def parametrize_conic(curve: PlaneCurve, budget: int = 200, param: Optional[str]
             if disc is None:
                 raise NotRationalError("conic splits into conjugate lines; only one rational point")
             direction = ((-B + disc) / (2 * A), Q(1))
-        comps = (
-            RatFunc(MultiPoly.const(p1) + tv * direction[0]),
-            RatFunc(MultiPoly.const(p2) + tv * direction[1]),
-        )
-        return _finish(c, names, comps, t, "plane-section")
-    bpoly = MultiPoly((t,), {(j,): cf for j, cf in lin.items()})
-    apoly = MultiPoly((t,), {(j,): cf for j, cf in quad.items()})
-    lam = RatFunc(-bpoly, apoly)
-    comps = (RatFunc(MultiPoly.const(p1)) + lam, RatFunc(MultiPoly.const(p2)) + lam * RatFunc(tv))
+        tv = MultiPoly.var(t)
+        comps = tuple(RatFunc(MultiPoly.const(p) + tv * dv) for p, dv in zip(point, direction))
     return _finish(c, names, comps, t, "plane-section")
+
+
+def _pencil(c: MultiPoly, names, point, t: str) -> Optional[tuple[RatFunc, RatFunc]]:
+    """The lines u = p1 + lam, w = p2 + lam*t through a point of
+    multiplicity d - 1 (at least) on the degree-d curve c, each cut with c
+    once more: at lam = -b(t)/a(t), where b and a are the forms of degree
+    d - 1 and d of c shifted to the point, at (1, t).  None when b is 0:
+    then c is a union of lines through the point."""
+    u, w = names
+    d = c.total_degree()
+    p1, p2 = point
+    sh = c.subs_poly({u: MultiPoly.var(u) + p1, w: MultiPoly.var(w) + p2})
+    forms: dict[int, dict[tuple[int], Q]] = {d - 1: {}, d: {}}
+    for exps, cf in sh.terms.items():
+        e = dict(zip(sh.vars, exps))
+        i, j = e.get(u, 0), e.get(w, 0)
+        if i + j in forms:
+            forms[i + j][(j,)] = cf
+    if not forms[d - 1]:
+        return None
+    lam = RatFunc(-MultiPoly((t,), forms[d - 1]), MultiPoly((t,), forms[d]))
+    return RatFunc(MultiPoly.const(p1)) + lam, RatFunc(MultiPoly.const(p2)) + lam * RatFunc(MultiPoly.var(t))
 
 
 def _solve_two_var_system(polys: Sequence[MultiPoly], names: tuple[str, str]) -> list[tuple[Q, Q]]:
@@ -599,25 +578,10 @@ def _fold_point_pencil(c: MultiPoly, names, t: str):
     if point is None:
         return None
 
-    p1, p2 = point
-    sh = c.subs_poly({u: MultiPoly.var(u) + p1, w: MultiPoly.var(w) + p2})
-    low = min(sum(e) for e in sh.terms)
-    if low >= d:
+    comps = _pencil(c, names, point, t)
+    if comps is None:
         raise UnsupportedCurveError("curve is a cone of lines through its singular point")
-    bterms: dict[int, Q] = {}
-    aterms: dict[int, Q] = {}
-    for exps, cf in sh.terms.items():
-        e = dict(zip(sh.vars, exps))
-        i, j = e.get(u, 0), e.get(w, 0)
-        if i + j == d - 1:
-            bterms[j] = bterms.get(j, Q(0)) + cf
-        elif i + j == d:
-            aterms[j] = aterms.get(j, Q(0)) + cf
-    bpoly = MultiPoly((t,), {(j,): cf for j, cf in bterms.items()})
-    apoly = MultiPoly((t,), {(j,): cf for j, cf in aterms.items()})
-    lam = RatFunc(-bpoly, apoly)
-    tv = RatFunc(MultiPoly.var(t))
-    return (RatFunc(MultiPoly.const(p1)) + lam, RatFunc(MultiPoly.const(p2)) + lam * tv)
+    return comps
 
 
 def _homogenize(c: MultiPoly, names, hname: str) -> MultiPoly:
@@ -674,10 +638,7 @@ def parametrize_monomial_like(curve: PlaneCurve, param: Optional[str] = None) ->
         else:
             # (a, b) = (w/u, h/u)  =>  u = 1/b, w = a/b
             back = (RatFunc(MultiPoly.const(1)) / B, A / B)
-        try:
-            return _finish(c, names, back, t, "plane-section")
-        except ArithmeticError:
-            continue
+        return _finish(c, names, back, t, "plane-section")
     raise UnsupportedCurveError("no rational (d-1)-fold singular point found")
 
 
@@ -767,7 +728,14 @@ def parametrize_quartic_adjoint(
             net.append(MultiPoly((u, w), terms))
 
         # one rational simple point on the curve cuts the net to a pencil
-        point = _rational_simple_point(c, (u, w), budget)
+        point = next(
+            (
+                p
+                for p in _rational_points(c, (u, w), budget)
+                if any(g.eval_all({u: p[0], w: p[1]}) for g in (cu, cw))
+            ),
+            None,
+        )
         if point is None:
             last_err = PointSearchExhaustedError(
                 "no rational simple point found on the quartic within the search budget"
@@ -793,23 +761,6 @@ def parametrize_quartic_adjoint(
 
 def _coprime_univar(a: MultiPoly, g: MultiPoly, var: str) -> bool:
     return _gcd_univar(a, g, var).is_constant()
-
-
-def _rational_simple_point(c: MultiPoly, names, budget):
-    u, w = names
-    cu, cw = c.derivative(u), c.derivative(w)
-    for i, val in enumerate(small_rationals(budget)):
-        for sweep_var, other in ((u, w), (w, u)):
-            restricted = c.eval_partial({sweep_var: val})
-            if restricted.is_zero() or restricted.is_constant():
-                continue
-            for r in rational_roots(restricted, other):
-                pt = (val, r) if sweep_var == u else (r, val)
-                grad_u = cu.eval_all({u: pt[0], w: pt[1]})
-                grad_w = cw.eval_all({u: pt[0], w: pt[1]})
-                if grad_u != 0 or grad_w != 0:
-                    return pt
-    return None
 
 
 def _pencil_residual(c, Qt, names, g, gw, point, t):
@@ -853,8 +804,6 @@ def parametrize_plane_curve(
     if c.is_zero() or c.is_constant():
         raise ValueError("not a curve")
     d = c.total_degree()
-    if d == 1:
-        return parametrize_line(curve, param)
     graph = _parametrize_graph(curve, param)
     if graph is not None:
         return graph

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DegenerateInputError, DevsurfError, NotRationalError
-from .linalg import coefficient_rows, nullspace, primitive_integer_vector, solve_exact
+from .linalg import common_direction, common_point
 from .poly import (
     MultiPoly,
     Q,
@@ -63,9 +63,6 @@ class SurfaceClass:
     edge_system: Optional[tuple[MultiPoly, ...]] = None
     note: str = ""
 
-    def is_developable(self) -> bool:
-        return self.tag not in (NOT_DEVELOPABLE,)
-
 
 def gaussian_form_implicit(F: MultiPoly) -> MultiPoly:
     """Bordered-Hessian determinant K(x, y, z) of F; K = 0 on the surface
@@ -99,35 +96,21 @@ def detect_apex(F: MultiPoly) -> tuple[str, Optional[tuple[Q, Q, Q]]]:
 
     F defines a cone with apex P0 exactly when translating P0 to the
     origin makes F homogeneous, i.e. when
-    x0*Fx + y0*Fy + z0*Fz = x*Fx + y*Fy + z*Fz - d*F holds identically.
+    x0*Fx + y0*Fy + z0*Fz + d*F - (x*Fx + y*Fy + z*Fz) = 0 identically.
     Returns ("point", p), ("none", None) or ("degenerate", None).
     """
     d = F.total_degree()
     if d < 1:
         raise ValueError("surface polynomial is constant")
     grads = [F.derivative(v) for v in COORDS]
-    rhs_poly = sum(
-        (MultiPoly.var(v) * g for v, g in zip(COORDS, grads)), MultiPoly.zero()
-    ) - F * d
-    rows = coefficient_rows(grads + [rhs_poly], COORDS)
-    status, sol = solve_exact([r[:3] for r in rows], [r[3] for r in rows])
-    if status == "unique":
-        return "point", tuple(sol)
-    if status == "underdetermined":
-        return "degenerate", None
-    return "none", None
+    euler = F * d - sum((MultiPoly.var(v) * g for v, g in zip(COORDS, grads)), MultiPoly.zero())
+    return common_point(grads + [euler], COORDS)
 
 
 def detect_ruling_direction(F: MultiPoly) -> tuple[str, Optional[tuple[int, ...]]]:
     """Common ruling direction: exact kernel of the coefficient matrix of
     the three gradient components."""
-    grads = [F.derivative(v) for v in COORDS]
-    basis = nullspace(coefficient_rows(grads, COORDS), 3)
-    if len(basis) == 0:
-        return "none", None
-    if len(basis) > 1:
-        return "degenerate", None
-    return "vector", primitive_integer_vector(basis[0])
+    return common_direction([F.derivative(v) for v in COORDS], COORDS)
 
 
 def singular_locus_curve(F: MultiPoly) -> list[tuple[MultiPoly, MultiPoly]]:

@@ -86,6 +86,39 @@ def nullspace(rows: Sequence[Sequence[Q]], ncols: int) -> list[list[Q]]:
     return basis
 
 
+def common_point(planes: Sequence[MultiPoly], variables: Sequence[str]) -> tuple[str, tuple[Q, ...] | None]:
+    """The point shared by a family of planes L1*x + L2*y + L3*z + L4 = 0
+    whose coefficients L1..L4 are polynomials in ``variables``: the x with
+    sum_i x_i*L_i + L4 == 0 as an identity.
+
+    Returns ("point", x), ("degenerate", None) when the solution is not
+    unique, or ("none", None).
+    """
+    rows = coefficient_rows(planes, variables)
+    status, sol = solve_exact([r[:3] for r in rows], [-r[3] for r in rows])
+    if status == "unique":
+        return "point", tuple(sol)
+    if status == "underdetermined":
+        return "degenerate", None
+    return "none", None
+
+
+def common_direction(normals: Sequence[MultiPoly], variables: Sequence[str]) -> tuple[str, tuple[int, ...] | None]:
+    """The direction v orthogonal to a family of normals (L1, L2, L3) whose
+    entries are polynomials in ``variables``: the kernel of
+    sum_i v_i*L_i == 0.
+
+    Returns ("vector", v) as primitive integers, ("degenerate", None) when
+    the kernel has dimension 2 or more, or ("none", None).
+    """
+    basis = nullspace(coefficient_rows(normals, variables), 3)
+    if not basis:
+        return "none", None
+    if len(basis) > 1:
+        return "degenerate", None
+    return "vector", primitive_integer_vector(basis[0])
+
+
 def primitive_integer_vector(vec: Sequence[Q]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, first nonzero positive."""
     from math import gcd

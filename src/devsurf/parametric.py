@@ -1,13 +1,16 @@
 """Developability analysis of rational parametric surfaces P(s, t).
 
-The input map need not be proper.  The normal vector N = P_s x P_t drives
-everything: a 3x3 determinant in N and its parameter derivatives vanishes
-identically exactly for developable surfaces; the fixed point of the
-tangent planes (cone apex) and a fixed direction orthogonal to N
-(cylinder ruling) come from exact linear algebra on the coefficients; for
-tangent surfaces the cuspidal edge is the image of the common zero locus
-of the normal components.  Rebuilt parametrizations are verified by
-implicitizing the rebuilt surface and substituting the original map.
+The input map need not be proper.  Its tangent planes drive everything,
+and they are read off the homogeneous form P = X/W as four polynomial
+minors: M = W^3 * (P_s x P_t) and M4 = -X.(X_s x X_t), the plane at
+P(s, t) being M.x + M4 = 0.  A 3x3 determinant in M and its parameter
+derivatives vanishes identically exactly for developable surfaces; the
+fixed point of the tangent planes (cone apex) and a fixed direction
+orthogonal to M (cylinder ruling) come from exact linear algebra on the
+coefficients, as in the implicit pipeline; for tangent surfaces the
+cuspidal edge is the image of the common zero locus of the normal
+components.  Rebuilt parametrizations are verified by implicitizing the
+rebuilt surface and substituting the original map.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from .errors import (
     PointSearchExhaustedError,
     UnsupportedCurveError,
 )
-from .linalg import coefficient_rows, nullspace, primitive_integer_vector, solve_exact
+from .linalg import common_direction, common_point
 from .poly import MultiPoly, Q, det3, exact_div, gcd_many, gcd_multi, resultant, squarefree_part
 from .ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute, substitute_map_is_zero
 from .curves import COORDS, PlaneCurve, is_proper_curve, parametrize_plane_curve, plane_frame
@@ -37,92 +40,68 @@ from .implicit import (
     _plane_param,
     admissible_planes,
 )
-from .builder import ParamResult, build_conical, build_cylindrical, build_tangential, implicitize_ruled, reduce_directrix
+from .builder import (
+    ParamResult,
+    affine_plane,
+    build_conical,
+    build_cylindrical,
+    build_tangential,
+    homogeneous_form,
+    implicitize_ruled,
+    reduce_directrix,
+)
 
 
 @dataclass(frozen=True)
 class NormalData:
-    """Normal vector of a parametric surface and its clearing data."""
+    """Tangent plane of P = X/W as four polynomials: the plane at P(s, t)
+    is M1*x + M2*y + M3*z + M4 = 0, with (M1, M2, M3) = W^3 * (P_s x P_t)."""
 
-    n: tuple[RatFunc, RatFunc, RatFunc]          # reduced components of P_s x P_t
-    tangent_rhs: RatFunc                          # N . P
-    cleared: tuple[MultiPoly, MultiPoly, MultiPoly]  # numerators over one common denominator
-    common_den: MultiPoly
-
-
-def _lcm_poly(a: MultiPoly, b: MultiPoly) -> MultiPoly:
-    g = gcd_multi(a, b)
-    q = exact_div(b, g)
-    return (a * q).normalized()
+    m: tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]  # M1, M2, M3, M4
+    w: MultiPoly
 
 
 def surface_normal(P: RationalMap3) -> NormalData:
-    """Exact normal data; raises for degenerate (curve-like) input."""
+    """Exact tangent-plane data; raises for degenerate (curve-like) input.
+
+    With P = X/W, P_s x P_t = M/W^3 for C = X_s x X_t and
+    M = W*C - W_s*(X x X_t) + W_t*(X x X_s), and M.X = W*(X.C), so the
+    plane through P(s, t) is M.x - X.C = 0.  For a polynomial map W = 1
+    and M = C.
+    """
     if P.params != ("s", "t"):
         raise ValueError("parametric surfaces use parameters (s, t)")
-    Ps = P.derivative("s")
-    Pt = P.derivative("t")
-    n = cross3(Ps.components, Pt.components)
-    if all(c.is_zero() for c in n):
+    *X, W = homogeneous_form(P)
+    Xs = [x.derivative("s") for x in X]
+    Xt = [x.derivative("t") for x in X]
+    C = cross3(Xs, Xt)
+    M = C
+    if not W.is_constant():
+        Ws, Wt = W.derivative("s"), W.derivative("t")
+        M = [W * c - Ws * a + Wt * b for c, a, b in zip(C, cross3(X, Xt), cross3(X, Xs))]
+    if all(c.is_zero() for c in M):
         raise DegenerateInputError("normal vector vanishes identically; the image is a curve or a point")
-    rhs = dot3(n, P.components)
-    den = MultiPoly.const(1)
-    for c in n:
-        den = _lcm_poly(den, c.den)
-    cleared = tuple((c.num * exact_div(den, c.den)) for c in n)
-    return NormalData(n=tuple(n), tangent_rhs=rhs, cleared=cleared, common_den=den)
+    return NormalData(m=(*M, -dot3(X, C)), w=W)
 
 
 def gaussian_form_parametric(P: RationalMap3, nd: Optional[NormalData] = None) -> RatFunc:
-    """Developability form K(s, t): the determinant of the normal
-    components bordered by their s- and t-derivatives, as a reduced
-    rational function.  Identically zero iff the surface is developable."""
+    """Developability form K(s, t) = det(N_s, N_t, N) of the normal
+    N = P_s x P_t, as a reduced rational function; identically zero iff
+    the surface is developable.  As N = M/W^3, column operations give
+    K = det(M_s, M_t, M)/W^9."""
     nd = nd or surface_normal(P)
-    rows = []
-    den_factor = MultiPoly.const(1)
-    for comp in nd.n:
-        num, den = comp.num, comp.den
-        rows.append(
-            [
-                num.derivative("s") * den - num * den.derivative("s"),
-                num.derivative("t") * den - num * den.derivative("t"),
-                num * den,
-            ]
-        )
-        den_factor = den_factor * den * den
-    d = det3(rows)
-    if d.is_zero():
-        return RatFunc(MultiPoly.zero())
-    return RatFunc(d, den_factor)
+    d = det3([[m.derivative("s"), m.derivative("t"), m] for m in nd.m[:3]])
+    return RatFunc(d, nd.w**9)
 
 
-def detect_apex_parametric(nd: NormalData, P: RationalMap3):
-    """Fixed point of the tangent planes: solve
-    x0*n1 + y0*n2 + z0*n3 - N.P = 0 as an identity in (s, t)."""
-    den = nd.common_den
-    den = _lcm_poly(den, nd.tangent_rhs.den)
-    cols = []
-    for comp in nd.n:
-        cols.append(comp.num * exact_div(den, comp.den))
-    rhs_poly = nd.tangent_rhs.num * exact_div(den, nd.tangent_rhs.den)
-    rows = coefficient_rows(cols + [rhs_poly], ("s", "t"))
-    status, sol = solve_exact([r[:3] for r in rows], [r[3] for r in rows])
-    if status == "unique":
-        return "point", tuple(sol)
-    if status == "underdetermined":
-        return "degenerate", None
-    return "none", None
+def detect_apex_parametric(nd: NormalData):
+    """Fixed point of the tangent planes: the x with M.x + M4 == 0."""
+    return common_point(nd.m, ("s", "t"))
 
 
 def detect_direction_parametric(nd: NormalData):
-    """Fixed direction orthogonal to the normal: exact kernel of the
-    coefficient matrix of the cleared normal numerators."""
-    basis = nullspace(coefficient_rows(nd.cleared, ("s", "t")), 3)
-    if not basis:
-        return "none", None
-    if len(basis) > 1:
-        return "degenerate", None
-    return "vector", primitive_integer_vector(basis[0])
+    """Fixed direction orthogonal to the normal: the kernel of M.v == 0."""
+    return common_direction(nd.m[:3], ("s", "t"))
 
 
 def _split_locus_factors(g: MultiPoly) -> list[MultiPoly]:
@@ -163,7 +142,8 @@ def singular_parameter_locus(P: RationalMap3, nd: Optional[NormalData] = None) -
     """Candidate components of the common zero locus of the normal in the
     (s, t) plane: the preimage of the cuspidal edge lies among them."""
     nd = nd or surface_normal(P)
-    g = gcd_many([c.num for c in nd.n])
+    den = nd.w**3
+    g = gcd_many([RatFunc(m, den).num for m in nd.m[:3]])
     if g.is_constant():
         raise DevsurfError("normal components share no positive-dimensional zero locus")
     g = squarefree_part(g)
@@ -397,20 +377,6 @@ class ParametricAnalysis:
     failure: str = ""
 
 
-def _is_planar_surface(P: RationalMap3) -> Optional[MultiPoly]:
-    den = MultiPoly.const(1)
-    for c in P.components:
-        den = _lcm_poly(den, c.den)
-    cols = [c.num * exact_div(den, c.den) for c in P.components] + [den]
-    for vec in nullspace(coefficient_rows(cols, ("s", "t")), 4):
-        if any(v != 0 for v in vec[:3]):
-            plane = sum(
-                (MultiPoly.var(n) * vec[i] for i, n in enumerate(COORDS)), MultiPoly.const(vec[3])
-            )
-            return plane.normalized()
-    return None
-
-
 def _implicitized(result: ParamResult, P: RationalMap3, refine: bool) -> Optional[tuple[ParamResult, MultiPoly]]:
     """Refine and implicitize a rebuilt surface, certified by the original
     map satisfying its equation exactly; None when it does not."""
@@ -434,7 +400,7 @@ def rebuild_and_verify(
     surface and verify it: the ORIGINAL map must satisfy the implicit
     equation of the rebuilt surface exactly."""
     if cls.tag == PLANE:
-        plane = _is_planar_surface(P)
+        plane = affine_plane(P)
         if plane is None:
             raise DevsurfError("plane rebuild failed")
         result = _plane_param(plane)
@@ -504,7 +470,7 @@ def analyze_parametric(
         raise DegenerateInputError("map is constant in t; its image is a curve, not a surface")
     nd = surface_normal(P)
 
-    plane = _is_planar_surface(P)
+    plane = affine_plane(P)
     K = gaussian_form_parametric(P, nd)
     if plane is not None:
         cls = SurfaceClass(tag=PLANE)
@@ -520,7 +486,7 @@ def analyze_parametric(
     if not K.is_zero():
         return ParametricAnalysis(classification=SurfaceClass(tag=NOT_DEVELOPABLE), k_func=K)
 
-    status, apex = detect_apex_parametric(nd, P)
+    status, apex = detect_apex_parametric(nd)
     if status == "point":
         cls = SurfaceClass(tag=CONICAL, apex=apex)
     else:

@@ -453,13 +453,6 @@ def poly_from_var_power(var: str, k: int, coeff=1) -> MultiPoly:
     return MultiPoly((var,), {(k,): Q(coeff)})
 
 
-def from_coeffs_in(var: str, coeffs: Mapping[int, MultiPoly]) -> MultiPoly:
-    total = MultiPoly.zero()
-    for k, p in coeffs.items():
-        total = total + p * poly_from_var_power(var, k)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # kernel operations
 # ---------------------------------------------------------------------------

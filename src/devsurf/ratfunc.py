@@ -332,9 +332,6 @@ class RationalMap3:
     def is_constant(self) -> bool:
         return all(c.is_constant() for c in self.components)
 
-    def constant_in(self, var: str) -> bool:
-        return all(c.derivative(var).is_zero() for c in self.components)
-
     def derivative(self, var: str | None = None) -> "RationalMap3":
         v = var if var is not None else self.params[0]
         return RationalMap3([c.derivative(v) for c in self.components], self.params)
@@ -358,24 +355,17 @@ class RationalMap3:
             out.append(v)
         return tuple(out)
 
-    def add(self, other: "RationalMap3") -> "RationalMap3":
-        params = self.params if len(self.params) >= len(other.params) else other.params
-        return RationalMap3([a + b for a, b in zip(self.components, other.components)], params)
-
     def sub(self, other: "RationalMap3") -> "RationalMap3":
         params = self.params if len(self.params) >= len(other.params) else other.params
         return RationalMap3([a - b for a, b in zip(self.components, other.components)], params)
-
-    def scale(self, factor: RatFunc, params: Sequence[str] | None = None) -> "RationalMap3":
-        params = tuple(params) if params is not None else self.params
-        return RationalMap3([c * factor for c in self.components], params)
 
     @staticmethod
     def constant(point: Sequence, params: Sequence[str]) -> "RationalMap3":
         return RationalMap3([RatFunc(MultiPoly.const(Q(p))) for p in point], params)
 
 
-def cross3(a: Sequence[RatFunc], b: Sequence[RatFunc]) -> tuple[RatFunc, RatFunc, RatFunc]:
+def cross3(a: Sequence, b: Sequence) -> tuple:
+    """Cross product of two triples of RatFunc or of MultiPoly."""
     return (
         a[1] * b[2] - a[2] * b[1],
         a[2] * b[0] - a[0] * b[2],
@@ -383,7 +373,8 @@ def cross3(a: Sequence[RatFunc], b: Sequence[RatFunc]) -> tuple[RatFunc, RatFunc
     )
 
 
-def dot3(a: Sequence[RatFunc], b: Sequence[RatFunc]) -> RatFunc:
+def dot3(a: Sequence, b: Sequence):
+    """Dot product of two triples of RatFunc or of MultiPoly."""
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 

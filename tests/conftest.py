@@ -16,15 +16,13 @@ from devsurf.poly import MultiPoly, Q
 from devsurf.ratfunc import RatFunc, RationalMap3
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.curves import is_proper_curve
-from devsurf.builder import build_conical, build_cylindrical, build_tangential
+from devsurf.builder import affine_plane, build_conical, build_cylindrical, build_tangential
 
 import cases
 
 
 def _degenerates_to_plane(built) -> bool:
-    from devsurf.parametric import _is_planar_surface
-
-    return _is_planar_surface(built.full_map()) is not None
+    return affine_plane(built.full_map()) is not None
 
 
 def map2_with_zero(text2d: str) -> str:

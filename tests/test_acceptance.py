@@ -90,7 +90,7 @@ def test_criterion_3_tangent_surface_end_to_end(tangent_quartic):
 def test_criterion_4_parametric_cone(improper_cone_map):
     assert gaussian_form_parametric(improper_cone_map).is_zero()
     nd = surface_normal(improper_cone_map)
-    status, apex = detect_apex_parametric(nd, improper_cone_map)
+    status, apex = detect_apex_parametric(nd)
     assert status == "point" and apex == (Q(1), Q(1), Q(0))
     # the z = 1 section read off the map lies on the reference conic; both
     # are irreducible, so they are the same curve

@@ -99,6 +99,23 @@ class TestMonomialLike:
         cp = parametrize_monomial_like(PlaneCurve(c, None))
         assert on_curve(cp, c) and cp.proper
 
+    def test_chart_fault_is_internal_error(self, monkeypatch):
+        # a pencil in a projective chart that misses the curve is a fault in
+        # devsurf, not one more chart to try and in the end an exit-2 verdict
+        calls = []
+
+        def fake_pencil(c, names, t):
+            calls.append(c)
+            if len(calls) == 1:  # the affine chart: no fold point
+                return None
+            tv = RatFunc(MultiPoly.var(t))
+            return (tv, tv)  # (u, w) = (1, 1/t): off the curve
+
+        monkeypatch.setattr("devsurf.curves._fold_point_pencil", fake_pencil)
+        with pytest.raises(ArithmeticError, match="fails to satisfy its curve"):
+            parametrize_monomial_like(PlaneCurve(Y**3 + Z**3 + 1, None))
+        assert len(calls) == 2
+
 
 class TestQuarticAdjoint:
     def test_cylinder_profile_quartic(self, quartic_cylinder):

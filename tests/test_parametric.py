@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from devsurf.poly import MultiPoly, Q
-from devsurf.ratfunc import RatFunc, RationalMap3, substitute_map_is_zero
+from devsurf.poly import MultiPoly, Q, det3
+from devsurf.ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.errors import DegenerateInputError, DevsurfError
-from devsurf.builder import build_conical, build_cylindrical, build_tangential, ruling_triple_product
+from devsurf.builder import affine_plane, build_conical, build_cylindrical, build_tangential, ruling_triple_product
 from devsurf.parametric import (
     analyze_parametric,
     detect_apex_parametric,
@@ -27,7 +27,7 @@ from devsurf.curves import is_proper_curve
 from devsurf.implicit import SurfaceClass
 from devsurf.cli import main as cli_main
 
-from conftest import random_space_curve
+from conftest import random_cone, random_cylinder, random_space_curve, random_tangent_surface
 import cases
 
 X, Y, Z = (MultiPoly.var(v) for v in "xyz")
@@ -77,23 +77,118 @@ class TestGaussianForm:
         assert k_oracle(improper_cone_map) is True
 
 
+def quotient_rule_k(P: RationalMap3) -> RatFunc:
+    """Reference developability form: the reduced RatFunc normal n = a/b,
+    bordered by its derivatives by the quotient rule,
+    det(a_s*b - a*b_s, a_t*b - a*b_t, a*b) / prod(b^2)."""
+    rows = []
+    den = MultiPoly.const(1)
+    for c in cross3(P.derivative("s").components, P.derivative("t").components):
+        a, b = c.num, c.den
+        rows.append(
+            [
+                a.derivative("s") * b - a * b.derivative("s"),
+                a.derivative("t") * b - a * b.derivative("t"),
+                a * b,
+            ]
+        )
+        den = den * b * b
+    return RatFunc(det3(rows), den)
+
+
+def minor_test_maps():
+    """Every reference map of cases.py; seeded cones, cylinders, tangent
+    surfaces and general ruled surfaces, with and without denominators;
+    and the stereographic sphere."""
+    names = [n for n in dir(cases) if n.endswith("_MAP")]
+    maps = [pytest.param(parse_map(getattr(cases, n), params=("s", "t")), id=n) for n in names]
+    rng = random.Random(20261018)
+    for i in range(2):
+        maps.append(pytest.param(random_cone(rng, 2 + i)[0].full_map(), id=f"cone-{i}"))
+        maps.append(pytest.param(random_cylinder(rng, 2 + i)[0].full_map(), id=f"cylinder-{i}"))
+        maps.append(pytest.param(random_tangent_surface(rng, 3)[0].full_map(), id=f"tangent-{i}"))
+        # every component over one denominator in t
+        conic, cubic = (random_space_curve(rng, d, den_deg=1, mixed=False) for d in (2, 3))
+        maps.append(pytest.param(build_conical((1, -1, 2), conic).full_map(), id=f"rational-cone-{i}"))
+        maps.append(pytest.param(build_cylindrical((1, 2, 0), conic).full_map(), id=f"rational-cylinder-{i}"))
+        maps.append(pytest.param(build_tangential(cubic).full_map(), id=f"rational-tangent-{i}"))
+        # a general ruled surface, not developable
+        ruling = random_space_curve(rng, 1)
+        comps = [a + RatFunc(MultiPoly.var("s")) * b for a, b in zip(conic.components, ruling.components)]
+        maps.append(pytest.param(RationalMap3(comps, ("s", "t")), id=f"rational-ruled-{i}"))
+    sphere = "( 2*s/(1+s^2+t^2), 2*t/(1+s^2+t^2), (s^2+t^2-1)/(1+s^2+t^2) )"
+    maps.append(pytest.param(parse_map(sphere, params=("s", "t")), id="rational-sphere"))
+    return maps
+
+
+MINOR_TEST_MAPS = minor_test_maps()
+
+
+class TestTangentPlaneMinors:
+    """surface_normal's four polynomials against RatFunc cross products."""
+
+    @pytest.mark.parametrize("P", MINOR_TEST_MAPS)
+    def test_minors_are_the_cleared_normal(self, P):
+        N = cross3(P.derivative("s").components, P.derivative("t").components)
+        if all(n.is_zero() for n in N):  # a curve map, such as TANGENT_EDGE_MAP
+            with pytest.raises(DegenerateInputError):
+                surface_normal(P)
+            return
+        nd = surface_normal(P)
+        den = nd.w**3
+        assert tuple(RatFunc(m, den) for m in nd.m[:3]) == N
+        # the plane M.x + M4 = 0 passes through P(s, t)
+        assert RatFunc(nd.m[3], den) == -dot3(N, P.components)
+
+    @pytest.mark.parametrize("P", MINOR_TEST_MAPS)
+    def test_gaussian_form_matches_quotient_rule(self, P):
+        N = cross3(P.derivative("s").components, P.derivative("t").components)
+        if all(n.is_zero() for n in N):
+            return
+        assert gaussian_form_parametric(P) == quotient_rule_k(P)
+
+
+class TestAffinePlane:
+    def test_planar_surface(self):
+        # (u, v, 3 - u + 2*v) for rational u(s, t), v(s, t)
+        u = RatFunc(MultiPoly.var("s"), 1 + MultiPoly.var("t") ** 2)
+        v = RatFunc(MultiPoly.var("t"), 1 + MultiPoly.var("s") ** 2)
+        P = RationalMap3([u, v, 3 - u + v * 2], ("s", "t"))
+        assert affine_plane(P) == (X - 2 * Y + Z - 3).normalized()
+        assert affine_plane(parse_map(cases.PLANE_MAP, params=("s", "t"))) == Z
+
+    def test_nonplanar_surfaces(self):
+        for text in (cases.PARABOLOID_MAP, cases.UNIT_CIRCLE_CONE_MAP, cases.IMPROPER_CONE_MAP):
+            assert affine_plane(parse_map(text, params=("s", "t"))) is None
+
+    def test_planar_curves(self):
+        circle = parse_map("( (1-t^2)/(1+t^2), 2*t/(1+t^2), 0 )", params=("t",))
+        assert affine_plane(circle) == Z
+        slanted = parse_map("( t^3, t^2/(t+1), 1 - t^3 - t^2/(t+1) )", params=("t",))
+        assert affine_plane(slanted) == X + Y + Z - 1
+
+    def test_nonplanar_curves(self):
+        for text in (cases.TWISTED_CUBIC, cases.TANGENT_EDGE_MAP, cases.TANGENT_DEV_EDGE):
+            assert affine_plane(parse_map(text, params=("t",))) is None
+
+
 class TestApexDetection:
     def test_reference_apex(self, improper_cone_map):
         nd = surface_normal(improper_cone_map)
-        status, apex = detect_apex_parametric(nd, improper_cone_map)
+        status, apex = detect_apex_parametric(nd)
         assert status == "point" and apex == (Q(1), Q(1), Q(0))
 
     def test_round_trip_through_build(self, elliptic_cone):
         curve = parse_map(cases.ELLIPTIC_CONE_CURVE_3D, params=("t",))
         built = build_conical((Q(1, 2), Q(1, 3), 0), curve)
         nd = surface_normal(built.full_map())
-        status, apex = detect_apex_parametric(nd, built.full_map())
+        status, apex = detect_apex_parametric(nd)
         assert status == "point" and apex == (Q(1, 2), Q(1, 3), Q(0))
 
     def test_plane_degenerate(self):
         P = parse_map(cases.PLANE_MAP, params=("s", "t"))
         nd = surface_normal(P)
-        status, _ = detect_apex_parametric(nd, P)
+        status, _ = detect_apex_parametric(nd)
         assert status == "degenerate"
 
 

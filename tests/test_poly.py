@@ -22,6 +22,7 @@ from devsurf.poly import (
     subresultant_linear,
 )
 from devsurf.exprs import parse_poly
+from devsurf.linalg import common_direction, common_point
 from devsurf import poly as poly_module
 
 from conftest import bordered_hessian_oracle, perm_det, random_small_multipoly, sylvester_oracle
@@ -509,3 +510,35 @@ class TestUnivariateHelpers:
         a, b = s1
         val = a * T + b
         assert val.eval_partial({"t": Q(1)}).is_zero() or val.eval_all({"t": Q(1)}) == 0
+
+
+S = MultiPoly.var("s")
+
+
+class TestLinearIdentities:
+    """common_point and common_direction on families of planes and normals
+    whose coefficients are polynomials in s and t."""
+
+    def test_point_unique(self):
+        # planes s*x + t*y + z = s + 2*t + 3 all pass through (1, 2, 3)
+        planes = [S, T, MultiPoly.const(1), -(S + 2 * T + 3)]
+        assert common_point(planes, ("s", "t")) == ("point", (Q(1), Q(2), Q(3)))
+
+    def test_point_underdetermined(self):
+        # planes s*x + t*y = s + 2*t all contain the line x = 1, y = 2
+        planes = [S, T, MultiPoly.zero(), -(S + 2 * T)]
+        assert common_point(planes, ("s", "t")) == ("degenerate", None)
+
+    def test_point_inconsistent(self):
+        # the planes x = -s are parallel: no common point
+        planes = [MultiPoly.const(1), MultiPoly.zero(), MultiPoly.zero(), S]
+        assert common_point(planes, ("s", "t")) == ("none", None)
+
+    def test_direction_none(self):
+        assert common_direction([MultiPoly.const(1), S, T], ("s", "t")) == ("none", None)
+
+    def test_direction_one_dimensional(self):
+        assert common_direction([-S, S, T], ("s", "t")) == ("vector", (1, 1, 0))
+
+    def test_direction_two_dimensional(self):
+        assert common_direction([S, S, MultiPoly.zero()], ("s", "t")) == ("degenerate", None)

@@ -1,0 +1,60 @@
+"""Print the CLI report of every benchmark input, without its timings.
+
+Usage (from the repository root)::
+
+    python3 tools/reports.py [SEED ...]
+
+For each seed (default 20260811, 4242 and 1) and each workload of
+perfbench/gen.py, every input is given to ``devsurf.cli.main``
+in-process, and one line is printed per input: the workload, the case
+name and the JSON report with ``timings_ms`` removed.  When two commits
+print the same text, they agree on every exit code, classification,
+apex, direction, printed K, parametrization, implicit equation and
+failure text of the benchmark inputs.  perfbench/gen.py is imported as
+it is, so sympy is needed, as for the benchmark.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import devsurf.cli  # noqa: E402
+import gen  # noqa: E402
+
+WORKLOADS = ("implicit-roundtrip", "parametric-roundtrip", "reject", "unsupported")
+DEFAULT_SEEDS = (20260811, 4242, 1)
+
+
+def report_lines(argv: list[str]) -> list[str]:
+    """The reports of one CLI call as JSON lines, timings removed."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        devsurf.cli.main(argv)
+    lines = []
+    for line in buf.getvalue().splitlines():
+        report = json.loads(line)
+        report.pop("timings_ms", None)
+        lines.append(json.dumps(report))
+    return lines
+
+
+def main(argv=None) -> int:
+    seeds = [int(a) for a in (sys.argv[1:] if argv is None else argv)] or list(DEFAULT_SEEDS)
+    for seed in seeds:
+        print(f"# seed {seed}")
+        for name in WORKLOADS:
+            for case in gen.workload(name, seed):
+                for line in report_lines(case.argv()):
+                    print(f"{name}\t{case.name}\t{line}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
