@@ -122,10 +122,15 @@ def homogeneous_form(m: RationalMap3) -> list[MultiPoly]:
 
 def affine_plane(m: RationalMap3) -> Optional[MultiPoly]:
     """A plane a.x + b = 0 that contains the whole image of m, normalized,
-    or None when there is none: (a, b) is the first nullspace vector of
-    the coefficient matrix of the identity a.X + b*W == 0.  As W is not 0,
-    a is not 0."""
-    basis = nullspace(coefficient_rows(homogeneous_form(m), m.params), 4)
+    or None when there is none."""
+    return form_plane(homogeneous_form(m), m.params)
+
+
+def form_plane(form: Sequence[MultiPoly], params: Sequence[str]) -> Optional[MultiPoly]:
+    """affine_plane of X/W from its homogeneous form [X1, X2, X3, W] in
+    ``params``: (a, b) is the first nullspace vector of the coefficient
+    matrix of the identity a.X + b*W == 0.  As W is not 0, a is not 0."""
+    basis = nullspace(coefficient_rows(form, params), 4)
     if not basis:
         return None
     a = basis[0]

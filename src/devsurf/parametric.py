@@ -42,10 +42,10 @@ from .implicit import (
 )
 from .builder import (
     ParamResult,
-    affine_plane,
     build_conical,
     build_cylindrical,
     build_tangential,
+    form_plane,
     homogeneous_form,
     implicitize_ruled,
     reduce_directrix,
@@ -55,10 +55,17 @@ from .builder import (
 @dataclass(frozen=True)
 class NormalData:
     """Tangent plane of P = X/W as four polynomials: the plane at P(s, t)
-    is M1*x + M2*y + M3*z + M4 = 0, with (M1, M2, M3) = W^3 * (P_s x P_t)."""
+    is M1*x + M2*y + M3*z + M4 = 0, with (M1, M2, M3) = W^3 * (P_s x P_t).
+    The homogeneous form X, W it was computed from is kept, so that P is
+    cleared of denominators once per analysis."""
 
     m: tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]  # M1, M2, M3, M4
+    x: tuple[MultiPoly, MultiPoly, MultiPoly]  # X1, X2, X3
     w: MultiPoly
+
+    def plane(self) -> Optional[MultiPoly]:
+        """The plane that contains the whole surface, or None."""
+        return form_plane((*self.x, self.w), ("s", "t"))
 
 
 def surface_normal(P: RationalMap3) -> NormalData:
@@ -81,17 +88,17 @@ def surface_normal(P: RationalMap3) -> NormalData:
         M = [W * c - Ws * a + Wt * b for c, a, b in zip(C, cross3(X, Xt), cross3(X, Xs))]
     if all(c.is_zero() for c in M):
         raise DegenerateInputError("normal vector vanishes identically; the image is a curve or a point")
-    return NormalData(m=(*M, -dot3(X, C)), w=W)
+    return NormalData(m=(*M, -dot3(X, C)), x=tuple(X), w=W)
 
 
 def gaussian_form_parametric(P: RationalMap3, nd: Optional[NormalData] = None) -> RatFunc:
     """Developability form K(s, t) = det(N_s, N_t, N) of the normal
     N = P_s x P_t, as a reduced rational function; identically zero iff
     the surface is developable.  As N = M/W^3, column operations give
-    K = det(M_s, M_t, M)/W^9."""
+    K = det(M_s, M_t, M)/W^9; a zero K needs no W^9."""
     nd = nd or surface_normal(P)
     d = det3([[m.derivative("s"), m.derivative("t"), m] for m in nd.m[:3]])
-    return RatFunc(d, nd.w**9)
+    return RatFunc(d, nd.w**9 if d else 1)
 
 
 def detect_apex_parametric(nd: NormalData):
@@ -400,7 +407,7 @@ def rebuild_and_verify(
     surface and verify it: the ORIGINAL map must satisfy the implicit
     equation of the rebuilt surface exactly."""
     if cls.tag == PLANE:
-        plane = affine_plane(P)
+        plane = (nd or surface_normal(P)).plane()
         if plane is None:
             raise DevsurfError("plane rebuild failed")
         result = _plane_param(plane)
@@ -470,7 +477,7 @@ def analyze_parametric(
         raise DegenerateInputError("map is constant in t; its image is a curve, not a surface")
     nd = surface_normal(P)
 
-    plane = affine_plane(P)
+    plane = nd.plane()
     K = gaussian_form_parametric(P, nd)
     if plane is not None:
         cls = SurfaceClass(tag=PLANE)

@@ -22,19 +22,22 @@ results that are canonical by construction skip re-canonicalization
 through the trusted constructor ``MultiPoly._make``.
 
 Besides the arithmetic operators, the module provides the elimination
-toolkit used by the analyzers: formal derivatives, cofactor determinants,
-Sylvester resultants (fraction-free Bareiss elimination), multivariate
-gcd (a certified coprimality probe at one fixed point, then a complete,
-deterministic evaluation-interpolation certified by exact division),
-squarefree parts, exact division, and linear subresultants.
+toolkit used by the analyzers: formal derivatives, 3x3 and 4x4
+determinants (integer rows, exponent vectors packed into one int key,
+each minor of the trailing rows computed once), Sylvester resultants
+(fraction-free Bareiss elimination), multivariate gcd (a certified
+coprimality probe at one fixed point, then a complete, deterministic
+evaluation-interpolation certified by exact division), squarefree parts,
+exact division, and linear subresultants.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from fractions import Fraction
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 try:  # optional extra: gmpy2's mpq is a drop-in exact rational
@@ -463,40 +466,83 @@ def partial_derivative(p: MultiPoly, var: str) -> MultiPoly:
     return p.derivative(var)
 
 
-def _det_cofactor(rows: list[list[MultiPoly]]) -> MultiPoly:
+def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Determinant of a square grid of polynomials on Python integers.
+
+    Each row is scaled by the lcm of its entries' denominators, so every
+    entry has integer coefficients, and the determinant is divided by the
+    product of those scales once, at the end.  An exponent vector is packed
+    into one int with a radix per variable of one more than the sum over
+    rows of the row's largest exponent: every term of every minor takes one
+    entry per row, so no exponent reaches its radix and a product of terms
+    is a sum of keys.  The minors of the trailing rows are computed once
+    per column subset, bottom-up."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    total = MultiPoly.zero()
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in rows[1:]]
-        term = rows[0][j] * _det_cofactor(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+    variables = canonical_vars(v for row in rows for p in row for v in p.vars)
+    slot = {v: i for i, v in enumerate(variables)}
+    radix = [1] * len(variables)
+    for row in rows:
+        row_top = [0] * len(variables)
+        for p in row:
+            for v, col in zip(p.vars, zip(*p.terms)):
+                row_top[slot[v]] = max(row_top[slot[v]], *col)
+        radix = list(map(add, radix, row_top))
+    place = list(itertools.accumulate(radix, mul, initial=1))
+    scale = 1
+    packed = []
+    for row in rows:
+        den = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
+        scale *= den
+        packed_row = []
+        for p in row:
+            weights = [place[slot[v]] for v in p.vars]
+            packed_row.append(
+                {sum(map(mul, weights, e)): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+            )
+        packed.append(packed_row)
+
+    # minors[cols]: the minor of the trailing rows on the sorted columns cols
+    minors = {(j,): packed[n - 1][j] for j in range(n)}
+    for r in range(n - 2, -1, -1):
+        row = packed[r]
+        upper = {}
+        for cols in itertools.combinations(range(n), n - r):
+            acc: dict[int, int] = {}
+            get = acc.get
+            for k, j in enumerate(cols):
+                sign = -1 if k & 1 else 1
+                b = minors[cols[:k] + cols[k + 1 :]]
+                for ka, ca in row[j].items():
+                    ca *= sign
+                    for kb, cb in b.items():
+                        key = ka + kb
+                        acc[key] = get(key, 0) + ca * cb
+            upper[cols] = {key: c for key, c in acc.items() if c}
+        minors = upper
+
+    terms = {}
+    for key, c in minors[tuple(range(n))].items():
+        exps = []
+        for base in radix:
+            key, e = divmod(key, base)
+            exps.append(e)
+        terms[tuple(exps)] = Q(c, scale)
+    return MultiPoly._make(variables, terms)
 
 
 def det3(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """3x3 determinant by cofactor expansion."""
+    """3x3 determinant on integer rows with packed exponent keys."""
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("det3 expects a 3x3 grid")
-    return _det_cofactor([list(r) for r in rows])
+    return _det_ints(rows)
 
 
 def det4(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """4x4 determinant by Laplace expansion along the first two rows: the
-    sum over the six column pairs of the 2x2 minor of rows 0-1 times the
-    complementary minor of rows 2-3, each minor computed once."""
+    """4x4 determinant on integer rows with packed exponent keys: each
+    2x2 and 3x3 minor of the trailing rows is computed once."""
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise ValueError("det4 expects a 4x4 grid")
-    a, b, c, d = rows
-    total = MultiPoly.zero()
-    for j, k in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-        l, m = (i for i in range(4) if i not in (j, k))
-        term = (a[j] * b[k] - a[k] * b[j]) * (c[l] * d[m] - c[m] * d[l])
-        total = total + term if (j + k) % 2 else total - term
-    return total
+    return _det_ints(rows)
 
 
 def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:

@@ -68,7 +68,7 @@ def tangent_dev_map():
 
 def perm_det(rows):
     """Determinant by the Leibniz permutation formula; independent of the
-    production cofactor/Bareiss code paths."""
+    production determinant kernel and Bareiss code paths."""
     n = len(rows)
     total = MultiPoly.zero()
     for perm in itertools.permutations(range(n)):

@@ -171,6 +171,30 @@ class TestAffinePlane:
         for text in (cases.TWISTED_CUBIC, cases.TANGENT_EDGE_MAP, cases.TANGENT_DEV_EDGE):
             assert affine_plane(parse_map(text, params=("t",))) is None
 
+    @pytest.mark.parametrize("text", (cases.PLANE_MAP, cases.PARABOLOID_MAP, cases.UNIT_CIRCLE_CONE_MAP))
+    def test_normal_data_plane_matches_affine_plane(self, text):
+        P = parse_map(text, params=("s", "t"))
+        assert surface_normal(P).plane() == affine_plane(P)
+
+    @pytest.mark.parametrize("text", ("(s, t^2/(1+s^2), 2*s - t^2/(1+s^2) + 1)", cases.UNIT_CIRCLE_CONE_MAP))
+    def test_analysis_clears_the_map_once(self, text, monkeypatch):
+        import devsurf.builder
+        import devsurf.parametric
+
+        P = parse_map(text, params=("s", "t"))
+        clears = []
+        original = devsurf.builder.homogeneous_form
+
+        def counted(m):
+            clears.append(m is P)
+            return original(m)
+
+        monkeypatch.setattr(devsurf.builder, "homogeneous_form", counted)
+        monkeypatch.setattr(devsurf.parametric, "homogeneous_form", counted)
+        out = analyze_parametric(P)
+        assert out.parametrization is not None
+        assert clears.count(True) == 1
+
 
 class TestApexDetection:
     def test_reference_apex(self, improper_cone_map):

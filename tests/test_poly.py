@@ -9,6 +9,7 @@ from devsurf.poly import (
     MultiPoly,
     Q,
     canonical_vars,
+    det3,
     det4,
     det_bareiss,
     divides,
@@ -22,6 +23,7 @@ from devsurf.poly import (
     subresultant_linear,
 )
 from devsurf.exprs import parse_poly
+from devsurf.implicit import gaussian_form_implicit
 from devsurf.linalg import common_direction, common_point
 from devsurf import poly as poly_module
 
@@ -95,6 +97,76 @@ class TestDeterminants:
             ]
             rows[rng.randrange(4)][rng.randrange(4)] = MultiPoly.zero()
             assert det4(rows) == perm_det(rows)
+
+
+def _det(rows):
+    return det3(rows) if len(rows) == 3 else det4(rows)
+
+
+class TestDeterminantKernel:
+    """det3 and det4 scale rows to integers and pack exponents into one int
+    key; each case here stresses one of those steps against perm_det."""
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_rows_with_different_denominators(self, n):
+        rng = random.Random(300 + n)
+        for _ in range(10):
+            rows = []
+            for i in range(n):
+                den = rng.choice((1, 2, 3, 5, 7, 12))
+                rows.append(
+                    [
+                        random_small_multipoly(rng, ("x", "y"), 2, density=0.6) * Q(rng.randint(1, 9), den * (j + 1))
+                        for j in range(n)
+                    ]
+                )
+            assert _det(rows) == perm_det(rows)
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_disjoint_variable_sets(self, n):
+        rng = random.Random(310 + n)
+        for _ in range(10):
+            rows = [
+                [
+                    random_small_multipoly(rng, ("x", "y") if j % 2 == 0 else ("s", "t"), 2, density=0.7)
+                    for j in range(n)
+                ]
+                for _ in range(n)
+            ]
+            assert _det(rows) == perm_det(rows)
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_high_exponents_at_the_radix(self, n):
+        # every row's largest exponents sit on one diagonal entry, so the
+        # identity-permutation term reaches the packing radix minus one
+        big = X**40 * Y**37
+        rows = [
+            [big - j if i == j else MultiPoly.const(i + 2 * j + 1) for j in range(n)]
+            for i in range(n)
+        ]
+        rows[n - 1][0] = Y**37 + 3
+        got = _det(rows)
+        assert got == perm_det(rows)
+        assert got.degree_in("x") == 40 * n
+        assert got.degree_in("y") == 37 * n
+
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_zero_row_zero_column_and_singular(self, n):
+        rng = random.Random(320 + n)
+        rows = [[random_small_multipoly(rng, ("x", "z"), 2) for _ in range(n)] for _ in range(n)]
+        zero = MultiPoly.zero()
+        zero_row = [list(r) for r in rows]
+        zero_row[1] = [zero] * n
+        zero_col = [[zero if j == n - 1 else e for j, e in enumerate(r)] for r in rows]
+        singular = [list(r) for r in rows]
+        singular[0] = [a * Q(2, 3) - b * X for a, b in zip(rows[1], rows[2])]
+        for grid in (zero_row, zero_col, singular):
+            assert perm_det(grid).is_zero()
+            assert _det(grid).is_zero()
+
+    def test_bordered_hessian_of_non_primitive_fraction_polynomial(self, sphere):
+        F = sphere * Q(1, 3) + Q(2, 7)
+        assert gaussian_form_implicit(F) == bordered_hessian_oracle(F)
 
 
 class TestResultant:
