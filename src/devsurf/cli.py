@@ -320,9 +320,17 @@ def _cmd_mesh(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with bad arguments as an input error: exit 1, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 @functools.cache  # built on the first call, reused by every later main()
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="devsurf",
         description="Exact developability analysis and rational parametrization of algebraic surfaces.",
     )

@@ -304,7 +304,8 @@ def analyze_implicit(
         if cls.tag == PLANE:
             result = _plane_param(Fs)
             if not verify_on_surface(result, Fs):
-                raise DevsurfError("plane parametrization failed verification")
+                # _plane_param solves the plane for one coordinate
+                raise ArithmeticError("plane parametrization does not satisfy its own plane")
             out.parametrization = result.with_verification(
                 "substitution into the defining polynomial reduced to zero"
             )

@@ -7,10 +7,11 @@ P(s, t) being M.x + M4 = 0.  A 3x3 determinant in M and its parameter
 derivatives vanishes identically exactly for developable surfaces; the
 fixed point of the tangent planes (cone apex) and a fixed direction
 orthogonal to M (cylinder ruling) come from exact linear algebra on the
-coefficients, as in the implicit pipeline; for tangent surfaces the
-cuspidal edge is the image of the common zero locus of the normal
-components.  Rebuilt parametrizations are verified by implicitizing the
-rebuilt surface and substituting the original map.
+coefficients, as in the implicit pipeline.  Cone and cylinder sections,
+and the cuspidal edge of a tangent surface (the common point of the
+tangent plane and its first two derivatives), are read off P along one
+line of the parameter plane.  Rebuilt parametrizations are verified by
+implicitizing the rebuilt surface and substituting the original map.
 """
 
 from __future__ import annotations
@@ -164,31 +165,6 @@ def singular_parameter_locus(P: RationalMap3, nd: Optional[NormalData] = None) -
     return _split_locus_factors(squarefree_part(g))
 
 
-def _edge_from_locus(P: RationalMap3, locus: MultiPoly, point_budget: int) -> RationalMap3:
-    """Map a parameter-plane locus through P to get the candidate edge."""
-    ds = locus.degree_in("s")
-    dt = locus.degree_in("t")
-    if ds == 1:
-        coeffs = locus.coeffs_in("s")
-        sval = RatFunc(-coeffs.get(0, MultiPoly.zero()), coeffs[1])
-        comps = [c.subs({"s": sval}) if "s" in c.vars else c for c in P.components]
-        return RationalMap3(comps, ("t",))
-    if dt == 1:
-        coeffs = locus.coeffs_in("t")
-        tval = RatFunc(-coeffs.get(0, MultiPoly.zero()), coeffs[1])
-        comps = [c.subs({"t": tval}) if "t" in c.vars else c for c in P.components]
-        out = RationalMap3(comps, ("s",))
-        return out.rename_params({"s": "t"})
-    curve = PlaneCurve(locus, None)
-    cp = parametrize_plane_curve(curve, budget=point_budget)
-    svals = dict(zip(cp.names, cp.components))
-    comps = [c.subs({k: svals[k] for k in c.vars}) if c.vars else c for c in P.components]
-    out = RationalMap3(comps, (cp.param,))
-    if cp.param != "t":
-        out = out.rename_params({cp.param: "t"})
-    return out
-
-
 def reparametrize_space_curve(curve: RationalMap3, point_budget: int = 200) -> RationalMap3:
     """Proper reparametrization of a rational space curve by implicitizing
     a plane projection and reparametrizing that."""
@@ -241,31 +217,6 @@ def reparametrize_space_curve(curve: RationalMap3, point_budget: int = 200) -> R
     raise last
 
 
-def _sample_points(P: RationalMap3, count: int) -> list[tuple[Q, Q, Q]]:
-    """A few exact points on the surface, avoiding poles."""
-    points = []
-    k = 0
-    while len(points) < count and k < 80:
-        k += 1
-        pt = P.eval_all({"s": Q(2 * k + 1, 3), "t": Q(k + 4, 5)})
-        if pt is not None:
-            points.append(pt)
-    return points
-
-
-def _point_on_ruled(point, result: ParamResult) -> bool:
-    """Necessary membership test: some ruling of the candidate surface
-    passes through the point (gcd of the cross-product numerators has a
-    root)."""
-    diff = [RatFunc(MultiPoly.const(q)) - c for q, c in zip(point, result.p0.components)]
-    cr = cross3(diff, result.p1.components)
-    nums = [c.num for c in cr if not c.is_zero()]
-    if not nums:
-        return True
-    g = gcd_many(nums)
-    return g.degree_in("t") > 0
-
-
 def _same_curve(a: RationalMap3, b: RationalMap3) -> bool:
     """Cheap exact audit that two curve maps trace the same algebraic curve:
     pairwise eliminants of `a` vanish on sampled points of `b`."""
@@ -296,8 +247,20 @@ def _same_curve(a: RationalMap3, b: RationalMap3) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# sections of a parametric surface by a plane (for cone/cylinder rebuilds)
+# curves read off parameter lines: cone and cylinder sections, cuspidal edges
 # ---------------------------------------------------------------------------
+
+
+def _parameter_lines(polys, bound: int):
+    """The polynomials in (s, t) restricted to the lines s = c, then t = c,
+    for c = 0, 1, -1, 2, -2, ..., each as polynomials in t.  The caller
+    proves that one of the first `bound` values of c gives a usable line,
+    so running past them raises ArithmeticError (exit 5)."""
+    for k in range(bound):
+        c = (k + 1) // 2 * (-1) ** (k + 1)  # 0, 1, -1, 2, -2, ...
+        for fixed, free in (("s", "t"), ("t", "s")):
+            yield [p.eval_partial({fixed: c}).rename_vars({free: "t"}) for p in polys]
+    raise ArithmeticError(f"no usable parameter line within {bound} values")
 
 
 def section_parametric(P: RationalMap3, plane: MultiPoly, cls: SurfaceClass) -> RationalMap3:
@@ -305,13 +268,13 @@ def section_parametric(P: RationalMap3, plane: MultiPoly, cls: SurfaceClass) -> 
     that misses the apex, or is not parallel to the direction), as a curve
     in t read off P itself.
 
-    The lines s = c, then t = c, are tried for c = 0, 1, -1, 2, -2, ...
-    A line L(t) of the parameter plane is sent into the plane from the
-    apex A, X = A + lam*(L - A), or along the direction v, X = L + lam*v,
-    with lam chosen so that X lies on the plane.  A line is skipped when a
-    denominator of P vanishes on all of it, or when X is one point: the
-    line then runs inside one ruling.  Otherwise X is a nonconstant piece
-    of the irreducible section curve, hence a parametrization of all of it.
+    A line L(t) of the parameter plane, from `_parameter_lines`, is sent
+    into the plane from the apex A, X = A + lam*(L - A), or along the
+    direction v, X = L + lam*v, with lam chosen so that X lies on the
+    plane.  A line is skipped when a denominator of P vanishes on all of
+    it, or when X is one point: the line then runs inside one ruling.
+    Otherwise X is a nonconstant piece of the irreducible section curve,
+    hence a parametrization of all of it.
 
     Only finitely many c are skipped, unless every line of one family runs
     inside a ruling; then no line of the other family does, and only its
@@ -332,28 +295,62 @@ def section_parametric(P: RationalMap3, plane: MultiPoly, cls: SurfaceClass) -> 
     else:
         # the plane's normal dotted with the direction, nonzero
         rate = plane.eval_all(dict(zip(COORDS, cls.direction))) - plane.eval_all(dict.fromkeys(COORDS, 0))
-    for k in range(bound):
-        c = (k + 1) // 2 * (-1) ** (k + 1)  # 0, 1, -1, 2, -2, ...
-        for fixed, free in (("s", "t"), ("t", "s")):
-            dens = [f.den.eval_partial({fixed: c}) for f in P.components]
-            if any(d.is_zero() for d in dens):
+    polys = [f.num for f in P.components] + [f.den for f in P.components]
+    for line in _parameter_lines(polys, bound):
+        if any(d.is_zero() for d in line[3:]):
+            continue
+        L = [RatFunc(n, d) for n, d in zip(line[:3], line[3:])]
+        ell = substitute(plane, dict(zip(COORDS, L)))
+        if cls.tag == CONICAL:
+            if (ell - level).is_zero():  # L lies in the plane through the apex parallel to the section
                 continue
-            L = [
-                RatFunc(f.num.eval_partial({fixed: c}), d).rename_vars({free: "t"})
-                for f, d in zip(P.components, dens)
-            ]
-            ell = substitute(plane, dict(zip(COORDS, L)))
-            if cls.tag == CONICAL:
-                if (ell - level).is_zero():  # L lies in the plane through the apex parallel to the section
-                    continue
-                lam = level / (level - ell)
-                X = [lam * (x - a) + a for a, x in zip(cls.apex, L)]
-            else:
-                lam = ell * (-1 / rate)
-                X = [x + lam * v for x, v in zip(L, cls.direction)]
-            if not all(x.is_constant() for x in X):
-                return RationalMap3(X, ("t",))
-    raise ArithmeticError(f"no parameter line maps onto the section by {plane.to_text()} = 0 within {bound} values")
+            lam = level / (level - ell)
+            X = [lam * (x - a) + a for a, x in zip(cls.apex, L)]
+        else:
+            lam = ell * (-1 / rate)
+            X = [x + lam * v for x, v in zip(L, cls.direction)]
+        if not all(x.is_constant() for x in X):
+            return RationalMap3(X, ("t",))
+
+
+def cuspidal_edge(nd: NormalData) -> RationalMap3:
+    """Cuspidal edge of a tangent surface, as a curve in t read off the
+    tangent planes of P along one parameter line.
+
+    On a line from `_parameter_lines`, the plane pi(t) = (M1, M2, M3, M4)
+    is lam(t)*U(r(t)), U(r) being the tangent plane along ruling r and
+    r(t) the ruling through the point of the line.  By the chain rule the
+    signed 3x3 minors E of [pi; pi'; pi''] are (lam*r')^3 times those of
+    [U; U'; U''] at r(t), whose common point is the edge point of ruling r
+    (Pottmann & Wallner, Computational Line Geometry, Springer 2001).  So
+    the edge is (E1, E2, E3)/E4.  E vanishes identically exactly on a line
+    where M does (lam = 0) or that runs inside one ruling (r' = 0); such a
+    line is skipped.  An edge at infinity (E4 = 0: a cylinder) or one
+    point (a cone) was excluded by the exact apex and direction tests, so
+    either raises ArithmeticError.
+
+    The minors of [M; M_t; M_tt] over Q[s, t] restrict to those of each
+    line s = c, and their s-degree is at most 3*D_s for D_s the largest
+    s-degree of M.  So at most 3*D_s lines s = c are skipped, unless all
+    of them are; likewise for t = c with D_t.  The lines of both families
+    cannot all be skipped: M vanishes on finitely many of them, and if a
+    general line of each family ran inside a ruling, the ruling through
+    a general point would be constant along both, and the image a line.
+    So passing 1 + 3*max(D_s, D_t) values of c is an internal fault.
+    """
+    bound = 1 + 3 * max(m.degree_in(v) for m in nd.m for v in ("s", "t"))
+    for pi in _parameter_lines(nd.m, bound):
+        d1 = [p.derivative("t") for p in pi]
+        rows = (pi, d1, [p.derivative("t") for p in d1])
+        E = [(-1) ** j * det3([[r[i] for i in range(4) if i != j] for r in rows]) for j in range(4)]
+        if all(e.is_zero() for e in E):
+            continue
+        if E[3].is_zero():
+            raise ArithmeticError("the tangent planes of a tangent surface meet at infinity")
+        edge = RationalMap3([RatFunc(e, E[3]) for e in E[:3]], ("t",))
+        if edge.is_constant():
+            raise ArithmeticError("the tangent planes of a tangent surface share one point")
+        return edge
 
 
 def _mobius_normalized(curve: RationalMap3, kept: tuple[str, str]) -> RationalMap3:
@@ -412,56 +409,36 @@ def rebuild_and_verify(
             raise DevsurfError("plane rebuild failed")
         result = _plane_param(plane)
         if not substitute_map_is_zero(plane, P):
-            raise DevsurfError("plane verification failed")
+            # the plane is the nullspace of a.X + b.W == 0, so P lies on it
+            raise ArithmeticError("original map does not satisfy its own plane")
         return (
             result.with_verification("original map satisfies the plane equation exactly"),
             plane,
         )
 
-    if cls.tag in (CONICAL, CYLINDRICAL):
+    if cls.tag == TANGENTIAL:
+        curve = cuspidal_edge(nd or surface_normal(P))
+    elif cls.tag in (CONICAL, CYLINDRICAL):
         plane = next((plane for plane, _ in admissible_planes(cls, plane_budget)), None)
         if plane is None:
             raise DevsurfError("no usable section plane within budget")
         curve = section_parametric(P, plane, cls)
-        if not is_proper_curve(curve, "t")[0]:
-            curve = reparametrize_space_curve(curve, point_budget)
-        curve = _mobius_normalized(curve, plane_frame(plane).kept)
-        if cls.tag == CONICAL:
-            result = build_conical(cls.apex, curve)
-        else:
-            result = build_cylindrical(cls.direction, curve)
-        rebuilt = _implicitized(result, P, refine)
-        if rebuilt is None:
-            # the curve is a section of the image of P, so P lies on the cone
-            # or cylinder over it
-            raise ArithmeticError("original map does not satisfy the equation of the surface over its own section")
-        return rebuilt
-
+    else:
+        raise ValueError(f"no rebuild for classification {cls.tag}")
+    if not is_proper_curve(curve, "t")[0]:
+        curve = reparametrize_space_curve(curve, point_budget)
     if cls.tag == TANGENTIAL:
-        nd = nd or surface_normal(P)
-        last = DevsurfError("no cuspidal edge candidate could be rebuilt")
-        check_points = _sample_points(P, 3)
-        for locus in singular_parameter_locus(P, nd):
-            try:
-                edge = _edge_from_locus(P, locus, point_budget)
-                proper, _ = is_proper_curve(edge, "t")
-                if not proper:
-                    edge = reparametrize_space_curve(edge, point_budget)
-                result = build_tangential(edge)
-                if not all(_point_on_ruled(pt, result) for pt in check_points):
-                    last = DevsurfError("candidate edge's tangent surface misses the original surface")
-                    continue
-                rebuilt = _implicitized(result, P, refine)
-                if rebuilt is None:
-                    last = DevsurfError("original map does not satisfy the rebuilt implicit equation")
-                    continue
-                return rebuilt
-            except DevsurfError as err:
-                last = err
-                continue
-        raise last
-
-    raise ValueError(f"no rebuild for classification {cls.tag}")
+        result = build_tangential(curve)
+    elif cls.tag == CONICAL:
+        result = build_conical(cls.apex, _mobius_normalized(curve, plane_frame(plane).kept))
+    else:
+        result = build_cylindrical(cls.direction, _mobius_normalized(curve, plane_frame(plane).kept))
+    rebuilt = _implicitized(result, P, refine)
+    if rebuilt is None:
+        # the section or the edge is read off P itself, so P lies on the
+        # surface rebuilt over it
+        raise ArithmeticError("original map does not satisfy the equation of the surface rebuilt from its own curve")
+    return rebuilt
 
 
 def analyze_parametric(

@@ -91,6 +91,41 @@ class TestExitCodes:
         assert code == 5 and report["exit_code"] == 5
         assert report["error"] == "internal error: ArithmeticError: fraction-free elimination lost exactness"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["implicit", "x", "--plane-budget", "abc"],  # a bad option value
+            ["implicit"],  # a missing source
+            ["frobnicate", "x"],  # an unknown subcommand
+            ["implicit", "x", "--bogus"],  # an unknown flag
+        ],
+    )
+    def test_bad_arguments_are_input_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["implicit", "-h"])
+        assert exc.value.code == 0
+
+    @pytest.mark.parametrize(
+        "check, argv",
+        [
+            ("devsurf.parametric.substitute_map_is_zero", ["parametric", cases.PLANE_MAP]),
+            ("devsurf.implicit.verify_on_surface", ["implicit", "x + y + z - 1"]),
+        ],
+    )
+    def test_failed_plane_certificate_is_internal_error(self, monkeypatch, check, argv):
+        # the plane is solved from the input itself, so a failed check is a
+        # fault, not "unsupported"
+        monkeypatch.setattr(check, lambda *args: False)
+        code, out = run_cli(argv)
+        assert code == 5
+        assert json.loads(out)["error"].startswith("internal error: ArithmeticError")
+
 
 class TestVerifyCommand:
     def test_matching_pair(self):

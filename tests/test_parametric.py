@@ -1,5 +1,5 @@
 """Parametric pipeline: K(s,t), tangent-plane fixed point, ruling kernel,
-singular parameter loci, rebuild with verification."""
+singular parameter loci, cuspidal edges, rebuild with verification."""
 
 import contextlib
 import io
@@ -13,9 +13,17 @@ from devsurf.poly import MultiPoly, Q, det3
 from devsurf.ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.errors import DegenerateInputError, DevsurfError
-from devsurf.builder import affine_plane, build_conical, build_cylindrical, build_tangential, ruling_triple_product
+from devsurf.builder import (
+    affine_plane,
+    build_conical,
+    build_cylindrical,
+    build_tangential,
+    implicitize_ruled,
+    ruling_triple_product,
+)
 from devsurf.parametric import (
     analyze_parametric,
+    cuspidal_edge,
     detect_apex_parametric,
     detect_direction_parametric,
     gaussian_form_parametric,
@@ -405,6 +413,73 @@ class TestSectionFromMap:
         wrong = parse_map("(0, t, t^3)", params=("t",))
         monkeypatch.setattr("devsurf.parametric.section_parametric", lambda *args: wrong)
         code, report = run_parametric(cases.IMPROPER_CONE_MAP)
+        assert code == 5
+        assert report["error"].startswith("internal error: ArithmeticError")
+
+
+# the tangent surface of (t, t^2, t^3) composed with (s, t) -> (s^2 + t^3 - 7, t):
+# its singular parameter locus contains the genus-1 curve s^2 + t^3 = 7
+GENUS_ONE_LOCUS_TANGENT = (
+    "(t^3 + s^2 + t - 7, 2*t^4 + 2*s^2*t + t^2 - 14*t, 3*t^5 + 3*s^2*t^2 + t^3 - 21*t^2)"
+)
+
+
+def plane_maps():
+    s, t = RatFunc(MultiPoly.var("s")), RatFunc(MultiPoly.var("t"))
+    return {
+        "s+t^2": (s + t * t, t),
+        "s*t+1": (s * t + 1, t),
+        "s^2+t": (s * s + t, t),
+        "moebius": (s, (t + 1) / (t - 2)),
+    }
+
+
+class TestCuspidalEdge:
+    """The edge of a tangent surface read off three tangent planes."""
+
+    @pytest.mark.parametrize("text", [cases.TWISTED_CUBIC, cases.TANGENT_EDGE_MAP])
+    def test_standard_form_gives_its_edge(self, text):
+        edge = parse_map(text, params=("t",))
+        # s = 0 maps onto the edge itself, where M vanishes; s = 1 is read
+        assert cuspidal_edge(surface_normal(build_tangential(edge).full_map())) == edge
+
+    def test_genus_one_parameter_locus(self):
+        code, report = run_parametric(GENUS_ONE_LOCUS_TANGENT)
+        assert code == 0
+        assert report["classification"]["tag"] == "Tangential"
+        assert report["parametrization"]["verified"] is True
+        tangent = build_tangential(parse_map(cases.TWISTED_CUBIC, params=("t",)))
+        assert parse_poly(report["implicit_equation"], ("x", "y", "z")) == implicitize_ruled(tangent)
+
+    @pytest.mark.parametrize("seed", [20261018, 7])
+    @pytest.mark.parametrize("warp", sorted(plane_maps()))
+    def test_composed_with_plane_maps(self, seed, warp):
+        # against an independent construction: the implicit equation of the
+        # tangent surface of the known edge
+        rng = random.Random(seed)
+        built, _ = random_tangent_surface(rng, 3, with_denominator=seed % 2 == 1)
+        u, v = plane_maps()[warp]
+        a = analyze_parametric(built.full_map().subs({"s": u, "t": v}, ("s", "t")))
+        assert a.classification.tag == "Tangential"
+        assert a.parametrization is not None and a.parametrization.verified
+        assert a.implicit_equation == implicitize_ruled(build_tangential(built.p0))
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            (cases.UNIT_CIRCLE_CONE_MAP, "share one point"),
+            ("(t^3, t^2 + s, s)", "meet at infinity"),
+            (cases.PLANE_MAP, "no usable parameter line"),  # every line: pi is constant
+        ],
+    )
+    def test_not_a_tangent_surface_is_internal_error(self, text, reason):
+        with pytest.raises(ArithmeticError, match=reason):
+            cuspidal_edge(surface_normal(parse_map(text, params=("s", "t"))))
+
+    def test_wrong_edge_is_internal_error(self, monkeypatch):
+        twisted_cubic = parse_map(cases.TWISTED_CUBIC, params=("t",))
+        monkeypatch.setattr("devsurf.parametric.cuspidal_edge", lambda nd: twisted_cubic)
+        code, report = run_parametric(cases.TANGENT_DEV_MAP)
         assert code == 5
         assert report["error"].startswith("internal error: ArithmeticError")
 
