@@ -180,25 +180,18 @@ class MultiPoly:
         pieces = []
         for exps in sorted(self.terms, key=_grlex_key, reverse=True):
             coeff = self.terms[exps]
-            factors = []
-            for name, e in zip(self.vars, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            mag = abs(coeff)
+            n, d = coeff.numerator, coeff.denominator
+            factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(self.vars, exps) if e)
+            mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
             if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
+                body = mag
+            elif mag == "1":
+                body = factors
             else:
-                body = str(mag) + "*" + "*".join(factors)
-            pieces.append(("-" if coeff < 0 else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += f" {sign} {body}"
-        return out
+                body = mag + "*" + factors
+            pieces.append(("- " if n < 0 else "+ ") + body)
+        text = " ".join(pieces)
+        return text[2:] if text[0] == "+" else "-" + text[2:]
 
     # -- alignment helpers ---------------------------------------------
 
@@ -255,12 +248,7 @@ class MultiPoly:
         vars_, a, b = self._aligned(other)
         da, a = _int_terms(a)
         db, b = _int_terms(b)
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                key = tuple(map(add, ea, eb))
-                out[key] = get(key, 0) + ca * cb
+        out = _mul_terms(a, b)
         den = da * db
         if den == 1:
             return MultiPoly._make(vars_, {e: Q(n) for e, n in out.items() if n})
@@ -427,6 +415,18 @@ def _int_terms(terms: Mapping[tuple[int, ...], Q]) -> tuple[int, dict[tuple[int,
     if den == 1:
         return 1, {e: c.numerator for e, c in terms.items()}
     return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+
+
+def _mul_terms(a: Mapping[tuple[int, ...], object], b: Mapping[tuple[int, ...], object]) -> dict:
+    """Product of two term dicts over one variable tuple; terms that sum
+    to zero are kept."""
+    out: dict[tuple[int, ...], object] = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            key = tuple(map(add, ea, eb))
+            out[key] = get(key, 0) + ca * cb
+    return out
 
 
 def _primitive_ints(terms: Mapping[tuple[int, ...], Q]) -> tuple[Q, dict[tuple[int, ...], int]]:
