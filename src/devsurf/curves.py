@@ -26,7 +26,6 @@ from .linalg import nullspace
 from .poly import (
     MultiPoly,
     Q,
-    _gcd_univar,
     exact_div,
     gcd_many,
     gcd_multi,
@@ -696,7 +695,7 @@ def parametrize_quartic_adjoint(
             a, b = s1
             if a.is_zero():
                 continue
-            if set(a.vars) <= {u} and set(b.vars) <= {u} and _coprime_univar(a, g, u):
+            if set(a.vars) <= {u} and set(b.vars) <= {u} and gcd_multi(a, g).is_constant():
                 rel = (a, b)
                 break
         if rel is None:
@@ -757,10 +756,6 @@ def parametrize_quartic_adjoint(
             comps = (comps[0] + comps[1] * k, comps[1])
         return _finish(c0, names, comps, t, "plane-section")
     raise last_err
-
-
-def _coprime_univar(a: MultiPoly, g: MultiPoly, var: str) -> bool:
-    return _gcd_univar(a, g, var).is_constant()
 
 
 def _pencil_residual(c, Qt, names, g, gw, point, t):

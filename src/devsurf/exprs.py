@@ -22,7 +22,8 @@ operation with a RatFunc operand is then RatFunc arithmetic.  Before a
 product or power is expanded it is checked against the input caps: an
 exponent or a total degree above ``MAX_DEGREE``, or a constant power
 b^e with e times the bit length of b's numerator or denominator above
-``MAX_CONSTANT_BITS``, is a :class:`ParseError`.  The degree of a
+``MAX_CONSTANT_BITS``, is a :class:`ParseError`, and so is an integer
+literal of more than ``MAX_CONSTANT_BITS`` bits.  The degree of a
 quotient is the larger of its numerator's and denominator's.
 
 Printing is deterministic: terms in graded-lexicographic descending
@@ -45,6 +46,8 @@ from .ratfunc import RatFunc, RationalMap3
 # degree cap leaves more than a factor 2 of margin.
 MAX_DEGREE = 24
 MAX_CONSTANT_BITS = 4096
+# the most decimal digits of an integer of at most MAX_CONSTANT_BITS bits
+_MAX_LITERAL_DIGITS = len(str(2**MAX_CONSTANT_BITS))
 
 
 class ParseError(ValueError):
@@ -251,8 +254,11 @@ class _Parser:
     def parse_atom(self):
         kind, value, _ = self.peek()
         if kind == "int":
-            self.next()
-            n = int(value)
+            tok = self.next()
+            # the digit count bounds the size before int() converts it
+            digits = value.lstrip("0") or "0"
+            if len(digits) > _MAX_LITERAL_DIGITS or (n := int(digits)).bit_length() > MAX_CONSTANT_BITS:
+                raise self.error(f"integer literal exceeds the cap of {MAX_CONSTANT_BITS} bits", tok)
             return {self.one: n} if n else {}
         if kind == "name":
             tok = self.next()

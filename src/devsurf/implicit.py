@@ -138,16 +138,16 @@ def _iter_singular_systems(F: MultiPoly):
     for elim in COORDS:
         if F.degree_in(elim) == 0:
             continue
-        eliminants = []
         positive = [p for p in base if p.degree_in(elim) > 0]
-        free = [p for p in base if p.degree_in(elim) == 0]
-        for p in free:
-            eliminants.append(squarefree_part(p))
+        # the free polynomials and the nonzero resultants; the squarefree
+        # part of their gcd is the product of the irreducible factors
+        # common to all of them
+        eliminants = [p for p in base if p.degree_in(elim) == 0]
         for i in range(len(positive)):
             for j in range(i + 1, len(positive)):
                 r = resultant(positive[i], positive[j], elim)
                 if not r.is_zero():
-                    eliminants.append(squarefree_part(r))
+                    eliminants.append(r)
         if not eliminants:
             continue
         g = gcd_many(eliminants)

@@ -25,14 +25,21 @@ Besides the arithmetic operators, the module provides the elimination
 toolkit used by the analyzers: formal derivatives, 3x3 and 4x4
 determinants (integer rows, exponent vectors packed into one int key,
 each minor of the trailing rows computed once), Sylvester resultants
-(fraction-free Bareiss elimination), multivariate gcd (a certified
-coprimality probe at one fixed point, then a complete, deterministic
-evaluation-interpolation certified by exact division), squarefree parts,
-exact division, and linear subresultants.
+(fraction-free Bareiss elimination), multivariate gcd, squarefree
+parts, exact division, and linear subresultants.
+
+The gcd is Brown's dense modular algorithm on plain Python integers:
+images modulo fixed primes below 2^61, each computed by evaluation and
+Newton interpolation one variable at a time down to a univariate
+Euclid, are combined by the Chinese remainder theorem.  It is complete
+and deterministic.  Unlucky primes and unlucky evaluation points are
+finitely many and show in an image's leading monomial, and every result
+is certified by exact division of both inputs over Z.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -637,8 +644,26 @@ def exact_div(q: MultiPoly, p: MultiPoly) -> Optional[MultiPoly]:
     vars_, qt, pt = q._aligned(p)
     cq, rem = _primitive_ints(qt)
     cp, pi = _primitive_ints(pt)
-    lead_p = max(pi, key=_grlex_key)
-    lc_p = pi.pop(lead_p)
+    quot = _quotient(rem, pi)
+    if quot is None:
+        return None
+    scale = cq / cp
+    num, den = scale.numerator, scale.denominator
+    return MultiPoly._make(vars_, {e: Q(h * num, den) for e, h in quot.items()})
+
+
+def _quotient(rem: dict, divisor: Mapping[tuple[int, ...], int], p: int = 0) -> Optional[dict]:
+    """Quotient of integer term dicts over one variable tuple when divisor
+    divides rem exactly, else None; over Z, or over Z_p for a prime p > 0.
+    Consumes rem.
+
+    Over Z the divisor must be primitive: by Gauss's lemma the quotient, if
+    any, then has integer coefficients, so a remainder whose leading
+    coefficient is not a multiple of the divisor's already certifies "no"."""
+    rest = dict(divisor)
+    lead_d = max(rest, key=_grlex_key)
+    lc_d = rest.pop(lead_d)
+    inv = pow(lc_d, -1, p) if p else 0
     # max-heap on graded-lex order; entries of cancelled terms go stale
     heap = [(-sum(e), tuple(map(neg, e)), e) for e in rem]
     heapq.heapify(heap)
@@ -648,27 +673,28 @@ def exact_div(q: MultiPoly, p: MultiPoly) -> Optional[MultiPoly]:
         cr = rem.pop(lead_r, 0)
         if not cr:
             continue
-        diff = tuple(map(sub, lead_r, lead_p))
+        diff = tuple(map(sub, lead_r, lead_d))
         if min(diff) < 0:
             return None
-        h, r = divmod(cr, lc_p)
-        if r:
-            return None
+        if p:
+            h = cr * inv % p
+        else:
+            h, r = divmod(cr, lc_d)
+            if r:
+                return None
         quot[diff] = h
-        for e, c in pi.items():
+        for e, c in rest.items():
             key = tuple(map(add, e, diff))
             prev = rem.get(key)
             if prev is None:
                 heapq.heappush(heap, (-sum(key), tuple(map(neg, key)), key))
                 prev = 0
-            val = prev - h * c
+            val = (prev - h * c) % p if p else prev - h * c
             if val:
                 rem[key] = val
             else:
                 del rem[key]
-    scale = cq / cp
-    num, den = scale.numerator, scale.denominator
-    return MultiPoly._make(vars_, {e: Q(h * num, den) for e, h in quot.items()})
+    return quot
 
 
 def divides(p: MultiPoly, q: MultiPoly) -> tuple[bool, Optional[MultiPoly]]:
@@ -690,234 +716,254 @@ def _int_coeff_list(p: MultiPoly, var: str) -> list[int]:
     return dense
 
 
-def _primitive_list(v: list[int]) -> list[int]:
-    g = 0
-    for c in v:
-        g = math.gcd(g, c)
-    return [c // g for c in v] if g > 1 else v
-
-
-def _gcd_ints(a: list[int], b: list[int]) -> list[int]:
-    """gcd of two nonzero dense (ascending) primitive integer coefficient
-    lists by the primitive pseudo-remainder sequence; primitive, of either
-    sign."""
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        lc, db = b[-1], len(b) - 1
-        r = list(a)
-        while len(r) > db:
-            cr, shift = r[-1], len(r) - 1 - db
-            r = [lc * c for c in r]
-            for k, c in enumerate(b):
-                r[k + shift] -= cr * c
-            while r and r[-1] == 0:
-                r.pop()
-        a, b = b, _primitive_list(r)
-    return a
-
-
-def _div_ints(f: list[int], g: list[int]) -> list[int]:
-    """Quotient of dense integer lists when g divides f; for a primitive g
-    the quotient is integral by Gauss's lemma, so the division is exact."""
-    r = list(f)
-    quot = [0] * (len(f) - len(g) + 1)
-    for k in reversed(range(len(quot))):
-        quot[k] = r[k + len(g) - 1] // g[-1]
-        for j, c in enumerate(g):
-            r[k + j] -= quot[k] * c
-    return quot
-
-
-def _gcd_univar(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
-    """gcd of two univariate polynomials, over the integers."""
-    if p.is_zero():
-        return q.normalized()
-    if q.is_zero():
-        return p.normalized()
-    if p.is_constant() or q.is_constant():
-        return MultiPoly.const(1)
-    g = _gcd_ints(_int_coeff_list(p, var), _int_coeff_list(q, var))
-    if len(g) == 1:
-        return MultiPoly.const(1)
-    return MultiPoly((var,), {(k,): Q(c) for k, c in enumerate(g)}).normalized()
-
-
-def _strip_monomial(p: MultiPoly) -> tuple[tuple[int, ...], MultiPoly]:
-    """Split off the largest monomial dividing every term."""
-    if not p.terms:
-        return (), p
-    mins = None
-    for e in p.terms:
-        mins = list(e) if mins is None else [min(a, b) for a, b in zip(mins, e)]
+def _strip_monomial(terms: dict) -> tuple[tuple[int, ...], dict]:
+    """Split off the largest monomial dividing every term of a term dict."""
+    mins = tuple(map(min, zip(*terms)))
     if not any(mins):
-        return tuple(0 for _ in p.vars), p
-    stripped = {tuple(a - b for a, b in zip(e, mins)): c for e, c in p.terms.items()}
-    return tuple(mins), MultiPoly._make(p.vars, stripped)
+        return mins, terms
+    return mins, {tuple(map(sub, e, mins)): c for e, c in terms.items()}
 
 
-def _probe_value(i: int) -> int:
-    """Coordinate of the fixed coprimality probe point for the variable at
-    position i of the sorted variables: nonzero, at most 3559 in absolute
-    value, distinct for i < 3559 (3559 is prime)."""
-    return (-1) ** i * ((i + 1) * 1579 % 3559 + 1)
-
-
-def _certified_coprime(p: MultiPoly, q: MultiPoly, common: Sequence[str]) -> bool:
-    """Certified test that gcd(p, q) is constant.
-
-    For each shared variable v, evaluate every other variable at one fixed
-    point (``_probe_value`` of its position in the sorted variables of p
-    and q).  If p keeps its v-degree there, so does any common divisor g,
-    since lc_v(g) | lc_v(p); a constant univariate gcd of the images then
-    certifies deg_v(gcd) = 0.  Succeeding for every shared variable proves
-    the gcd constant.  There is one probe per variable and no retry: when
-    lc_v(p) vanishes at the point, the image of q is zero or the images
-    share a factor, the probe returns False and the caller's complete
-    route decides.
-    """
-    names = canonical_vars(p.vars + q.vars)
-    for v in common:
-        point = {n: _probe_value(i) for i, n in enumerate(names) if n != v}
-        if p.lead_coeff_in(v).eval_all(point) == 0:
-            return False
-        qu = q.eval_partial(point)
-        if qu.is_zero():
-            return False
-        if not qu.is_constant() and not _gcd_univar(p.eval_partial(point), qu, v).is_constant():
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases: deterministic for
+    n < 3.3e24, far above the 2^61 the gcd moduli need."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+    if n < 2 or any(n % b == 0 for b in bases):
+        return n in bases
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for b in bases:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
     return True
 
 
-def _content_wrt(p: MultiPoly, var: str) -> MultiPoly:
-    coeffs = list(p.coeffs_in(var).values())
-    g = MultiPoly.zero()
-    for c in coeffs:
-        g = gcd_multi(g, c)
-        if g.is_constant() and not g.is_zero():
-            return MultiPoly.const(1)
-    return g
+@functools.cache
+def _modulus(i: int) -> int:
+    """The i-th gcd modulus: the primes below 2^61 from the largest down,
+    the Mersenne prime 2^61 - 1 first; each is found on first use."""
+    n = 2**61 - 1 if i == 0 else _modulus(i - 1) - 2
+    while not _is_prime(n):
+        n -= 2
+    return n
 
 
-def _interp_newton(xs: list[int], ys: list[MultiPoly], var: str) -> MultiPoly:
-    """Newton interpolation with polynomial values at integer nodes."""
-    n = len(xs)
-    coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * Q(1, xs[i] - xs[i - j])
-    result = MultiPoly.zero()
-    basis = MultiPoly.const(1)
-    vpoly = MultiPoly.var(var)
-    for i in range(n):
-        result = result + coef[i] * basis
-        if i < n - 1:
-            basis = basis * (vpoly - xs[i])
-    return result
+# -- dense univariate arithmetic mod p on ascending coefficient lists ----------
 
 
-def _gcd_primitive(p: MultiPoly, q: MultiPoly, v: str) -> MultiPoly:
-    """gcd G of p and q, both primitive in v, normalized; complete and
-    deterministic (W. S. Brown, "On Euclid's algorithm and the computation
-    of polynomial greatest common divisors", J. ACM 18, 1971).
+def _trim(v: list[int]) -> list[int]:
+    while v and not v[-1]:
+        v.pop()
+    return v
 
-    With no other variable this is the univariate gcd.  Otherwise w is the
-    last other variable and gamma = gcd(lc_v p, lc_v q).  Points w = c run
-    through 0, 1, -1, 2, ...; points where gamma, lc_v p or lc_v q vanish
-    are skipped.  At any other point the image gcd(p(c), q(c)) has v-degree
-    at least deg_v G, since G(c) keeps its v-degree and divides both.  An
-    image of v-degree 0 therefore proves G = 1 at once.  Only images of
-    the least v-degree seen are kept, each scaled by rho so that its
-    leading coefficient in v is gamma(c); the scaled images of degree
-    deg_v G are the values of gamma * G / lc_v(G), whose w-degree is below
-    ``bound``.  Once ``bound`` images are in, Newton interpolation in w,
-    removal of the v-content and trial division of p and q certify the
-    result: a divisor of both whose v-degree is at least deg_v G is G.
 
-    If the division fails, every image used had too high a degree; no
-    image of that degree or higher is used again, and sampling goes on.
-    The loop ends: the unlucky points, where the image degree exceeds
-    deg_v G, are roots of the resultant in v of the cofactors p/G and q/G,
-    which is nonzero; rho fails only where the image picks up a content
-    in the remaining variables, also at finitely many points; and each
-    failed division lowers the admissible degree.
-    """
-    others = [n for n in canonical_vars(p.vars + q.vars) if n != v]
-    if not others:
-        return _gcd_univar(p, q, v)
-    w = others[-1]
-    lcp, lcq = p.lead_coeff_in(v), q.lead_coeff_in(v)
-    gamma = gcd_multi(lcp, lcq)
-    bound = gamma.degree_in(w) + min(p.degree_in(w), q.degree_in(w)) + 1
-    # every image kept has v-degree best; no image exceeds min(deg_v p, deg_v q)
-    best = min(p.degree_in(v), q.degree_in(v)) + 1
-    xs: list[int] = []
-    ys: list[MultiPoly] = []
-    c = 0
-    while True:
-        point = c
-        c = -c if c > 0 else -c + 1  # 0, 1, -1, 2, -2, ...
-        ev = {w: point}
-        gev = gamma.eval_partial(ev)
-        if gev.is_zero() or lcp.eval_partial(ev).is_zero() or lcq.eval_partial(ev).is_zero():
+def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % p for c in out]
+
+
+def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by the trimmed nonzero b mod p."""
+    r = list(a)
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    quot = [0] * max(len(r) - db, 0)
+    for k in range(len(r) - 1 - db, -1, -1):
+        c = r[k + db] * inv % p
+        if c:
+            quot[k] = c
+            r[k : k + db] = [(x - c * y) % p for x, y in zip(r[k : k + db], b)]
+    return quot, _trim(r[:db])
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd mod p of two lists, not both zero."""
+    a, b = _trim(list(a)), _trim(list(b))
+    while b:
+        a, b = b, _divmod_mod(a, b, p)[1]
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _primitive_mod(split: dict, p: int) -> tuple[list[int], dict]:
+    """Monic content in Z_p[xk] and primitive part of a split polynomial."""
+    c: list[int] = []
+    for v in split.values():
+        c = _gcd_mod(c, v, p)
+        if len(c) == 1:
+            return c, split
+    return c, {h: _divmod_mod(v, c, p)[0] for h, v in split.items()}
+
+
+# -- multivariate images mod p: term dicts {exponent tuple: int} ----------------
+
+
+def _split_last(a: dict) -> dict:
+    """View a polynomial in x1..xk as one in x1..x(k-1) whose coefficients
+    are dense lists in xk: {head exponents: ascending list}."""
+    out: dict[tuple[int, ...], list[int]] = {}
+    for e, c in a.items():
+        v = out.setdefault(e[:-1], [])
+        d = e[-1]
+        if len(v) <= d:
+            v.extend([0] * (d + 1 - len(v)))
+        v[d] = c
+    return out
+
+
+def _join_last(split: dict) -> dict:
+    return {h + (d,): c for h, v in split.items() for d, c in enumerate(v) if c}
+
+
+def _pgcd(a: dict, b: dict, p: int) -> dict:
+    """Monic gcd of nonzero a and b in Z_p[x1..xk] (lex-leading
+    coefficient 1), by evaluation and Newton interpolation in xk.
+
+    a and b are split over Z_p[xk], their contents in Z_p[xk] removed, and
+    gamma is the gcd of their lex-leading coefficients.  Since lc(G) divides
+    gamma, at a point xk = x with gamma(x) != 0 the image G(x) keeps the
+    lex-leading monomial of the gcd G of the primitive parts and divides
+    the image gcd, whose lex-leading monomial is therefore no smaller; a
+    constant image proves G = 1.  Images are scaled to leading coefficient
+    gamma(x) and only those of the least lex-leading monomial seen are
+    kept.  deg gamma + min deg_xk + 1 of them determine gamma * G / lc(G),
+    whose primitive part in x1..x(k-1) is G when it divides both primitive
+    parts.  When it does not, every kept image had too large a leading
+    monomial, and no image with one that large is kept again.  Unlucky
+    points are finitely many, so the loop ends."""
+    k = len(next(iter(a)))
+    if k == 1:
+        g = _gcd_mod(_split_last(a)[()], _split_last(b)[()], p)
+        return {(d,): c for d, c in enumerate(g) if c}
+    zero = (0,) * (k - 1)
+    ca, A = _primitive_mod(_split_last(a), p)
+    cb, B = _primitive_mod(_split_last(b), p)
+    cont = _gcd_mod(ca, cb, p)
+    if len(A) == 1 and zero in A or len(B) == 1 and zero in B:
+        return {zero + (d,): c for d, c in enumerate(cont) if c}
+    gamma = _gcd_mod(A[max(A)], B[max(B)], p)
+    bound = len(gamma) + min(max(map(len, A.values())), max(map(len, B.values()))) - 1
+    limit = best = None
+    for x in range(p):
+        gx = _eval_mod(gamma, x, p)
+        if not gx:
             continue
-        ge = gcd_multi(p.eval_partial(ev), q.eval_partial(ev))
-        dg = ge.degree_in(v)
-        if dg == 0:
-            return MultiPoly.const(1)
-        if dg > best:
+        ax = {h: c for h, v in A.items() if (c := _eval_mod(v, x, p))}
+        bx = {h: c for h, v in B.items() if (c := _eval_mod(v, x, p))}
+        image = _pgcd(ax, bx, p)
+        m = max(image)
+        if not any(m):
+            return {zero + (d,): c for d, c in enumerate(cont) if c}
+        if limit is not None and m >= limit or best is not None and m > best:
             continue
-        if dg < best:
-            best, xs, ys = dg, [], []
-        rho = exact_div(gev, ge.lead_coeff_in(v))
-        if rho is None:
+        if best is None or m < best:
+            best, npts, node = m, 1, [-x % p, 1]
+            interp = {h: [c * gx % p] for h, c in image.items()}
+        else:
+            # Newton step: interp += node * (image * gx - interp(x)) / node(x)
+            inv = pow(_eval_mod(node, x, p), -1, p)
+            for h in interp.keys() | image.keys():
+                v = interp.get(h, [])
+                d = (image.get(h, 0) * gx - _eval_mod(v, x, p)) * inv % p
+                if d:
+                    v = v + [0] * (len(node) - len(v))
+                    interp[h] = [(s + d * t) % p for s, t in zip(v, node)]
+            node = [(s - x * t) % p for s, t in zip([0] + node, node + [0])]
+            npts += 1
+        if npts < bound:
             continue
-        xs.append(point)
-        ys.append(ge * rho)
-        if len(xs) < bound:
-            continue
-        h = _interp_newton(xs, ys, w)
-        h = exact_div(h, _content_wrt(h, v)).normalized()
-        if exact_div(p, h) is not None and exact_div(q, h) is not None:
-            return h
-        best, xs, ys = best - 1, [], []
+        G = _primitive_mod(interp, p)[1]
+        g = _join_last(G)
+        if _quotient(_join_last(A), g, p) is not None and _quotient(_join_last(B), g, p) is not None:
+            inv = pow(G[max(G)][-1], -1, p)
+            cont = [c * inv % p for c in cont]
+            return _join_last({h: _mul_mod(v, cont, p) for h, v in G.items()})
+        limit, best = best, None
+    raise ArithmeticError("ran out of evaluation points")
 
 
 def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """A greatest common divisor, primitive with positive leading coefficient."""
+    """The greatest common divisor of p and q, primitive over the integers
+    with a positive graded-lex leading coefficient: Brown's dense modular
+    algorithm (W. S. Brown, J. ACM 18, 1971; Geddes, Czapor & Labahn,
+    *Algorithms for Computer Algebra*, 1992, ch. 7, MGCD).
+
+    p and q become primitive integer term dicts a and b, each with its
+    largest monomial factor split off (the factor both share goes back on
+    the result), and g = gcd(la, lb) of their lex-leading coefficients.  For each modulus P of ``_modulus`` that
+    divides neither la nor lb, ``_pgcd`` gives the monic gcd of the images
+    mod P.  Its lex-leading monomial is no smaller than that of the gcd G
+    over Z, and equal except at the finitely many unlucky primes; a
+    constant image proves G = 1.  Images of the least leading monomial
+    seen, scaled by g, are combined by the Chinese remainder theorem into
+    g * G / lc(G) mod M.  After each prime the symmetric residue's
+    primitive part H is trial-divided into a and b over Z; once M exceeds
+    twice the largest coefficient of g * G / lc(G), H = G.  A divisor of
+    both whose leading monomial is no smaller than G's is G itself, so
+    every result is certified and the algorithm is complete."""
     if p.is_zero():
         return q.normalized()
     if q.is_zero():
         return p.normalized()
     if p.is_constant() or q.is_constant():
         return MultiPoly.const(1)
+    vars_, a, b = p._aligned(q)
+    ma, a = _strip_monomial(_primitive_ints(a)[1])
+    mb, b = _strip_monomial(_primitive_ints(b)[1])
+    shared = tuple(map(min, ma, mb))
+    used_a = [any(col) for col in zip(*a)]
+    used_b = [any(col) for col in zip(*b)]
+    if any(u and v for u, v in zip(used_a, used_b)):
+        h = _mgcd(a, b)
+    else:  # no variable occurs in both
+        h = {(0,) * len(vars_): 1}
+    if any(shared):
+        h = {tuple(map(add, e, shared)): c for e, c in h.items()}
+    sign = -1 if h[max(h, key=_grlex_key)] < 0 else 1
+    return MultiPoly._make(vars_, {e: Q(sign * c) for e, c in h.items()})
 
-    mp, p1 = _strip_monomial(p)
-    mq, q1 = _strip_monomial(q)
-    mono = {}
-    for name, e in zip(p.vars, mp):
-        if e:
-            mono[name] = e
-    shared_mono = MultiPoly.const(1)
-    for name, e in zip(q.vars, mq):
-        if name in mono and e:
-            shared_mono = shared_mono * poly_from_var_power(name, min(e, mono[name]))
 
-    common = [v for v in p1.vars if v in q1.vars]
-    if not common or _certified_coprime(p1, q1, common):
-        return shared_mono.normalized()
-
-    # Main variable: the smallest worst-case degree keeps the images small.
-    var = min(common, key=lambda v: min(p1.degree_in(v), q1.degree_in(v)))
-
-    cp = _content_wrt(p1, var)
-    cq = _content_wrt(q1, var)
-    cont = gcd_multi(cp, cq)
-    a = exact_div(p1, cp)
-    b = exact_div(q1, cq)
-    if a is None or b is None:
-        raise ArithmeticError("gcd content division lost exactness")
-    return (shared_mono * cont * _gcd_primitive(a, b, var)).normalized()
+def _mgcd(a: dict, b: dict) -> dict:
+    """Primitive gcd, of either sign, of two nonzero integer term dicts
+    over one variable tuple; see ``gcd_multi``."""
+    la, lb = a[max(a)], b[max(b)]
+    g = math.gcd(la, lb)
+    best = None
+    for i in itertools.count():
+        P = _modulus(i)
+        if not la % P or not lb % P:
+            continue
+        image = _pgcd({e: c % P for e, c in a.items() if c % P}, {e: c % P for e, c in b.items() if c % P}, P)
+        m = max(image)
+        if not any(m):
+            return {m: 1}
+        if best is not None and m > best:
+            continue
+        image = {e: c * g % P for e, c in image.items()}
+        if best is None or m < best:
+            best, lifted, M = m, image, P
+        else:
+            inv = pow(M, -1, P)
+            for e in lifted.keys() | image.keys():
+                h = lifted.get(e, 0)
+                lifted[e] = h + M * ((image.get(e, 0) - h) * inv % P)
+            M *= P
+        half = M // 2
+        h = _primitive_ints({e: c - M if c > half else c for e, c in lifted.items() if c})[1]
+        if _quotient(dict(a), h) is not None and _quotient(dict(b), h) is not None:
+            return h
 
 
 def gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:
@@ -1063,9 +1109,12 @@ def rational_roots(p: MultiPoly, var: str) -> list[Q]:
     if len(f) == 1:
         return roots
     if len(f) > 2:  # a linear f is squarefree
-        g = _gcd_ints(f, _primitive_list([k * c for k, c in enumerate(f)][1:]))
-        if len(g) > 1:
-            f = _div_ints(f, g)
+        fd = {(k,): c for k, c in enumerate(f) if c}
+        g = _mgcd(fd, {(k - 1,): k * c for (k,), c in fd.items() if k})
+        if any(max(g)):
+            f = [0] * (len(f) - max(g)[0])
+            for (k,), c in _quotient(fd, g).items():
+                f[k] = c
     a, d = f[-1], len(f) - 1
     df = [k * c for k, c in enumerate(f)][1:]
     for prime in _primes():

@@ -244,12 +244,10 @@ def test_criterion_9_kernel_oracles():
         assert okg
         # restriction oracle: at a random y the univariate gcd degree in x
         # matches (up to the finitely many unlucky evaluation points)
-        from devsurf.poly import _gcd_univar
-
         y0 = Q(rng.randint(2, 60))
-        du = _gcd_univar((g * a).eval_partial({"y": y0}), (g * b).eval_partial({"y": y0}), "x")
+        du = gcd_multi((g * a).eval_partial({"y": y0}), (g * b).eval_partial({"y": y0}))
         if not du.is_zero():
-            # the restriction of d divides both restrictions, so the
-            # univariate Euclidean gcd can only be larger
+            # the restriction of d divides both restrictions, so their
+            # univariate gcd can only be larger
             assert du.degree_in("x") >= d.eval_partial({"y": y0}).degree_in("x")
     report(9, "600 randomized kernel instances match brute-force oracles")

@@ -241,6 +241,23 @@ class TestCaps:
         with pytest.raises(ParseError, match="bits"):
             parse_poly("((2^24)^24)^24", ())
 
+    def test_integer_literal_cap(self, capsys):
+        B = MAX_CONSTANT_BITS
+        # 5000 digits: past the 4300-digit limit of int() on a string
+        text = "x^2+y^2-" + "9" * 5000 + "*z^2"
+        with pytest.raises(ParseError, match=f"integer literal exceeds the cap of {B} bits") as info:
+            parse_poly(text, ("x", "y", "z"))
+        assert (info.value.line, info.value.col) == (1, 9)
+        assert cli.main(["implicit", text]) == cli.EXIT_INPUT
+        assert '"exit_code": 1' in capsys.readouterr().out
+        # at the cap and one past it; leading zeros do not count
+        assert parse_poly(f"{2**B - 1}*x", ("x",)) == MultiPoly.var("x") * (2**B - 1)
+        assert parse_poly("0" * 5000 + "7", ()) == MultiPoly.const(7)
+        for literal in (2**B, 10 ** len(str(2**B))):
+            with pytest.raises(ParseError, match=f"integer literal exceeds the cap of {B} bits") as info:
+                parse_poly(f"x+{literal}", ("x",))
+            assert (info.value.line, info.value.col) == (1, 3)
+
 
 def _sympy_text(text):
     return text.replace("^", "**")

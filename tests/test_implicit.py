@@ -1,9 +1,12 @@
 """Implicit pipeline: the K(x,y,z) test, classification, apex and ruling
 extraction, singular-locus systems, full analyses."""
 
+import itertools
+import random
+
 import pytest
 
-from devsurf.poly import MultiPoly, Q, squarefree_part
+from devsurf.poly import MultiPoly, Q, gcd_many, resultant, squarefree_part
 from devsurf.ratfunc import substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.implicit import (
@@ -143,6 +146,41 @@ class TestSingularLocus:
     def test_cone_rejected(self, elliptic_cone):
         with pytest.raises(ValueError, match="conical"):
             singular_locus_curve(elliptic_cone)
+
+    def test_one_squarefree_part_of_the_eliminants(self, tangent_quartic):
+        # the squarefree part of the gcd of the raw eliminants is the
+        # product of the irreducible factors common to all of them, the
+        # same as the gcd of their squarefree parts
+        # the tangent developable of the twisted cubic (t, t^2, t^3)
+        twisted = 4 * (X**2 - Y) * (Y**2 - X * Z) - (X * Y - Z) ** 2
+        rng = random.Random(20261019)
+        quartics = [tangent_quartic]
+        while len(quartics) < 4:
+            # an affine image x -> M x + b, M unimodular
+            rows = [[int(i == j) for j in range(3)] for i in range(3)]
+            for _ in range(3):
+                i, j = rng.sample(range(3), 2)
+                rows[i] = [a + rng.choice((-1, 1)) * b for a, b in zip(rows[i], rows[j])]
+            image = {v: sum((X, Y, Z)[j] * rows[i][j] for j in range(3)) + rng.randint(-2, 2) for i, v in enumerate("xyz")}
+            quartics.append(twisted.subs_poly(image))
+        nontrivial = 0
+        for F in quartics:
+            F = squarefree_part(F)
+            base = [p for p in [F.derivative(v) for v in "xyz"] + [F] if not p.is_zero()]
+            eliminants = set()
+            for elim in "xyz":
+                positive = [p for p in base if p.degree_in(elim) > 0]
+                raw = [p for p in base if p.degree_in(elim) == 0]
+                raw += [r for p, q in itertools.combinations(positive, 2) if not (r := resultant(p, q, elim)).is_zero()]
+                if not raw:
+                    continue
+                once = squarefree_part(gcd_many(raw))
+                assert once == squarefree_part(gcd_many([squarefree_part(r) for r in raw]))
+                nontrivial += not once.is_constant()
+                eliminants.add(once)
+            systems = singular_locus_curve(F)
+            assert systems and {g for _, g in systems} <= eliminants
+        assert nontrivial >= len(quartics)
 
 
 class TestClassification:

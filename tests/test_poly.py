@@ -236,39 +236,63 @@ class TestGcd:
             assert gcd_multi(c1, c2).is_constant()
 
     def test_unlucky_first_point_retries_interpolation(self, monkeypatch):
-        # w = s, and at s = 0 the image gcd has degree 2 in t; that point
-        # alone fills the bound, its interpolation fails the trial division
-        # and the second round, below degree 2, gives t - 1
-        rounds = []
-        interp = poly_module._interp_newton
-        monkeypatch.setattr(poly_module, "_interp_newton", lambda *a: rounds.append(a) or interp(*a))
-        p = P("8*s*t - 4*t^2 - 8*s + 8*t - 4", ("s", "t"))
-        q = P("(t-1)^4", ("s", "t"))
-        assert gcd_multi(p, q) == T - 1
-        assert len(rounds) == 2
+        # 4(s-1)(2t-s+1) and (s-1)^4: t is interpolated, and at t = 0 the
+        # image gcd is (s-1)^2; that point alone fills the bound, its
+        # interpolation fails the division test mod p, and t = 1 gives s - 1
+        tests = []
+        quotient = poly_module._quotient
 
-    def test_probe_that_cannot_decide(self):
-        # lc_y(p) = x - c vanishes at the probe point, so the probe says
-        # nothing and the complete route proves the gcd
-        c = poly_module._probe_value(0)  # x is first of the sorted (x, y)
-        p = (X - c) * Y**2 + X
-        q = Y**2 + X * Y + 1
-        assert not poly_module._certified_coprime(p, q, ["x", "y"])
-        assert gcd_multi(p, q) == 1
+        def record(rem, divisor, p=0):
+            if p:
+                tests.append(p)
+            return quotient(rem, divisor, p)
+
+        monkeypatch.setattr(poly_module, "_quotient", record)
+        p = P("8*t*s - 4*s^2 - 8*t + 8*s - 4", ("s", "t"))
+        assert gcd_multi(p, P("(s-1)^4", ("s", "t"))) == P("s - 1", ("s",))
+        # the division test mod p fails once, for (s-1)^2, then passes twice
+        assert len(tests) == 3
+        assert exact_div(p, P("(s-1)^2", ("s",))) is None
+        # with s and t swapped, t - 1 is the content in the interpolated t
+        p = P("8*s*t - 4*t^2 - 8*s + 8*t - 4", ("s", "t"))
+        assert gcd_multi(p, P("(t-1)^4", ("s", "t"))) == T - 1
+
+    def test_unlucky_prime_is_skipped(self):
+        # the two agree modulo the first prime, so its image is x + 1,
+        # which fails the trial division over Z; the next prime proves 1
+        p0 = poly_module._modulus(0)
+        assert gcd_multi(X + 1, X + 1 + p0) == 1
+        assert gcd_multi((X + 1) * (X * Y - 2), (X + 1 + p0) * (X * Y - 2)) == X * Y - 2
+        # a prime dividing a leading coefficient is passed over
+        assert gcd_multi(p0 * X + 1, (p0 * X + 1) * (X - 1)) == p0 * X + 1
+        # y is interpolated, and lc_x(p) = y - c vanishes at the evaluation
+        # point y = c: with the first q so does gamma, and the point is
+        # skipped; with the second only the image of p drops its degree
         g = X * Y - 2
-        assert gcd_multi(g * p, g * q) == g
+        for c in range(3):
+            p = (Y - c) * X**2 + X + Y
+            for q in ((Y - c) * X**2 + 1, X**2 + Y):
+                assert gcd_multi(p, q) == 1
+                assert gcd_multi(g * p, g * q) == g
+
+    def test_moduli_are_the_primes_below_2_61(self):
+        sympy = pytest.importorskip("sympy")
+        moduli = [poly_module._modulus(i) for i in range(12)]
+        assert moduli[0] == 2**61 - 1
+        for m, nxt in zip(moduli, moduli[1:]):
+            assert sympy.isprime(m) and sympy.prevprime(m) == nxt
 
     def test_gcd_independent_of_call_history(self, monkeypatch):
-        # the probe point and the evaluation points are fixed: the same
-        # gcds make the same univariate gcd calls whatever ran before
+        # the moduli and the evaluation points are fixed: the same gcds
+        # compute the same images mod p whatever ran before
         calls = []
-        univar = poly_module._gcd_univar
+        pgcd = poly_module._pgcd
 
-        def record(p, q, var):
-            calls.append((p, q, var))
-            return univar(p, q, var)
+        def record(a, b, p):
+            calls.append((a, b, p))
+            return pgcd(a, b, p)
 
-        monkeypatch.setattr(poly_module, "_gcd_univar", record)
+        monkeypatch.setattr(poly_module, "_pgcd", record)
         rng = random.Random(12)
         pairs = []
         for _ in range(12):
@@ -280,10 +304,35 @@ class TestGcd:
             return [gcd_multi(p, q) for p, q in pairs], list(calls)
 
         first = run()
+        assert first[1]
         for p, q in pairs[:4]:
             gcd_multi(p * (X + 3), q * Y)
+            gcd_multi(X + 1, X + 1 + poly_module._modulus(0))
             rational_roots((T - 2) ** 2 * (T**2 + 1), "t")
         assert run() == first
+
+    def test_sympy_oracle_multi_prime(self):
+        # gcds whose coefficients exceed 2^61: one modulus cannot hold them,
+        # so the images of two or more primes are combined
+        sympy = pytest.importorskip("sympy")
+        names = ("x", "y", "z")
+        gens = sympy.symbols(names)
+        rng = random.Random(20261019)
+
+        def factor(bits):
+            terms = {}
+            for _ in range(rng.randint(2, 4)):
+                terms[tuple(rng.randint(0, 2) for _ in names)] = rng.choice((-1, 1)) * rng.getrandbits(bits)
+            return MultiPoly(names, terms)
+
+        for _ in range(12):
+            g, a, b = factor(90), factor(4), factor(4)
+            if g.is_constant() or g.content_unit() != 1:
+                continue
+            mine = gcd_multi(g * a, g * b)
+            assert max(abs(c) for c in mine.terms.values()) > 2**61
+            expected = sympy.gcd(*(sympy.Poly(sympy.sympify(f.to_text().replace("^", "**")), *gens) for f in (g * a, g * b)))
+            assert sympy.Poly(sympy.sympify(mine.to_text().replace("^", "**")), *gens).monic() == expected.monic()
 
     def test_sympy_oracle(self):
         sympy = pytest.importorskip("sympy")
