@@ -29,6 +29,7 @@ from .errors import DevsurfError
 from .exprs import ParseError, parse_map, parse_poly, print_map, print_poly, print_ratfunc
 from .implicit import NOT_DEVELOPABLE, analyze_implicit
 from .parametric import analyze_parametric
+from .poly import decimal
 from .ratfunc import substitute_map
 
 EXIT_OK = 0
@@ -49,8 +50,8 @@ def _read_source(value: str) -> str:
 def _classification_dict(cls) -> dict:
     return {
         "tag": cls.tag,
-        "apex": [str(a) for a in cls.apex] if cls.apex is not None else None,
-        "direction": [str(d) for d in cls.direction] if cls.direction is not None else None,
+        "apex": [decimal(a) for a in cls.apex] if cls.apex is not None else None,
+        "direction": [decimal(d) for d in cls.direction] if cls.direction is not None else None,
         "edge_system": [print_poly(p) for p in cls.edge_system] if cls.edge_system else None,
         "note": cls.note,
     }

@@ -26,6 +26,7 @@ from .linalg import nullspace
 from .poly import (
     MultiPoly,
     Q,
+    decimal,
     exact_div,
     gcd_many,
     gcd_multi,
@@ -342,7 +343,7 @@ def _legendre(a: int, b: int, c: int) -> tuple[Optional[bool], str]:
     for v in (a, b, c):
         f = _factor(abs(v))
         if f is None:
-            return None, f"{abs(v)} could not be factored within the bounds"
+            return None, f"{decimal(abs(v))} could not be factored within the bounds"
         primes.append({p for p, e in f.items() if e % 2})
     # squarefree parts made pairwise coprime: p | a, b turns a, b, c into
     # a/p, b/p, c*p (multiply by p, scale x, y by p), p^2 | c*p drops out
@@ -358,7 +359,7 @@ def _legendre(a: int, b: int, c: int) -> tuple[Optional[bool], str]:
         other = -coef[(i + 1) % 3] * coef[(i + 2) % 3]
         for p in sorted(primes[i]):
             if p != 2 and pow(other % p, (p - 1) // 2, p) != 1:
-                return False, f"{other} is not a square modulo {p} (Legendre's theorem)"
+                return False, f"{decimal(other)} is not a square modulo {p} (Legendre's theorem)"
     return True, ""
 
 

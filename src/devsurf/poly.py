@@ -22,11 +22,14 @@ results that are canonical by construction skip re-canonicalization
 through the trusted constructor ``MultiPoly._make``.
 
 Besides the arithmetic operators, the module provides the elimination
-toolkit used by the analyzers: formal derivatives, 3x3 and 4x4
-determinants (integer rows, exponent vectors packed into one int key,
-each minor of the trailing rows computed once), Sylvester resultants
-(fraction-free Bareiss elimination), multivariate gcd, squarefree
-parts, exact division, and linear subresultants.
+toolkit used by the analyzers: formal derivatives, determinants,
+Sylvester resultants, multivariate gcd, squarefree parts, exact
+division, and linear subresultants.  Determinants run on integer rows
+with each exponent vector packed into one int key: 3x3 and 4x4 ones by
+Laplace expansion, Sylvester matrices by fraction-free Bareiss
+elimination, whose radix is 2S + 1 (S bounds a minor's exponents, and
+each step multiplies two minors) and whose exact divisions by the
+previous pivot raise ArithmeticError on a remainder.
 
 The gcd is Brown's dense modular algorithm on plain Python integers:
 images modulo fixed primes below 2^61, each computed by evaluation and
@@ -63,6 +66,21 @@ def var_sort_key(name: str) -> tuple[int, str]:
 
 def canonical_vars(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(set(names), key=var_sort_key))
+
+
+def decimal(c) -> str:
+    """Decimal text of an int or a rational ("n" or "n/d"), of any size: an
+    int past the interpreter's limit on int-to-str conversion is split by a
+    power of ten into halves, so no process-wide limit needs lifting."""
+    try:
+        return str(c)
+    except ValueError:
+        n, d = c.numerator, c.denominator
+        if d != 1:
+            return f"{decimal(n)}/{decimal(d)}"
+        k = n.bit_length() * 3 // 20  # about half of n's digits
+        high, low = divmod(abs(n), 10**k)
+        return ("-" if n < 0 else "") + decimal(high) + decimal(low).zfill(k)
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -189,7 +207,7 @@ class MultiPoly:
             coeff = self.terms[exps]
             n, d = coeff.numerator, coeff.denominator
             factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(self.vars, exps) if e)
-            mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
+            mag = decimal(abs(n)) if d == 1 else f"{decimal(abs(n))}/{decimal(d)}"
             if not factors:
                 body = mag
             elif mag == "1":
@@ -386,12 +404,6 @@ class MultiPoly:
             buckets.setdefault(k, {})[key] = coeff
         return {k: MultiPoly._make(rest, t) for k, t in buckets.items()}
 
-    def lead_coeff_in(self, var: str) -> "MultiPoly":
-        coeffs = self.coeffs_in(var)
-        if not coeffs:
-            return MultiPoly.zero()
-        return coeffs[max(coeffs)]
-
     # -- normalization -------------------------------------------------------
 
     def content_unit(self) -> Q:
@@ -459,10 +471,6 @@ def _reindex(terms, old_vars, new_vars):
     return out
 
 
-def poly_from_var_power(var: str, k: int, coeff=1) -> MultiPoly:
-    return MultiPoly((var,), {(k,): Q(coeff)})
-
-
 # ---------------------------------------------------------------------------
 # kernel operations
 # ---------------------------------------------------------------------------
@@ -473,41 +481,66 @@ def partial_derivative(p: MultiPoly, var: str) -> MultiPoly:
     return p.derivative(var)
 
 
-def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a square grid of polynomials on Python integers.
+def _add_product(acc: dict, a: Mapping[int, int], b: Mapping[int, int], sign: int) -> None:
+    """acc += sign * a * b on term dicts with packed keys."""
+    get = acc.get
+    for ka, ca in a.items():
+        ca *= sign
+        for kb, cb in b.items():
+            key = ka + kb
+            acc[key] = get(key, 0) + ca * cb
 
-    Each row is scaled by the lcm of its entries' denominators, so every
-    entry has integer coefficients, and the determinant is divided by the
-    product of those scales once, at the end.  An exponent vector is packed
-    into one int with a radix per variable of one more than the sum over
-    rows of the row's largest exponent: every term of every minor takes one
-    entry per row, so no exponent reaches its radix and a product of terms
-    is a sum of keys.  The minors of the trailing rows are computed once
-    per column subset, bottom-up."""
-    n = len(rows)
+
+def _unpack(key: int, radix: Sequence[int]) -> tuple[int, ...]:
+    exps = []
+    for base in radix:
+        key, e = divmod(key, base)
+        exps.append(e)
+    return tuple(exps)
+
+
+def _pack_grid(rows: Sequence[Sequence[MultiPoly]], spread: int):
+    """A square grid as integer term dicts with packed keys: (packed rows,
+    radix, decoder).  Each row is scaled by the lcm of its entries'
+    denominators; the decoder divides by the product of those scales.  An
+    exponent vector packs into one int with a radix per variable of
+    spread * S + 1, S the sum over rows of the row's largest exponent of
+    that variable, so a product of terms is a sum of keys while no
+    exponent exceeds spread * S."""
     variables = canonical_vars(v for row in rows for p in row for v in p.vars)
     slot = {v: i for i, v in enumerate(variables)}
-    radix = [1] * len(variables)
+    top = [0] * len(variables)
     for row in rows:
         row_top = [0] * len(variables)
         for p in row:
             for v, col in zip(p.vars, zip(*p.terms)):
                 row_top[slot[v]] = max(row_top[slot[v]], *col)
-        radix = list(map(add, radix, row_top))
+        top = list(map(add, top, row_top))
+    radix = [spread * s + 1 for s in top]
     place = list(itertools.accumulate(radix, mul, initial=1))
     scale = 1
     packed = []
     for row in rows:
         den = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
         scale *= den
-        packed_row = []
-        for p in row:
-            weights = [place[slot[v]] for v in p.vars]
-            packed_row.append(
-                {sum(map(mul, weights, e)): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-            )
-        packed.append(packed_row)
+        weights = [[place[slot[v]] for v in p.vars] for p in row]
+        packed.append([
+            {sum(map(mul, w, e)): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+            for p, w in zip(row, weights)
+        ])
 
+    def decode(acc: Mapping[int, int], sign: int = 1) -> MultiPoly:
+        return MultiPoly._make(variables, {_unpack(key, radix): Q(sign * c, scale) for key, c in acc.items()})
+
+    return packed, radix, decode
+
+
+def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Determinant by Laplace expansion on the integer rows of ``_pack_grid``
+    (spread 1: a minor's term takes one entry per row, so no exponent
+    exceeds S); the minors of the trailing rows are computed once each."""
+    n = len(rows)
+    packed, _, decode = _pack_grid(rows, 1)
     # minors[cols]: the minor of the trailing rows on the sorted columns cols
     minors = {(j,): packed[n - 1][j] for j in range(n)}
     for r in range(n - 2, -1, -1):
@@ -515,26 +548,11 @@ def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
         upper = {}
         for cols in itertools.combinations(range(n), n - r):
             acc: dict[int, int] = {}
-            get = acc.get
             for k, j in enumerate(cols):
-                sign = -1 if k & 1 else 1
-                b = minors[cols[:k] + cols[k + 1 :]]
-                for ka, ca in row[j].items():
-                    ca *= sign
-                    for kb, cb in b.items():
-                        key = ka + kb
-                        acc[key] = get(key, 0) + ca * cb
+                _add_product(acc, row[j], minors[cols[:k] + cols[k + 1 :]], -1 if k & 1 else 1)
             upper[cols] = {key: c for key, c in acc.items() if c}
         minors = upper
-
-    terms = {}
-    for key, c in minors[tuple(range(n))].items():
-        exps = []
-        for base in radix:
-            key, e = divmod(key, base)
-            exps.append(e)
-        terms[tuple(exps)] = Q(c, scale)
-    return MultiPoly._make(variables, terms)
+    return decode(minors[tuple(range(n))])
 
 
 def det3(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -553,55 +571,62 @@ def det4(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 
 def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:
-    """Determinant of a square polynomial matrix by fraction-free elimination."""
+    """Determinant of a square polynomial grid by fraction-free elimination
+    (Bareiss, Math. Comp. 22, 1968) on the integer rows of ``_pack_grid``.
+
+    After step k every entry of the trailing rows is a (k+1)x(k+1) minor of
+    the integer grid: it has integer coefficients and no exponent above S.
+    Each product in the numerator m[k][k]*m[i][j] - m[i][k]*m[k][j] takes
+    two such minors, with exponents up to 2S, so the radix is 2S + 1
+    (spread 2); with S + 1 its keys would carry into the next variable.
+    The exact division by the previous pivot takes two steps: by the
+    pivot's signed content (a constant pivot divides by itself, sign
+    included), then by the primitive part through ``_quotient`` on
+    unpacked exponent tuples.  A remainder in either step raises
+    ArithmeticError."""
     n = len(rows)
     if n == 0:
         return MultiPoly.const(1)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = MultiPoly.const(1)
+    m, radix, decode = _pack_grid(rows, 2)
+    place = list(itertools.accumulate(radix, mul, initial=1))
+    sign, content, prim = 1, 1, None
     for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = None
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    pivot_row = i
-                    break
-            if pivot_row is None:
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
                 return MultiPoly.zero()
-            m[k], m[pivot_row] = m[pivot_row], m[k]
+            m[k], m[swap] = m[swap], m[k]
             sign = -sign
-        for i in range(k + 1, n):
+        top = m[k]
+        for row in m[k + 1 :]:
             for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                q = exact_div(num, prev)
-                if q is None:
+                acc: dict[int, int] = {}
+                _add_product(acc, top[k], row[j], 1)
+                _add_product(acc, row[k], top[j], -1)
+                out = {key: c // content for key, c in acc.items() if c}
+                if any(c % content for c in acc.values()):
+                    out = None
+                elif prim is not None and out:
+                    out = _quotient({_unpack(key, radix): c for key, c in out.items()}, prim)
+                if out is None:
                     raise ArithmeticError("fraction-free elimination lost exactness")
-                m[i][j] = q
-            m[i][k] = MultiPoly.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
+                row[j] = out if prim is None else {sum(map(mul, place, e)): c for e, c in out.items()}
+        content = math.gcd(*top[k].values()) * (1 if next(iter(top[k].values())) > 0 else -1)
+        prim = None if list(top[k]) == [0] else {_unpack(key, radix): c // content for key, c in top[k].items()}
+    return decode(m[n - 1][n - 1], sign)
 
 
-def sylvester_matrix(p: MultiPoly, q: MultiPoly, var: str) -> list[list[MultiPoly]]:
-    m = p.degree_in(var)
-    n = q.degree_in(var)
-    pc = p.coeffs_in(var)
-    qc = q.coeffs_in(var)
-    size = m + n
+def sylvester_matrix(p: MultiPoly, q: MultiPoly, var: str, k: int = 0) -> list[list[MultiPoly]]:
+    """The k-th subresultant matrix of p and q in var: n - k shifted rows of
+    p's coefficients over m - k of q's, m + n - k columns (m, n the degrees
+    in var); k = 0 gives the Sylvester matrix."""
+    m, n = p.degree_in(var), q.degree_in(var)
     zero = MultiPoly.zero()
     rows = []
-    for shift in range(n):
-        row = [zero] * size
-        for k in range(m + 1):
-            row[shift + k] = pc.get(m - k, zero)
-        rows.append(row)
-    for shift in range(m):
-        row = [zero] * size
-        for k in range(n + 1):
-            row[shift + k] = qc.get(n - k, zero)
-        rows.append(row)
+    for f, d, count in ((p, m, n - k), (q, n, m - k)):
+        c = f.coeffs_in(var)
+        band = [c.get(d - i, zero) for i in range(d + 1)]
+        rows += [[zero] * shift + band + [zero] * (m + n - k - d - 1 - shift) for shift in range(count)]
     return rows
 
 
@@ -704,16 +729,6 @@ def divides(p: MultiPoly, q: MultiPoly) -> tuple[bool, Optional[MultiPoly]]:
 
 
 # -- gcd machinery -----------------------------------------------------------
-
-
-def _int_coeff_list(p: MultiPoly, var: str) -> list[int]:
-    """Dense integer coefficient list (ascending), content removed; p is
-    univariate in var."""
-    _, ints = _primitive_ints(p.terms)
-    dense = [0] * (p.degree_in(var) + 1)
-    for (k,), n in ints.items():
-        dense[k] = n
-    return dense
 
 
 def _strip_monomial(terms: dict) -> tuple[tuple[int, ...], dict]:
@@ -1011,26 +1026,9 @@ def subresultant_linear(p: MultiPoly, q: MultiPoly, var: str) -> Optional[tuple[
     if n == 1:
         qc = q.coeffs_in(var)
         return qc.get(1, MultiPoly.zero()), qc.get(0, MultiPoly.zero())
-    pc = p.coeffs_in(var)
-    qc = q.coeffs_in(var)
-    zero = MultiPoly.zero()
-    ncols = m + n - 1
-    rows = []
-    for shift in range(n - 1):
-        row = [zero] * ncols
-        for k in range(m + 1):
-            row[shift + k] = pc.get(m - k, zero)
-        rows.append(row)
-    for shift in range(m - 1):
-        row = [zero] * ncols
-        for k in range(n + 1):
-            row[shift + k] = qc.get(n - k, zero)
-        rows.append(row)
+    rows = sylvester_matrix(p, q, var, 1)
     r = len(rows)  # = ncols - 1
-    base = [row[: r - 1] for row in rows]
-    a = det_bareiss([base[i] + [rows[i][r - 1]] for i in range(r)])
-    b = det_bareiss([base[i] + [rows[i][r]] for i in range(r)])
-    return a, b
+    return tuple(det_bareiss([row[: r - 1] + [row[c]] for row in rows]) for c in (r - 1, r))
 
 
 # -- univariate helpers ------------------------------------------------------
@@ -1103,7 +1101,9 @@ def rational_roots(p: MultiPoly, var: str) -> list[Q]:
         return []
     if p.vars != (var,):
         raise ValueError("rational_roots expects univariate input")
-    f = _int_coeff_list(p, var)
+    f = [0] * (p.degree_in(var) + 1)  # dense, ascending, content removed
+    for (k,), n in _primitive_ints(p.terms)[1].items():
+        f[k] = n
     roots = [Q(0)] if f[0] == 0 else []
     f = f[next(k for k, c in enumerate(f) if c) :]
     if len(f) == 1:

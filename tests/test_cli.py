@@ -7,11 +7,15 @@ import io
 import json
 import os
 import pickle
+import re
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from devsurf.cli import main
+from devsurf.poly import decimal
 
 import cases
 
@@ -38,6 +42,31 @@ class TestExitCodes:
         code, out = run_cli(["implicit", cases.SPHERE_F])
         assert code == 3
         assert json.loads(out)["classification"]["tag"] == "NotDevelopable"
+
+    def test_numbers_past_the_int_to_str_limit(self):
+        # c has 4,817 digits, past the interpreter's default limit of 4,300
+        # on int-to-str conversion; the report prints it, in-process, without
+        # lifting that limit for the process
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        c = 2**16000
+        code, out = run_cli(["implicit", "x^2+y^2-" + "*".join([str(2**4000)] * 4) + "*z^2"])
+        assert code == 0 and json.loads(out)["exit_code"] == 0
+        assert max(map(len, re.findall(r"\d+", out))) > 4300
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+        def read(text):  # int() of at most 1,000 digits at a time
+            sign, digits = (-1, text[1:]) if text[0] == "-" else (1, text)
+            n = 0
+            for i in range(0, len(digits), 1000):
+                n = n * 10 ** len(digits[i : i + 1000]) + int(digits[i : i + 1000])
+            return sign * n
+
+        for n in (0, 7, -10**2000, c, -(3**20000) + 1, 10**6020 - 1):
+            text = decimal(n)
+            assert read(text) == n
+            assert text == "0" or text.lstrip("-")[0] != "0"  # no leading zero
+        num, den = decimal(Fraction(c + 1, 3**7000)).split("/")
+        assert (read(num), read(den)) == (c + 1, 3**7000)
 
     def test_syntax_error(self):
         code, out = run_cli(["implicit", "x^2 +"])

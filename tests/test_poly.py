@@ -1,6 +1,8 @@
 """Kernel arithmetic: exactness of derivatives, determinants, resultants,
 gcds, squarefree parts and division, checked against independent oracles."""
 
+import contextlib
+import io
 import random
 
 import pytest
@@ -22,6 +24,7 @@ from devsurf.poly import (
     squarefree_part,
     subresultant_linear,
 )
+from devsurf.cli import main as cli_main
 from devsurf.exprs import parse_poly
 from devsurf.implicit import gaussian_form_implicit
 from devsurf.linalg import common_direction, common_point
@@ -78,14 +81,43 @@ class TestDeterminants:
         rows = [hess[i] + [grad[i]] for i in range(3)] + [grad + [MultiPoly.zero()]]
         assert det4(rows) == expected
 
-    def test_bareiss_equals_permutation_oracle_randomized(self):
+    @staticmethod
+    def bareiss_grids():
         rng = random.Random(77)
         for _ in range(30):
             n = rng.choice((3, 4))
-            rows = [
+            yield [
                 [random_small_multipoly(rng, ("x", "y"), 1, density=0.8, lo=-3, hi=3) for _ in range(n)]
                 for _ in range(n)
             ]
+        # sparse 5x5 and 6x6 grids, rational coefficients in 2-3 variables
+        rng = random.Random(79)
+        zero = MultiPoly.zero()
+        for n in (5, 5, 5, 5, 6, 6, 6):
+            names = rng.choice((("x", "y"), ("x", "y", "z"), ("y", "s", "t")))
+            yield [
+                [
+                    random_small_multipoly(rng, names, 2, density=0.4) * Q(rng.randint(-5, 5) or 1, rng.choice((1, 2, 3, 7)))
+                    if rng.random() < 0.5
+                    else zero
+                    for _ in range(n)
+                ]
+                for _ in range(n)
+            ]
+        one = MultiPoly.const(1)
+        # the pivot cases: a negative constant first pivot; a zero first
+        # pivot and a pivot that vanishes after one step, each needing a row
+        # swap (a sign flip); an all-zero column; nonconstant pivots whose
+        # content is 2 and -3
+        yield [[MultiPoly.const(-2), X, Y], [X, one, Y + 1], [Y, X - 1, MultiPoly.const(3)]]
+        yield [[zero, X, one], [Y, one, X], [one, Y, MultiPoly.const(2)]]
+        yield [[one, one, X, Y], [one, one, Y, X], [X, 2 * one, one, Y], [Y, X, X + Y, one]]
+        yield [[X, zero, Y], [one, zero, 2 * one], [Y, zero, X]]
+        yield [[2 * X + 4, Y, one, X], [X, 3 * one, Y, one], [one, X, 2 * one, Y], [Y, one, X, X * Y]]
+        yield [[-3 * X * Y - 6, Y, one], [X, 3 * Y - 1, Y], [Q(1, 2) * X, X, 2 * one]]
+
+    def test_bareiss_equals_permutation_oracle_randomized(self):
+        for rows in self.bareiss_grids():
             assert det_bareiss([list(r) for r in rows]) == perm_det(rows)
 
     def test_det4_equals_permutation_oracle_randomized(self):
@@ -100,12 +132,15 @@ class TestDeterminants:
 
 
 def _det(rows):
-    return det3(rows) if len(rows) == 3 else det4(rows)
+    got = det3(rows) if len(rows) == 3 else det4(rows)
+    assert det_bareiss([list(r) for r in rows]) == got
+    return got
 
 
 class TestDeterminantKernel:
-    """det3 and det4 scale rows to integers and pack exponents into one int
-    key; each case here stresses one of those steps against perm_det."""
+    """det3, det4 and det_bareiss scale rows to integers and pack exponents
+    into one int key; each case here stresses one of those steps against
+    perm_det."""
 
     @pytest.mark.parametrize("n", (3, 4))
     def test_rows_with_different_denominators(self, n):
@@ -197,6 +232,48 @@ class TestResultant:
     def test_both_constant_in_var_rejected(self):
         with pytest.raises(ValueError):
             resultant(Y + 1, Y**2, "x")
+
+    def test_sympy_oracle(self, monkeypatch):
+        # seeded trivariate pairs whose Sylvester matrices have 8-12 rows,
+        # then every resultant the analysis of the degree-10 cone map takes
+        # (the first one 20x20)
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(1)
+
+        def univariate(d):
+            # degree d in x, nonzero constant term, coefficients in y and z
+            p = MultiPoly.zero()
+            for k in range(d + 1):
+                if k in (0, d) or rng.random() < 0.6:
+                    c = {
+                        (rng.randint(0, 1), rng.randint(0, 1)): Q(rng.choice((-7, -3, -1, 1, 2, 5)), rng.choice((1, 2, 3)))
+                        for _ in range(rng.randint(1, 3))
+                    }
+                    p = p + MultiPoly(("y", "z"), c) * X**k
+            return p
+
+        pairs = []
+        for size in (8, 9, 10, 11, 12):
+            m = rng.randint(2, size - 2)
+            pairs.append((univariate(m), univariate(size - m), "x"))
+        calls = []
+
+        def recording(p, q, var):
+            calls.append((p, q, var))
+            return resultant(p, q, var)
+
+        for module in ("implicit", "curves", "parametric", "builder"):
+            monkeypatch.setattr(f"devsurf.{module}.resultant", recording)
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main(["parametric", "(s*(t^10+2*t^2+1), s*(t^8-3*t^4+2), s*(t^6+t^2+5))"])
+        assert max(p.degree_in(v) + q.degree_in(v) for p, q, v in calls) == 20
+        for p, q, var in pairs + calls:
+            sp, sq, got = (sympy.sympify(f.to_text().replace("^", "**")) for f in (p, q, resultant(p, q, var)))
+            # sympy agrees when the first argument has the higher degree; for
+            # deg p < deg q its resultant(p, q) is Res(q, p) = (-1)^(mn) Res(p, q)
+            m, n, v = p.degree_in(var), q.degree_in(var), sympy.Symbol(var)
+            expected = sympy.resultant(sp, sq, v) if m >= n else (-1) ** (m * n) * sympy.resultant(sq, sp, v)
+            assert sympy.expand(got - expected) == 0
 
 
 class TestGcd:
