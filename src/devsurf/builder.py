@@ -210,8 +210,24 @@ def implicitize_ruled(p: ParamResult) -> MultiPoly:
 
 
 def verify_on_surface(p: ParamResult, F: MultiPoly) -> bool:
-    """Exact substitution check: P(s, t) satisfies F identically."""
-    return substitute_map_is_zero(F, p.full_map())
+    """Exact substitution check: P(s, t) = p0(t) + s*p1(t) satisfies F
+    identically.  For a cone (p0 = a constant), Euler's identity
+    sum (x_i - a_i)*F_i == deg F * F makes F(a + x) homogeneous, so
+    F(P) = s^deg F * F(a + p1(t)); for a cylinder (p1 = v constant),
+    v.grad F == 0 gives F(P) = F(p0(t)).  Either is then certified in t
+    alone, and fails when its identity fails; any other map is certified
+    on the two-parameter grid."""
+    if not (p.p0.is_constant() or p.p1.is_constant()):
+        return substitute_map_is_zero(F, p.full_map())
+    grads = [F.derivative(n) for n in COORDS]
+    if p.p0.is_constant():
+        a = [c.constant_value() for c in p.p0.components]
+        identity = sum(((MultiPoly.var(n) - ai) * g for n, ai, g in zip(COORDS, a, grads)), F * -F.total_degree())
+        curve = [ai + c for ai, c in zip(a, p.p1.components)]
+    else:
+        identity = dot3([c.constant_value() for c in p.p1.components], grads)
+        curve = p.p0.components
+    return identity.is_zero() and substitute_map_is_zero(F, RationalMap3(curve, ("t",)))
 
 
 # ---------------------------------------------------------------------------

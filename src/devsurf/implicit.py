@@ -327,13 +327,11 @@ def analyze_implicit(
                         result = build_conical(cls.apex, curve3)
                     else:
                         result = build_cylindrical(cls.direction, curve3)
-                    if not verify_on_surface(result, Fs):
-                        last = "section rebuild failed exact verification"
-                        continue
                     if refine:
-                        reduced = reduce_directrix(result)
-                        if verify_on_surface(reduced, Fs):
-                            result = reduced
+                        result = reduce_directrix(result)
+                    if not verify_on_surface(result, Fs):
+                        # the section, the apex and the direction are all certified
+                        raise ArithmeticError(f"rebuild from the section by {plane.to_text()} = 0 is off the surface")
                     out.parametrization = result.with_verification(
                         "substitution into the defining polynomial reduced to zero"
                     )
@@ -373,13 +371,12 @@ def analyze_implicit(
                     last = "candidate edge does not lie on the surface"
                     continue
                 result = build_tangential(edge)
+                if refine:
+                    # s -> s + q(t): certified together with the unreduced map
+                    result = reduce_directrix(result)
                 if not verify_on_surface(result, Fs):
                     last = "tangent surface of the candidate edge failed verification"
                     continue
-                if refine:
-                    reduced = reduce_directrix(result)
-                    if verify_on_surface(reduced, Fs):
-                        result = reduced
                 out.parametrization = result.with_verification(
                     "substitution into the defining polynomial reduced to zero"
                 )

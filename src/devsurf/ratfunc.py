@@ -402,14 +402,16 @@ def _int_binding(rf: RatFunc, params: tuple[str, ...]) -> tuple[list, list]:
     return out[0], out[1]
 
 
-def _eval_int(terms: list, point: tuple[int, ...]) -> int:
-    total = 0
+def _row(terms: list, lead: tuple[int, ...]) -> list[int]:
+    """Coefficients in the last parameter, highest first, at lead."""
+    top = max((e[-1] for e, _ in terms), default=0)
+    row = [0] * (top + 1)
     for exps, n in terms:
-        for x, e in zip(point, exps):
+        for x, e in zip(lead, exps):
             if e:
                 n *= x**e
-        total += n
-    return total
+        row[top - exps[-1]] += n
+    return row
 
 
 def compose_is_zero(p: MultiPoly, bindings: Mapping[str, RatFunc], params: Sequence[str]) -> bool:
@@ -423,8 +425,11 @@ def compose_is_zero(p: MultiPoly, bindings: Mapping[str, RatFunc], params: Seque
     in Python ints: p is scaled to integer coefficients over one
     denominator, and each binding's numerator and denominator by one
     common integer L_n, which leaves the binding unchanged and multiplies
-    N by the nonzero integer den_p * prod_n L_n^cap_n.  There is no
-    sampling uncertainty.
+    N by the nonzero integer den_p * prod_n L_n^cap_n.  The grid is walked
+    row by row: each binding is restricted once per value of the first
+    parameter (once in all for one parameter) to a dense coefficient list
+    in the last one, which is then evaluated along the row by Horner's
+    rule.  There is no sampling uncertainty.
     """
     for v in p.vars:
         if v not in bindings:
@@ -449,22 +454,28 @@ def compose_is_zero(p: MultiPoly, bindings: Mapping[str, RatFunc], params: Seque
         ))
     _, coeffs = _int_terms(p.terms)
     terms = list(coeffs.items())
-    for point in itertools.product(*(range(b + 1) for b in bounds)):
-        pows = []
-        for (num, den), cap in zip(pairs, caps):
-            nv, dv = _eval_int(num, point), _eval_int(den, point)
-            npow, dpow = [1], [1]
-            for _ in range(cap):
-                npow.append(npow[-1] * nv)
-                dpow.append(dpow[-1] * dv)
-            pows.append((npow, dpow))
-        acc = 0
-        for exps, c in terms:
-            for (npow, dpow), e, cap in zip(pows, exps, caps):
-                c *= npow[e] * dpow[cap - e]
-            acc += c
-        if acc:
-            return False
+    for lead in itertools.product(*(range(b + 1) for b in bounds[:-1])):
+        rows = [(_row(num, lead), _row(den, lead)) for num, den in pairs]
+        for x in range(bounds[-1] + 1):
+            pows = []
+            for (num, den), cap in zip(rows, caps):
+                nv = dv = 0
+                for c in num:
+                    nv = nv * x + c
+                for c in den:
+                    dv = dv * x + c
+                npow, dpow = [1], [1]
+                for _ in range(cap):
+                    npow.append(npow[-1] * nv)
+                    dpow.append(dpow[-1] * dv)
+                pows.append((npow, dpow))
+            acc = 0
+            for exps, c in terms:
+                for (npow, dpow), e, cap in zip(pows, exps, caps):
+                    c *= npow[e] * dpow[cap - e]
+                acc += c
+            if acc:
+                return False
     return True
 
 

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from devsurf.poly import MultiPoly, Q, squarefree_part
-from devsurf.ratfunc import RatFunc, RationalMap3, cross3
+from devsurf.ratfunc import RatFunc, RationalMap3, cross3, substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.errors import DevsurfError
 from devsurf.builder import (
@@ -23,6 +23,31 @@ import cases
 
 X, Y, Z, T = (MultiPoly.var(v) for v in "xyzt")
 CIRCLE_Z1 = "( (1-t^2)/(1+t^2), 2*t/(1+t^2), 1 )"
+EQUATOR = "( (1-t^2)/(1+t^2), 2*t/(1+t^2), 0 )"
+# a homogeneous form G(x, y, z) and a curve (X, Y, W)(t) with G(X, Y, W) == 0:
+# two rational conics, a cuspidal and a nodal cubic
+PLANE_CURVES = [
+    ("x*z - y^2", ("1", "t", "t^2")),
+    ("x^2 + y^2 - z^2", ("1 - t^2", "2*t", "1 + t^2")),
+    ("y^2*z - x^3", ("t^2", "t^3", "1")),
+    ("y^2*z - x^2*(x + z)", ("t^2 - 1", "t^3 - t", "1")),
+]
+
+
+def _matmul(A, B):
+    return [[sum(A[i][k] * B[k][j] for k in range(3)) for j in range(3)] for i in range(3)]
+
+
+def _unimodular(rng):
+    """A seeded integer matrix L*U of determinant 1 and its inverse."""
+    a, b, c, d, e, f = (rng.randint(-2, 2) for _ in range(6))
+    L, L_inv = [[1, 0, 0], [a, 1, 0], [b, c, 1]], [[1, 0, 0], [-a, 1, 0], [a * c - b, -c, 1]]
+    U, U_inv = [[1, d, e], [0, 1, f], [0, 0, 1]], [[1, -d, d * f - e], [0, 1, -f], [0, 0, 1]]
+    return _matmul(L, U), _matmul(U_inv, L_inv)
+
+
+def _curve(nums, den):
+    return RationalMap3([RatFunc(n, den) for n in nums], ("t",))
 
 
 class TestBuildConical:
@@ -173,6 +198,63 @@ class TestVerify:
     def test_mismatch_detected(self, sphere):
         cone = build_conical((0, 0, 0), parse_map(CIRCLE_Z1, params=("t",)))
         assert not verify_on_surface(cone, sphere)
+
+    def test_cone_needs_homogeneity_about_its_apex(self, sphere):
+        # the equator lies on the sphere, so F(directrix) == 0, but the cone
+        # from (0, 0, 2) over it does not: Euler's identity must fail it
+        equator = parse_map(EQUATOR, params=("t",))
+        cone = build_conical((0, 0, 2), equator)
+        assert substitute_map_is_zero(sphere, equator)
+        assert not verify_on_surface(cone, sphere)
+
+    def test_cylinder_needs_its_direction_in_the_kernel(self, sphere):
+        # F(directrix) == 0 again, but v.grad F = 2z is not zero
+        cyl = build_cylindrical((0, 0, 1), parse_map(EQUATOR, params=("t",)))
+        assert substitute_map_is_zero(sphere, cyl.p0)
+        assert not verify_on_surface(cyl, sphere)
+
+    @pytest.mark.parametrize("seed", [3, 17, 2024])
+    @pytest.mark.parametrize("form, curve", PLANE_CURVES, ids=["conic", "circle", "cuspidal", "nodal"])
+    def test_one_parameter_agrees_with_two_parameter_grid(self, seed, form, curve):
+        rng = random.Random(seed)
+        M, M_inv = _unimodular(rng)
+        assert _matmul(M, M_inv) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        a = [Q(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)]
+        G = parse_poly(form, ("x", "y", "z"))
+        X_, Y_, W_ = (parse_poly(c, ("t",)) for c in curve)
+        w = [sum((M_inv[i][j] * (v - aj) for j, (v, aj) in enumerate(zip((X, Y, Z), a))), MultiPoly.zero())
+             for i in range(3)]
+        e1 = [M[i][0] for i in range(3)]
+
+        # the cone with apex a over the model curve scaled by a seeded h(t)
+        F = G.subs_poly(dict(zip("xyz", w)))
+        h = T**2 + rng.randint(1, 3) if rng.random() < 0.5 else MultiPoly.const(1)
+        model = (X_, Y_, W_)
+        D = _curve([a[i] * h + sum(M[i][j] * model[j] for j in range(3)) for i in range(3)], h)
+        off = _curve([(a[i] + e1[i]) * h + sum(M[i][j] * model[j] for j in range(3)) for i in range(3)], h)
+        apex = RationalMap3.constant(a, ("t",))
+        wrong = RationalMap3.constant([ai + ei for ai, ei in zip(a, e1)], ("t",))
+        cones = [
+            (ParamResult(apex, D.sub(apex), "Conical"), True),
+            (ParamResult(wrong, D.sub(wrong), "Conical"), False),  # a wrong apex
+            (ParamResult(apex, off.sub(apex), "Conical"), False),  # a directrix off the surface
+        ]
+
+        # the cylinder along v = M e3 over the model curve in w3 = 0
+        F_cyl = G.subs_poly({"z": MultiPoly.const(1)}).subs_poly({"x": w[0], "y": w[1]})
+        v = RationalMap3.constant([M[i][2] for i in range(3)], ("t",))
+        D = _curve([a[i] * W_ + M[i][0] * X_ + M[i][1] * Y_ for i in range(3)], W_)
+        off = _curve([(a[i] + e1[i]) * W_ + M[i][0] * X_ + M[i][1] * Y_ for i in range(3)], W_)
+        tilted = RationalMap3.constant([M[i][2] + M[i][0] for i in range(3)], ("t",))
+        cylinders = [
+            (ParamResult(D, v, "Cylindrical"), True),
+            (ParamResult(D, tilted, "Cylindrical"), False),  # a wrong direction
+            (ParamResult(off, v, "Cylindrical"), False),  # a directrix off the surface
+        ]
+        for surface, maps in ((F, cones), (F_cyl, cylinders)):
+            for p, expected in maps:
+                assert substitute_map_is_zero(surface, p.full_map()) is expected
+                assert verify_on_surface(p, surface) is expected
 
 
 class TestReduceDirectrix:

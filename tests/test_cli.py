@@ -155,6 +155,36 @@ class TestExitCodes:
         assert code == 5
         assert json.loads(out)["error"].startswith("internal error: ArithmeticError")
 
+    def test_failed_section_rebuild_is_internal_error(self, monkeypatch):
+        # the section and the apex are both certified, so a cone that fails
+        # its surface certificate is a fault, not a reason to try another plane
+        monkeypatch.setattr("devsurf.implicit.verify_on_surface", lambda *args: False)
+        code, out = run_cli(["implicit", cases.ELLIPTIC_CONE_F])
+        assert code == 5
+        assert json.loads(out)["error"].startswith("internal error: ArithmeticError")
+        src = Path(__file__).resolve().parent.parent / "src" / "devsurf"
+        assert not any("section rebuild failed exact verification" in f.read_text() for f in src.glob("*.py"))
+
+    def test_unbounded_cylinder_certified_once_in_one_parameter(self, monkeypatch):
+        # (x+y+z+1)^8 + x is a cylinder along (0, 1, -1); its certificate
+        # runs in t alone, once
+        import devsurf.ratfunc
+
+        real = devsurf.ratfunc.compose_is_zero
+        params_seen = []
+
+        def spy(p, bindings, params):
+            params_seen.append(tuple(params))
+            return real(p, bindings, params)
+
+        monkeypatch.setattr(devsurf.ratfunc, "compose_is_zero", spy)
+        code, out = run_cli(["implicit", "(x+y+z+1)^8+x"])
+        report = json.loads(out)
+        assert code == 0 and report["parametrization"]["verified"] is True
+        d = [Fraction(c) for c in report["classification"]["direction"]]
+        assert d[0] == 0 and d[1] == -d[2] != 0
+        assert params_seen == [("t",)]
+
 
 class TestVerifyCommand:
     def test_matching_pair(self):

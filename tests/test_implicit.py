@@ -272,6 +272,23 @@ class TestFullAnalysis:
         assert "not a square modulo 3" in a.failure
 
 
+class TestOneCertificate:
+    @pytest.mark.parametrize("surface", ["elliptic_cone", "quartic_cylinder", "tangent_quartic"])
+    def test_verify_on_surface_runs_once_per_result(self, monkeypatch, request, surface):
+        import devsurf.implicit
+
+        calls = []
+
+        def spy(p, F):
+            calls.append(p.kind)
+            return verify_on_surface(p, F)
+
+        monkeypatch.setattr(devsurf.implicit, "verify_on_surface", spy)
+        a = analyze_implicit(request.getfixturevalue(surface))
+        assert a.parametrization is not None and a.parametrization.verified
+        assert calls == [a.parametrization.kind]
+
+
 class TestSectionSweep:
     """Sections are computed one at a time, in degree order, and a section
     with no rational parametrization ends the sweep when it certifies that

@@ -7,7 +7,12 @@ Usage (from the repository root)::
 For each seed (default 20260811, 4242 and 1) and each workload of
 perfbench/gen.py, every input is given to ``devsurf.cli.main``
 in-process, and one line is printed per input: the workload, the case
-name and the JSON report with ``timings_ms`` removed.  When two commits
+name and the JSON report with ``timings_ms`` removed.  After the seeded
+workloads, the reports of a few fixed inputs that no workload holds are
+printed once, under the workload name ``extra``: the tangent surface
+``TANGENT_DEV_MAP`` of tests/cases.py (the two-parameter certificate of
+a parametric input) and the cylinder (x+y+z+1)^8 + x (a large
+one-parameter certificate).  When two commits
 print the same text, they agree on every exit code, classification,
 apex, direction, printed K, parametrization, implicit equation and
 failure text of the benchmark inputs.  perfbench/gen.py is imported as
@@ -23,13 +28,18 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
+import cases  # noqa: E402
 import devsurf.cli  # noqa: E402
 import gen  # noqa: E402
 
 WORKLOADS = ("implicit-roundtrip", "parametric-roundtrip", "reject", "unsupported")
 DEFAULT_SEEDS = (20260811, 4242, 1)
+EXTRA = (
+    ("TANGENT_DEV_MAP", ["parametric", cases.TANGENT_DEV_MAP]),
+    ("(x+y+z+1)^8+x", ["implicit", "(x+y+z+1)^8+x"]),
+)
 
 
 def report_lines(argv: list[str]) -> list[str]:
@@ -53,6 +63,10 @@ def main(argv=None) -> int:
             for case in gen.workload(name, seed):
                 for line in report_lines(case.argv()):
                     print(f"{name}\t{case.name}\t{line}", flush=True)
+    print("# extra")
+    for case_name, case_argv in EXTRA:
+        for line in report_lines(case_argv):
+            print(f"extra\t{case_name}\t{line}", flush=True)
     return 0
 
 
