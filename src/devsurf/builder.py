@@ -245,9 +245,12 @@ def _map_degree(m: RationalMap3) -> int:
 def reduce_directrix(p: ParamResult) -> ParamResult:
     """Slide the directrix along the rulings, p0 -> p0 + q(t)*p1, choosing
     q by polynomial division to shrink component degrees.  The surface is
-    unchanged; only the base curve moves."""
+    unchanged; only the base curve moves.  A cone's p0 is its apex, of
+    degree 0, which no candidate can undercut, so it returns p at once."""
     best = p.p0
     best_deg = _map_degree(p.p0)
+    if best_deg == 0:
+        return p
     changed = True
     while changed:
         changed = False

@@ -20,7 +20,7 @@ from .linalg import common_direction, common_point
 from .poly import (
     MultiPoly,
     Q,
-    det4,
+    bordered_hessian,
     divides,
     gcd_many,
     resultant,
@@ -66,23 +66,18 @@ class SurfaceClass:
 
 def gaussian_form_implicit(F: MultiPoly) -> MultiPoly:
     """Bordered-Hessian determinant K(x, y, z) of F; K = 0 on the surface
-    characterizes developability."""
+    characterizes developability.  ``bordered_hessian`` forms it on F's
+    packed integer primitive part and scales it by the content to the
+    fourth power."""
     if F.is_constant():
         raise ValueError("surface polynomial is constant")
-    grad = [F.derivative(v) for v in COORDS]
-    hess = [[F.derivative(a).derivative(b) for b in COORDS] for a in COORDS]
-    rows = [
-        hess[0] + [grad[0]],
-        hess[1] + [grad[1]],
-        hess[2] + [grad[2]],
-        grad + [MultiPoly.zero()],
-    ]
-    return det4(rows)
+    return bordered_hessian(F, COORDS)
 
 
 def vanishes_on_surface(K: MultiPoly, F: MultiPoly) -> bool:
     """True when K vanishes identically on V(F): the squarefree part of F
-    divides K."""
+    divides K.  ``divides`` first refutes on a univariate image modulo
+    2^61 - 1, so a "no" usually costs no exact division."""
     if F.is_constant():
         raise ValueError("surface polynomial is constant")
     if K.is_zero():

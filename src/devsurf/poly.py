@@ -29,7 +29,8 @@ with each exponent vector packed into one int key: 3x3 and 4x4 ones by
 Laplace expansion, Sylvester matrices by fraction-free Bareiss
 elimination, whose radix is 2S + 1 (S bounds a minor's exponents, and
 each step multiplies two minors) and whose exact divisions by the
-previous pivot raise ArithmeticError on a remainder.
+previous pivot raise ArithmeticError on a remainder; the bordered Hessian
+differentiates on packed keys and shares the Laplace expansion.
 
 The gcd is Brown's dense modular algorithm on plain Python integers:
 images modulo fixed primes below 2^61, each computed by evaluation and
@@ -48,7 +49,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add, mul, neg, sub
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 try:  # optional extra: gmpy2's mpq is a drop-in exact rational
     from gmpy2 import mpq as Q
@@ -491,12 +492,19 @@ def _add_product(acc: dict, a: Mapping[int, int], b: Mapping[int, int], sign: in
             acc[key] = get(key, 0) + ca * cb
 
 
-def _unpack(key: int, radix: Sequence[int]) -> tuple[int, ...]:
-    exps = []
+def _unpack_all(keys: Collection[int], radix: Sequence[int]) -> list[tuple[int, ...]]:
+    """The exponent tuples of packed keys, in order, one pass per variable."""
+    cols = []
+    place = 1
     for base in radix:
-        key, e = divmod(key, base)
-        exps.append(e)
-    return tuple(exps)
+        cols.append([key // place % base for key in keys])
+        place *= base
+    return list(zip(*cols)) if cols else [()] * len(keys)
+
+
+def _decode(variables: tuple[str, ...], radix: Sequence[int], acc: Mapping[int, int], num: int, den: int) -> MultiPoly:
+    """num/den times the integer term dict acc with packed keys."""
+    return MultiPoly._make(variables, dict(zip(_unpack_all(acc, radix), [Q(c * num, den) for c in acc.values()])))
 
 
 def _pack_grid(rows: Sequence[Sequence[MultiPoly]], spread: int):
@@ -530,17 +538,16 @@ def _pack_grid(rows: Sequence[Sequence[MultiPoly]], spread: int):
         ])
 
     def decode(acc: Mapping[int, int], sign: int = 1) -> MultiPoly:
-        return MultiPoly._make(variables, {_unpack(key, radix): Q(sign * c, scale) for key, c in acc.items()})
+        return _decode(variables, radix, acc, sign, scale)
 
     return packed, radix, decode
 
 
-def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant by Laplace expansion on the integer rows of ``_pack_grid``
-    (spread 1: a minor's term takes one entry per row, so no exponent
-    exceeds S); the minors of the trailing rows are computed once each."""
-    n = len(rows)
-    packed, _, decode = _pack_grid(rows, 1)
+def _laplace(packed: Sequence[Sequence[Mapping[int, int]]]) -> dict[int, int]:
+    """Determinant of a square grid of integer term dicts whose packed keys
+    add without carries, by Laplace expansion along the top row; each minor
+    of the trailing rows is computed once, and zeros are skipped."""
+    n = len(packed)
     # minors[cols]: the minor of the trailing rows on the sorted columns cols
     minors = {(j,): packed[n - 1][j] for j in range(n)}
     for r in range(n - 2, -1, -1):
@@ -549,10 +556,50 @@ def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
         for cols in itertools.combinations(range(n), n - r):
             acc: dict[int, int] = {}
             for k, j in enumerate(cols):
-                _add_product(acc, row[j], minors[cols[:k] + cols[k + 1 :]], -1 if k & 1 else 1)
+                minor = minors[cols[:k] + cols[k + 1 :]]
+                if row[j] and minor:
+                    _add_product(acc, row[j], minor, -1 if k & 1 else 1)
             upper[cols] = {key: c for key, c in acc.items() if c}
         minors = upper
-    return decode(minors[tuple(range(n))])
+    return minors[tuple(range(n))]
+
+
+def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
+    """Determinant by ``_laplace`` on the integer rows of ``_pack_grid``
+    (spread 1: a minor's term takes one entry per row, so no exponent
+    exceeds S)."""
+    packed, _, decode = _pack_grid(rows, 1)
+    return decode(_laplace(packed))
+
+
+def bordered_hessian(F: MultiPoly, coords: Sequence[str]) -> MultiPoly:
+    """det [[H, g], [g^T, 0]] for the gradient g and the Hessian H of F in
+    the n coordinates coords.  F = c * G with G integer primitive; every
+    entry is linear in F, so the determinant is c^(n+1) times G's.  G packs
+    with a radix of (n+1) * deg_v G + 1 per variable v (a minor's term takes
+    at most n + 1 entries), and d/dv maps key to key - place_v, times e_v;
+    H is symmetric, so each second derivative is taken once."""
+    n = len(coords)
+    content, ints = _primitive_ints(F.terms)
+    radix = [(n + 1) * max(col) + 1 for col in zip(*ints)]
+    place = list(itertools.accumulate(radix, mul, initial=1))
+    slots = [F.vars.index(v) if v in F.vars else None for v in coords]
+
+    def diff(terms: dict[int, int], i: Optional[int]) -> dict[int, int]:
+        if i is None:
+            return {}
+        step, base = place[i], radix[i]
+        return {key - step: c * e for key, c in terms.items() if (e := key // step % base)}
+
+    packed = {sum(map(mul, place, e)): c for e, c in ints.items()}
+    grad = [diff(packed, i) for i in slots]
+    hess = [[{}] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            hess[a][b] = hess[b][a] = diff(grad[a], slots[b])
+    scale = content ** (n + 1)
+    rows = [hess[a] + [grad[a]] for a in range(n)] + [grad + [{}]]
+    return _decode(F.vars, radix, _laplace(rows), scale.numerator, scale.denominator)
 
 
 def det3(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -607,12 +654,12 @@ def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:
                 if any(c % content for c in acc.values()):
                     out = None
                 elif prim is not None and out:
-                    out = _quotient({_unpack(key, radix): c for key, c in out.items()}, prim)
+                    out = _quotient(dict(zip(_unpack_all(out, radix), out.values())), prim)
                 if out is None:
                     raise ArithmeticError("fraction-free elimination lost exactness")
                 row[j] = out if prim is None else {sum(map(mul, place, e)): c for e, c in out.items()}
         content = math.gcd(*top[k].values()) * (1 if next(iter(top[k].values())) > 0 else -1)
-        prim = None if list(top[k]) == [0] else {_unpack(key, radix): c // content for key, c in top[k].items()}
+        prim = None if list(top[k]) == [0] else dict(zip(_unpack_all(top[k], radix), [c // content for c in top[k].values()]))
     return decode(m[n - 1][n - 1], sign)
 
 
@@ -723,9 +770,44 @@ def _quotient(rem: dict, divisor: Mapping[tuple[int, ...], int], p: int = 0) -> 
 
 
 def divides(p: MultiPoly, q: MultiPoly) -> tuple[bool, Optional[MultiPoly]]:
-    """True (with the quotient h, q = p*h) when p divides q exactly."""
+    """True (with the quotient h, q = p*h) when p divides q exactly.  A "no"
+    is first sought on a univariate image (``_image_refutes``); ``exact_div``
+    decides every "yes" and every case the image leaves open."""
+    if _image_refutes(p, q):
+        return False, None
     h = exact_div(q, p)
     return (h is not None), h
+
+
+def _image_refutes(p: MultiPoly, q: MultiPoly) -> bool:
+    """True when the images of p and q in Z_P[v], P = 2^61 - 1, leave a
+    nonzero remainder, which proves that p does not divide q over Q.
+
+    v is p's variable of highest degree; the i-th other variable of the
+    joint tuple (from 0) is set to 2i + 3.  Each side is mapped through its
+    integer numerators p', q' over a common denominator (a unit).  If
+    q = p*h, Gauss's lemma gives q' = p' * h' * c, h' integer and c rational
+    with a denominator dividing p's content; when p's image is nonzero, P
+    divides no coefficient of p', so c reduces mod P and the ring map keeps
+    the divisibility.  A zero image of p or a zero remainder proves nothing."""
+    if not p.vars or q.is_zero():
+        return False
+    k_var = max(p.vars, key=p.degree_in)
+    vars_, pt, qt = p._aligned(q)
+    k = vars_.index(k_var)
+    P = _modulus(0)
+    images = []
+    for terms in (pt, qt):
+        ints = _int_terms(terms)[1]
+        image = [0] * (1 + max(e[k] for e in ints))
+        for e, c in ints.items():
+            for i, x in enumerate(e):
+                if x and i != k:
+                    c *= (2 * i + 3) ** x
+            image[e[k]] += c
+        images.append(_trim([c % P for c in image]))
+    a, b = images
+    return bool(a) and bool(_divmod_mod(b, a, P)[1])
 
 
 # -- gcd machinery -----------------------------------------------------------

@@ -263,6 +263,24 @@ class TestReduceDirectrix:
         reduced = reduce_directrix(cone)
         assert reduced.p0 == cone.p0 and not reduced.refined
 
+    def test_cone_returned_without_division(self, monkeypatch):
+        # a cone's p0 is its apex, of degree 0 already: no ratio is formed
+        divisions = []
+        truediv = RatFunc.__truediv__
+
+        def spy(self, other):
+            divisions.append(other)
+            return truediv(self, other)
+
+        cone = build_conical((1, -2, Q(1, 3)), parse_map(CIRCLE_Z1, params=("t",)))
+        cylinder = build_cylindrical((0, 1, 1), parse_map("( t, t^2, 0 )", params=("t",)))
+        monkeypatch.setattr(RatFunc, "__truediv__", spy)
+        assert reduce_directrix(cone) is cone
+        assert divisions == []
+        # a cylinder still forms its ratios, so the spy does see divisions
+        reduce_directrix(cylinder)
+        assert divisions
+
     def test_adversarial_degrees_drop_back(self):
         rng = random.Random(4)
         base = parse_map("( t, t^2, 1 )", params=("t",))

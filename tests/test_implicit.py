@@ -19,6 +19,7 @@ from devsurf.implicit import (
     vanishes_on_surface,
 )
 from devsurf.builder import build_tangential, verify_on_surface
+from devsurf import poly as poly_module
 
 from conftest import bordered_hessian_oracle
 import cases
@@ -49,6 +50,29 @@ class TestVanishesOnSurface:
 
     def test_zero_vanishes(self, elliptic_cone):
         assert vanishes_on_surface(MultiPoly.zero(), elliptic_cone)
+
+    @pytest.mark.parametrize(
+        "text, exact",
+        [
+            (cases.SPHERE_F, False),
+            ("x^3 + 2*x^2*y - y^3 + 3*x*y*z - 2*z^3 + x*z^2 - y^2 + 4*x - z + 1", False),
+            (cases.ELLIPTIC_CONE_F, True),
+        ],
+    )
+    def test_no_is_refuted_without_exact_division(self, monkeypatch, text, exact):
+        # a non-developable surface's "F does not divide K" is read off the
+        # modular image; only a developable one reaches the exact quotient
+        calls = []
+        quotient = poly_module._quotient
+
+        def spy(rem, divisor, p=0):
+            calls.append(p)
+            return quotient(rem, divisor, p)
+
+        monkeypatch.setattr(poly_module, "_quotient", spy)
+        verdict, _, _ = classify_implicit(parse_poly(text, ("x", "y", "z")))
+        assert (verdict.tag == "NotDevelopable") is not exact
+        assert bool(calls) is exact
 
     def test_vanishes_modulo_square(self):
         F = (X + Y) ** 2 * (X - Z)

@@ -3,6 +3,7 @@ gcds, squarefree parts and division, checked against independent oracles."""
 
 import contextlib
 import io
+import itertools
 import random
 
 import pytest
@@ -202,6 +203,53 @@ class TestDeterminantKernel:
     def test_bordered_hessian_of_non_primitive_fraction_polynomial(self, sphere):
         F = sphere * Q(1, 3) + Q(2, 7)
         assert gaussian_form_implicit(F) == bordered_hessian_oracle(F)
+
+
+class TestBorderedHessian:
+    """gaussian_form_implicit differentiates F's packed integer primitive
+    part, mirrors the six second derivatives into H and scales K by the
+    content to the fourth power; each case compares it with the
+    permutation formula of bordered_hessian_oracle."""
+
+    @staticmethod
+    def surfaces():
+        rng = random.Random(1717)
+        for deg in range(1, 6):
+            # free of no coordinate, of y, and of two coordinates
+            for names in (("x", "y", "z"), ("x", "z"), ("y",)):
+                F = random_small_multipoly(rng, names, deg, density=0.5)
+                # non-primitive, fractional and negative scalings
+                yield F * Q(rng.choice((1, 6, -4, 25)), rng.choice((1, 3, 14)))
+        # cylinders along an axis
+        for text in ("x^2 + y^2 - 1", "y^3 - x^2", "z^2 - 2*z + 5", "x*y - 1"):
+            yield P(text, ("x", "y", "z"))
+
+    def test_equals_permutation_oracle_randomized(self):
+        count = 0
+        for F in self.surfaces():
+            if F.is_constant():
+                continue
+            assert gaussian_form_implicit(F) == bordered_hessian_oracle(F), F
+            count += 1
+        assert count >= 16
+
+    def test_dense_surfaces_of_each_degree(self):
+        # every monomial of degree <= d in x, y, z, with the content 6/5
+        for d in range(2, 5):
+            F = MultiPoly(
+                ("x", "y", "z"),
+                {e: Q(6 * (1 + sum(e) + 2 * e[1]), 5) for e in itertools.product(range(d + 1), repeat=3) if sum(e) <= d},
+            )
+            assert gaussian_form_implicit(F) == bordered_hessian_oracle(F)
+
+    def test_content_enters_to_the_fourth_power(self, sphere):
+        K = gaussian_form_implicit(sphere)
+        assert gaussian_form_implicit(sphere * Q(-6, 5)) == K * Q(6, 5) ** 4
+
+    def test_plane_has_zero_form(self):
+        plane = 2 * X - 3 * Y + Z * Q(1, 5) - 7
+        assert bordered_hessian_oracle(plane).is_zero()
+        assert gaussian_form_implicit(plane).is_zero()
 
 
 class TestResultant:
@@ -481,6 +529,51 @@ class TestDivision:
         assert exact_div(3 * X**2 + X, 2 * X + 1) is None
         assert exact_div(6 * X**2 + 3 * X, 2 * X + 1) == 3 * X
         assert exact_div(3 * X**2 + X, 2 * X + 1 - Y) is None
+
+    def test_differential_against_exact_div(self):
+        # p*h must divide with quotient h; p*h + r, r nonzero and of lower
+        # degree than p, must not
+        rng = random.Random(4711)
+        refuted = 0
+        for _ in range(80):
+            names = rng.choice((("x", "y", "z"), ("x", "y"), ("y", "t")))
+            p = random_small_multipoly(rng, names, rng.randint(1, 3)) * Q(rng.randint(1, 5), rng.choice((1, 2, 9)))
+            h = random_small_multipoly(rng, rng.choice((names, ("x", "t"))), rng.randint(0, 2))
+            q = p * h
+            assert divides(p, q) == (True, exact_div(q, p))
+            assert exact_div(q, p) == h
+            if p.is_constant():
+                continue
+            r = random_small_multipoly(rng, names, p.total_degree() - 1) * Q(1, rng.randint(1, 4))
+            assert exact_div(q + r, p) is None
+            assert divides(p, q + r) == (False, None)
+            refuted += poly_module._image_refutes(p, q + r)
+        assert refuted >= 40
+
+    def test_image_vanishing_at_the_evaluation_point(self):
+        # the i-th variable of the joint tuple, other than p's main one, is
+        # set to 2i + 3: y (i = 1) to 5 and z (i = 2) to 7 here
+        pairs = [
+            ((Y - 5) * (X**2 + 1), X + Y),  # p's image is zero
+            ((Y - 5) * X**2 + X + 1, X - Y),  # p's image drops in degree
+            ((Z - 7) * (X**2 + 1), Y + 1),  # y comes from q alone
+            ((2**61 - 1) * X * Y, X + 2),  # P divides p's content
+            ((2**61 - 1) * X + (2**62 - 2) * Y, X - Y + 1),
+        ]
+        for p, h in pairs:
+            q = p * h
+            assert not poly_module._image_refutes(p, q)
+            ok, quo = divides(p, q)
+            assert ok and quo == h
+            assert divides(p, q + 1) == (False, None)
+        # a zero image of p, where an exact remainder exists
+        assert divides((Y - 5) * (X**2 + 1), (X**2 + 1) * (Y - 4)) == (False, None)
+
+    def test_degenerate_arguments(self):
+        assert divides(X + 1, MultiPoly.zero()) == (True, MultiPoly.zero())
+        assert divides(MultiPoly.const(Q(2, 3)), X + 1) == (True, (X + 1) * Q(3, 2))
+        with pytest.raises(ZeroDivisionError):
+            divides(MultiPoly.zero(), X)
 
     def test_division_matches_evaluation_at_random_points(self):
         rng = random.Random(31)

@@ -11,8 +11,11 @@ name and the JSON report with ``timings_ms`` removed.  After the seeded
 workloads, the reports of a few fixed inputs that no workload holds are
 printed once, under the workload name ``extra``: the tangent surface
 ``TANGENT_DEV_MAP`` of tests/cases.py (the two-parameter certificate of
-a parametric input) and the cylinder (x+y+z+1)^8 + x (a large
-one-parameter certificate).  When two commits
+a parametric input), the cylinder (x+y+z+1)^8 + x (a large
+one-parameter certificate), and three inputs whose bordered Hessian
+misses a path of the seeded ones: a non-developable quadric with a
+fractional, non-primitive equation, a cylinder free of z and a plane.
+When two commits
 print the same text, they agree on every exit code, classification,
 apex, direction, printed K, parametrization, implicit equation and
 failure text of the benchmark inputs.  perfbench/gen.py is imported as
@@ -39,6 +42,9 @@ DEFAULT_SEEDS = (20260811, 4242, 1)
 EXTRA = (
     ("TANGENT_DEV_MAP", ["parametric", cases.TANGENT_DEV_MAP]),
     ("(x+y+z+1)^8+x", ["implicit", "(x+y+z+1)^8+x"]),
+    ("fractional quadric", ["implicit", "6/5*x^2 + 12/5*y*z - 18/5*z^2 + 3/5*x - 6/5"]),
+    ("cylinder free of z", ["implicit", "x^2 + 4*y^2 - 1"]),
+    ("plane", ["implicit", "2*x - 3*y + z/5 - 7"]),
 )
 
 
