@@ -12,7 +12,10 @@ Supported families:
   rational simple point).
 
 Every parametrization is validated by exact substitution into the curve
-before it is returned, and its tracing index is computed exactly.
+before it is returned, and its tracing index is computed exactly.  A
+curve of degree d >= 3 outside the families is certified not rational
+when it is proven smooth modulo 2^61 - 1, hence of genus (d-1)(d-2)/2 > 0;
+a curve singular modulo that prime (bad reduction included) gets no claim.
 """
 
 from __future__ import annotations
@@ -26,6 +29,12 @@ from .linalg import nullspace
 from .poly import (
     MultiPoly,
     Q,
+    _divmod_mod,
+    _eval_mod,
+    _gcd_mod,
+    _modulus,
+    _primitive_ints,
+    _trim,
     decimal,
     exact_div,
     gcd_many,
@@ -792,10 +801,109 @@ def _pencil_residual(c, Qt, names, g, gw, point, t):
     return (u_t, w_t)
 
 
+# the projective changes u -> u + a*h, w -> w + b*h that _smooth_genus tries
+_SHIFTS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, -1), (-1, 3))
+
+
+def _res_mod(a: list[int], b: list[int], p: int) -> int:
+    """Resultant mod p of two lists with nonzero leading coefficients, by
+    Euclid: Res(a, b) = (-1)^(mn) lc(b)^(m-r) Res(b, a mod b), m, n and r
+    the degrees of a, b and a mod b."""
+    res = 1
+    while len(b) > 1:
+        r = _divmod_mod(a, b, p)[1]
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = -res
+        res = res * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
+def _interpolate(values: list[int], p: int) -> list[int]:
+    """Trimmed ascending coefficients mod p of the polynomial of degree
+    below len(values) that takes values[x] at x = 0, 1, ... (Newton's form;
+    the product of (t - y) over the nodes y < x is x! at t = x)."""
+    coef: list[int] = []
+    node, fact = [1], 1
+    for x, v in enumerate(values):
+        fact = fact * max(x, 1) % p
+        c = (v - _eval_mod(coef, x, p)) * pow(fact, -1, p) % p
+        coef = [(s + c * t) % p for s, t in zip(coef + [0], node)]
+        node = [(s - x * t) % p for s, t in zip([0] + node, node + [0])]
+    return _trim(coef)
+
+
+def _smooth_genus(c: MultiPoly, names) -> Optional[int]:
+    """Genus (d-1)(d-2)/2 of the plane curve c of degree d >= 3 when its
+    projective closure is proven smooth, else None.  A smooth plane curve
+    is irreducible of that genus, so it has no rational parametrization
+    (Sendra, Winkler & Perez-Diaz, *Rational Algebraic Curves*, 2008, ch. 3).
+
+    The certificate works modulo P = 2^61 - 1 and is one-sided.  Let
+    F(u, w, h) be the homogenized integer primitive form of c.  A singular
+    point of F over the algebraic closure of Q is a common zero of F_u,
+    F_w and F_h (Euler's relation), and it reduces to a common zero of
+    their images mod P: scale its coordinates to be integral at a prime
+    over P, one of them a unit.  So it suffices that the images have no
+    common zero.  After a shift u -> u + a*h, w -> w + b*h from _SHIFTS
+    that keeps the h^(d-1) coefficient of each partial G_u, G_w, G_h
+    nonzero mod P, (0 : 0 : 1) is on no partial, and Res_h of two partials
+    is a form of degree (d-1)^2 in (u, w) vanishing exactly where they
+    share a zero.  At w = 1, R1 = Res_h(G_u, G_w) and R2 = Res_h(G_u, G_h)
+    are interpolated from (d-1)^2 + 1 values, each by Euclid mod P.  When
+    either has degree (d-1)^2, no common zero lies on w = 0, and then a
+    constant gcd(R1, R2) leaves none at w = 1.  A zero resultant, or two of
+    lower degree (both vanish at (1 : 0)), tries the next shift.  A curve
+    whose image mod P is singular gets no claim though it may be smooth
+    over Q (bad reduction: w^2 - u^3 - P*u - P is cuspidal mod P), and
+    neither does any other nonconstant gcd."""
+    P = _modulus(0)
+    u, w = names
+    d = c.total_degree()
+    n = (d - 1) ** 2
+    F = {}  # (i, j) -> coefficient of u^i w^j h^(d-i-j)
+    for e, m in _primitive_ints(c.terms)[1].items():
+        x = dict(zip(c.vars, e))
+        F[x.get(u, 0), x.get(w, 0)] = m
+    for a, b in _SHIFTS:
+        G: dict[tuple[int, int], int] = {}
+        for (i, j), m in F.items():
+            for p in range(i + 1):
+                cu = m * math.comb(i, p) * a ** (i - p)
+                for q in range(j + 1):
+                    G[p, q] = (G.get((p, q), 0) + cu * math.comb(j, q) * b ** (j - q)) % P
+        # G_u, G_w, G_h at w = 1, as rows of u-coefficients by power of h
+        tables = [[[0] * d for _ in range(d)] for _ in range(3)]
+        for (i, j), g in G.items():
+            k = d - i - j
+            if i:
+                tables[0][k][i - 1] += i * g
+            if j:
+                tables[1][k][i] += j * g
+            if k:
+                tables[2][k - 1][i] += k * g
+        if not all(t[d - 1][0] % P for t in tables):
+            continue
+        values: list[list[int]] = [[], []]
+        for x in range(n + 1):
+            gu, gw, gh = ([_eval_mod(row, x, P) for row in t] for t in tables)
+            values[0].append(_res_mod(gu, gw, P))
+            values[1].append(_res_mod(gu, gh, P))
+        R1, R2 = (_interpolate(v, P) for v in values)
+        if not R1 or not R2 or len(R1) <= n and len(R2) <= n:
+            continue
+        return (d - 1) * (d - 2) // 2 if len(_gcd_mod(R1, R2, P)) == 1 else None
+    return None
+
+
 def parametrize_plane_curve(
     curve: PlaneCurve, budget: int = 200, param: Optional[str] = None
 ) -> CurveParam:
-    """Dispatch a plane curve to the supported parametrization families."""
+    """Dispatch a plane curve to the supported parametrization families.
+    When all fail on a curve of degree d >= 3, one proven smooth by
+    `_smooth_genus` raises NotRationalError; any other keeps their error."""
     c = curve.poly
     if c.is_zero() or c.is_constant():
         raise ValueError("not a curve")
@@ -806,13 +914,19 @@ def parametrize_plane_curve(
     if d == 2:
         return parametrize_conic(curve, budget, param)
     try:
-        return parametrize_monomial_like(curve, param)
-    except UnsupportedCurveError as err:
-        if d == 4:
-            return parametrize_quartic_adjoint(curve, budget, param)
-        raise UnsupportedCurveError(
-            f"degree-{d} curve outside the supported families: {err}"
-        ) from err
+        try:
+            return parametrize_monomial_like(curve, param)
+        except UnsupportedCurveError as err:
+            if d == 4:
+                return parametrize_quartic_adjoint(curve, budget, param)
+            raise UnsupportedCurveError(
+                f"degree-{d} curve outside the supported families: {err}"
+            ) from err
+    except (UnsupportedCurveError, PointSearchExhaustedError) as err:
+        genus = _smooth_genus(c, curve.names)
+        if genus is None:
+            raise
+        raise NotRationalError(f"smooth plane curve of degree {d}, genus {genus}") from err
 
 
 # ---------------------------------------------------------------------------

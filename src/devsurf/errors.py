@@ -25,6 +25,7 @@ class PointSearchExhaustedError(DevsurfError):
 
 
 class NotRationalError(DevsurfError):
-    """Provably no parametrization over the rationals exists, for example
-    a conic without a rational point: no real point, or a failed
-    condition of Legendre's theorem."""
+    """Provably no parametrization over the rationals exists: a conic
+    without a rational point (no real point, or a failed condition of
+    Legendre's theorem), or a plane curve of degree d >= 3 proven smooth,
+    hence of genus (d-1)(d-2)/2 > 0."""

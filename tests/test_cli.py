@@ -95,6 +95,30 @@ class TestExitCodes:
         assert code == 2
         assert report["classification"]["tag"] == "DevelopableUnresolved"
 
+    def test_smooth_cubic_cone_stops_at_first_section(self, monkeypatch):
+        # the first section is a smooth cubic: its genus certificate proves
+        # that no other section can be parametrized either
+        import devsurf.implicit
+
+        calls = []
+        original = devsurf.implicit.parametrize_plane_curve
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(devsurf.implicit, "parametrize_plane_curve", spy)
+        code, out = run_cli(["implicit", "x^3+y^3-2*z^3"])
+        report = json.loads(out)
+        assert code == 2 and report["classification"]["tag"] == "Conical"
+        assert report["failure"] == "smooth plane curve of degree 3, genus 1"
+        assert len(calls) == 1
+
+    def test_smooth_section_of_degree_twelve(self):
+        code, out = run_cli(["implicit", "x^12+y^12-z^12"])
+        assert code == 2
+        assert json.loads(out)["failure"] == "smooth plane curve of degree 12, genus 55"
+
     def test_degenerate_curve_image(self):
         code, out = run_cli(["parametric", "(t, t^2, t^3)"])
         assert code == 2

@@ -25,7 +25,7 @@ from devsurf.curves import (
     rational_point_on_curve,
     section_implicit,
 )
-from devsurf.curves import _conic_point_decision, _factor, _is_prime, _legendre
+from devsurf.curves import _conic_point_decision, _factor, _interpolate, _is_prime, _legendre, _res_mod, _smooth_genus
 
 from conftest import map2_with_zero, ternary_form_solvable
 
@@ -144,6 +144,104 @@ class TestQuarticAdjoint:
         monkeypatch.setattr("devsurf.curves._pencil_residual", lambda *args: (RatFunc(T), RatFunc(T)))
         with pytest.raises(ArithmeticError):
             parametrize_quartic_adjoint(PlaneCurve(c, None))
+
+
+class TestSmoothCertificate:
+    """The genus certificate: a plane curve proven smooth modulo
+    P = 2^61 - 1 is smooth over Q, so only smooth curves are certified."""
+
+    U, W = MultiPoly.var("u"), MultiPoly.var("w")
+    P = 2**61 - 1
+
+    @pytest.mark.parametrize(
+        "text, genus",
+        [("u^3+w^3-1", 1), ("u^4+w^4-1", 3), ("u^5+w^5-1", 6), ("u^3/2+w^3/3-1", 1)],
+    )
+    def test_smooth_curves_certified_with_genus(self, text, genus):
+        c = parse_poly(text, ("u", "w"))
+        assert _smooth_genus(c, ("u", "w")) == genus
+        with pytest.raises(NotRationalError, match=f"^smooth plane curve of degree {c.total_degree()}, genus {genus}$"):
+            parametrize_plane_curve(PlaneCurve(c, None))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "w^2-u^3-u^2",  # nodal cubic
+            "w^2-u^3",  # cuspidal cubic
+            "(u^2+w^2)^2+3*u^2*w-w^3",  # trifolium: ordinary triple point
+            "u^4+w^4-u^2*w^2+w^3",  # triple point with one tangent line
+            "u^2*w^2-u^2-w^2",  # trinodal: nodes at 0, (1 : 0 : 0), (0 : 1 : 0)
+        ],
+    )
+    def test_singular_curves_never_certified(self, text):
+        assert _smooth_genus(parse_poly(text, ("u", "w")), ("u", "w")) is None
+
+    def test_singular_point_at_infinity_never_certified(self):
+        # u^2*w^2 + w^4 + h^4 + u*h^3 - w*h^3 is singular at (1 : 0 : 0), on
+        # the line w = 0 of the first shift that keeps every partial's
+        # h^3 coefficient nonzero
+        c = parse_poly("u^2*w^2+w^4+1+u-w", ("u", "w"))
+        assert _smooth_genus(c, ("u", "w")) is None
+
+    def test_bad_reduction_claims_nothing(self):
+        # smooth over Q (the cubic u^3 + P*u + P is squarefree, and the
+        # point at infinity is a flex), but w^2 = u^3 mod P: no claim, and
+        # the families' error comes back unchanged
+        c = self.W**2 - self.U**3 - self.P * self.U - self.P
+        assert _smooth_genus(c, ("u", "w")) is None
+        with pytest.raises(UnsupportedCurveError) as err:
+            parametrize_plane_curve(PlaneCurve(c, None))
+        assert str(err.value) == (
+            "degree-3 curve outside the supported families: no rational (d-1)-fold singular point found"
+        )
+
+    def test_resultant_and_interpolation_mod_p(self):
+        # sparse small coefficients make remainder degrees drop by more than
+        # one, where the sign and the power of lc(b) matter
+        rng = random.Random(4242)
+        for _ in range(200):
+            a, b = ([rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(rng.randint(1, 6))] + [rng.choice((-1, 1, 3))] for _ in range(2))
+            pa, pb = (MultiPoly(("t",), {(k,): cf for k, cf in enumerate(v)}) for v in (a, b))
+            exact = resultant(pa, pb, "t").constant_value()
+            assert _res_mod([cf % self.P for cf in a], [cf % self.P for cf in b], self.P) == exact % self.P
+            values = [sum(cf * x**k for k, cf in enumerate(a)) % self.P for x in range(len(a) + rng.randint(0, 3))]
+            assert _interpolate(values, self.P) == [cf % self.P for cf in a]
+
+    def test_certified_curves_are_smooth_by_groebner_oracle(self):
+        # seeded curves of degree 3 and 4, every third one forced singular at
+        # a rational point; each certified curve must have Jacobian ideal
+        # [1] in all three affine charts of its projective closure
+        import sympy
+
+        u, w, h = sympy.symbols("u w h")
+        rng = random.Random(20260811)
+        certified = 0
+        for k in range(42):
+            d = 3 + k % 2
+            terms = {}
+            for i in range(d + 1):
+                for j in range(d + 1 - i):
+                    if rng.random() < 0.6:
+                        terms[i, j] = Q(rng.randint(-3, 3))
+            terms[d, 0], terms[0, d] = Q(rng.choice((-2, -1, 1, 2))), Q(rng.choice((-2, -1, 1, 2)))
+            if k % 3 == 0:  # no constant or linear term: singular at the origin
+                terms = {e: cf for e, cf in terms.items() if sum(e) >= 2}
+                p1, p2 = rng.randint(-2, 2), rng.randint(-2, 2)
+            c = MultiPoly(("u", "w"), terms)
+            if k % 3 == 0:
+                c = c.subs_poly({"u": self.U - p1, "w": self.W - p2})
+            genus = _smooth_genus(c, ("u", "w"))
+            if genus is None:
+                continue
+            assert k % 3 and genus == (d - 1) * (d - 2) // 2
+            certified += 1
+            F = sympy.expand(sympy.sympify(c.to_text().replace("^", "**")).subs({u: u / h, w: w / h}) * h**d)
+            jac = [F] + [sympy.diff(F, v) for v in (u, w, h)]
+            for chart in (u, w, h):
+                rest = [v for v in (u, w, h) if v != chart]
+                basis = sympy.groebner([sympy.expand(g.subs(chart, 1)) for g in jac], *rest, order="grevlex")
+                assert list(basis.exprs) == [1], (c.to_text(), chart)
+        assert certified >= 15
 
 
 class TestLift:

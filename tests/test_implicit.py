@@ -339,6 +339,16 @@ class TestSectionSweep:
         assert a.parametrization is not None
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("surface", ["elliptic_cone", "quartic_cylinder", "tangent_quartic"])
+    def test_success_paths_never_run_the_genus_certificate(self, monkeypatch, request, surface):
+        import devsurf.curves
+
+        calls = []
+        monkeypatch.setattr(devsurf.curves, "_smooth_genus", lambda *args: calls.append(args))
+        a = analyze_implicit(request.getfixturevalue(surface))
+        assert a.parametrization is not None and a.parametrization.verified
+        assert calls == []
+
     def test_certified_stop_after_one_conic(self, monkeypatch):
         # every section of x^2 + y^2 = 3 z^2 off the apex is a conic without
         # a rational point, and all of them are birational to each other

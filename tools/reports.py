@@ -15,10 +15,12 @@ a parametric input), the cylinder (x+y+z+1)^8 + x (a large
 one-parameter certificate), and three inputs whose bordered Hessian
 misses a path of the seeded ones: a non-developable quadric with a
 fractional, non-primitive equation, a cylinder free of z and a plane.
-When two commits
-print the same text, they agree on every exit code, classification,
-apex, direction, printed K, parametrization, implicit equation and
-failure text of the benchmark inputs.  perfbench/gen.py is imported as
+Then two cones whose sections are proven smooth (a cubic and a quartic),
+and a degree-10 cone map of tracing index 2 whose proper quintic
+projection is singular and outside the plane-curve families.  When two
+commits print the same text, they agree on every exit code,
+classification, apex, direction, printed K, parametrization, implicit
+equation and failure text of the benchmark inputs.  perfbench/gen.py is imported as
 it is, so sympy is needed, as for the benchmark.
 """
 
@@ -45,6 +47,9 @@ EXTRA = (
     ("fractional quadric", ["implicit", "6/5*x^2 + 12/5*y*z - 18/5*z^2 + 3/5*x - 6/5"]),
     ("cylinder free of z", ["implicit", "x^2 + 4*y^2 - 1"]),
     ("plane", ["implicit", "2*x - 3*y + z/5 - 7"]),
+    ("smooth cubic cone", ["implicit", "x^3+y^3-2*z^3"]),
+    ("smooth quartic cone", ["implicit", "x^4+y^4-z^4"]),
+    ("degree-10 index-2 cone map", ["parametric", "(s*(t^10+2*t^2+1), s*(t^8-3*t^4+2), s*(t^6+t^2+5))"]),
 )
 
 
