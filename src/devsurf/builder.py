@@ -32,8 +32,21 @@ class ParamResult:
     refined: bool = False       # after refinement p1 need not be p0' for tangential
 
     def full_map(self) -> RationalMap3:
-        s = RatFunc(MultiPoly.var("s"))
-        comps = [a + s * b for a, b in zip(self.p0.components, self.p1.components)]
+        """P0 + s*P1.  When P0 or P1 is a constant c, each component is
+        (c*d + s*n)/d or (n + s*c*d)/d for the other one's n/d in lowest
+        terms, already reduced: d is free of s, and a factor of d dividing
+        the numerator for every s would divide n."""
+        s = MultiPoly.var("s")
+        pairs = zip(self.p0.components, self.p1.components)
+        if not (self.p0.is_constant() or self.p1.is_constant()):
+            comps = [a + RatFunc(s) * b for a, b in pairs]
+        else:
+            comps = [
+                RatFunc(a.num * b.den + s * b.num, b.den, _reduced=True)
+                if a.is_constant()
+                else RatFunc(a.num + s * b.num * a.den, a.den, _reduced=True)
+                for a, b in pairs
+            ]
         return RationalMap3(comps, ("s", "t"))
 
     def with_verification(self, certificate: str) -> "ParamResult":
@@ -53,46 +66,38 @@ def ruling_triple_product(p0: RationalMap3, p1: RationalMap3) -> RatFunc:
     return dot3(cross3(d0.components, p1.components), d1.components)
 
 
-def _curve_hits_point(curve: RationalMap3, point: Sequence[Q]) -> bool:
-    """Does some parameter value (over the complex numbers) map to point?"""
-    diffs = []
-    all_zero = True
-    for comp, val in zip(curve.components, point):
-        delta = comp - RatFunc(MultiPoly.const(Q(val)))
-        if delta.is_zero():
-            continue
-        all_zero = False
-        diffs.append(delta.num)
-    if all_zero:
-        return True
-    g = gcd_many(diffs)
-    return g.degree_in("t") > 0
-
-
 def build_conical(apex: Sequence, curve: RationalMap3) -> ParamResult:
-    """Cone over a directrix: P(s,t) = (1-s)*apex + s*curve(t)."""
+    """Cone over a directrix: P(s,t) = (1-s)*apex + s*curve(t).
+
+    Both checks run on the homogeneous form curve = X/W.  With n = X - a*W,
+    gcd(n, W) = gcd(X, W) = 1, so the curve meets the apex a exactly at the
+    common roots of n (everywhere when n = 0).  And p1 x curve' =
+    (n x n')/W^2 for p1 = n/W, so the cone degenerates iff n x n' == 0."""
     apex = tuple(Q(a) for a in apex)
-    if _curve_hits_point(curve, apex):
+    *X, W = homogeneous_form(curve)
+    n = [x - a * W for x, a in zip(X, apex)]
+    g = gcd_many(n)
+    if g.is_zero() or g.degree_in("t") > 0:
         raise DevsurfError("directrix passes through the apex")
-    apex_map = _as_constant_map(apex)
-    p1 = curve.sub(apex_map)
-    dcurve = curve.derivative("t")
-    if all(c.is_zero() for c in cross3(p1.components, dcurve.components)):
+    if all(c.is_zero() for c in cross3(n, [c.derivative("t") for c in n])):
         raise DevsurfError("cone degenerates: directrix runs along a single ruling")
-    return ParamResult(p0=apex_map, p1=p1, kind=CONICAL)
+    apex_map = _as_constant_map(apex)
+    return ParamResult(p0=apex_map, p1=curve.sub(apex_map), kind=CONICAL)
 
 
 def build_cylindrical(direction: Sequence, curve: RationalMap3) -> ParamResult:
-    """Cylinder over a directrix: P(s,t) = curve(t) + s*direction."""
+    """Cylinder over a directrix: P(s,t) = curve(t) + s*direction.  With
+    curve = X/W, curve' = (X'W - XW')/W^2, so the cylinder degenerates iff
+    (X'W - XW') x v == 0."""
     dvec = tuple(Q(d) for d in direction)
     if all(d == 0 for d in dvec):
         raise DevsurfError("ruling direction is zero")
-    dmap = _as_constant_map(dvec)
-    dcurve = curve.derivative("t")
-    cr = cross3(dcurve.components, dmap.components)
-    if all(c.is_zero() for c in cr):
+    *X, W = homogeneous_form(curve)
+    dW = W.derivative("t")
+    tangent = [x.derivative("t") * W - x * dW for x in X]
+    if all(c.is_zero() for c in cross3(tangent, dvec)):
         raise DevsurfError("cylinder degenerates: directrix is parallel to the rulings")
-    return ParamResult(p0=curve, p1=dmap, kind=CYLINDRICAL)
+    return ParamResult(p0=curve, p1=_as_constant_map(dvec), kind=CYLINDRICAL)
 
 
 def build_tangential(edge: RationalMap3) -> ParamResult:

@@ -203,7 +203,7 @@ def _conic_matrix(c: MultiPoly, names: tuple[str, str]) -> list[list[Q]]:
         for exps, cf in c.terms.items():
             e = dict(zip(c.vars, exps))
             if e.get(u, 0) == i and e.get(w, 0) == j and sum(e.values()) == i + j:
-                return cf
+                return Q(cf)
         return Q(0)
 
     a, b, cc = coeff(2, 0), coeff(1, 1), coeff(0, 2)
@@ -470,7 +470,7 @@ def parametrize_conic(curve: PlaneCurve, budget: int = 200, param: Optional[str]
     if comps is None:
         # singular rational point: the conic is a pair of lines through it,
         # in the directions where its top form A*u^2 + B*u*w + C*w^2 vanishes
-        top = {dict(zip(c.vars, e)).get(w, 0): cf for e, cf in c.terms.items() if sum(e) == 2}
+        top = {dict(zip(c.vars, e)).get(w, 0): Q(cf) for e, cf in c.terms.items() if sum(e) == 2}
         A, B, C = (top.get(j, Q(0)) for j in range(3))
         if A == 0:
             direction = (Q(1), Q(0))
@@ -652,7 +652,12 @@ def parametrize_monomial_like(curve: PlaneCurve, param: Optional[str] = None) ->
 
 
 def _scheme_eliminant(c, cu, cw, elim_var, keep_var):
-    """Squarefree eliminant of the singular scheme in keep_var."""
+    """Squarefree eliminant of the singular scheme in keep_var; the
+    constant 1 when the scheme has no affine point, None when the
+    elimination decides nothing.  Each resultant lies in the ideal of its
+    pair, so it vanishes at the keep_var-coordinate of every affine
+    singular point: at least two nonzero ones with a constant gcd prove
+    there is none."""
     rs = []
     for a, b in ((cu, cw), (c, cu), (c, cw)):
         if a.degree_in(elim_var) == 0 and b.degree_in(elim_var) == 0:
@@ -666,7 +671,9 @@ def _scheme_eliminant(c, cu, cw, elim_var, keep_var):
     if len(rs) < 2:
         return None
     g = gcd_many(rs)
-    if g.is_constant() or g.degree_in(keep_var) != g.total_degree():
+    if g.is_constant():
+        return MultiPoly.const(1)
+    if g.degree_in(keep_var) != g.total_degree():
         return None
     return squarefree_part(g)
 
@@ -693,6 +700,10 @@ def parametrize_quartic_adjoint(
             continue
         g = _scheme_eliminant(c, cu, cw, w, u)
         gw = _scheme_eliminant(c, cu, cw, u, w)
+        if any(e is not None and e.is_constant() for e in (g, gw)):
+            # a shear u -> u + k*w maps affine singular points one to one,
+            # so no other shear finds any either
+            raise last_err
         if g is None or gw is None or g.total_degree() != 3 or gw.total_degree() != 3:
             continue
 

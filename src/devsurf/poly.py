@@ -5,6 +5,9 @@ rational coefficients, together with the tuple of variable names the
 exponents refer to.  The representation is canonical:
 
 * no zero coefficients are stored,
+* a coefficient is a Python ``int`` exactly when it is integral, and
+  otherwise a reduced ``Q`` (fractions.Fraction, or gmpy2.mpq when the
+  optional gmpy2 extra is installed),
 * the variable tuple is sorted in the fixed global order
   ``x, y, z, s, t, u, v, w`` (further names alphabetically), and
 * variables that do not actually occur are dropped.
@@ -12,14 +15,16 @@ exponents refer to.  The representation is canonical:
 Canonical storage makes structural equality and hashing coincide with
 mathematical equality, which the rest of the package relies on: every
 geometric decision reduces to "is this polynomial identically zero".
-Coefficients are fractions.Fraction, or gmpy2.mpq when the optional
-gmpy2 extra is installed; there is no floating point anywhere in a
-decision path.  Products and exact divisions work on Python integers:
+There is no floating point anywhere in a decision path; the value
+accessors ``constant_value``, ``eval_all`` and ``content_unit`` always
+return a ``Q``, so a caller that divides never meets int / int.
+Products, exact divisions, gcds and evaluations work on Python integers:
 each operand is scaled to integer numerators over one common denominator
-(read through ``.numerator`` and ``.denominator`` only, which both types
-provide), and only the output terms become rationals again.  Internal
-results that are canonical by construction skip re-canonicalization
-through the trusted constructor ``MultiPoly._make``.
+(read through ``.numerator`` and ``.denominator`` only, which int and
+both rational types provide; an all-int operand is used as it is), and
+an output term becomes a rational only when that denominator does not
+divide it.  Internal results that are canonical by construction skip
+re-canonicalization through the trusted constructor ``MultiPoly._make``.
 
 Besides the arithmetic operators, the module provides the elimination
 toolkit used by the analyzers: formal derivatives, determinants,
@@ -88,6 +93,22 @@ def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exps), exps)
 
 
+def _canon(c):
+    """The stored form of an exact coefficient: an ``int`` when it
+    is integral, else the reduced rational itself."""
+    if type(c) is int:
+        return c
+    return int(c.numerator) if c.denominator == 1 else c
+
+
+def _ratio(n: int, d: int):
+    """n/d for ints n and d > 0 in stored form."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Q(n, d) if r else q
+
+
 class MultiPoly:
     """Immutable multivariate polynomial with exact rational coefficients."""
 
@@ -99,7 +120,7 @@ class MultiPoly:
         for exps, coeff in terms.items():
             if isinstance(coeff, float):
                 raise TypeError("coefficients must be exact rationals, not floats")
-            c = coeff if isinstance(coeff, Q) else Q(coeff)
+            c = coeff if type(coeff) is int or isinstance(coeff, Q) else Q(coeff)
             if c == 0:
                 continue
             if len(exps) != nvars:
@@ -107,7 +128,7 @@ class MultiPoly:
             key = tuple(exps)
             prev = cleaned.get(key)
             cleaned[key] = c if prev is None else prev + c
-        cleaned = {e: c for e, c in cleaned.items() if c}
+        cleaned = {e: _canon(c) for e, c in cleaned.items() if c}
 
         # Drop unused variables, then sort the remainder canonically.
         used = [i for i in range(nvars) if any(e[i] for e in cleaned)]
@@ -123,8 +144,8 @@ class MultiPoly:
     @staticmethod
     def _make(variables: tuple[str, ...], terms: dict[tuple[int, ...], Q]) -> "MultiPoly":
         """Trusted constructor for internal results: ``variables`` are in
-        canonical order and every coefficient is already a ``Q``.  Only
-        zero terms and unused variables are dropped."""
+        canonical order and every coefficient is already in stored form.
+        Only zero terms and unused variables are dropped."""
         terms = {e: c for e, c in terms.items() if c}
         used = [i for i, col in enumerate(zip(*terms)) if any(col)]
         if len(used) != len(variables):
@@ -146,11 +167,11 @@ class MultiPoly:
 
     @staticmethod
     def const(value) -> "MultiPoly":
-        return MultiPoly((), {(): Q(value)})
+        return MultiPoly._make((), {(): value if type(value) is int else _canon(Q(value))})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Q(1)})
+        return MultiPoly._make((name,), {(1,): 1})
 
     # -- basic queries -------------------------------------------------
 
@@ -163,7 +184,8 @@ class MultiPoly:
     def constant_value(self) -> Q:
         if self.vars:
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Q(0))
+        c = self.terms.get((), 0)
+        return Q(c) if type(c) is int else c
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -238,7 +260,7 @@ class MultiPoly:
         out = dict(a)
         for e, c in b.items():
             prev = out.get(e)
-            out[e] = c if prev is None else prev + c
+            out[e] = c if prev is None else _canon(prev + c)
         return MultiPoly._make(vars_, out)
 
     __radd__ = __add__
@@ -255,7 +277,7 @@ class MultiPoly:
         out = dict(a)
         for e, c in b.items():
             prev = out.get(e)
-            out[e] = -c if prev is None else prev - c
+            out[e] = -c if prev is None else _canon(prev - c)
         return MultiPoly._make(vars_, out)
 
     def __rsub__(self, other):
@@ -263,10 +285,12 @@ class MultiPoly:
 
     def __mul__(self, other):
         if isinstance(other, _COEFF_TYPES):
-            c = Q(other)
-            if c == 0:
+            if not other:
                 return MultiPoly.zero()
-            return MultiPoly._make(self.vars, {e: co * c for e, co in self.terms.items()})
+            c = _canon(Q(other))
+            if c == 1:
+                return self
+            return MultiPoly._make(self.vars, {e: _canon(co * c) for e, co in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         # Convolve integer numerators over one common denominator per
@@ -277,8 +301,8 @@ class MultiPoly:
         out = _mul_terms(a, b)
         den = da * db
         if den == 1:
-            return MultiPoly._make(vars_, {e: Q(n) for e, n in out.items() if n})
-        return MultiPoly._make(vars_, {e: Q(n, den) for e, n in out.items() if n})
+            return MultiPoly._make(vars_, out)
+        return MultiPoly._make(vars_, {e: _ratio(n, den) for e, n in out.items() if n})
 
     __rmul__ = __mul__
 
@@ -310,19 +334,10 @@ class MultiPoly:
 
     def eval_all(self, bindings: Mapping[str, object]) -> Q:
         """Evaluate at a rational point; every variable must be bound."""
-        vals = []
         for name in self.vars:
             if name not in bindings:
                 raise KeyError(f"unbound variable {name!r}")
-            vals.append(Q(bindings[name]))
-        total = Q(0)
-        for exps, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        return self.eval_partial(bindings).constant_value()
 
     def eval_partial(self, bindings: Mapping[str, object]) -> "MultiPoly":
         """Substitute rational values for a subset of the variables."""
@@ -335,7 +350,9 @@ class MultiPoly:
         powers = []
         for i, name in enumerate(self.vars):
             if name in bindings:
-                value = Q(bindings[name])
+                value = bindings[name]
+                if not isinstance(value, (int, Q)):
+                    value = Q(value)
                 a, b = value.numerator, value.denominator
                 d = max((e[i] for e in ints), default=0)
                 powers.append((i, [a**k * b ** (d - k) for k in range(d + 1)]))
@@ -347,7 +364,7 @@ class MultiPoly:
             key = tuple(exps[i] for i in keep)
             out[key] = out.get(key, 0) + n
         vars_ = tuple(self.vars[i] for i in keep)
-        return MultiPoly._make(vars_, {e: Q(n, den) for e, n in out.items() if n})
+        return MultiPoly._make(vars_, {e: _ratio(n, den) for e, n in out.items() if n})
 
     def subs_poly(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
         """Substitute polynomials for variables (pure polynomial composition)."""
@@ -367,7 +384,7 @@ class MultiPoly:
                         cache.append(cache[-1] * bindings[name])
                     term = term * cache[e]
                 else:
-                    term = term * MultiPoly((name,), {(e,): Q(1)})
+                    term = term * MultiPoly._make((name,), {(e,): 1})
             result = result + term
         return result
 
@@ -387,7 +404,7 @@ class MultiPoly:
         for exps, coeff in self.terms.items():
             e = exps[i]
             if e:
-                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = coeff * e
+                out[exps[:i] + (e - 1,) + exps[i + 1 :]] = _canon(coeff * e)
         return MultiPoly._make(self.vars, out)
 
     # -- views as a univariate polynomial -----------------------------------
@@ -421,20 +438,23 @@ class MultiPoly:
         if not self.terms:
             return self
         _, ints = _primitive_ints(self.terms)
-        sign = -1 if self.leading()[1] < 0 else 1
-        return MultiPoly._make(self.vars, {e: Q(sign * n) for e, n in ints.items()})
+        if self.leading()[1] > 0:
+            return self if ints is self.terms else MultiPoly._make(self.vars, ints)
+        return MultiPoly._make(self.vars, {e: -n for e, n in ints.items()})
 
 
-def _int_terms(terms: Mapping[tuple[int, ...], Q]) -> tuple[int, dict[tuple[int, ...], int]]:
-    """Common denominator d and integer numerators n with terms == n / d."""
+def _int_terms(terms: Mapping[tuple[int, ...], Q]) -> tuple[int, Mapping[tuple[int, ...], int]]:
+    """Common denominator d and integer numerators n with terms == n / d.
+    Stored terms whose coefficients are all ints come back as they are,
+    so the result must not be mutated."""
     den = 1
     for c in terms.values():
-        d = c.denominator
-        if d != 1:
+        if type(c) is not int:
+            d = c.denominator
             den = den * d // math.gcd(den, d)
     if den == 1:
-        return 1, {e: c.numerator for e, c in terms.items()}
-    return den, {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
+        return 1, terms
+    return den, {e: c * den if type(c) is int else c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
 def _mul_terms(a: Mapping[tuple[int, ...], object], b: Mapping[tuple[int, ...], object]) -> dict:
@@ -449,8 +469,9 @@ def _mul_terms(a: Mapping[tuple[int, ...], object], b: Mapping[tuple[int, ...], 
     return out
 
 
-def _primitive_ints(terms: Mapping[tuple[int, ...], Q]) -> tuple[Q, dict[tuple[int, ...], int]]:
-    """Positive content c and integer primitive part n with terms == c * n."""
+def _primitive_ints(terms: Mapping[tuple[int, ...], Q]) -> tuple[Q, Mapping[tuple[int, ...], int]]:
+    """Positive content c and integer primitive part n with terms == c * n;
+    like ``_int_terms``, n may be terms itself."""
     den, ints = _int_terms(terms)
     g = 0
     for n in ints.values():
@@ -504,7 +525,7 @@ def _unpack_all(keys: Collection[int], radix: Sequence[int]) -> list[tuple[int, 
 
 def _decode(variables: tuple[str, ...], radix: Sequence[int], acc: Mapping[int, int], num: int, den: int) -> MultiPoly:
     """num/den times the integer term dict acc with packed keys."""
-    return MultiPoly._make(variables, dict(zip(_unpack_all(acc, radix), [Q(c * num, den) for c in acc.values()])))
+    return MultiPoly._make(variables, dict(zip(_unpack_all(acc, radix), [_ratio(c * num, den) for c in acc.values()])))
 
 
 def _pack_grid(rows: Sequence[Sequence[MultiPoly]], spread: int):
@@ -716,12 +737,12 @@ def exact_div(q: MultiPoly, p: MultiPoly) -> Optional[MultiPoly]:
     vars_, qt, pt = q._aligned(p)
     cq, rem = _primitive_ints(qt)
     cp, pi = _primitive_ints(pt)
-    quot = _quotient(rem, pi)
+    quot = _quotient(dict(rem), pi)
     if quot is None:
         return None
     scale = cq / cp
     num, den = scale.numerator, scale.denominator
-    return MultiPoly._make(vars_, {e: Q(h * num, den) for e, h in quot.items()})
+    return MultiPoly._make(vars_, {e: _ratio(h * num, den) for e, h in quot.items()})
 
 
 def _quotient(rem: dict, divisor: Mapping[tuple[int, ...], int], p: int = 0) -> Optional[dict]:
@@ -1029,7 +1050,7 @@ def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if any(shared):
         h = {tuple(map(add, e, shared)): c for e, c in h.items()}
     sign = -1 if h[max(h, key=_grlex_key)] < 0 else 1
-    return MultiPoly._make(vars_, {e: Q(sign * c) for e, c in h.items()})
+    return MultiPoly._make(vars_, {e: sign * c for e, c in h.items()})
 
 
 def _mgcd(a: dict, b: dict) -> dict:

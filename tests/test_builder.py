@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from devsurf.poly import MultiPoly, Q, squarefree_part
+from devsurf.poly import MultiPoly, Q, gcd_multi, squarefree_part
 from devsurf.ratfunc import RatFunc, RationalMap3, cross3, substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.errors import DevsurfError
@@ -13,6 +13,7 @@ from devsurf.builder import (
     build_conical,
     build_cylindrical,
     build_tangential,
+    homogeneous_form,
     implicitize_ruled,
     reduce_directrix,
     ruling_triple_product,
@@ -94,6 +95,102 @@ class TestBuildCylindrical:
         line = parse_map("( t, t, t )", params=("t",))
         with pytest.raises(DevsurfError, match="parallel"):
             build_cylindrical((1, 1, 1), line)
+
+
+class TestHomogeneousBuilders:
+    """build_conical and build_cylindrical decide on the homogeneous form
+    X/W of the directrix; the RatFunc cross products they replace are the
+    oracle, on seeded curves with nonconstant denominators."""
+
+    @staticmethod
+    def seeded(seed, count=15):
+        rng = random.Random(seed)
+        for _ in range(count):
+            curve = random_space_curve(rng, rng.randint(1, 3), den_deg=rng.randint(1, 2))
+            point = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+            yield rng, curve, point
+
+    def test_cone_identity_matches_ratfunc_cross(self):
+        # p1 x curve' == (n x n')/W^2 for p1 = curve - a = n/W
+        for _, curve, a in self.seeded(20260811):
+            *X, W = homogeneous_form(curve)
+            assert not W.is_constant()
+            n = [x - ai * W for x, ai in zip(X, a)]
+            p1 = curve.sub(RationalMap3.constant(a, ("t",)))
+            oracle = cross3(p1.components, curve.derivative("t").components)
+            assert [RatFunc(c, W * W) for c in cross3(n, [c.derivative("t") for c in n])] == list(oracle)
+
+    def test_cylinder_identity_matches_ratfunc_cross(self):
+        # curve' x v == ((X'W - XW') x v)/W^2
+        for _, curve, v in self.seeded(4242):
+            *X, W = homogeneous_form(curve)
+            tangent = [x.derivative("t") * W - x * W.derivative("t") for x in X]
+            oracle = cross3(curve.derivative("t").components, [RatFunc(c) for c in v])
+            assert [RatFunc(c, W * W) for c in cross3(tangent, v)] == list(oracle)
+
+    def test_builds_agree_with_ratfunc_route(self):
+        # both degeneracy verdicts, on general curves and on curves forced
+        # onto a ruling, against the RatFunc cross products
+        for rng, curve, a in self.seeded(1, 20):
+            v = [rng.randint(-2, 2) for _ in range(3)]
+            if not any(v):
+                v[0] = 1
+            r = RatFunc(MultiPoly.const(rng.randint(1, 3)), random_space_curve(rng, 2).components[0].num)
+            if r.is_constant():
+                continue
+            line = RationalMap3([RatFunc(MultiPoly.const(ai)) + r * vi for ai, vi in zip(a, v)], ("t",))
+            for c in (curve, line):
+                p1 = c.sub(RationalMap3.constant(a, ("t",)))
+                cone_flat = all(x.is_zero() for x in cross3(p1.components, c.derivative("t").components))
+                cyl_flat = all(x.is_zero() for x in cross3(c.derivative("t").components, [RatFunc(vi) for vi in v]))
+                assert cone_flat == cyl_flat == (c is line)
+                for build, arg, flat in ((build_conical, a, cone_flat), (build_cylindrical, v, cyl_flat)):
+                    try:
+                        build(arg, c)
+                    except DevsurfError as err:
+                        assert flat and "degenerates" in str(err)
+                    else:
+                        assert not flat
+
+    def test_cone_over_a_ruling_rejected(self):
+        # c = a + r(t)*v with r = 2/(t^2 + 1): every point on one ruling,
+        # and r has no zero, so the apex check passes first
+        a, v = (Q(1, 2), -1, 3), (2, 1, -1)
+        r = RatFunc(MultiPoly.const(2), T**2 + 1)
+        curve = RationalMap3([RatFunc(MultiPoly.const(ai)) + r * vi for ai, vi in zip(a, v)], ("t",))
+        with pytest.raises(DevsurfError, match="^cone degenerates: directrix runs along a single ruling$"):
+            build_conical(a, curve)
+
+    def test_cylinder_over_a_ruling_rejected(self):
+        # c = p + r(t)*v with r = (t^3 - t)/(t^2 + 3)
+        p, v = (0, Q(-2, 3), 5), (1, -1, -1)
+        r = RatFunc(T**3 - T, T**2 + 3)
+        curve = RationalMap3([RatFunc(MultiPoly.const(pi)) + r * vi for pi, vi in zip(p, v)], ("t",))
+        with pytest.raises(DevsurfError, match="^cylinder degenerates: directrix is parallel to the rulings$"):
+            build_cylindrical(v, curve)
+
+    def test_apex_on_rational_directrix_rejected(self):
+        # the circle through the apex (1, 0, 1), reached at t = 0
+        with pytest.raises(DevsurfError, match="^directrix passes through the apex$"):
+            build_conical((1, 0, 1), parse_map(CIRCLE_Z1, params=("t",)))
+        with pytest.raises(DevsurfError, match="^directrix passes through the apex$"):
+            build_conical((1, 2, 3), parse_map("( 1, 2, 3 )", params=("t",)))
+
+    def test_full_map_matches_generic_sum(self):
+        # the reduced-by-construction components against p0 + s*p1
+        S = RatFunc(MultiPoly.var("s"))
+        for rng, curve, a in self.seeded(2024):
+            v = [rng.randint(-2, 2) for _ in range(2)] + [1]
+            built = [build_cylindrical(v, curve)]
+            try:
+                built.append(build_conical(a, curve))
+            except DevsurfError:
+                pass
+            for p in built:
+                generic = RationalMap3([c0 + S * c1 for c0, c1 in zip(p.p0, p.p1)], ("s", "t"))
+                assert p.full_map() == generic
+                for c in p.full_map():
+                    assert gcd_multi(c.num, c.den).is_constant()
 
 
 class TestBuildTangential:

@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+import devsurf.curves
 from devsurf.poly import MultiPoly, Q, resultant, squarefree_part
 from devsurf.ratfunc import RatFunc, compose_is_zero, substitute_map
 from devsurf.exprs import parse_map, parse_poly
@@ -135,6 +136,36 @@ class TestQuarticAdjoint:
         assert c.total_degree() == 4
         cp = parametrize_plane_curve(PlaneCurve(c, None))
         assert on_curve(cp, c) and cp.proper
+
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            ("u^4+w^4-1", NotRationalError, "smooth plane curve of degree 4, genus 3"),
+            # singular only at (1 : 0 : 0): no claim, the families' text
+            ("u^2*w^2+w^4+1+u-w", UnsupportedCurveError, "quartic adjoint construction failed"),
+        ],
+        ids=["fermat", "singular-at-infinity"],
+    )
+    def test_no_affine_singular_point_stops_at_first_shear(self, monkeypatch, text, error, message):
+        # a shear maps affine singular points one to one, so an empty affine
+        # scheme ends the attempt after one pair of eliminants
+        calls = []
+        original = devsurf.curves._scheme_eliminant
+
+        def spy(*args):
+            calls.append(args[3:])
+            return original(*args)
+
+        monkeypatch.setattr(devsurf.curves, "_scheme_eliminant", spy)
+        c = parse_poly(text, ("u", "w"))
+        with pytest.raises(UnsupportedCurveError, match="^quartic adjoint construction failed$"):
+            parametrize_quartic_adjoint(PlaneCurve(c, None))
+        assert calls == [("w", "u"), ("u", "w")]
+        calls.clear()
+        with pytest.raises(error) as err:
+            parametrize_plane_curve(PlaneCurve(c, None))
+        assert str(err.value) == message
+        assert len(calls) == 2
 
     def test_off_curve_result_is_internal_error(self, monkeypatch):
         # a parametrization that misses its curve is a fault to surface,

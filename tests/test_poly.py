@@ -599,13 +599,15 @@ class TestRingAxioms:
 
 
 def assert_canonical(r):
-    """r is stored canonically and equals its re-canonicalized twin."""
+    """r is stored canonically and equals its re-canonicalized twin: each
+    coefficient is an int exactly when it is integral, else a Q."""
     assert r.vars == canonical_vars(r.vars)
     for i in range(len(r.vars)):
         assert any(e[i] for e in r.terms), f"unused variable {r.vars[i]}"
     for e, c in r.terms.items():
         assert len(e) == len(r.vars)
-        assert type(c) is Q and c != 0
+        assert c != 0
+        assert type(c) is int if c.denominator == 1 else type(c) is Q
     twin = MultiPoly(r.vars, r.terms)
     assert r == twin and hash(r) == hash(twin)
 
@@ -691,6 +693,88 @@ class TestIntegerKernel:
                     assert h is not None and to_sympy(h) == quo
                 else:
                     assert h is None
+
+
+class TestIntCoefficients:
+    """A stored coefficient is an int exactly when it is integral; the
+    value accessors still return Q."""
+
+    @staticmethod
+    def int_polys(seed=7, count=40):
+        rng = random.Random(seed)
+        for _ in range(count):
+            yield random_small_multipoly(rng, ("x", "y", "t"), rng.randint(1, 3))
+
+    @staticmethod
+    def all_int(p):
+        return all(type(c) is int for c in p.terms.values())
+
+    def test_integer_inputs_stay_int(self):
+        polys = list(self.int_polys())
+        for a, b in zip(polys, polys[1:]):
+            for r in (a * b, a + b, a - b, -a, a * 3, 3 * a, a.normalized(), gcd_multi(a * b, b * b)):
+                assert self.all_int(r)
+                assert_canonical(r)
+            for v in a.vars:
+                assert self.all_int(a.derivative(v)) and self.all_int(a.eval_partial({v: 2}))
+            if not b.is_zero():
+                h = exact_div(a * b, b)
+                assert h == a and self.all_int(h)
+
+    def test_integral_results_of_rationals_become_int(self):
+        half_x = X * Q(1, 2)
+        assert type(half_x.terms[(1,)]) is Q
+        for r in (half_x * 2, half_x + half_x, (X * Q(3, 2)) - half_x, (half_x**2).derivative("x") * 2,
+                  (half_x + Q(1, 2)).normalized(), exact_div(half_x * (X + 1), half_x),
+                  (X**2 * Q(1, 2) + X).eval_partial({"x": 2}), MultiPoly.const(Q(4, 2)),
+                  MultiPoly(("x",), {(1,): Q(6, 3)})):
+            assert self.all_int(r) and not r.is_zero()
+            assert_canonical(r)
+
+    def test_value_accessors_return_q(self):
+        for p in (MultiPoly.const(3), MultiPoly.zero(), X + 2, 2 * X + 4 * Y, -6 * X * Y):
+            if p.is_constant():
+                assert type(p.constant_value()) is Q
+            assert type(p.content_unit()) is Q
+            assert type(p.eval_all({"x": 2, "y": -1})) is Q
+        assert (2 * X + 4 * Y).content_unit() == 2 and (-6 * X * Y).content_unit() == -6
+        assert MultiPoly.const(3).constant_value() == 3 and MultiPoly.zero().constant_value() == 0
+
+    def test_no_float_stored_through_the_cli(self, monkeypatch):
+        # every polynomial built while the reference surfaces of
+        # tests/cases.py go through the CLI keeps the stored form
+        import cases
+
+        seen = []
+        make, init = MultiPoly._make, MultiPoly.__init__
+
+        def check(p):
+            seen.append(len(p.terms))
+            for c in p.terms.values():
+                assert type(c) is int or type(c) is Q and c.denominator != 1, repr(c)
+
+        def spy_make(variables, terms):
+            p = make(variables, terms)
+            check(p)
+            return p
+
+        def spy_init(self, variables, terms):
+            init(self, variables, terms)
+            check(self)
+
+        monkeypatch.setattr(MultiPoly, "_make", staticmethod(spy_make))
+        monkeypatch.setattr(MultiPoly, "__init__", spy_init)
+        implicit = (cases.ELLIPTIC_CONE_F, cases.QUARTIC_CYLINDER_F, cases.TANGENT_QUARTIC_F,
+                    cases.SPHERE_F, cases.HYPERBOLOID_F)
+        parametric = (cases.IMPROPER_CONE_MAP, cases.UNIT_CIRCLE_CONE_MAP, cases.HYPERBOLIC_PARABOLOID_MAP,
+                      cases.PARABOLOID_MAP, cases.PLANE_MAP)
+        codes = []
+        for mode, texts in (("implicit", implicit), ("parametric", parametric)):
+            for text in texts:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(cli_main([mode, text]))
+        assert codes == [0, 0, 0, 3, 3, 0, 0, 3, 3, 0]
+        assert len(seen) > 1000
 
 
 class TestUnivariateHelpers:
