@@ -32,21 +32,8 @@ class ParamResult:
     refined: bool = False       # after refinement p1 need not be p0' for tangential
 
     def full_map(self) -> RationalMap3:
-        """P0 + s*P1.  When P0 or P1 is a constant c, each component is
-        (c*d + s*n)/d or (n + s*c*d)/d for the other one's n/d in lowest
-        terms, already reduced: d is free of s, and a factor of d dividing
-        the numerator for every s would divide n."""
-        s = MultiPoly.var("s")
-        pairs = zip(self.p0.components, self.p1.components)
-        if not (self.p0.is_constant() or self.p1.is_constant()):
-            comps = [a + RatFunc(s) * b for a, b in pairs]
-        else:
-            comps = [
-                RatFunc(a.num * b.den + s * b.num, b.den, _reduced=True)
-                if a.is_constant()
-                else RatFunc(a.num + s * b.num * a.den, a.den, _reduced=True)
-                for a, b in pairs
-            ]
+        s = RatFunc(MultiPoly.var("s"))
+        comps = [a + s * b for a, b in zip(self.p0.components, self.p1.components)]
         return RationalMap3(comps, ("s", "t"))
 
     def with_verification(self, certificate: str) -> "ParamResult":

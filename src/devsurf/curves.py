@@ -199,15 +199,7 @@ def _conic_matrix(c: MultiPoly, names: tuple[str, str]) -> list[list[Q]]:
     """Symmetric 3x3 matrix of the conic, homogenized in a third coordinate."""
     u, w = names
 
-    def coeff(i, j):
-        for exps, cf in c.terms.items():
-            e = dict(zip(c.vars, exps))
-            if e.get(u, 0) == i and e.get(w, 0) == j and sum(e.values()) == i + j:
-                return Q(cf)
-        return Q(0)
-
-    a, b, cc = coeff(2, 0), coeff(1, 1), coeff(0, 2)
-    d, e, f = coeff(1, 0), coeff(0, 1), coeff(0, 0)
+    a, b, cc, d, e, f = (c.coeff({u: i, w: j}) for i, j in ((2, 0), (1, 1), (0, 2), (1, 0), (0, 1), (0, 0)))
     return [
         [a, b / 2, d / 2],
         [b / 2, cc, e / 2],
@@ -452,7 +444,7 @@ def parametrize_conic(curve: PlaneCurve, budget: int = 200, param: Optional[str]
     names = curve.names
     if c.total_degree() != 2:
         raise ValueError("parametrize_conic expects a degree-2 curve")
-    w = names[1]
+    u, w = names
     t = param or _pick_param(names)
     has_point, reason = _conic_point_decision(c, names)
     if has_point is False:
@@ -470,8 +462,7 @@ def parametrize_conic(curve: PlaneCurve, budget: int = 200, param: Optional[str]
     if comps is None:
         # singular rational point: the conic is a pair of lines through it,
         # in the directions where its top form A*u^2 + B*u*w + C*w^2 vanishes
-        top = {dict(zip(c.vars, e)).get(w, 0): Q(cf) for e, cf in c.terms.items() if sum(e) == 2}
-        A, B, C = (top.get(j, Q(0)) for j in range(3))
+        A, B, C = (c.coeff({u: 2 - j, w: j}) for j in range(3))
         if A == 0:
             direction = (Q(1), Q(0))
         else:

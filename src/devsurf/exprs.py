@@ -37,7 +37,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .poly import MultiPoly, Q, _canon, _mul_terms, canonical_vars
+from .poly import MultiPoly, Q, _mul_terms, canonical_vars
 from .ratfunc import RatFunc, RationalMap3
 
 
@@ -129,7 +129,7 @@ class _Parser:
     # -- values: term dicts, or RatFunc after a nonconstant division ------
 
     def poly(self, terms: dict) -> MultiPoly:
-        return MultiPoly._make(self.vars, {e: _canon(c) for e, c in terms.items()})
+        return MultiPoly(self.vars, terms)
 
     def lift(self, value) -> RatFunc:
         return value if isinstance(value, RatFunc) else RatFunc(self.poly(value))

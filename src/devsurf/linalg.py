@@ -24,7 +24,7 @@ def _rref(rows: list[list[Q]]) -> tuple[list[list[Q]], list[int]]:
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Q(1) / m[r][c]
+        inv = 1 / m[r][c]
         m[r] = [v * inv for v in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:

@@ -15,16 +15,18 @@ exponents refer to.  The representation is canonical:
 Canonical storage makes structural equality and hashing coincide with
 mathematical equality, which the rest of the package relies on: every
 geometric decision reduces to "is this polynomial identically zero".
-There is no floating point anywhere in a decision path; the value
-accessors ``constant_value``, ``eval_all`` and ``content_unit`` always
-return a ``Q``, so a caller that divides never meets int / int.
-Products, exact divisions, gcds and evaluations work on Python integers:
-each operand is scaled to integer numerators over one common denominator
-(read through ``.numerator`` and ``.denominator`` only, which int and
-both rational types provide; an all-int operand is used as it is), and
-an output term becomes a rational only when that denominator does not
-divide it.  Internal results that are canonical by construction skip
-re-canonicalization through the trusted constructor ``MultiPoly._make``.
+There is no floating point anywhere in a decision path.  The stored
+form stays inside this module: outside it, coefficients are read through
+the accessors ``coeff``, ``constant_value``, ``eval_all`` and
+``content_unit``, which always return a ``Q``, so a caller that divides
+never meets int / int.  Products, exact divisions, gcds and evaluations
+work on Python integers: each operand is scaled to integer numerators
+over one common denominator (read as Python ints through ``_num_den``,
+since gmpy2 gives an mpz, and mpz / mpz is a float; an all-int operand
+is used as it is), and an output term becomes a rational only when that
+denominator does not divide it.  Internal results that are canonical by
+construction skip re-canonicalization through the trusted constructor
+``MultiPoly._make``.
 
 Besides the arithmetic operators, the module provides the elimination
 toolkit used by the analyzers: formal derivatives, determinants,
@@ -99,6 +101,20 @@ def _canon(c):
     if type(c) is int:
         return c
     return int(c.numerator) if c.denominator == 1 else c
+
+
+def _num_den(c) -> tuple[int, int]:
+    """Numerator and denominator of an exact coefficient as Python ints.
+    gmpy2's mpq reads them as mpz, which must not reach storage: mpz / mpz
+    is a float."""
+    if type(c) is int:
+        return c, 1
+    return int(c.numerator), int(c.denominator)
+
+
+def _as_q(c) -> Q:
+    """A stored coefficient as a ``Q``."""
+    return c if isinstance(c, Q) else Q(c)
 
 
 def _ratio(n: int, d: int):
@@ -184,8 +200,14 @@ class MultiPoly:
     def constant_value(self) -> Q:
         if self.vars:
             raise ValueError("polynomial is not constant")
-        c = self.terms.get((), 0)
-        return Q(c) if type(c) is int else c
+        return _as_q(self.terms.get((), 0))
+
+    def coeff(self, monomial: Mapping[str, int]) -> Q:
+        """The coefficient, as a ``Q``, of the monomial with the exponent
+        ``monomial[v]`` in each variable v (0 for the names it omits)."""
+        if any(e and v not in self.vars for v, e in monomial.items()):
+            return Q(0)
+        return _as_q(self.terms.get(tuple(monomial.get(v, 0) for v in self.vars), 0))
 
     def total_degree(self) -> int:
         if not self.terms:
@@ -228,7 +250,7 @@ class MultiPoly:
         pieces = []
         for exps in sorted(self.terms, key=_grlex_key, reverse=True):
             coeff = self.terms[exps]
-            n, d = coeff.numerator, coeff.denominator
+            n, d = _num_den(coeff)
             factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(self.vars, exps) if e)
             mag = decimal(abs(n)) if d == 1 else f"{decimal(abs(n))}/{decimal(d)}"
             if not factors:
@@ -293,6 +315,10 @@ class MultiPoly:
             return MultiPoly._make(self.vars, {e: _canon(co * c) for e, co in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
+        if not other.vars:  # a constant factor scales the terms
+            return self * other.terms.get((), 0)
+        if not self.vars:
+            return other * self.terms.get((), 0)
         # Convolve integer numerators over one common denominator per
         # operand; only the output terms become rationals.
         vars_, a, b = self._aligned(other)
@@ -353,7 +379,7 @@ class MultiPoly:
                 value = bindings[name]
                 if not isinstance(value, (int, Q)):
                     value = Q(value)
-                a, b = value.numerator, value.denominator
+                a, b = _num_den(value)
                 d = max((e[i] for e in ints), default=0)
                 powers.append((i, [a**k * b ** (d - k) for k in range(d + 1)]))
                 den *= b**d
@@ -445,16 +471,19 @@ class MultiPoly:
 
 def _int_terms(terms: Mapping[tuple[int, ...], Q]) -> tuple[int, Mapping[tuple[int, ...], int]]:
     """Common denominator d and integer numerators n with terms == n / d.
-    Stored terms whose coefficients are all ints come back as they are,
-    so the result must not be mutated."""
+    Stored terms whose coefficients are all ints come back as they are:
+    the result is read-only (``_quotient`` copies what it consumes)."""
     den = 1
     for c in terms.values():
         if type(c) is not int:
-            d = c.denominator
-            den = den * d // math.gcd(den, d)
+            den = math.lcm(den, int(c.denominator))
     if den == 1:
         return 1, terms
-    return den, {e: c * den if type(c) is int else c.numerator * (den // c.denominator) for e, c in terms.items()}
+    out = {}
+    for e, c in terms.items():
+        n, d = _num_den(c)
+        out[e] = n * (den // d)
+    return den, out
 
 
 def _mul_terms(a: Mapping[tuple[int, ...], object], b: Mapping[tuple[int, ...], object]) -> dict:
@@ -471,7 +500,7 @@ def _mul_terms(a: Mapping[tuple[int, ...], object], b: Mapping[tuple[int, ...], 
 
 def _primitive_ints(terms: Mapping[tuple[int, ...], Q]) -> tuple[Q, Mapping[tuple[int, ...], int]]:
     """Positive content c and integer primitive part n with terms == c * n;
-    like ``_int_terms``, n may be terms itself."""
+    like ``_int_terms``, n may be terms itself and is read-only."""
     den, ints = _int_terms(terms)
     g = 0
     for n in ints.values():
@@ -550,12 +579,13 @@ def _pack_grid(rows: Sequence[Sequence[MultiPoly]], spread: int):
     scale = 1
     packed = []
     for row in rows:
-        den = math.lcm(*(c.denominator for p in row for c in p.terms.values()))
+        ints = [_int_terms(p.terms) for p in row]
+        den = math.lcm(*(d for d, _ in ints))
         scale *= den
         weights = [[place[slot[v]] for v in p.vars] for p in row]
         packed.append([
-            {sum(map(mul, w, e)): c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-            for p, w in zip(row, weights)
+            {sum(map(mul, w, e)): n * (den // d) for e, n in terms.items()}
+            for w, (d, terms) in zip(weights, ints)
         ])
 
     def decode(acc: Mapping[int, int], sign: int = 1) -> MultiPoly:
@@ -618,9 +648,8 @@ def bordered_hessian(F: MultiPoly, coords: Sequence[str]) -> MultiPoly:
     for a in range(n):
         for b in range(a, n):
             hess[a][b] = hess[b][a] = diff(grad[a], slots[b])
-    scale = content ** (n + 1)
     rows = [hess[a] + [grad[a]] for a in range(n)] + [grad + [{}]]
-    return _decode(F.vars, radix, _laplace(rows), scale.numerator, scale.denominator)
+    return _decode(F.vars, radix, _laplace(rows), *_num_den(content ** (n + 1)))
 
 
 def det3(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -737,22 +766,22 @@ def exact_div(q: MultiPoly, p: MultiPoly) -> Optional[MultiPoly]:
     vars_, qt, pt = q._aligned(p)
     cq, rem = _primitive_ints(qt)
     cp, pi = _primitive_ints(pt)
-    quot = _quotient(dict(rem), pi)
+    quot = _quotient(rem, pi)
     if quot is None:
         return None
-    scale = cq / cp
-    num, den = scale.numerator, scale.denominator
+    num, den = _num_den(cq / cp)
     return MultiPoly._make(vars_, {e: _ratio(h * num, den) for e, h in quot.items()})
 
 
-def _quotient(rem: dict, divisor: Mapping[tuple[int, ...], int], p: int = 0) -> Optional[dict]:
+def _quotient(dividend: Mapping, divisor: Mapping[tuple[int, ...], int], p: int = 0) -> Optional[dict]:
     """Quotient of integer term dicts over one variable tuple when divisor
-    divides rem exactly, else None; over Z, or over Z_p for a prime p > 0.
-    Consumes rem.
+    divides dividend exactly, else None; over Z, or over Z_p for a prime
+    p > 0.  Neither argument is modified.
 
     Over Z the divisor must be primitive: by Gauss's lemma the quotient, if
     any, then has integer coefficients, so a remainder whose leading
     coefficient is not a multiple of the divisor's already certifies "no"."""
+    rem = dict(dividend)
     rest = dict(divisor)
     lead_d = max(rest, key=_grlex_key)
     lc_d = rest.pop(lead_d)
@@ -1035,7 +1064,8 @@ def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         return q.normalized()
     if q.is_zero():
         return p.normalized()
-    if p.is_constant() or q.is_constant():
+    if p.is_constant() or q.is_constant() or set(p.vars).isdisjoint(q.vars):
+        # a factor of p involves only p's variables
         return MultiPoly.const(1)
     vars_, a, b = p._aligned(q)
     ma, a = _strip_monomial(_primitive_ints(a)[1])
@@ -1080,7 +1110,7 @@ def _mgcd(a: dict, b: dict) -> dict:
             M *= P
         half = M // 2
         h = _primitive_ints({e: c - M if c > half else c for e, c in lifted.items() if c})[1]
-        if _quotient(dict(a), h) is not None and _quotient(dict(b), h) is not None:
+        if _quotient(a, h) is not None and _quotient(b, h) is not None:
             return h
 
 

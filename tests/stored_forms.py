@@ -1,0 +1,98 @@
+"""Stored-form check shared by the coefficient tests.
+
+While the reference surfaces of cases.py go through the CLI and a few
+kernel operations run on rational coefficients, every MultiPoly built is
+inspected: each stored coefficient must be a Python ``int`` or a
+non-integral ``Q``, and the value accessors must return a ``Q``.
+
+``check()`` runs in-process.  Run as a script, ``python stored_forms.py``
+prints the coefficient type and exits 0 when the check passes; the tests
+run it that way under gmpy2's mpq, or under the stand-in in gmpy2_stub/.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).parent))
+
+from devsurf.cli import main as cli_main
+from devsurf.poly import MultiPoly, Q, bordered_hessian, det3, exact_div, gcd_multi, resultant
+
+import cases
+
+IMPLICIT = (cases.ELLIPTIC_CONE_F, cases.QUARTIC_CYLINDER_F, cases.TANGENT_QUARTIC_F, cases.SPHERE_F,
+            cases.HYPERBOLOID_F)
+PARAMETRIC = (cases.IMPROPER_CONE_MAP, cases.UNIT_CIRCLE_CONE_MAP, cases.HYPERBOLIC_PARABOLOID_MAP,
+              cases.PARABOLOID_MAP, cases.PLANE_MAP)
+EXIT_CODES = [0, 0, 0, 3, 3, 0, 0, 3, 3, 0]
+
+
+def assert_stored(p: MultiPoly) -> None:
+    for c in p.terms.values():
+        assert type(c) is int or type(c) is Q and c.denominator != 1, repr(c)
+
+
+def assert_q(value) -> None:
+    assert type(value) is Q, repr(value)
+
+
+def _kernel_values() -> list:
+    """Results of the kernel operations that read rational coefficients
+    through their numerators and denominators, checked as they go."""
+    x, y, t = (MultiPoly.var(v) for v in "xyt")
+    a = x * Q(1, 2) + y * Q(2, 3) + 1
+    b = x * y * Q(3, 4) - t * 2 + Q(5, 6)
+    c = x * 3 + y * 6 - t * 9
+    F = x * x * Q(1, 2) + y * y * Q(2, 3) - t * t
+    polys = [a * b, a * c, (a * b).normalized(), gcd_multi(a * b, a * c), exact_div(a * b, a),
+             exact_div(c * b, c), (a * b).eval_partial({"x": Q(1, 3), "y": 2}), bordered_hessian(F, "xyt"),
+             det3([[a, b, c], [c, a, b], [b, c, a]]), resultant(a * x + b, c * x - a, "x"),
+             (a * Q(6)).derivative("x")]
+    for p in polys:
+        assert_stored(p)
+    values = [(a * b).eval_all({"x": Q(1, 3), "y": Q(-2), "t": Q(7, 5)}), c.content_unit(), a.content_unit(),
+              MultiPoly.const(Q(4, 2)).constant_value(), a.coeff({"x": 1}), c.coeff({"y": 1}), c.coeff({"z": 1})]
+    for v in values:
+        assert_q(v)
+    return polys + values
+
+
+def check() -> int:
+    """Run the whole check; the number of polynomials inspected."""
+    seen = []
+    make, init = MultiPoly._make, MultiPoly.__init__
+
+    def spy_make(variables, terms):
+        p = make(variables, terms)
+        assert_stored(p)
+        seen.append(p)
+        return p
+
+    def spy_init(self, variables, terms):
+        init(self, variables, terms)
+        assert_stored(self)
+        seen.append(self)
+
+    MultiPoly._make = staticmethod(spy_make)
+    MultiPoly.__init__ = spy_init
+    try:
+        _kernel_values()
+        codes = []
+        for mode, texts in (("implicit", IMPLICIT), ("parametric", PARAMETRIC)):
+            for text in texts:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    codes.append(cli_main([mode, text]))
+        assert codes == EXIT_CODES, codes
+    finally:
+        MultiPoly._make = staticmethod(make)
+        MultiPoly.__init__ = init
+    return len(seen)
+
+
+if __name__ == "__main__":
+    count = check()
+    print(f"{Q.__module__}.{Q.__name__}: {count} polynomials, stored forms ok")

@@ -176,21 +176,26 @@ class TestHomogeneousBuilders:
         with pytest.raises(DevsurfError, match="^directrix passes through the apex$"):
             build_conical((1, 2, 3), parse_map("( 1, 2, 3 )", params=("t",)))
 
-    def test_full_map_matches_generic_sum(self):
-        # the reduced-by-construction components against p0 + s*p1
-        S = RatFunc(MultiPoly.var("s"))
+    def test_full_map_is_reduced_sum(self):
+        # p0(t) + s*p1(t) pointwise, each component in lowest terms: the
+        # product s*p1 skips its gcd, s occurring in no denominator
         for rng, curve, a in self.seeded(2024):
             v = [rng.randint(-2, 2) for _ in range(2)] + [1]
-            built = [build_cylindrical(v, curve)]
-            try:
-                built.append(build_conical(a, curve))
-            except DevsurfError:
-                pass
+            built = []
+            for build, args in ((build_cylindrical, (v, curve)), (build_conical, (a, curve)), (build_tangential, (curve,))):
+                try:
+                    built.append(build(*args))
+                except DevsurfError:
+                    pass
+            assert built
             for p in built:
-                generic = RationalMap3([c0 + S * c1 for c0, c1 in zip(p.p0, p.p1)], ("s", "t"))
-                assert p.full_map() == generic
-                for c in p.full_map():
+                full = p.full_map()
+                for c in full:
                     assert gcd_multi(c.num, c.den).is_constant()
+                for s, t in ((Q(1, 2), Q(-3)), (Q(-2), Q(5, 7)), (Q(0), Q(1, 3))):
+                    p0, p1 = p.p0.eval_all({"t": t}), p.p1.eval_all({"t": t})
+                    if p0 is not None and p1 is not None:
+                        assert full.eval_all({"s": s, "t": t}) == tuple(x + s * y for x, y in zip(p0, p1))
 
 
 class TestBuildTangential:

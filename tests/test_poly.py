@@ -4,7 +4,11 @@ gcds, squarefree parts and division, checked against independent oracles."""
 import contextlib
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,11 @@ from devsurf.linalg import common_direction, common_point
 from devsurf import poly as poly_module
 
 from conftest import bordered_hessian_oracle, perm_det, random_small_multipoly, sylvester_oracle
+import devsurf
+import stored_forms
+
+TESTS = Path(__file__).parent
+SRC = Path(devsurf.__file__).parents[1]
 
 X, Y, Z, T = (MultiPoly.var(v) for v in "xyzt")
 
@@ -740,41 +749,52 @@ class TestIntCoefficients:
         assert (2 * X + 4 * Y).content_unit() == 2 and (-6 * X * Y).content_unit() == -6
         assert MultiPoly.const(3).constant_value() == 3 and MultiPoly.zero().constant_value() == 0
 
-    def test_no_float_stored_through_the_cli(self, monkeypatch):
+    def test_no_float_stored_through_the_cli(self):
         # every polynomial built while the reference surfaces of
         # tests/cases.py go through the CLI keeps the stored form
-        import cases
+        assert stored_forms.check() > 1000
 
-        seen = []
-        make, init = MultiPoly._make, MultiPoly.__init__
+    @staticmethod
+    def run_stored_forms(*path):
+        # a fresh interpreter, so that devsurf binds Q on import
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([*map(str, path), str(SRC)]))
+        out = subprocess.run([sys.executable, str(TESTS / "stored_forms.py")], env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        return out.stdout
 
-        def check(p):
-            seen.append(len(p.terms))
-            for c in p.terms.values():
-                assert type(c) is int or type(c) is Q and c.denominator != 1, repr(c)
+    def test_stored_forms_under_mpz_numerators(self):
+        # the stand-in's mpq reads numerators as mpz, whose true division
+        # gives a float: none may reach storage or an accessor
+        assert self.run_stored_forms(TESTS / "gmpy2_stub").startswith("gmpy2.mpq: ")
 
-        def spy_make(variables, terms):
-            p = make(variables, terms)
-            check(p)
-            return p
+    def test_stored_forms_under_gmpy2(self):
+        gmpy2 = pytest.importorskip("gmpy2")
+        assert self.run_stored_forms().startswith(f"{gmpy2.mpq.__module__}.mpq: ")
 
-        def spy_init(self, variables, terms):
-            init(self, variables, terms)
-            check(self)
+    def test_coeff_accessor(self):
+        p = X * Q(1, 2) + 3 * Y**2 - 4
+        assert p.coeff({"x": 1}) == Q(1, 2) and p.coeff({"y": 2}) == 3 and p.coeff({}) == -4
+        assert p.coeff({"y": 1}) == 0 and p.coeff({"x": 1, "t": 1}) == 0 and p.coeff({"t": 0, "x": 1}) == Q(1, 2)
+        for m in ({"x": 1}, {"y": 2}, {}, {"t": 3}):
+            assert type(p.coeff(m)) is Q
 
-        monkeypatch.setattr(MultiPoly, "_make", staticmethod(spy_make))
-        monkeypatch.setattr(MultiPoly, "__init__", spy_init)
-        implicit = (cases.ELLIPTIC_CONE_F, cases.QUARTIC_CYLINDER_F, cases.TANGENT_QUARTIC_F,
-                    cases.SPHERE_F, cases.HYPERBOLOID_F)
-        parametric = (cases.IMPROPER_CONE_MAP, cases.UNIT_CIRCLE_CONE_MAP, cases.HYPERBOLIC_PARABOLOID_MAP,
-                      cases.PARABOLOID_MAP, cases.PLANE_MAP)
-        codes = []
-        for mode, texts in (("implicit", implicit), ("parametric", parametric)):
-            for text in texts:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    codes.append(cli_main([mode, text]))
-        assert codes == [0, 0, 0, 3, 3, 0, 0, 3, 3, 0]
-        assert len(seen) > 1000
+    def test_quotient_leaves_its_arguments(self):
+        # _int_terms hands back a polynomial's own terms when they are all
+        # ints, so the division that consumes them must work on a copy
+        a, b = X**2 * Y - 2 * X + 3, X * Y + T
+        prod = a * b
+        kept = {e: c for e, c in prod.terms.items()}
+        den, ints = poly_module._int_terms(prod.terms)
+        assert den == 1 and ints is prod.terms
+        assert poly_module._quotient(ints, b.terms) is not None
+        assert prod.terms == kept and exact_div(prod, b) == a
+        assert poly_module._quotient(poly_module._int_terms((prod + 1).terms)[1], b.terms) is None
+        assert prod.terms == kept
+
+    def test_gcd_of_disjoint_variables_is_one(self):
+        assert gcd_multi(X**2 + 2 * X, Y * T - 3) == 1
+        assert gcd_multi(2 * X, 4 * Y) == 1
 
 
 class TestUnivariateHelpers:
