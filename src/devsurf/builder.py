@@ -145,9 +145,10 @@ def _moving_planes(points: Sequence[Sequence[MultiPoly]], d: int) -> list[list[Q
     is the coefficient of t^k in L_i."""
     rows = []
     for V in points:
-        coeffs = [{k: c.constant_value() for k, c in v.coeffs_in("t").items()} for v in V]
+        # each entry is a polynomial in t alone, so sum(e) is its exponent
+        coeffs = [{sum(e): c for e, c in v.terms.items()} for v in V]
         top = d + max(max(c, default=0) for c in coeffs)
-        rows.extend([c.get(m - k, Q(0)) for k in range(d + 1) for c in coeffs] for m in range(top + 1))
+        rows.extend([c.get(m - k, 0) for k in range(d + 1) for c in coeffs] for m in range(top + 1))
     return nullspace(rows, 4 * (d + 1))
 
 
@@ -181,7 +182,7 @@ def implicitize_ruled(p: ParamResult) -> MultiPoly:
     for d in range(bound + 1):
         null = _moving_planes(lines, d)
         # the planes t^k * b of degree <= d for the basis vectors b so far
-        span = [[Q(0)] * (4 * k) + v + [Q(0)] * (4 * (d - e - k)) for e, v in found for k in range(d - e + 1)]
+        span = [[0] * (4 * k) + v + [0] * (4 * (d - e - k)) for e, v in found for k in range(d - e + 1)]
         if len(found) + len(null) - len(span) > 2:
             raise DevsurfError("the rulings do not sweep a surface: more than two independent moving planes")
         for v in null:

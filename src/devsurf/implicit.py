@@ -234,16 +234,23 @@ def _plane_param(Fs: MultiPoly):
     return build_cylindrical(tuple(dvec), directrix)
 
 
+def plane_at_base(cls: SurfaceClass, normal, constant) -> Q:
+    """pi(B) for the plane pi = (n, c), n.x + c = 0, and the base point B
+    of a cone or a cylinder: n.a + c at B = (a, 1) for the apex a, or n.v
+    at B = (v, 0) for the direction v, a point at infinity.  It is nonzero
+    exactly when the plane misses the apex or is not parallel to the
+    direction."""
+    if cls.tag == CONICAL:
+        return sum(n * a for n, a in zip(normal, cls.apex)) + constant
+    return sum(n * d for n, d in zip(normal, cls.direction))
+
+
 def admissible_planes(cls: SurfaceClass, budget: int):
     """The candidate planes, with their normals, that miss the apex of a
     cone or are not parallel to the direction of a cylinder."""
     for plane, normal in plane_candidates(budget):
-        if cls.tag == CONICAL:
-            if plane.eval_all(dict(zip(COORDS, cls.apex))) == 0:
-                continue
-        elif sum(n * d for n, d in zip(normal, cls.direction)) == 0:
-            continue
-        yield plane, normal
+        if plane_at_base(cls, normal, plane.coeff({})):
+            yield plane, normal
 
 
 def _sections_by_degree(Fs: MultiPoly, cls: SurfaceClass, plane_budget: int):

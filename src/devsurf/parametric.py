@@ -40,6 +40,7 @@ from .implicit import (
     SurfaceClass,
     _plane_param,
     admissible_planes,
+    plane_at_base,
 )
 from .builder import (
     ParamResult,
@@ -263,26 +264,34 @@ def _parameter_lines(polys, bound: int):
     raise ArithmeticError(f"no usable parameter line within {bound} values")
 
 
-def section_parametric(P: RationalMap3, plane: MultiPoly, cls: SurfaceClass) -> RationalMap3:
+def section_parametric(
+    P: RationalMap3, plane: MultiPoly, cls: SurfaceClass, nd: Optional[NormalData] = None
+) -> RationalMap3:
     """Section of a parametric cone or cylinder by an admissible plane (one
     that misses the apex, or is not parallel to the direction), as a curve
     in t read off P itself.
 
-    A line L(t) of the parameter plane, from `_parameter_lines`, is sent
-    into the plane from the apex A, X = A + lam*(L - A), or along the
-    direction v, X = L + lam*v, with lam chosen so that X lies on the
-    plane.  A line is skipped when a denominator of P vanishes on all of
-    it, or when X is one point: the line then runs inside one ruling.
-    Otherwise X is a nonconstant piece of the irreducible section curve,
-    hence a parametrization of all of it.
+    P = X/W is taken in homogeneous form, from ``nd`` when it is given.
+    On a line of the parameter plane, from `_parameter_lines`, the point
+    (X, W) is sent into the plane pi = (n, b) from the base point B of the
+    surface, B = (a, 1) for the apex a or B = (v, 0) for the direction v:
+    with l = n.X + b*W, the point pi(B)*(X, W) - l*B is polynomial and lies
+    on the plane, since pi of it is pi(B)*l - l*pi(B).  Each of its first
+    three coordinates is divided by the last once.  A line is skipped when
+    W vanishes on all of it (it runs along a pole), when the last
+    coordinate vanishes (for a cone, the line lies in the plane through
+    the apex parallel to the section), or when the point is constant: the
+    line then runs inside one ruling.  Otherwise the point is a
+    nonconstant piece of the irreducible section curve, hence a
+    parametrization of all of it.
 
     Only finitely many c are skipped, unless every line of one family runs
     inside a ruling; then no line of the other family does, and only its
     lines on a pole are skipped.  In numbers: by Lueroth's theorem
-    X = G(r) for a proper parametrization G of the section curve, of
-    degree m >= 2 since the surface is not a plane, and some r = a/b in
-    Q(s, t).  The line s = c is one point exactly when s - c divides
-    a_t*b - a*b_t, whose s-degree is at most
+    the section point is G(r) for a proper parametrization G of the
+    section curve, of degree m >= 2 since the surface is not a plane, and
+    some r = a/b in Q(s, t).  The line s = c is one point exactly when
+    s - c divides a_t*b - a*b_t, whose s-degree is at most
     2*max(deg_s a, deg_s b) = 2*deg_s G(a, b)/m, at most the sum S_s of
     the s-degrees of the components of P; S_s bounds the lines s = c on a
     pole as well.  So at most min(2*S_s, 2*S_t) <= S_s + S_t values of c
@@ -290,27 +299,21 @@ def section_parametric(P: RationalMap3, plane: MultiPoly, cls: SurfaceClass) -> 
     and passing 2 + S_s + S_t values is an internal fault.
     """
     bound = 2 + sum(max(c.num.degree_in(v), c.den.degree_in(v)) for c in P.components for v in ("s", "t"))
-    if cls.tag == CONICAL:
-        level = plane.eval_all(dict(zip(COORDS, cls.apex)))  # nonzero: the plane misses the apex
-    else:
-        # the plane's normal dotted with the direction, nonzero
-        rate = plane.eval_all(dict(zip(COORDS, cls.direction))) - plane.eval_all(dict.fromkeys(COORDS, 0))
-    polys = [f.num for f in P.components] + [f.den for f in P.components]
-    for line in _parameter_lines(polys, bound):
-        if any(d.is_zero() for d in line[3:]):
+    normal = [plane.coeff({v: 1}) for v in COORDS]
+    b = plane.coeff({})
+    at_base = plane_at_base(cls, normal, b)  # nonzero: the plane is admissible
+    base, base_w = (cls.apex, 1) if cls.tag == CONICAL else (cls.direction, 0)
+    form = homogeneous_form(P) if nd is None else [*nd.x, nd.w]
+    for *X, W in _parameter_lines(form, bound):
+        if W.is_zero():
             continue
-        L = [RatFunc(n, d) for n, d in zip(line[:3], line[3:])]
-        ell = substitute(plane, dict(zip(COORDS, L)))
-        if cls.tag == CONICAL:
-            if (ell - level).is_zero():  # L lies in the plane through the apex parallel to the section
-                continue
-            lam = level / (level - ell)
-            X = [lam * (x - a) + a for a, x in zip(cls.apex, L)]
-        else:
-            lam = ell * (-1 / rate)
-            X = [x + lam * v for x, v in zip(L, cls.direction)]
-        if not all(x.is_constant() for x in X):
-            return RationalMap3(X, ("t",))
+        ell = sum((x * n for x, n in zip(X, normal)), W * b)
+        last = W * at_base - ell * base_w
+        if last.is_zero():
+            continue
+        point = [RatFunc(x * at_base - ell * a, last) for x, a in zip(X, base)]
+        if not all(x.is_constant() for x in point):
+            return RationalMap3(point, ("t",))
 
 
 def cuspidal_edge(nd: NormalData) -> RationalMap3:
@@ -422,7 +425,7 @@ def rebuild_and_verify(
         plane = next((plane for plane, _ in admissible_planes(cls, plane_budget)), None)
         if plane is None:
             raise DevsurfError("no usable section plane within budget")
-        curve = section_parametric(P, plane, cls)
+        curve = section_parametric(P, plane, cls, nd)
     else:
         raise ValueError(f"no rebuild for classification {cls.tag}")
     if not is_proper_curve(curve, "t")[0]:

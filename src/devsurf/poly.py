@@ -125,6 +125,14 @@ def _ratio(n: int, d: int):
     return Q(n, d) if r else q
 
 
+def _exact(value) -> Q:
+    """A coefficient given from outside as a ``Q``; a float is refused, as
+    its binary expansion is not the number it was written as."""
+    if isinstance(value, float):
+        raise TypeError("coefficients must be exact rationals, not floats")
+    return Q(value)
+
+
 class MultiPoly:
     """Immutable multivariate polynomial with exact rational coefficients."""
 
@@ -134,9 +142,7 @@ class MultiPoly:
         nvars = len(variables)
         cleaned: dict[tuple[int, ...], Q] = {}
         for exps, coeff in terms.items():
-            if isinstance(coeff, float):
-                raise TypeError("coefficients must be exact rationals, not floats")
-            c = coeff if type(coeff) is int or isinstance(coeff, Q) else Q(coeff)
+            c = coeff if type(coeff) is int or isinstance(coeff, Q) else _exact(coeff)
             if c == 0:
                 continue
             if len(exps) != nvars:
@@ -183,7 +189,7 @@ class MultiPoly:
 
     @staticmethod
     def const(value) -> "MultiPoly":
-        return MultiPoly._make((), {(): value if type(value) is int else _canon(Q(value))})
+        return MultiPoly._make((), {(): value if type(value) is int else _canon(_exact(value))})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":

@@ -9,7 +9,10 @@ import pytest
 from devsurf.poly import MultiPoly, Q, gcd_many, resultant, squarefree_part
 from devsurf.ratfunc import substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
+from devsurf.curves import plane_candidates
 from devsurf.implicit import (
+    SurfaceClass,
+    admissible_planes,
     analyze_implicit,
     classify_implicit,
     detect_apex,
@@ -311,6 +314,52 @@ class TestOneCertificate:
         a = analyze_implicit(request.getfixturevalue(surface))
         assert a.parametrization is not None and a.parametrization.verified
         assert calls == [a.parametrization.kind]
+
+
+def admissible_oracle(cls, budget):
+    """The candidate planes that do not vanish at the apex, or whose value
+    changes along the direction, by evaluating each plane."""
+    out = []
+    for plane, normal in plane_candidates(budget):
+        if cls.tag == "Conical":
+            keep = plane.eval_all(dict(zip("xyz", cls.apex))) != 0
+        else:
+            keep = plane.eval_all(dict(zip("xyz", cls.direction))) != plane.eval_all(dict.fromkeys("xyz", 0))
+        if keep:
+            out.append((plane, normal))
+    return out
+
+
+def seeded_classes():
+    rng = random.Random(20260811)
+    cones = [tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3)) for _ in range(12)]
+    # apexes on candidate planes: x = 0 and x + y + z = -2; x, y, z = 1,
+    # x - z = 0 and x + y + z = 3; x - z = 0 and x + y + z = 1
+    cones += [(Q(0), Q(5), Q(-7)), (Q(1), Q(1), Q(1)), (Q(1, 3), Q(1, 3), Q(1, 3))]
+    directions = [tuple(rng.randint(-3, 3) for _ in range(3)) for _ in range(12)]
+    # directions parallel to the candidates x = c, x - z = c, x + y + z = c
+    directions += [(0, 1, 0), (1, 0, 1), (1, -1, 0), (0, 0, 1)]
+    return [SurfaceClass(tag="Conical", apex=a) for a in cones] + [
+        SurfaceClass(tag="Cylindrical", direction=d) for d in directions if any(d)
+    ]
+
+
+class TestAdmissiblePlanes:
+    """A candidate n.x + c is admissible when n.a + c != 0 at the apex a of
+    a cone, or n.v != 0 for the direction v of a cylinder."""
+
+    @pytest.mark.parametrize("cls", seeded_classes())
+    @pytest.mark.parametrize("budget", [35, 12])
+    def test_matches_plane_evaluation(self, cls, budget):
+        assert list(admissible_planes(cls, budget)) == admissible_oracle(cls, budget)
+
+    def test_planes_through_the_apex_or_along_the_direction_are_skipped(self):
+        on_five = SurfaceClass(tag="Conical", apex=(Q(1), Q(1), Q(1)))
+        assert len(list(admissible_planes(on_five, 35))) == 30
+        along_y = SurfaceClass(tag="Cylindrical", direction=(0, 1, 0))
+        assert [normal for _, normal in admissible_planes(along_y, 35)] == [
+            n for _, n in plane_candidates(35) if n[1] != 0
+        ]
 
 
 class TestSectionSweep:

@@ -3,6 +3,7 @@ singular parameter loci, cuspidal edges, rebuild with verification."""
 
 import contextlib
 import io
+import itertools
 import json
 import random
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from devsurf.poly import MultiPoly, Q, det3
-from devsurf.ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute_map_is_zero
+from devsurf.ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute, substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.errors import DegenerateInputError, DevsurfError
 from devsurf.builder import (
@@ -22,6 +23,7 @@ from devsurf.builder import (
     ruling_triple_product,
 )
 from devsurf.parametric import (
+    _parameter_lines,
     analyze_parametric,
     cuspidal_edge,
     detect_apex_parametric,
@@ -32,7 +34,7 @@ from devsurf.parametric import (
     surface_normal,
 )
 from devsurf.curves import is_proper_curve
-from devsurf.implicit import SurfaceClass
+from devsurf.implicit import SurfaceClass, admissible_planes
 from devsurf.cli import main as cli_main
 
 from conftest import random_cone, random_cylinder, random_space_curve, random_tangent_surface
@@ -351,8 +353,73 @@ def run_parametric(text):
     return code, json.loads(buf.getvalue())
 
 
+def section_oracle(P, plane, cls):
+    """The section of a cone or cylinder built with RatFunc arithmetic on
+    the components of P: a line L(t) is sent into the plane from the apex
+    A, A + lam*(L - A), or along the direction v, L + lam*v."""
+    bound = 2 + sum(max(c.num.degree_in(v), c.den.degree_in(v)) for c in P.components for v in ("s", "t"))
+    if cls.tag == "Conical":
+        level = plane.eval_all(dict(zip("xyz", cls.apex)))
+    else:
+        rate = plane.eval_all(dict(zip("xyz", cls.direction))) - plane.eval_all(dict.fromkeys("xyz", 0))
+    polys = [f.num for f in P.components] + [f.den for f in P.components]
+    for line in _parameter_lines(polys, bound):
+        if any(d.is_zero() for d in line[3:]):
+            continue
+        L = [RatFunc(n, d) for n, d in zip(line[:3], line[3:])]
+        ell = substitute(plane, dict(zip("xyz", L)))
+        if cls.tag == "Conical":
+            if (ell - level).is_zero():
+                continue
+            lam = level / (level - ell)
+            point = [lam * (x - a) + a for a, x in zip(cls.apex, L)]
+        else:
+            lam = ell * (-1 / rate)
+            point = [x + lam * v for x, v in zip(L, cls.direction)]
+        if not all(x.is_constant() for x in point):
+            return RationalMap3(point, ("t",))
+
+
+def seeded_sections():
+    """(P, SurfaceClass) for seeded cones and cylinders, each also with
+    s -> 1/s, which puts the line s = 0 on a pole, plus two rational cones
+    whose line s = 0 is a pole.  The first one's line t = 0 lies in the
+    plane x = 1 through its apex.  The second one's ruling s + 2t is not
+    constant on s = 0, so that line, read projectively, would give another
+    parametrization of the section."""
+    rng = random.Random(4242)
+    s = RatFunc(MultiPoly.var("s"))
+    out = []
+    for _ in range(4):
+        built, (_, apex, _) = random_cone(rng, 2)
+        out.append((built.full_map(), SurfaceClass(tag="Conical", apex=apex)))
+        built, (_, _, d) = random_cylinder(rng, 2)
+        out.append((built.full_map(), SurfaceClass(tag="Cylindrical", direction=d)))
+    out += [(P.subs({"s": 1 / s}, ("s", "t")), cls) for P, cls in out]
+    for u in ("t", "(s+2*t)"):
+        P = parse_map(f"(1 + {u}/s, 2 + ({u}^2+1)/s, -1 + ({u}^2-{u}+2)/s)", params=("s", "t"))
+        out.append((P, SurfaceClass(tag="Conical", apex=(Q(1), Q(2), Q(-1)))))
+    return out
+
+
 class TestSectionFromMap:
     """Cone and cylinder sections are read off the input map."""
+
+    @pytest.mark.parametrize("P, cls", seeded_sections())
+    def test_homogeneous_section_matches_ratfunc_construction(self, P, cls):
+        nd = surface_normal(P)
+        for plane, _ in itertools.islice(admissible_planes(cls, 35), 6):
+            expect = section_oracle(P, plane, cls)
+            assert section_parametric(P, plane, cls) == expect
+            assert section_parametric(P, plane, cls, nd) == expect
+
+    def test_skipped_lines(self):
+        # s = 0 is a pole, and t = 0 maps into x = 1, the plane through the
+        # apex parallel to the section x = 0.  On s = 1, L = (1 + t, t^2 + 3,
+        # t^2 - t + 1) is sent from the apex A by lam = 1/(1 - x(L)) = -1/t
+        P = parse_map("(1 + t/s, 2 + (t^2+1)/s, -1 + (t^2-t+2)/s)", params=("s", "t"))
+        sec = section_parametric(P, X, SurfaceClass(tag="Conical", apex=(Q(1), Q(2), Q(-1))))
+        assert sec == parse_map("(0, -(t-1)^2/t, -(t^2+2)/t)", params=("t",))
 
     @pytest.mark.parametrize("text", [QUINTIC_CONE, QUINTIC_CONE_TRANSLATED, QUINTIC_CYLINDER])
     def test_quintic_rebuild_verified(self, text):

@@ -749,6 +749,13 @@ class TestIntCoefficients:
         assert (2 * X + 4 * Y).content_unit() == 2 and (-6 * X * Y).content_unit() == -6
         assert MultiPoly.const(3).constant_value() == 3 and MultiPoly.zero().constant_value() == 0
 
+    def test_floats_are_refused(self):
+        # a float's binary expansion is not the number it was written as
+        for build in (lambda: MultiPoly.const(0.1), lambda: MultiPoly.const(2.0),
+                      lambda: MultiPoly(("x",), {(1,): 0.1})):
+            with pytest.raises(TypeError, match="exact rationals, not floats"):
+                build()
+
     def test_no_float_stored_through_the_cli(self):
         # every polynomial built while the reference surfaces of
         # tests/cases.py go through the CLI keeps the stored form

@@ -17,7 +17,12 @@ misses a path of the seeded ones: a non-developable quadric with a
 fractional, non-primitive equation, a cylinder free of z and a plane.
 Then two cones whose sections are proven smooth (a cubic and a quartic),
 and a degree-10 cone map of tracing index 2 whose proper quintic
-projection is singular and outside the plane-curve families.  When two
+projection is singular and outside the plane-curve families.  Last, three
+maps whose first parameter lines the parametric section skips: a quintic
+cone whose line s = 0 is its apex and whose line t = 0 is a ruling, a
+rational cone whose line s = 0 is a pole and whose line t = 0 lies in the
+plane through the apex parallel to the section, and a rational cylinder
+whose line s = 0 is a pole and whose line t = 0 is a ruling.  When two
 commits print the same text, they agree on every exit code,
 classification, apex, direction, printed K, parametrization, implicit
 equation and failure text of the benchmark inputs.  perfbench/gen.py is imported as
@@ -50,6 +55,9 @@ EXTRA = (
     ("smooth cubic cone", ["implicit", "x^3+y^3-2*z^3"]),
     ("smooth quartic cone", ["implicit", "x^4+y^4-z^4"]),
     ("degree-10 index-2 cone map", ["parametric", "(s*(t^10+2*t^2+1), s*(t^8-3*t^4+2), s*(t^6+t^2+5))"]),
+    ("translated quintic cone map", ["parametric", "(s*(t^5+2*t+1)+1, s*(t^4-3*t^2+2)+2, s*(t^3+t+5)-1)"]),
+    ("rational cone map", ["parametric", "(1 + t/s, 2 + (t^2+1)/s, -1 + (t^2-t+2)/s)"]),
+    ("rational cylinder map", ["parametric", "((t^2+1)/(t+2) + 1/s, t/(t+2) + 2/s, (t^2-3)/(t+2) - 1/s)"]),
 )
 
 
