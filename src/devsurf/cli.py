@@ -211,6 +211,15 @@ def _run_one(kind: str, src: str, args) -> dict:
 
 
 def _cmd_analyze(kind: str, args) -> int:
+    for flag, value, least in (
+        ("--plane-budget", args.plane_budget, 1),
+        ("--point-search-budget", args.point_search_budget, 0),
+        ("--jobs", args.jobs, 1),
+    ):
+        if value < least:
+            error = f"{flag} must be at least {least}, got {value}"
+            _emit({"command": kind, "error": error, "exit_code": EXIT_INPUT}, args.pretty)
+            return EXIT_INPUT
     sources = [_read_source(v) for v in args.source]
     # fork starts every worker on the first submit: never more than can run
     workers = min(args.jobs, len(sources), os.cpu_count() or 1)

@@ -12,10 +12,12 @@ Supported families:
   rational simple point).
 
 Every parametrization is validated by exact substitution into the curve
-before it is returned, and its tracing index is computed exactly.  A
-curve of degree d >= 3 outside the families is certified not rational
-when it is proven smooth modulo 2^61 - 1, hence of genus (d-1)(d-2)/2 > 0;
-a curve singular modulo that prime (bad reduction included) gets no claim.
+before it is returned, and its tracing index is certified: an index of 1
+by a gcd of images modulo 2^61 - 1 (`_index_one_image`) when one proves
+it, any other by the exact bivariate gcd.  A curve of degree d >= 3
+outside the families is certified not rational when it is proven smooth
+modulo 2^61 - 1, hence of genus (d-1)(d-2)/2 > 0; a curve singular
+modulo that prime (bad reduction included) gets no claim.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .poly import (
     _divmod_mod,
     _eval_mod,
     _gcd_mod,
+    _int_terms,
     _modulus,
     _primitive_ints,
     _trim,
@@ -107,11 +110,59 @@ def _fresh_name(avoid: Iterable[str]) -> str:
     raise RuntimeError("no fresh variable name available")
 
 
+# the values w0 that _index_one_image tries, in order
+_IMAGE_POINTS = (2, 3, 5, 7, 11, 13)
+
+
+def _index_one_image(comps, var: str) -> bool:
+    """True when images modulo 2^61 - 1 of the cross polynomials of the
+    nonconstant components, univariate in ``var``, prove tracing index 1;
+    the certificate and its soundness are in `is_proper_curve`."""
+    P = _modulus(0)
+    dense = []
+    for c in comps:  # N and D as integer lists of one length
+        n = max(c.num.degree_in(var), c.den.degree_in(var)) + 1
+        pair = []
+        for p in (c.num, c.den):
+            row = [0] * n
+            for e, m in _int_terms(p.terms)[1].items():
+                row[e[0] if e else 0] = m
+            pair.append(row)
+        dense.append(pair)
+    for w0 in _IMAGE_POINTS:
+        dw = [_eval_mod(D, w0, P) for _, D in dense]
+        if not all(dw):
+            continue
+        g: list[int] = []
+        full = False
+        for (N, D), d0 in zip(dense, dw):
+            n0 = _eval_mod(N, w0, P)
+            image = _trim([(a * d0 - n0 * b) % P for a, b in zip(N, D)])
+            full = full or len(image) == len(N)
+            if image:
+                g = _gcd_mod(g, image, P)
+        return full and len(g) == 2
+    return False
+
+
 def is_proper_curve(components, var: str = "t") -> tuple[bool, int]:
     """Tracing index of a rational curve map; proper means index 1.
 
-    The index is the degree in ``var`` of the gcd of the numerators of
-    p_i(var) - p_i(fresh) over all nonconstant components.
+    The index is deg_t G, G the gcd over Q[t, w] of the cross polynomials
+    C = N(t)*D(w) - N(w)*D(t) of the nonconstant components N/D, here on
+    their integer numerators (Sendra, Winkler & Perez-Diaz, *Rational
+    Algebraic Curves*, 2008, ch. 4).  A map in ``var`` alone is first given
+    a one-sided certificate of index 1 (`_index_one_image`): each C is
+    mapped into Z_P[t], P = 2^61 - 1, at the first w = w0 of
+    `_IMAGE_POINTS` where no D vanishes mod P.  Take G primitive over Z;
+    by Gauss's lemma each C is G*H with H integer, so lc_t(G)(w0) divides
+    lc_t(C)(w0) and G(t, w0) mod P divides every image.  When one image
+    keeps the full t-degree of its C, lc_t(G)(w0) is a unit mod P and
+    G(t, w0) keeps degree deg_t G; an image gcd of degree 1 then bounds the
+    index by 1, and t - w, which divides every C, makes it 1.  A drop in
+    degree, a larger image gcd or no usable w0 proves nothing, and every
+    such case, every index above 1 among them, runs the exact bivariate
+    gcd.
     """
     if isinstance(components, RationalMap3):
         comps = components.components
@@ -120,21 +171,20 @@ def is_proper_curve(components, var: str = "t") -> tuple[bool, int]:
     used = set()
     for c in comps:
         used.update(c.vars)
+    nonconst = [c for c in comps if not c.is_constant()]
+    if not nonconst:
+        return False, 0
+    if used == {var} and _index_one_image(nonconst, var):
+        return True, 1
     fresh = _fresh_name(used | {var})
     g = MultiPoly.zero()
-    any_nonconst = False
-    for c in comps:
-        if c.is_constant():
-            continue
-        any_nonconst = True
+    for c in nonconst:
         n2 = c.num.rename_vars({var: fresh})
         d2 = c.den.rename_vars({var: fresh})
         cross = c.num * d2 - n2 * c.den
         g = gcd_multi(g, cross)
         if not g.is_zero() and g.degree_in(var) <= 1:
             break
-    if not any_nonconst:
-        return False, 0
     idx = g.degree_in(var)
     return idx == 1, idx
 
@@ -936,18 +986,18 @@ def parametrize_plane_curve(
 # ---------------------------------------------------------------------------
 
 
-# candidate section planes n.(x, y, z) - c with their normals n, in sweep
-# order: x, y, z, x - z, x + y + z for each c
+# candidate section planes n.(x, y, z) + b with their integer normals n and
+# constants b, in sweep order: x, y, z, x - z, x + y + z = c for each c
 _PLANES = tuple(
-    (sum((MultiPoly.var(v) * Q(n) for v, n in zip(COORDS, normal)), MultiPoly.const(-c)), tuple(map(Q, normal)))
+    (sum((MultiPoly.var(v) * n for v, n in zip(COORDS, normal)), MultiPoly.const(-c)), normal, -c)
     for c in (0, 1, -1, 2, -2, 3, -3)
     for normal in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (1, 1, 1))
 )
 
 
-def plane_candidates(budget: int = 35) -> tuple[tuple[MultiPoly, tuple[Q, Q, Q]], ...]:
-    """The first `budget` candidate section planes with their normals, at
-    least one and at most 35."""
+def plane_candidates(budget: int = 35) -> tuple[tuple[MultiPoly, tuple[int, int, int], int], ...]:
+    """The first `budget` candidate section planes n.x + b = 0 as triples
+    (plane, n, b) of ints, at least one and at most 35."""
     return _PLANES[: max(budget, 1)]
 
 

@@ -12,7 +12,9 @@ is sampled to decide anything.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .errors import DegenerateInputError, DevsurfError, NotRationalError
@@ -20,6 +22,8 @@ from .linalg import common_direction, common_point
 from .poly import (
     MultiPoly,
     Q,
+    _int_terms,
+    _num_den,
     bordered_hessian,
     divides,
     gcd_many,
@@ -247,9 +251,17 @@ def plane_at_base(cls: SurfaceClass, normal, constant) -> Q:
 
 def admissible_planes(cls: SurfaceClass, budget: int):
     """The candidate planes, with their normals, that miss the apex of a
-    cone or are not parallel to the direction of a cylinder."""
-    for plane, normal in plane_candidates(budget):
-        if plane_at_base(cls, normal, plane.coeff({})):
+    cone or are not parallel to the direction of a cylinder: pi(B) != 0,
+    tested on integers as n.(D*a) + b*D for the apex a over its common
+    denominator D, or as n.v for the integer direction v."""
+    if cls.tag == CONICAL:
+        dens = [_num_den(a)[1] for a in cls.apex]
+        D = math.lcm(*dens)
+        base = [_num_den(a)[0] * (D // d) for a, d in zip(cls.apex, dens)]
+    else:
+        D, base = 0, cls.direction
+    for plane, normal, b in plane_candidates(budget):
+        if sum(map(mul, normal, base)) + b * D:
             yield plane, normal
 
 
@@ -262,11 +274,14 @@ def _sections_by_degree(Fs: MultiPoly, cls: SurfaceClass, plane_budget: int):
     form, for a cylinder an affine image of the base curve.  Its degree is
     deg Fs, minus 1 exactly when the top-degree form of Fs vanishes on the
     plane's direction, which happens only when a plane component through
-    the apex is parallel to the candidate.  A binary form of degree d that vanishes at the d + 1
-    points (1, k), k = 0..d, of the direction plane is zero.
+    the apex is parallel to the candidate.  A binary form of degree d that
+    vanishes at the d + 1 integer points (1, k), k = 0..d, of the
+    direction plane is zero; the integer terms of the top form are
+    evaluated there once per normal.
     """
     d = Fs.total_degree()
-    top = MultiPoly._make(Fs.vars, {e: c for e, c in Fs.terms.items() if sum(e) == d})
+    pos = [COORDS.index(v) for v in Fs.vars]
+    top = [(e, c) for e, c in _int_terms(Fs.terms)[1].items() if sum(e) == d]
     drops = {}  # by plane normal: the candidates share a few directions
     keyed = []
     for plane, normal in admissible_planes(cls, plane_budget):
@@ -274,11 +289,12 @@ def _sections_by_degree(Fs: MultiPoly, cls: SurfaceClass, plane_budget: int):
             # (1, k) in the basis n_s*e_u - n_u*e_s, n_s*e_w - n_w*e_s
             s = max(i for i in range(3) if normal[i])
             u, w = (i for i in range(3) if i != s)
-            point = [Q(0)] * 3
+            point = [0] * 3
             vanishes = True
             for k in range(d + 1):
                 point[u], point[w], point[s] = normal[s], k * normal[s], -normal[u] - k * normal[w]
-                if top.eval_all(dict(zip(COORDS, point))) != 0:
+                xs = [point[i] for i in pos]
+                if sum(c * math.prod(map(pow, xs, e)) for e, c in top):
                     vanishes = False
                     break
             drops[normal] = vanishes

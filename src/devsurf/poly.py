@@ -19,14 +19,14 @@ There is no floating point anywhere in a decision path.  The stored
 form stays inside this module: outside it, coefficients are read through
 the accessors ``coeff``, ``constant_value``, ``eval_all`` and
 ``content_unit``, which always return a ``Q``, so a caller that divides
-never meets int / int.  Products, exact divisions, gcds and evaluations
-work on Python integers: each operand is scaled to integer numerators
-over one common denominator (read as Python ints through ``_num_den``,
-since gmpy2 gives an mpz, and mpz / mpz is a float; an all-int operand
-is used as it is), and an output term becomes a rational only when that
-denominator does not divide it.  Internal results that are canonical by
-construction skip re-canonicalization through the trusted constructor
-``MultiPoly._make``.
+never meets int / int.  Products, exact divisions, gcds, evaluations and
+substitutions work on Python integers: each operand is scaled to integer
+numerators over one common denominator (read as Python ints through
+``_num_den``, since gmpy2 gives an mpz, and mpz / mpz is a float; an
+all-int operand is used as it is), and an output term becomes a rational
+only when that denominator does not divide it.  Internal results that
+are canonical by construction skip re-canonicalization through the
+trusted constructor ``MultiPoly._make``.
 
 Besides the arithmetic operators, the module provides the elimination
 toolkit used by the analyzers: formal derivatives, determinants,
@@ -399,26 +399,41 @@ class MultiPoly:
         return MultiPoly._make(vars_, {e: _ratio(n, den) for e, n in out.items() if n})
 
     def subs_poly(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials for variables (pure polynomial composition)."""
-        caches: dict[str, list[MultiPoly]] = {}
-        for name in self.vars:
-            if name in bindings:
-                caches[name] = [MultiPoly.const(1)]
-        result = MultiPoly.zero()
-        for exps, coeff in self.terms.items():
-            term = MultiPoly.const(coeff)
-            for name, e in zip(self.vars, exps):
-                if e == 0:
-                    continue
-                if name in caches:
-                    cache = caches[name]
-                    while len(cache) <= e:
-                        cache.append(cache[-1] * bindings[name])
-                    term = term * cache[e]
-                else:
-                    term = term * MultiPoly._make((name,), {(e,): 1})
-            result = result + term
-        return result
+        """Substitute polynomials for variables, all at once (so {x: y,
+        y: x} swaps them): pure polynomial composition.
+
+        A binding B/e of a variable of degree d, B integer and e its
+        denominator, enters as the power table B^k * e^(d-k) over e^d, so
+        every term is an integer over one common denominator; the terms
+        accumulate into one integer dict and one polynomial is built."""
+        bound = [(i, bindings[name]) for i, name in enumerate(self.vars) if name in bindings]
+        if not bound:
+            return self
+        free = [i for i, name in enumerate(self.vars) if name not in bindings]
+        vars_ = canonical_vars([self.vars[i] for i in free] + [v for _, b in bound for v in b.vars])
+        den, ints = _int_terms(self.terms)
+        powers = []
+        for i, value in bound:
+            e, b = _int_terms(_reindex(value.terms, value.vars, vars_))
+            d = max(x[i] for x in ints)
+            table = [{(0,) * len(vars_): e**d}]
+            for _ in range(d):  # B^k * e^(d-k) from B^(k-1) * e^(d-k+1)
+                table.append({x: c // e for x, c in _mul_terms(table[-1], b).items() if c})
+            powers.append((i, table))
+            den *= e**d
+        pos = [vars_.index(self.vars[i]) for i in free]
+        out: dict[tuple[int, ...], int] = {}
+        get = out.get
+        for exps, n in ints.items():
+            mono = [0] * len(vars_)
+            for i, p in zip(free, pos):
+                mono[p] = exps[i]
+            acc = {tuple(mono): n}
+            for i, table in powers:
+                acc = _mul_terms(acc, table[exps[i]])
+            for x, c in acc.items():
+                out[x] = get(x, 0) + c
+        return MultiPoly._make(vars_, {x: _ratio(c, den) for x, c in out.items() if c})
 
     def rename_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
         new_names = [mapping.get(n, n) for n in self.vars]

@@ -159,6 +159,27 @@ class TestExitCodes:
         assert exc.value.code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["implicit", cases.ELLIPTIC_CONE_F, "--plane-budget", "-5"], "--plane-budget"),
+            (["implicit", cases.ELLIPTIC_CONE_F, "--plane-budget", "0"], "--plane-budget"),
+            (["parametric", cases.PLANE_MAP, "--jobs", "-3"], "--jobs"),
+            (["implicit", cases.SPHERE_F, cases.ELLIPTIC_CONE_F, "--jobs", "0"], "--jobs"),
+            (["implicit", cases.ELLIPTIC_CONE_F, "--point-search-budget", "-1"], "--point-search-budget"),
+        ],
+    )
+    def test_out_of_range_budgets_are_input_errors(self, argv, flag):
+        code, out = run_cli(argv)
+        [report] = [json.loads(line) for line in out.splitlines()]
+        assert code == 1 and report["exit_code"] == 1
+        assert report["error"].startswith(flag + " must be at least")
+
+    def test_smallest_budgets_are_accepted(self):
+        argv = ["implicit", cases.ELLIPTIC_CONE_F, "--plane-budget", "1", "--point-search-budget", "0", "--jobs", "1"]
+        code, out = run_cli(argv)
+        assert code != 1 and json.loads(out)["exit_code"] == code
+
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["implicit", "-h"])

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import devsurf.curves
-from devsurf.poly import MultiPoly, Q, resultant, squarefree_part
+from devsurf.poly import MultiPoly, Q, gcd_multi, resultant, squarefree_part
 from devsurf.ratfunc import RatFunc, compose_is_zero, substitute_map
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.errors import NotRationalError, PointSearchExhaustedError, UnsupportedCurveError
@@ -28,7 +28,7 @@ from devsurf.curves import (
 )
 from devsurf.curves import _conic_point_decision, _factor, _interpolate, _is_prime, _legendre, _res_mod, _smooth_genus
 
-from conftest import map2_with_zero, ternary_form_solvable
+from conftest import map2_with_zero, random_space_curve, ternary_form_solvable
 
 import cases
 
@@ -343,6 +343,92 @@ class TestProperness:
         m = parse_map(cases.ELLIPTIC_CONE_CURVE_3D, params=("t",))
         proper, idx = is_proper_curve(m, "t")
         assert proper and idx == 1
+
+
+def index_oracle(comps):
+    """Tracing index in t as the degree of the exact gcd over Q[t, w] of the
+    cross polynomials of all nonconstant components."""
+    g = MultiPoly.zero()
+    for c in comps:
+        if not c.is_constant():
+            n2, d2 = c.num.rename_vars({"t": "w"}), c.den.rename_vars({"t": "w"})
+            g = gcd_multi(g, c.num * d2 - n2 * c.den)
+    return g.degree_in("t")
+
+
+def seeded_curve_maps():
+    """Proper-looking rational maps in t: space curves and plane pairs, with
+    common or separate denominators and rational coefficients."""
+    rng = random.Random(20260811)
+    maps = []
+    for _ in range(16):
+        m = random_space_curve(rng, rng.randint(1, 3), rng.randint(0, 2), mixed=rng.random() < 0.5)
+        comps = [c * Q(rng.randint(1, 5), rng.randint(1, 4)) for c in m.components]
+        maps.append(tuple(comps[: rng.choice([2, 3])]))
+    return maps
+
+
+class TestProperImage:
+    """The modular certificate of index 1 against the exact bivariate gcd."""
+
+    T = RatFunc(MultiPoly.var("t"))
+    REPARAMETRIZATIONS = [
+        (T * T, 2),
+        ((T * T + 1) / T, 2),
+        (T * T * T - T, 3),
+        # every image at w0 = 2 loses degree: lc_t of the gcd is -(w - 2)
+        ((T - 2) / (T * T + 1), 2),
+    ]
+
+    @staticmethod
+    def compose(comps, r):
+        return tuple(c.subs({"t": r}) for c in comps)
+
+    @pytest.mark.parametrize("comps", seeded_curve_maps())
+    def test_seeded_maps_match_exact_gcd(self, comps):
+        idx = index_oracle(comps)
+        assert is_proper_curve(comps, "t") == (idx == 1, idx)
+
+    @pytest.mark.parametrize("comps", seeded_curve_maps()[:8])
+    @pytest.mark.parametrize("r, k", REPARAMETRIZATIONS)
+    def test_composed_maps_match_exact_gcd(self, comps, r, k):
+        base = index_oracle(comps)
+        composed = self.compose(comps, r)
+        idx = index_oracle(composed)
+        assert idx == k * base
+        assert is_proper_curve(composed, "t") == (idx == 1, idx)
+
+    def test_drop_in_degree_proves_nothing(self):
+        composed = self.compose((self.T, self.T * self.T), (self.T - 2) / (self.T * self.T + 1))
+        assert not devsurf.curves._index_one_image(composed, "t")
+        assert is_proper_curve(composed, "t") == (False, 2)
+
+    def test_pole_at_the_first_point_is_skipped(self, monkeypatch):
+        # both components have a double pole at w0 = 2, where every image
+        # would be a multiple of (t - 2)^2
+        calls = []
+        monkeypatch.setattr(devsurf.curves, "gcd_multi", lambda *a: calls.append(a) or gcd_multi(*a))
+        comps = tuple(parse_map("((2*t-6)/(t-2)^2, (2*t-8)/(t-2)^2, 0)", params=("t",)))
+        assert devsurf.curves._IMAGE_POINTS[0] == 2
+        assert is_proper_curve(comps, "t") == (True, 1)
+        assert calls == []
+        assert index_oracle(comps) == 1
+
+    def test_constant_and_foreign_components(self):
+        one = RatFunc(MultiPoly.const(1))
+        assert is_proper_curve((one, one), "t") == (False, 0)
+        assert is_proper_curve((self.T, one), "t") == (True, 1)
+        s = RatFunc(MultiPoly.var("s"))
+        assert is_proper_curve((self.T * s, self.T * self.T), "t") == (True, 1)
+
+    def test_cone_pencil_never_reaches_the_gcd(self, monkeypatch):
+        from devsurf.implicit import analyze_implicit
+
+        calls = []
+        monkeypatch.setattr(devsurf.curves, "gcd_multi", lambda *a: calls.append(a) or gcd_multi(*a))
+        a = analyze_implicit(parse_poly(cases.ELLIPTIC_CONE_F, ("x", "y", "z")))
+        assert a.parametrization is not None and a.parametrization.verified
+        assert calls == []
 
 
 class TestImplicitizeRoundTrip:

@@ -12,6 +12,7 @@ from devsurf.exprs import parse_map, parse_poly
 from devsurf.curves import plane_candidates
 from devsurf.implicit import (
     SurfaceClass,
+    _sections_by_degree,
     admissible_planes,
     analyze_implicit,
     classify_implicit,
@@ -320,7 +321,7 @@ def admissible_oracle(cls, budget):
     """The candidate planes that do not vanish at the apex, or whose value
     changes along the direction, by evaluating each plane."""
     out = []
-    for plane, normal in plane_candidates(budget):
+    for plane, normal, _ in plane_candidates(budget):
         if cls.tag == "Conical":
             keep = plane.eval_all(dict(zip("xyz", cls.apex))) != 0
         else:
@@ -358,8 +359,77 @@ class TestAdmissiblePlanes:
         assert len(list(admissible_planes(on_five, 35))) == 30
         along_y = SurfaceClass(tag="Cylindrical", direction=(0, 1, 0))
         assert [normal for _, normal in admissible_planes(along_y, 35)] == [
-            n for _, n in plane_candidates(35) if n[1] != 0
+            n for _, n, _ in plane_candidates(35) if n[1] != 0
         ]
+
+
+def sections_by_degree_oracle(Fs, cls, budget):
+    """Admissible planes keyed by section degree: deg Fs, or deg Fs - 1 when
+    the top-degree form, built as a polynomial, evaluates to zero at the
+    d + 1 rational points (1, k) of each plane's direction plane."""
+    d = Fs.total_degree()
+    top = MultiPoly(Fs.vars, {e: c for e, c in Fs.terms.items() if sum(e) == d})
+    keyed = []
+    for plane, normal in admissible_oracle(cls, budget):
+        s = max(i for i in range(3) if normal[i])
+        u, w = (i for i in range(3) if i != s)
+        vanishes = True
+        for k in range(d + 1):
+            point = [Q(0)] * 3
+            point[u], point[w], point[s] = Q(normal[s]), Q(k * normal[s]), Q(-normal[u] - k * normal[w])
+            vanishes = vanishes and top.eval_all(dict(zip("xyz", point))) == 0
+        keyed.append((plane, d - 1 if vanishes else d))
+    keyed.sort(key=lambda pk: pk[1])
+    return keyed
+
+
+def seeded_keyed_surfaces():
+    """(F, class) pairs: cones with fractional apexes, cylinders, and cones
+    times a plane through the apex."""
+    rng = random.Random(20260811)
+    xyz = (X, Y, Z)
+    out = []
+    for _ in range(10):
+        d = rng.randint(2, 3)
+        form = sum(
+            (Q(rng.randint(-3, 3)) * X**i * Y**j * Z ** (d - i - j) for i in range(d + 1) for j in range(d + 1 - i)),
+            MultiPoly.zero(),
+        )
+        apex = tuple(Q(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+        cone = form.subs_poly({v: p - a for v, p, a in zip("xyz", xyz, apex)})
+        out.append((cone, SurfaceClass(tag="Conical", apex=apex)))
+        normal = rng.choice([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (1, 1, 1), (2, -1, 1)])
+        plane = sum((n * (p - a) for n, p, a in zip(normal, xyz, apex)), MultiPoly.zero())
+        out.append((cone * plane, SurfaceClass(tag="Conical", apex=apex)))
+    for _ in range(8):
+        v = (rng.randint(-2, 2), rng.randint(-2, 2), rng.choice([-2, -1, 1, 3]))
+        u, w = v[2] * X - v[0] * Z, v[2] * Y - v[1] * Z
+        g = sum(
+            (Q(rng.randint(-3, 3)) * u**i * w**j for i in range(4) for j in range(4 - i) if rng.random() < 0.6),
+            u**2 - w,
+        )
+        out.append((g, SurfaceClass(tag="Cylindrical", direction=v)))
+    # x^2 + z^2 - y*z vanishes at the direction points (0, 1, k) of the
+    # planes x = c for k = 0 and 1 but not for k = 2
+    out.append((X**2 + Z**2 - Y * Z, SurfaceClass(tag="Conical", apex=(Q(0), Q(0), Q(0)))))
+    out.append(((X**2 + Y**2 - Z**2) * (X - Z), SurfaceClass(tag="Conical", apex=(Q(0), Q(0), Q(0)))))
+    half = (Q(1, 2),) * 3
+    out.append((parse_poly("(2*x-1)^2+(2*y-1)^2-(2*z-1)^2", ("x", "y", "z")), SurfaceClass(tag="Conical", apex=half)))
+    return out
+
+
+class TestSectionDegreeKeys:
+    @pytest.mark.parametrize("F, cls", seeded_keyed_surfaces())
+    @pytest.mark.parametrize("budget", [35, 12])
+    def test_keys_match_top_form_evaluation(self, F, cls, budget):
+        Fs = squarefree_part(F)
+        assert _sections_by_degree(Fs, cls, budget) == sections_by_degree_oracle(Fs, cls, budget)
+
+    def test_plane_through_the_apex_gives_lower_keys_first(self):
+        Fs = squarefree_part((X**2 + Y**2 - Z**2) * (X - Z))
+        keyed = _sections_by_degree(Fs, SurfaceClass(tag="Conical", apex=(Q(0), Q(0), Q(0))), 35)
+        assert [k for _, k in keyed[:6]] == [2] * 6 and {k for _, k in keyed[6:]} == {3}
+        assert all(plane.vars == ("x", "z") for plane, _ in keyed[:6])
 
 
 class TestSectionSweep:

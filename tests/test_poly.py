@@ -804,6 +804,97 @@ class TestIntCoefficients:
         assert gcd_multi(2 * X, 4 * Y) == 1
 
 
+def subs_poly_oracle(p, bindings):
+    """Term-by-term composition: one polynomial per term, powers of each
+    binding cached as polynomials, the terms added one at a time."""
+    caches = {name: [MultiPoly.const(1)] for name in p.vars if name in bindings}
+    result = MultiPoly.zero()
+    for exps, coeff in p.terms.items():
+        term = MultiPoly.const(coeff)
+        for name, e in zip(p.vars, exps):
+            if e == 0:
+                continue
+            if name in caches:
+                cache = caches[name]
+                while len(cache) <= e:
+                    cache.append(cache[-1] * bindings[name])
+                term = term * cache[e]
+            else:
+                term = term * MultiPoly._make((name,), {(e,): 1})
+        result = result + term
+    return result
+
+
+class TestSubsPoly:
+    """`subs_poly` against the term-by-term oracle."""
+
+    @staticmethod
+    def rational_poly(rng, variables, deg):
+        p = random_small_multipoly(rng, variables, deg, density=0.5)
+        return MultiPoly(p.vars, {e: Q(c, rng.choice([1, 1, 2, 3, 6])) for e, c in p.terms.items()})
+
+    @staticmethod
+    def check(p, bindings):
+        r = p.subs_poly(bindings)
+        assert r == subs_poly_oracle(p, bindings)
+        if not r.is_zero():
+            assert_canonical(r)
+        return r
+
+    def test_seeded_rational_bindings(self):
+        rng = random.Random(20260811)
+        for _ in range(60):
+            p = self.rational_poly(rng, ("x", "y", "z"), rng.randint(1, 4))
+            names = rng.sample(("x", "y", "z"), rng.randint(1, 3))
+            pool = ("x", "y", "z", "t")
+            bindings = {n: self.rational_poly(rng, rng.sample(pool, 2), rng.randint(0, 2)) for n in names}
+            self.check(p, bindings)
+
+    def test_constant_bindings(self):
+        rng = random.Random(4242)
+        for _ in range(30):
+            p = self.rational_poly(rng, ("x", "y", "z"), 3)
+            self.check(p, {"z": MultiPoly.const(1)})
+            self.check(p, {"x": MultiPoly.const(Q(-2, 3)), "y": MultiPoly.const(0)})
+            self.check(p, {v: MultiPoly.const(Q(rng.randint(-5, 5), rng.randint(1, 4))) for v in "xyz"})
+        assert P("x^2*y + 3", ("x", "y")).subs_poly({"x": MultiPoly.const(Q(1, 2))}) == P("1/4*y + 3", ("y",))
+
+    def test_bindings_share_the_free_variables(self):
+        rng = random.Random(1)
+        for _ in range(30):
+            p = self.rational_poly(rng, ("x", "y", "z"), 3)
+            b = self.rational_poly(rng, ("y", "z"), 2)
+            self.check(p, {"x": b})
+            self.check(p, {"x": X + b, "z": Z * Q(1, 2) - Y})
+        # the section of a cone by the plane x - z = 1, as section_implicit forms it
+        r = self.check(P("x^2 + y^2 - z^2", ("x", "y", "z")), {"z": X - 1})
+        assert r == P("y^2 + 2*x - 1", ("x", "y"))
+
+    def test_swap_is_simultaneous(self):
+        rng = random.Random(7)
+        for _ in range(20):
+            p = self.rational_poly(rng, ("x", "y", "z"), 3)
+            r = self.check(p, {"x": Y, "y": X})
+            assert r == p.rename_vars({"x": "y", "y": "x"})
+            assert r.subs_poly({"x": Y, "y": X}) == p
+
+    def test_results_that_cancel_to_zero(self):
+        rng = random.Random(11)
+        for _ in range(20):
+            f = self.rational_poly(rng, ("x",), rng.randint(1, 4))
+            p = f - f.rename_vars({"x": "y"})
+            assert self.check(p, {"x": Y}).is_zero()
+            b = self.rational_poly(rng, ("t",), 2)
+            assert self.check(p, {"x": b, "y": b}).is_zero()
+        assert self.check(P("x^2 - y", ("x", "y")), {"y": X**2}).is_zero()
+        assert self.check(P("x*y - 1", ("x", "y")), {"x": T, "y": T}) == P("t^2 - 1", ("t",))
+
+    def test_unbound_polynomial_is_returned(self):
+        p = P("x^2 + y", ("x", "y"))
+        assert p.subs_poly({"t": X}) is p
+        assert MultiPoly.zero().subs_poly({"x": Y}).is_zero()
+
+
 class TestUnivariateHelpers:
     def test_divmod(self):
         p = P("t^3 - 2*t + 5", ("t",))

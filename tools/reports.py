@@ -22,7 +22,10 @@ maps whose first parameter lines the parametric section skips: a quintic
 cone whose line s = 0 is its apex and whose line t = 0 is a ruling, a
 rational cone whose line s = 0 is a pole and whose line t = 0 lies in the
 plane through the apex parallel to the section, and a rational cylinder
-whose line s = 0 is a pole and whose line t = 0 is a ruling.  When two
+whose line s = 0 is a pole and whose line t = 0 is a ruling.  Then two
+implicit cones for the integer plane tests: one with the fractional apex
+(1/2, 1/2, 1/2), and one times the plane x - z through its apex, whose
+sections by the planes x - z = c lose a degree and come first.  When two
 commits print the same text, they agree on every exit code,
 classification, apex, direction, printed K, parametrization, implicit
 equation and failure text of the benchmark inputs.  perfbench/gen.py is imported as
@@ -58,6 +61,8 @@ EXTRA = (
     ("translated quintic cone map", ["parametric", "(s*(t^5+2*t+1)+1, s*(t^4-3*t^2+2)+2, s*(t^3+t+5)-1)"]),
     ("rational cone map", ["parametric", "(1 + t/s, 2 + (t^2+1)/s, -1 + (t^2-t+2)/s)"]),
     ("rational cylinder map", ["parametric", "((t^2+1)/(t+2) + 1/s, t/(t+2) + 2/s, (t^2-3)/(t+2) - 1/s)"]),
+    ("cone with apex (1/2, 1/2, 1/2)", ["implicit", "(2*x-1)^2+(2*y-1)^2-(2*z-1)^2"]),
+    ("cone times a plane through its apex", ["implicit", "(x^2+y^2-z^2)*(x-z)"]),
 )
 
 
