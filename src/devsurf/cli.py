@@ -25,11 +25,11 @@ import time
 from fractions import Fraction
 from typing import Optional
 
+from .arith import decimal
 from .errors import DevsurfError
 from .exprs import ParseError, parse_map, parse_poly, print_map, print_poly, print_ratfunc
 from .implicit import NOT_DEVELOPABLE, analyze_implicit
 from .parametric import analyze_parametric
-from .poly import decimal
 from .ratfunc import substitute_map
 
 EXIT_OK = 0

@@ -4,7 +4,8 @@ Supported families:
 
 * curves linear in one coordinate (graph curves), lines among them,
 * degree 2 with a rational point (pencil of lines through the point);
-  Legendre's theorem decides whether the point exists, a bounded search
+  Legendre's theorem (``arith.legendre``, on exact factorizations from
+  ``arith.factor``) decides whether the point exists, a bounded search
   finds it,
 * degree d with a rational (d-1)-fold singular point (pencil through it),
 * degree 4 whose singular scheme is three double points, not necessarily
@@ -17,7 +18,8 @@ by a gcd of images modulo 2^61 - 1 (`_index_one_image`) when one proves
 it, any other by the exact bivariate gcd.  A curve of degree d >= 3
 outside the families is certified not rational when it is proven smooth
 modulo 2^61 - 1, hence of genus (d-1)(d-2)/2 > 0; a curve singular
-modulo that prime (bad reduction included) gets no claim.
+modulo that prime (bad reduction included) gets no claim.  That prime is
+``arith.modulus(0)``, and the arithmetic mod it is that of ``arith``.
 """
 
 from __future__ import annotations
@@ -26,19 +28,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
+from .arith import eval_mod, gcd_mod, legendre, modulus, newton_step, res_mod, trim
 from .errors import NotRationalError, PointSearchExhaustedError, UnsupportedCurveError
 from .linalg import nullspace
 from .poly import (
     MultiPoly,
     Q,
-    _divmod_mod,
-    _eval_mod,
-    _gcd_mod,
     _int_terms,
-    _modulus,
     _primitive_ints,
-    _trim,
-    decimal,
     exact_div,
     gcd_many,
     gcd_multi,
@@ -118,7 +115,7 @@ def _index_one_image(comps, var: str) -> bool:
     """True when images modulo 2^61 - 1 of the cross polynomials of the
     nonconstant components, univariate in ``var``, prove tracing index 1;
     the certificate and its soundness are in `is_proper_curve`."""
-    P = _modulus(0)
+    P = modulus(0)
     dense = []
     for c in comps:  # N and D as integer lists of one length
         n = max(c.num.degree_in(var), c.den.degree_in(var)) + 1
@@ -130,17 +127,17 @@ def _index_one_image(comps, var: str) -> bool:
             pair.append(row)
         dense.append(pair)
     for w0 in _IMAGE_POINTS:
-        dw = [_eval_mod(D, w0, P) for _, D in dense]
+        dw = [eval_mod(D, w0, P) for _, D in dense]
         if not all(dw):
             continue
         g: list[int] = []
         full = False
         for (N, D), d0 in zip(dense, dw):
-            n0 = _eval_mod(N, w0, P)
-            image = _trim([(a * d0 - n0 * b) % P for a, b in zip(N, D)])
+            n0 = eval_mod(N, w0, P)
+            image = trim([(a * d0 - n0 * b) % P for a, b in zip(N, D)])
             full = full or len(image) == len(N)
             if image:
-                g = _gcd_mod(g, image, P)
+                g = gcd_mod(g, image, P)
         return full and len(g) == 2
     return False
 
@@ -290,138 +287,14 @@ def _congruent_diagonal(m: list[list[Q]]) -> Optional[list[Q]]:
     return [m[i][i] for i in range(n)]
 
 
-# Exact factoring for Legendre's theorem.  Miller-Rabin with the first 13
-# prime bases is a proof of primality below _MR_EXACT_BOUND (Sorenson &
-# Webster, Math. Comp. 86, 2017); a larger cofactor, or Pollard rho running
-# past _RHO_BUDGET iterations, leaves the decision open rather than trust a
-# probable prime.
-_TRIAL_LIMIT = 1000
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BOUND = 3317044064679887385961981
-_RHO_BUDGET = 1 << 16
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the bases _MR_BASES; exact for n < _MR_EXACT_BOUND."""
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _rho_factor(n: int) -> Optional[int]:
-    """A proper factor of the odd composite n by Pollard rho with Brent's
-    cycle search, or None once _RHO_BUDGET iterations are spent."""
-    steps = 0
-    c = 0
-    while True:
-        c += 1
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                batch = min(128, r - k)
-                for _ in range(batch):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += batch
-            steps += 2 * r
-            if steps > _RHO_BUDGET:
-                return None
-            r *= 2
-        if g == n:
-            # the batch overshot: replay it one step at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-
-
-def _factor(n: int) -> Optional[dict[int, int]]:
-    """Prime factorization {p: e} of the integer n >= 1, or None when it
-    cannot be certified within the bounds above."""
-    factors: dict[int, int] = {}
-    d = 2
-    while d < _TRIAL_LIMIT and d * d <= n:
-        while n % d == 0:
-            factors[d] = factors.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if m >= _MR_EXACT_BOUND:
-            return None
-        if _is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
-            continue
-        f = _rho_factor(m)
-        if f is None:
-            return None
-        pending += [f, m // f]
-    return factors
-
-
-def _legendre(a: int, b: int, c: int) -> tuple[Optional[bool], str]:
-    """Whether a x^2 + b y^2 + c z^2 = 0 (nonzero integers a, b, c) has a
-    nontrivial rational solution, by Legendre's theorem: (True, ""),
-    (False, reason) or (None, reason) when factoring is out of bounds."""
-    if (a > 0) == (b > 0) == (c > 0):
-        return False, "it has no real point"
-    primes = []
-    for v in (a, b, c):
-        f = _factor(abs(v))
-        if f is None:
-            return None, f"{decimal(abs(v))} could not be factored within the bounds"
-        primes.append({p for p, e in f.items() if e % 2})
-    # squarefree parts made pairwise coprime: p | a, b turns a, b, c into
-    # a/p, b/p, c*p (multiply by p, scale x, y by p), p^2 | c*p drops out
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        common = primes[i] & primes[j]
-        primes[i] -= common
-        primes[j] -= common
-        primes[k] ^= common
-    coef = [(1 if v > 0 else -1) * math.prod(ps) for v, ps in zip((a, b, c), primes)]
-    # -bc, -ca, -ab must be squares modulo |a|, |b|, |c|; modulo 2 every
-    # residue is a square, so only odd primes are checked (Euler's criterion)
-    for i in range(3):
-        other = -coef[(i + 1) % 3] * coef[(i + 2) % 3]
-        for p in sorted(primes[i]):
-            if p != 2 and pow(other % p, (p - 1) // 2, p) != 1:
-                return False, f"{decimal(other)} is not a square modulo {p} (Legendre's theorem)"
-    return True, ""
-
-
 def _conic_point_decision(c: MultiPoly, names: tuple[str, str]) -> tuple[Optional[bool], str]:
-    """Whether the conic c has a rational point, as `_legendre` answers for
+    """Whether the conic c has a rational point, as `legendre` answers for
     a diagonal form congruent to its matrix; undecided when degenerate."""
     diag = _congruent_diagonal(_conic_matrix(c, names))
     if diag is None:
         return None, "degenerate conic"
     # d x^2 with d = n/q is n*q (x/q)^2
-    return _legendre(*(int(d.numerator) * int(d.denominator) for d in diag))
+    return legendre(*(int(d.numerator) * int(d.denominator) for d in diag))
 
 
 # ---------------------------------------------------------------------------
@@ -857,36 +730,6 @@ def _pencil_residual(c, Qt, names, g, gw, point, t):
 _SHIFTS = ((0, 0), (1, 0), (0, 1), (1, 1), (2, -1), (-1, 3))
 
 
-def _res_mod(a: list[int], b: list[int], p: int) -> int:
-    """Resultant mod p of two lists with nonzero leading coefficients, by
-    Euclid: Res(a, b) = (-1)^(mn) lc(b)^(m-r) Res(b, a mod b), m, n and r
-    the degrees of a, b and a mod b."""
-    res = 1
-    while len(b) > 1:
-        r = _divmod_mod(a, b, p)[1]
-        if not r:
-            return 0
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            res = -res
-        res = res * pow(b[-1], len(a) - len(r), p) % p
-        a, b = b, r
-    return res * pow(b[0], len(a) - 1, p) % p
-
-
-def _interpolate(values: list[int], p: int) -> list[int]:
-    """Trimmed ascending coefficients mod p of the polynomial of degree
-    below len(values) that takes values[x] at x = 0, 1, ... (Newton's form;
-    the product of (t - y) over the nodes y < x is x! at t = x)."""
-    coef: list[int] = []
-    node, fact = [1], 1
-    for x, v in enumerate(values):
-        fact = fact * max(x, 1) % p
-        c = (v - _eval_mod(coef, x, p)) * pow(fact, -1, p) % p
-        coef = [(s + c * t) % p for s, t in zip(coef + [0], node)]
-        node = [(s - x * t) % p for s, t in zip([0] + node, node + [0])]
-    return _trim(coef)
-
-
 def _smooth_genus(c: MultiPoly, names) -> Optional[int]:
     """Genus (d-1)(d-2)/2 of the plane curve c of degree d >= 3 when its
     projective closure is proven smooth, else None.  A smooth plane curve
@@ -904,14 +747,14 @@ def _smooth_genus(c: MultiPoly, names) -> Optional[int]:
     nonzero mod P, (0 : 0 : 1) is on no partial, and Res_h of two partials
     is a form of degree (d-1)^2 in (u, w) vanishing exactly where they
     share a zero.  At w = 1, R1 = Res_h(G_u, G_w) and R2 = Res_h(G_u, G_h)
-    are interpolated from (d-1)^2 + 1 values, each by Euclid mod P.  When
-    either has degree (d-1)^2, no common zero lies on w = 0, and then a
-    constant gcd(R1, R2) leaves none at w = 1.  A zero resultant, or two of
+    are interpolated together from (d-1)^2 + 1 values, each by Euclid mod
+    P.  When either has degree (d-1)^2, no common zero lies on w = 0, and
+    then a constant gcd(R1, R2) leaves none at w = 1.  A zero resultant, or two of
     lower degree (both vanish at (1 : 0)), tries the next shift.  A curve
     whose image mod P is singular gets no claim though it may be smooth
     over Q (bad reduction: w^2 - u^3 - P*u - P is cuspidal mod P), and
     neither does any other nonconstant gcd."""
-    P = _modulus(0)
+    P = modulus(0)
     u, w = names
     d = c.total_degree()
     n = (d - 1) ** 2
@@ -938,15 +781,15 @@ def _smooth_genus(c: MultiPoly, names) -> Optional[int]:
                 tables[2][k - 1][i] += k * g
         if not all(t[d - 1][0] % P for t in tables):
             continue
-        values: list[list[int]] = [[], []]
+        interp: dict[int, list[int]] = {}  # R1 and R2 as keys 0 and 1
+        node = [1]
         for x in range(n + 1):
-            gu, gw, gh = ([_eval_mod(row, x, P) for row in t] for t in tables)
-            values[0].append(_res_mod(gu, gw, P))
-            values[1].append(_res_mod(gu, gh, P))
-        R1, R2 = (_interpolate(v, P) for v in values)
+            gu, gw, gh = ([eval_mod(row, x, P) for row in t] for t in tables)
+            node = newton_step(interp, node, x, {0: res_mod(gu, gw, P), 1: res_mod(gu, gh, P)}, P)
+        R1, R2 = interp.get(0, []), interp.get(1, [])
         if not R1 or not R2 or len(R1) <= n and len(R2) <= n:
             continue
-        return (d - 1) * (d - 2) // 2 if len(_gcd_mod(R1, R2, P)) == 1 else None
+        return (d - 1) * (d - 2) // 2 if len(gcd_mod(R1, R2, P)) == 1 else None
     return None
 
 

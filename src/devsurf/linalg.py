@@ -139,20 +139,9 @@ def common_direction(normals: Sequence[MultiPoly], variables: Sequence[str]) -> 
 
 def primitive_integer_vector(vec: Sequence[Q]) -> tuple[int, ...]:
     """Scale a rational vector to coprime integers, first nonzero positive."""
-    from math import gcd
-
-    lcm = 1
-    for v in vec:
-        lcm = lcm * v.denominator // gcd(lcm, v.denominator)
-    ints = [int(v * lcm) for v in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v != 0:
-            if v < 0:
-                ints = [-w for w in ints]
-            break
+    pairs = [_num_den(v) for v in vec]
+    den = math.lcm(*(d for _, d in pairs))
+    ints = _primitive([n * (den // d) for n, d in pairs])
+    if next((v for v in ints if v), 0) < 0:
+        ints = [-v for v in ints]
     return tuple(ints)

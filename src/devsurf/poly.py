@@ -45,18 +45,21 @@ Newton interpolation one variable at a time down to a univariate
 Euclid, are combined by the Chinese remainder theorem.  It is complete
 and deterministic.  Unlucky primes and unlucky evaluation points are
 finitely many and show in an image's leading monomial, and every result
-is certified by exact division of both inputs over Z.
+is certified by exact division of both inputs over Z.  The moduli, the
+primality test and the dense arithmetic mod p, Newton's step included,
+are those of ``arith``.
 """
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
 from fractions import Fraction
 from operator import add, mul, neg, sub
 from typing import Collection, Iterable, Mapping, Optional, Sequence
+
+from .arith import decimal, divmod_mod, eval_mod, gcd_mod, is_prime, modulus, mul_mod, newton_step, trim
 
 try:  # optional extra: gmpy2's mpq is a drop-in exact rational
     from gmpy2 import mpq as Q
@@ -74,21 +77,6 @@ def var_sort_key(name: str) -> tuple[int, str]:
 
 def canonical_vars(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(sorted(set(names), key=var_sort_key))
-
-
-def decimal(c) -> str:
-    """Decimal text of an int or a rational ("n" or "n/d"), of any size: an
-    int past the interpreter's limit on int-to-str conversion is split by a
-    power of ten into halves, so no process-wide limit needs lifting."""
-    try:
-        return str(c)
-    except ValueError:
-        n, d = c.numerator, c.denominator
-        if d != 1:
-            return f"{decimal(n)}/{decimal(d)}"
-        k = n.bit_length() * 3 // 20  # about half of n's digits
-        high, low = divmod(abs(n), 10**k)
-        return ("-" if n < 0 else "") + decimal(high) + decimal(low).zfill(k)
 
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -866,7 +854,7 @@ def _image_refutes(p: MultiPoly, q: MultiPoly) -> bool:
     k_var = max(p.vars, key=p.degree_in)
     vars_, pt, qt = p._aligned(q)
     k = vars_.index(k_var)
-    P = _modulus(0)
+    P = modulus(0)
     images = []
     for terms in (pt, qt):
         ints = _int_terms(terms)[1]
@@ -876,9 +864,9 @@ def _image_refutes(p: MultiPoly, q: MultiPoly) -> bool:
                 if x and i != k:
                     c *= (2 * i + 3) ** x
             image[e[k]] += c
-        images.append(_trim([c % P for c in image]))
+        images.append(trim([c % P for c in image]))
     a, b = images
-    return bool(a) and bool(_divmod_mod(b, a, P)[1])
+    return bool(a) and bool(divmod_mod(b, a, P)[1])
 
 
 # -- gcd machinery -----------------------------------------------------------
@@ -892,87 +880,14 @@ def _strip_monomial(terms: dict) -> tuple[tuple[int, ...], dict]:
     return mins, {tuple(map(sub, e, mins)): c for e, c in terms.items()}
 
 
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin with the first twelve prime bases: deterministic for
-    n < 3.3e24, far above the 2^61 the gcd moduli need."""
-    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-    if n < 2 or any(n % b == 0 for b in bases):
-        return n in bases
-    d, s = n - 1, 0
-    while not d & 1:
-        d, s = d >> 1, s + 1
-    for b in bases:
-        x = pow(b, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@functools.cache
-def _modulus(i: int) -> int:
-    """The i-th gcd modulus: the primes below 2^61 from the largest down,
-    the Mersenne prime 2^61 - 1 first; each is found on first use."""
-    n = 2**61 - 1 if i == 0 else _modulus(i - 1) - 2
-    while not _is_prime(n):
-        n -= 2
-    return n
-
-
-# -- dense univariate arithmetic mod p on ascending coefficient lists ----------
-
-
-def _trim(v: list[int]) -> list[int]:
-    while v and not v[-1]:
-        v.pop()
-    return v
-
-
-def _mul_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return [c % p for c in out]
-
-
-def _divmod_mod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by the trimmed nonzero b mod p."""
-    r = list(a)
-    db = len(b) - 1
-    inv = pow(b[-1], -1, p)
-    quot = [0] * max(len(r) - db, 0)
-    for k in range(len(r) - 1 - db, -1, -1):
-        c = r[k + db] * inv % p
-        if c:
-            quot[k] = c
-            r[k : k + db] = [(x - c * y) % p for x, y in zip(r[k : k + db], b)]
-    return quot, _trim(r[:db])
-
-
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd mod p of two lists, not both zero."""
-    a, b = _trim(list(a)), _trim(list(b))
-    while b:
-        a, b = b, _divmod_mod(a, b, p)[1]
-    inv = pow(a[-1], -1, p)
-    return [c * inv % p for c in a]
-
-
 def _primitive_mod(split: dict, p: int) -> tuple[list[int], dict]:
     """Monic content in Z_p[xk] and primitive part of a split polynomial."""
     c: list[int] = []
     for v in split.values():
-        c = _gcd_mod(c, v, p)
+        c = gcd_mod(c, v, p)
         if len(c) == 1:
             return c, split
-    return c, {h: _divmod_mod(v, c, p)[0] for h, v in split.items()}
+    return c, {h: divmod_mod(v, c, p)[0] for h, v in split.items()}
 
 
 # -- multivariate images mod p: term dicts {exponent tuple: int} ----------------
@@ -1013,23 +928,23 @@ def _pgcd(a: dict, b: dict, p: int) -> dict:
     points are finitely many, so the loop ends."""
     k = len(next(iter(a)))
     if k == 1:
-        g = _gcd_mod(_split_last(a)[()], _split_last(b)[()], p)
+        g = gcd_mod(_split_last(a)[()], _split_last(b)[()], p)
         return {(d,): c for d, c in enumerate(g) if c}
     zero = (0,) * (k - 1)
     ca, A = _primitive_mod(_split_last(a), p)
     cb, B = _primitive_mod(_split_last(b), p)
-    cont = _gcd_mod(ca, cb, p)
+    cont = gcd_mod(ca, cb, p)
     if len(A) == 1 and zero in A or len(B) == 1 and zero in B:
         return {zero + (d,): c for d, c in enumerate(cont) if c}
-    gamma = _gcd_mod(A[max(A)], B[max(B)], p)
+    gamma = gcd_mod(A[max(A)], B[max(B)], p)
     bound = len(gamma) + min(max(map(len, A.values())), max(map(len, B.values()))) - 1
     limit = best = None
     for x in range(p):
-        gx = _eval_mod(gamma, x, p)
+        gx = eval_mod(gamma, x, p)
         if not gx:
             continue
-        ax = {h: c for h, v in A.items() if (c := _eval_mod(v, x, p))}
-        bx = {h: c for h, v in B.items() if (c := _eval_mod(v, x, p))}
+        ax = {h: c for h, v in A.items() if (c := eval_mod(v, x, p))}
+        bx = {h: c for h, v in B.items() if (c := eval_mod(v, x, p))}
         image = _pgcd(ax, bx, p)
         m = max(image)
         if not any(m):
@@ -1037,27 +952,16 @@ def _pgcd(a: dict, b: dict, p: int) -> dict:
         if limit is not None and m >= limit or best is not None and m > best:
             continue
         if best is None or m < best:
-            best, npts, node = m, 1, [-x % p, 1]
-            interp = {h: [c * gx % p] for h, c in image.items()}
-        else:
-            # Newton step: interp += node * (image * gx - interp(x)) / node(x)
-            inv = pow(_eval_mod(node, x, p), -1, p)
-            for h in interp.keys() | image.keys():
-                v = interp.get(h, [])
-                d = (image.get(h, 0) * gx - _eval_mod(v, x, p)) * inv % p
-                if d:
-                    v = v + [0] * (len(node) - len(v))
-                    interp[h] = [(s + d * t) % p for s, t in zip(v, node)]
-            node = [(s - x * t) % p for s, t in zip([0] + node, node + [0])]
-            npts += 1
-        if npts < bound:
+            best, interp, node = m, {}, [1]
+        node = newton_step(interp, node, x, {h: c * gx % p for h, c in image.items()}, p)
+        if len(node) - 1 < bound:  # node has one root per kept point
             continue
         G = _primitive_mod(interp, p)[1]
         g = _join_last(G)
         if _quotient(_join_last(A), g, p) is not None and _quotient(_join_last(B), g, p) is not None:
             inv = pow(G[max(G)][-1], -1, p)
             cont = [c * inv % p for c in cont]
-            return _join_last({h: _mul_mod(v, cont, p) for h, v in G.items()})
+            return _join_last({h: mul_mod(v, cont, p) for h, v in G.items()})
         limit, best = best, None
     raise ArithmeticError("ran out of evaluation points")
 
@@ -1070,7 +974,7 @@ def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
 
     p and q become primitive integer term dicts a and b, each with its
     largest monomial factor split off (the factor both share goes back on
-    the result), and g = gcd(la, lb) of their lex-leading coefficients.  For each modulus P of ``_modulus`` that
+    the result), and g = gcd(la, lb) of their lex-leading coefficients.  For each modulus P of ``modulus`` that
     divides neither la nor lb, ``_pgcd`` gives the monic gcd of the images
     mod P.  Its lex-leading monomial is no smaller than that of the gcd G
     over Z, and equal except at the finitely many unlucky primes; a
@@ -1111,7 +1015,7 @@ def _mgcd(a: dict, b: dict) -> dict:
     g = math.gcd(la, lb)
     best = None
     for i in itertools.count():
-        P = _modulus(i)
+        P = modulus(i)
         if not la % P or not lb % P:
             continue
         image = _pgcd({e: c % P for e, c in a.items() if c % P}, {e: c % P for e, c in b.items() if c % P}, P)
@@ -1215,22 +1119,6 @@ def poly_divmod_univar(p: MultiPoly, q: MultiPoly, var: str) -> tuple[MultiPoly,
     return to_poly(quo), to_poly(a)
 
 
-def _eval_mod(coeffs: list[int], x: int, m: int) -> int:
-    """Value mod m at x of the ascending integer coefficient list."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % m
-    return acc
-
-
-def _primes() -> Iterable[int]:
-    n = 2
-    while True:
-        if all(n % q for q in range(2, math.isqrt(n) + 1)):
-            yield n
-        n += 1
-
-
 def rational_roots(p: MultiPoly, var: str) -> list[Q]:
     """All rational roots of a univariate polynomial, exactly and sorted.
 
@@ -1271,16 +1159,16 @@ def rational_roots(p: MultiPoly, var: str) -> list[Q]:
                 f[k] = c
     a, d = f[-1], len(f) - 1
     df = [k * c for k, c in enumerate(f)][1:]
-    for prime in _primes():
+    for prime in filter(is_prime, itertools.count(2)):
         if a % prime:
-            residues = [r for r in range(prime) if _eval_mod(f, r, prime) == 0]
-            if all(_eval_mod(df, r, prime) for r in residues):
+            residues = [r for r in range(prime) if eval_mod(f, r, prime) == 0]
+            if all(eval_mod(df, r, prime) for r in residues):
                 break
     bound = 2 * abs(a * f[0])
     m = prime
     while m <= bound:
         m *= m
-        residues = [(r - _eval_mod(f, r, m) * pow(_eval_mod(df, r, m), -1, m)) % m for r in residues]
+        residues = [(r - eval_mod(f, r, m) * pow(eval_mod(df, r, m), -1, m)) % m for r in residues]
     for r in residues:
         n = a * r % m
         if n > m // 2:

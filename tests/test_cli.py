@@ -14,8 +14,8 @@ from pathlib import Path
 
 import pytest
 
+from devsurf.arith import decimal
 from devsurf.cli import main
-from devsurf.poly import decimal
 
 import cases
 

@@ -26,7 +26,8 @@ from devsurf.curves import (
     rational_point_on_curve,
     section_implicit,
 )
-from devsurf.curves import _conic_point_decision, _factor, _interpolate, _is_prime, _legendre, _res_mod, _smooth_genus
+from devsurf.curves import _conic_point_decision, _smooth_genus
+from devsurf.arith import factor, is_prime, legendre, newton_step, res_mod
 
 from conftest import map2_with_zero, random_space_curve, ternary_form_solvable
 
@@ -234,9 +235,12 @@ class TestSmoothCertificate:
             a, b = ([rng.choice((-2, -1, 0, 0, 0, 1, 2)) for _ in range(rng.randint(1, 6))] + [rng.choice((-1, 1, 3))] for _ in range(2))
             pa, pb = (MultiPoly(("t",), {(k,): cf for k, cf in enumerate(v)}) for v in (a, b))
             exact = resultant(pa, pb, "t").constant_value()
-            assert _res_mod([cf % self.P for cf in a], [cf % self.P for cf in b], self.P) == exact % self.P
+            assert res_mod([cf % self.P for cf in a], [cf % self.P for cf in b], self.P) == exact % self.P
             values = [sum(cf * x**k for k, cf in enumerate(a)) % self.P for x in range(len(a) + rng.randint(0, 3))]
-            assert _interpolate(values, self.P) == [cf % self.P for cf in a]
+            interp, node = {}, [1]
+            for x, v in enumerate(values):
+                node = newton_step(interp, node, x, {0: v}, self.P)
+            assert interp.get(0, []) == [cf % self.P for cf in a]
 
     def test_certified_curves_are_smooth_by_groebner_oracle(self):
         # seeded curves of degree 3 and 4, every third one forced singular at
@@ -474,7 +478,7 @@ class TestLegendre:
         nonzero = [v for v in range(-30, 31) if v]
         for _ in range(300):
             a, b, c = (rng.choice(nonzero) for _ in range(3))
-            assert _legendre(a, b, c)[0] is ternary_form_solvable(a, b, c), (a, b, c)
+            assert legendre(a, b, c)[0] is ternary_form_solvable(a, b, c), (a, b, c)
 
     def test_nondiagonal_conics_match_holzer_oracle(self):
         # M = U^T diag(a, b, c) U with det U != 0 has a rational zero exactly
@@ -531,18 +535,18 @@ class TestLegendre:
                 sympy.prod(sympy.randprime(2, 10**7) for _ in range(rng.randint(2, 3)))
             )
         for n in samples:
-            assert _factor(int(n)) == sympy.factorint(n), n
+            assert factor(int(n)) == sympy.factorint(n), n
 
     def test_probable_primes_are_never_taken_for_primes(self):
         # strong pseudoprime to the bases 2, ..., 37; base 41 exposes it
-        assert not _is_prime(318665857834031151167461)
+        assert not is_prime(318665857834031151167461)
         # strong pseudoprime to all 13 bases, hence the exactness bound
-        assert _factor(3317044064679887385961981) is None
+        assert factor(3317044064679887385961981) is None
 
     def test_large_semiprime_coefficient_is_undecided_within_bounds(self):
         # two 12-digit factors: below the primality bound, beyond rho's budget
         start = time.perf_counter()
-        assert _factor(399165290221 * 798330580441) is None
+        assert factor(399165290221 * 798330580441) is None
         # two 20-digit factors: the product is past the primality bound
         c = X**2 + Y**2 - 10000000000000000051 * 30000000000000000041
         assert _conic_point_decision(c, ("x", "y"))[0] is None

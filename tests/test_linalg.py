@@ -2,12 +2,13 @@
 Gauss-Jordan elimination over the rationals that it replaced, and against
 sympy where it imports."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from devsurf.linalg import _rref, coefficient_rows, nullspace, solve_exact
+from devsurf.linalg import _rref, coefficient_rows, nullspace, primitive_integer_vector, solve_exact
 from devsurf.poly import MultiPoly, Q
 
 
@@ -213,3 +214,37 @@ def test_coefficient_rows_fill_with_int_zero():
     flat = [v for row in coefficient_rows([t * Q(1, 2) + 3, t * t], ("t",)) for v in row]
     assert flat == [3, 0, Q(1, 2), 0, 0, 1]
     assert [type(v) for v in flat] == [int, int, Q, int, int, int]
+
+
+def primitive_oracle(vec):
+    """Divide by the first nonzero entry, then clear denominators by their
+    lcm: the entries are coprime, and the first nonzero one is positive."""
+    lead = next((Fraction(v) for v in vec if v), None)
+    if lead is None:
+        return tuple(0 for _ in vec)
+    w = [Fraction(v) / lead for v in vec]
+    den = 1
+    for v in w:
+        den = den * v.denominator // math.gcd(den, v.denominator)
+    return tuple(int(v * den) for v in w)
+
+
+class TestPrimitiveIntegerVector:
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(140)
+        for _ in range(300):
+            vec = [Q(rng.choice((0, rng.randint(-40, 40))), rng.randint(1, 30)) for _ in range(rng.randint(1, 5))]
+            got = primitive_integer_vector(vec)
+            assert got == primitive_oracle(vec), vec
+            assert all(type(v) is int for v in got)
+            assert math.gcd(*got) == (1 if any(vec) else 0)
+
+    def test_fixed_vectors(self):
+        # the zero vector is returned as zeros
+        assert primitive_integer_vector([Q(0), Q(0), Q(0)]) == (0, 0, 0)
+        # a negative leading entry flips every sign
+        assert primitive_integer_vector([Q(-2, 3), Q(1, 2)]) == (4, -3)
+        assert primitive_integer_vector([Q(0), Q(-2), Q(4)]) == (0, 1, -2)
+        # mixed denominators: lcm 30 and content 1, then lcm 70 and content 3
+        assert primitive_integer_vector([Q(1, 6), Q(1, 10), Q(1, 15)]) == (5, 3, 2)
+        assert primitive_integer_vector([Q(6, 35), Q(-9, 14), Q(3, 10)]) == (4, -15, 7)

@@ -29,6 +29,7 @@ from devsurf.poly import (
     squarefree_part,
     subresultant_linear,
 )
+from devsurf.arith import modulus
 from devsurf.cli import main as cli_main
 from devsurf.exprs import parse_poly
 from devsurf.implicit import gaussian_form_implicit
@@ -394,7 +395,7 @@ class TestGcd:
     def test_unlucky_prime_is_skipped(self):
         # the two agree modulo the first prime, so its image is x + 1,
         # which fails the trial division over Z; the next prime proves 1
-        p0 = poly_module._modulus(0)
+        p0 = modulus(0)
         assert gcd_multi(X + 1, X + 1 + p0) == 1
         assert gcd_multi((X + 1) * (X * Y - 2), (X + 1 + p0) * (X * Y - 2)) == X * Y - 2
         # a prime dividing a leading coefficient is passed over
@@ -411,7 +412,7 @@ class TestGcd:
 
     def test_moduli_are_the_primes_below_2_61(self):
         sympy = pytest.importorskip("sympy")
-        moduli = [poly_module._modulus(i) for i in range(12)]
+        moduli = [modulus(i) for i in range(12)]
         assert moduli[0] == 2**61 - 1
         for m, nxt in zip(moduli, moduli[1:]):
             assert sympy.isprime(m) and sympy.prevprime(m) == nxt
@@ -441,7 +442,7 @@ class TestGcd:
         assert first[1]
         for p, q in pairs[:4]:
             gcd_multi(p * (X + 3), q * Y)
-            gcd_multi(X + 1, X + 1 + poly_module._modulus(0))
+            gcd_multi(X + 1, X + 1 + modulus(0))
             rational_roots((T - 2) ** 2 * (T**2 + 1), "t")
         assert run() == first
 

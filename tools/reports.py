@@ -25,7 +25,12 @@ plane through the apex parallel to the section, and a rational cylinder
 whose line s = 0 is a pole and whose line t = 0 is a ruling.  Then two
 implicit cones for the integer plane tests: one with the fractional apex
 (1/2, 1/2, 1/2), and one times the plane x - z through its apex, whose
-sections by the planes x - z = c lose a degree and come first.  When two
+sections by the planes x - z = c lose a degree and come first.  Then
+the cone x^2 + y^2 - 2000009000009 z^2, whose coefficient is 1000003 *
+2000003: both factors lie past the trial division of the factoring
+behind Legendre's theorem, so Pollard rho splits the product and the
+primality test proves both factors prime, before -1 is found to be no
+square modulo 1000003 and the conic to have no rational point.  When two
 commits print the same text, they agree on every exit code,
 classification, apex, direction, printed K, parametrization, implicit
 equation and failure text of the benchmark inputs.  perfbench/gen.py is imported as
@@ -63,6 +68,7 @@ EXTRA = (
     ("rational cylinder map", ["parametric", "((t^2+1)/(t+2) + 1/s, t/(t+2) + 2/s, (t^2-3)/(t+2) - 1/s)"]),
     ("cone with apex (1/2, 1/2, 1/2)", ["implicit", "(2*x-1)^2+(2*y-1)^2-(2*z-1)^2"]),
     ("cone times a plane through its apex", ["implicit", "(x^2+y^2-z^2)*(x-z)"]),
+    ("cone over a conic with no rational point", ["implicit", "x^2+y^2-2000009000009*z^2"]),
 )
 
 
