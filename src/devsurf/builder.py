@@ -32,16 +32,24 @@ class ParamResult:
     refined: bool = False       # after refinement p1 need not be p0' for tangential
 
     def full_map(self) -> RationalMap3:
-        s = RatFunc(MultiPoly.var("s"))
-        comps = [a + s * b for a, b in zip(self.p0.components, self.p1.components)]
-        return RationalMap3(comps, ("s", "t"))
+        """P0 + s*P1 = X/W + s*Y/V on the forms, over the lcm of W and V."""
+        *X, W = self.p0.form
+        *Y, V = self.p1.form
+        s = MultiPoly.var("s")
+        # over L = lcm(W, V) = W*V/G: an irreducible factor of L divides W
+        # or V to its full power in L, and then not all of X or not all of
+        # Y, as gcd(X, W) = gcd(Y, V) = 1.  All are in t, so that factor
+        # misses the coefficient of s^0 or of s^1 in some entry: the form
+        # is reduced
+        G = gcd_multi(W, V)
+        Wq, Vq = exact_div(W, G), exact_div(V, G)
+        comps = tuple(a + s * b for a, b in zip(self.p0.components, self.p1.components))
+        return RationalMap3.from_form(
+            [x * Vq + s * y * Wq for x, y in zip(X, Y)] + [Wq * V], ("s", "t"), _reduced=True, _components=comps
+        )
 
     def with_verification(self, certificate: str) -> "ParamResult":
         return replace(self, verified=True, certificate=certificate)
-
-
-def _as_constant_map(point: Sequence) -> RationalMap3:
-    return RationalMap3.constant([Q(p) for p in point], ("t",))
 
 
 def ruling_triple_product(p0: RationalMap3, p1: RationalMap3) -> RatFunc:
@@ -56,20 +64,22 @@ def ruling_triple_product(p0: RationalMap3, p1: RationalMap3) -> RatFunc:
 def build_conical(apex: Sequence, curve: RationalMap3) -> ParamResult:
     """Cone over a directrix: P(s,t) = (1-s)*apex + s*curve(t).
 
-    Both checks run on the homogeneous form curve = X/W.  With n = X - a*W,
+    Both checks run on the stored form curve = X/W.  With n = X - a*W,
     gcd(n, W) = gcd(X, W) = 1, so the curve meets the apex a exactly at the
     common roots of n (everywhere when n = 0).  And p1 x curve' =
     (n x n')/W^2 for p1 = n/W, so the cone degenerates iff n x n' == 0."""
     apex = tuple(Q(a) for a in apex)
-    *X, W = homogeneous_form(curve)
+    *X, W = curve.form
     n = [x - a * W for x, a in zip(X, apex)]
     g = gcd_many(n)
     if g.is_zero() or g.degree_in("t") > 0:
         raise DevsurfError("directrix passes through the apex")
     if all(c.is_zero() for c in cross3(n, [c.derivative("t") for c in n])):
         raise DevsurfError("cone degenerates: directrix runs along a single ruling")
-    apex_map = _as_constant_map(apex)
-    return ParamResult(p0=apex_map, p1=curve.sub(apex_map), kind=CONICAL)
+    # gcd(n, W) = gcd(X, W) = 1, and n_i/W reduces as X_i/W does
+    comps = tuple(c - a for c, a in zip(curve.components, apex))
+    p1 = RationalMap3.from_form(n + [W], curve.params, _reduced=True, _components=comps)
+    return ParamResult(p0=RationalMap3.constant(apex, ("t",)), p1=p1, kind=CONICAL)
 
 
 def build_cylindrical(direction: Sequence, curve: RationalMap3) -> ParamResult:
@@ -79,64 +89,38 @@ def build_cylindrical(direction: Sequence, curve: RationalMap3) -> ParamResult:
     dvec = tuple(Q(d) for d in direction)
     if all(d == 0 for d in dvec):
         raise DevsurfError("ruling direction is zero")
-    *X, W = homogeneous_form(curve)
+    *X, W = curve.form
     dW = W.derivative("t")
     tangent = [x.derivative("t") * W - x * dW for x in X]
     if all(c.is_zero() for c in cross3(tangent, dvec)):
         raise DevsurfError("cylinder degenerates: directrix is parallel to the rulings")
-    return ParamResult(p0=curve, p1=_as_constant_map(dvec), kind=CYLINDRICAL)
+    return ParamResult(p0=curve, p1=RationalMap3.constant(dvec, ("t",)), kind=CYLINDRICAL)
 
 
 def build_tangential(edge: RationalMap3) -> ParamResult:
     """Tangent developable of a space curve: P(s,t) = edge(t) + s*edge'(t)."""
-    dedge = edge.derivative("t")
-    if all(c.is_zero() for c in dedge.components):
+    if edge.is_constant():
         raise DevsurfError("edge curve is constant")
     if affine_plane(edge) is not None:
         raise DevsurfError("edge curve is planar; its tangent surface is just that plane")
-    return ParamResult(p0=edge, p1=dedge, kind=TANGENTIAL)
+    return ParamResult(p0=edge, p1=edge.derivative("t"), kind=TANGENTIAL)
 
 
 # ---------------------------------------------------------------------------
-# homogeneous form and implicitization
+# planes and implicitization
 # ---------------------------------------------------------------------------
-
-
-def homogeneous_form(m: RationalMap3) -> list[MultiPoly]:
-    """[X1, X2, X3, W]: the numerators of m over the lcm W of its component
-    denominators, then W, so that m = X/W.  W is 1 for a polynomial map."""
-    W = MultiPoly.const(1)
-    for c in m.components:
-        if not c.den.is_constant():
-            W = W * exact_div(c.den, gcd_multi(W, c.den))
-    return [c.num if c.den == W else c.num * exact_div(W, c.den) for c in m.components] + [W]
 
 
 def affine_plane(m: RationalMap3) -> Optional[MultiPoly]:
-    """A plane a.x + b = 0 that contains the whole image of m, normalized,
-    or None when there is none."""
-    return form_plane(homogeneous_form(m), m.params)
-
-
-def form_plane(form: Sequence[MultiPoly], params: Sequence[str]) -> Optional[MultiPoly]:
-    """affine_plane of X/W from its homogeneous form [X1, X2, X3, W] in
-    ``params``: (a, b) is the first nullspace vector of the coefficient
-    matrix of the identity a.X + b*W == 0.  As W is not 0, a is not 0."""
-    basis = nullspace(coefficient_rows(form, params), 4)
+    """A plane a.x + b = 0 that contains the whole image of m = X/W,
+    normalized, or None when there is none: (a, b) is the first nullspace
+    vector of the coefficient matrix of the identity a.X + b*W == 0.  As W
+    is not 0, a is not 0."""
+    basis = nullspace(coefficient_rows(m.form, m.params), 4)
     if not basis:
         return None
     a = basis[0]
     return sum((MultiPoly.var(n) * v for n, v in zip(COORDS, a)), MultiPoly.const(a[3])).normalized()
-
-
-def _homogeneous(m: RationalMap3, at_infinity: bool) -> list[MultiPoly]:
-    """The homogeneous form of m, with 0 for W when m is a direction (a
-    point at infinity), divided by the gcd of its four entries."""
-    entries = homogeneous_form(m)
-    if at_infinity:
-        entries[3] = MultiPoly.zero()
-    g = gcd_many(entries)
-    return entries if g.is_zero() else [exact_div(e, g) for e in entries]
 
 
 def _moving_planes(points: Sequence[Sequence[MultiPoly]], d: int) -> list[list[Q]]:
@@ -176,7 +160,10 @@ def implicitize_ruled(p: ParamResult) -> MultiPoly:
 
     Raises DevsurfError when the rulings do not sweep a surface.
     """
-    lines = [_homogeneous(p.p0, False), _homogeneous(p.p1, True)]
+    # the direction P1 = Y/V as the point (Y : 0) at infinity
+    *Y, _ = p.p1.form
+    g = gcd_many(Y)
+    lines = [p.p0.form, [y if g.is_zero() else exact_div(y, g) for y in Y] + [MultiPoly.zero()]]
     bound = sum(max(e.degree_in("t") for e in v) for v in lines)  # mu + nu <= bound
     found: list[tuple[int, list[Q]]] = []  # (degree, coefficient vector)
     for d in range(bound + 1):
@@ -214,13 +201,15 @@ def verify_on_surface(p: ParamResult, F: MultiPoly) -> bool:
         return substitute_map_is_zero(F, p.full_map())
     grads = [F.derivative(n) for n in COORDS]
     if p.p0.is_constant():
-        a = [c.constant_value() for c in p.p0.components]
+        *A, c = (e.constant_value() for e in p.p0.form)
+        a = [ai / c for ai in A]
         identity = sum(((MultiPoly.var(n) - ai) * g for n, ai, g in zip(COORDS, a, grads)), F * -F.total_degree())
-        curve = [ai + c for ai, c in zip(a, p.p1.components)]
+        *Y, V = p.p1.form
+        curve = RationalMap3.from_form([y + ai * V for ai, y in zip(a, Y)] + [V], ("t",), _reduced=True)
     else:
-        identity = dot3([c.constant_value() for c in p.p1.components], grads)
-        curve = p.p0.components
-    return identity.is_zero() and substitute_map_is_zero(F, RationalMap3(curve, ("t",)))
+        identity = dot3(p.p1.form[:3], grads)
+        curve = p.p0
+    return identity.is_zero() and substitute_map_is_zero(F, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +217,8 @@ def verify_on_surface(p: ParamResult, F: MultiPoly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _map_degree(m: RationalMap3) -> int:
-    d = 0
-    for c in m.components:
-        d = max(d, c.num.degree_in("t"), c.den.degree_in("t"))
-    return d
+def _map_degree(comps) -> int:
+    return max(max(c.num.degree_in("t"), c.den.degree_in("t")) for c in comps)
 
 
 def reduce_directrix(p: ParamResult) -> ParamResult:
@@ -240,15 +226,15 @@ def reduce_directrix(p: ParamResult) -> ParamResult:
     q by polynomial division to shrink component degrees.  The surface is
     unchanged; only the base curve moves.  A cone's p0 is its apex, of
     degree 0, which no candidate can undercut, so it returns p at once."""
-    best = p.p0
-    best_deg = _map_degree(p.p0)
+    best = p.p0.components
+    best_deg = _map_degree(best)
     if best_deg == 0:
         return p
     changed = True
     while changed:
         changed = False
         for i in range(3):
-            c0 = best.components[i]
+            c0 = best[i]
             c1 = p.p1.components[i]
             if c1.is_zero() or c0.is_zero():
                 continue
@@ -260,13 +246,10 @@ def reduce_directrix(p: ParamResult) -> ParamResult:
                 if qpoly.is_zero():
                     continue
                 q = RatFunc(qpoly)
-            cand = RationalMap3(
-                [a - q * b for a, b in zip(best.components, p.p1.components)], best.params
-            )
+            cand = tuple(a - q * b for a, b in zip(best, p.p1.components))
             d = _map_degree(cand)
             if d < best_deg:
                 best, best_deg, changed = cand, d, True
-    if best == p.p0:
+    if best == p.p0.components:
         return p
-    refined = ParamResult(p0=best, p1=p.p1, kind=p.kind, refined=True)
-    return refined
+    return ParamResult(p0=RationalMap3(best, p.p0.params), p1=p.p1, kind=p.kind, refined=True)

@@ -736,7 +736,8 @@ def _smooth_genus(c: MultiPoly, names) -> Optional[int]:
     is irreducible of that genus, so it has no rational parametrization
     (Sendra, Winkler & Perez-Diaz, *Rational Algebraic Curves*, 2008, ch. 3).
 
-    The certificate works modulo P = 2^61 - 1 and is one-sided.  Let
+    The certificate works modulo P = `modulus(0)` = 2^61 - 1, and once
+    more modulo P = `modulus(1)` when that makes no claim; it is one-sided.  Let
     F(u, w, h) be the homogenized integer primitive form of c.  A singular
     point of F over the algebraic closure of Q is a common zero of F_u,
     F_w and F_h (Euler's relation), and it reduces to a common zero of
@@ -750,11 +751,10 @@ def _smooth_genus(c: MultiPoly, names) -> Optional[int]:
     are interpolated together from (d-1)^2 + 1 values, each by Euclid mod
     P.  When either has degree (d-1)^2, no common zero lies on w = 0, and
     then a constant gcd(R1, R2) leaves none at w = 1.  A zero resultant, or two of
-    lower degree (both vanish at (1 : 0)), tries the next shift.  A curve
-    whose image mod P is singular gets no claim though it may be smooth
-    over Q (bad reduction: w^2 - u^3 - P*u - P is cuspidal mod P), and
-    neither does any other nonconstant gcd."""
-    P = modulus(0)
+    lower degree (both vanish at (1 : 0)), tries the next shift, and a
+    nonconstant gcd the next modulus.  A curve whose images mod both are
+    singular gets no claim though it may be smooth over Q (bad reduction:
+    w^2 - u^3 - N*u - N is cuspidal mod every prime factor of N)."""
     u, w = names
     d = c.total_degree()
     n = (d - 1) ** 2
@@ -762,34 +762,37 @@ def _smooth_genus(c: MultiPoly, names) -> Optional[int]:
     for e, m in _primitive_ints(c.terms)[1].items():
         x = dict(zip(c.vars, e))
         F[x.get(u, 0), x.get(w, 0)] = m
-    for a, b in _SHIFTS:
-        G: dict[tuple[int, int], int] = {}
-        for (i, j), m in F.items():
-            for p in range(i + 1):
-                cu = m * math.comb(i, p) * a ** (i - p)
-                for q in range(j + 1):
-                    G[p, q] = (G.get((p, q), 0) + cu * math.comb(j, q) * b ** (j - q)) % P
-        # G_u, G_w, G_h at w = 1, as rows of u-coefficients by power of h
-        tables = [[[0] * d for _ in range(d)] for _ in range(3)]
-        for (i, j), g in G.items():
-            k = d - i - j
-            if i:
-                tables[0][k][i - 1] += i * g
-            if j:
-                tables[1][k][i] += j * g
-            if k:
-                tables[2][k - 1][i] += k * g
-        if not all(t[d - 1][0] % P for t in tables):
-            continue
-        interp: dict[int, list[int]] = {}  # R1 and R2 as keys 0 and 1
-        node = [1]
-        for x in range(n + 1):
-            gu, gw, gh = ([eval_mod(row, x, P) for row in t] for t in tables)
-            node = newton_step(interp, node, x, {0: res_mod(gu, gw, P), 1: res_mod(gu, gh, P)}, P)
-        R1, R2 = interp.get(0, []), interp.get(1, [])
-        if not R1 or not R2 or len(R1) <= n and len(R2) <= n:
-            continue
-        return (d - 1) * (d - 2) // 2 if len(gcd_mod(R1, R2, P)) == 1 else None
+    for P in (modulus(0), modulus(1)):
+        for a, b in _SHIFTS:
+            G: dict[tuple[int, int], int] = {}
+            for (i, j), m in F.items():
+                for p in range(i + 1):
+                    cu = m * math.comb(i, p) * a ** (i - p)
+                    for q in range(j + 1):
+                        G[p, q] = (G.get((p, q), 0) + cu * math.comb(j, q) * b ** (j - q)) % P
+            # G_u, G_w, G_h at w = 1, as rows of u-coefficients by power of h
+            tables = [[[0] * d for _ in range(d)] for _ in range(3)]
+            for (i, j), g in G.items():
+                k = d - i - j
+                if i:
+                    tables[0][k][i - 1] += i * g
+                if j:
+                    tables[1][k][i] += j * g
+                if k:
+                    tables[2][k - 1][i] += k * g
+            if not all(t[d - 1][0] % P for t in tables):
+                continue
+            interp: dict[int, list[int]] = {}  # R1 and R2 as keys 0 and 1
+            node = [1]
+            for x in range(n + 1):
+                gu, gw, gh = ([eval_mod(row, x, P) for row in t] for t in tables)
+                node = newton_step(interp, node, x, {0: res_mod(gu, gw, P), 1: res_mod(gu, gh, P)}, P)
+            R1, R2 = interp.get(0, []), interp.get(1, [])
+            if not R1 or not R2 or len(R1) <= n and len(R2) <= n:
+                continue
+            if len(gcd_mod(R1, R2, P)) == 1:
+                return (d - 1) * (d - 2) // 2
+            break
     return None
 
 
@@ -876,16 +879,15 @@ def lift_to_space(cp: CurveParam, frame) -> RationalMap3:
     """Lift an in-plane parametrization back to a space curve."""
     values = dict(zip(cp.names, cp.components))
     if isinstance(frame, PlaneFrame):
-        solved_val = substitute(frame.expr, values) if not frame.expr.is_constant() else RatFunc(frame.expr)
-        values[frame.solved] = solved_val
+        values[frame.solved] = substitute(frame.expr, values)
     elif isinstance(frame, EdgeFrame):
         rel = frame.relation
         if rel.degree_in(frame.solved) != 1:
             raise UnsupportedCurveError("lift relation is not linear in the remaining coordinate")
         coeffs = rel.coeffs_in(frame.solved)
         a1, a0 = coeffs[1], coeffs.get(0, MultiPoly.zero())
-        a1v = substitute(a1, values) if not a1.is_constant() else RatFunc(a1)
-        a0v = substitute(a0, values) if not a0.is_constant() else RatFunc(a0)
+        a1v = substitute(a1, values)
+        a0v = substitute(a0, values)
         if a1v.is_zero():
             raise UnsupportedCurveError("lift relation degenerates along the curve")
         values[frame.solved] = -a0v / a1v

@@ -380,7 +380,7 @@ class SurfaceInput:
                 has_top_comma = True
         if has_top_comma:
             m = parse_map(stripped, params=("s", "t"))
-            if all(c.derivative("s").is_zero() and c.derivative("t").is_zero() for c in m.components):
+            if m.is_constant():
                 raise ParseError("parametric surface is constant", 1, 1)
             return SurfaceInput(kind="parametric", parametric=m)
         p = parse_poly(stripped, allowed_vars=("x", "y", "z"))

@@ -39,6 +39,7 @@ from .curves import (
     lift_to_space,
     parametrize_plane_curve,
     plane_candidates,
+    plane_frame,
     section_implicit,
 )
 from .builder import (
@@ -219,22 +220,15 @@ class ImplicitAnalysis:
 
 def _plane_param(Fs: MultiPoly):
     """Canonical ruled parametrization of a plane."""
-    frame_data = {v: Fs.derivative(v).constant_value() for v in COORDS if v in Fs.vars}
-    solved = next(v for v in ("z", "y", "x") if frame_data.get(v))
-    kept = [v for v in COORDS if v != solved]
-    const = Fs.eval_partial({v: 0 for v in Fs.vars}).constant_value()
-    tpoly = MultiPoly.var("t")
-    values = {kept[0]: RatFunc(MultiPoly.zero()), kept[1]: RatFunc(tpoly)}
-    coeff_solved = frame_data[solved]
-    rest = Fs - Fs.coeffs_in(solved)[1] * MultiPoly.var(solved) if Fs.degree_in(solved) else Fs
-    expr = rest * (-1 / coeff_solved)
-    values[solved] = substitute(expr, {k: values[k] for k in expr.vars if k in values}) if not expr.is_constant() else RatFunc(expr)
+    frame = plane_frame(Fs)
+    kept, solved = frame.kept, frame.solved
+    values = {kept[0]: RatFunc(MultiPoly.zero()), kept[1]: RatFunc(MultiPoly.var("t"))}
+    values[solved] = substitute(frame.expr, values)
     directrix = RationalMap3([values[n] for n in COORDS], ("t",))
     # ruling direction inside the plane (slanted when the plane is slanted)
     dvec = [Q(0)] * 3
     dvec[COORDS.index(kept[0])] = Q(1)
-    if not expr.is_constant() and kept[0] in expr.vars:
-        dvec[COORDS.index(solved)] = expr.derivative(kept[0]).constant_value()
+    dvec[COORDS.index(solved)] = frame.expr.coeff({kept[0]: 1})
     return build_cylindrical(tuple(dvec), directrix)
 
 

@@ -1,7 +1,7 @@
 """Developability analysis of rational parametric surfaces P(s, t).
 
 The input map need not be proper.  Its tangent planes drive everything,
-and they are read off the homogeneous form P = X/W as four polynomial
+and they are read off the stored form P = X/W as four polynomial
 minors: M = W^3 * (P_s x P_t) and M4 = -X.(X_s x X_t), the plane at
 P(s, t) being M.x + M4 = 0.  A 3x3 determinant in M and its parameter
 derivatives vanishes identically exactly for developable surfaces; the
@@ -44,11 +44,10 @@ from .implicit import (
 )
 from .builder import (
     ParamResult,
+    affine_plane,
     build_conical,
     build_cylindrical,
     build_tangential,
-    form_plane,
-    homogeneous_form,
     implicitize_ruled,
     reduce_directrix,
 )
@@ -56,18 +55,16 @@ from .builder import (
 
 @dataclass(frozen=True)
 class NormalData:
-    """Tangent plane of P = X/W as four polynomials: the plane at P(s, t)
-    is M1*x + M2*y + M3*z + M4 = 0, with (M1, M2, M3) = W^3 * (P_s x P_t).
-    The homogeneous form X, W it was computed from is kept, so that P is
-    cleared of denominators once per analysis."""
+    """Tangent plane of a surface P = X/W, read off its stored form, as four
+    polynomials: the plane at P(s, t) is M1*x + M2*y + M3*z + M4 = 0, with
+    (M1, M2, M3) = W^3 * (P_s x P_t)."""
 
     m: tuple[MultiPoly, MultiPoly, MultiPoly, MultiPoly]  # M1, M2, M3, M4
-    x: tuple[MultiPoly, MultiPoly, MultiPoly]  # X1, X2, X3
-    w: MultiPoly
+    surface: RationalMap3
 
     def plane(self) -> Optional[MultiPoly]:
         """The plane that contains the whole surface, or None."""
-        return form_plane((*self.x, self.w), ("s", "t"))
+        return affine_plane(self.surface)
 
 
 def surface_normal(P: RationalMap3) -> NormalData:
@@ -75,22 +72,21 @@ def surface_normal(P: RationalMap3) -> NormalData:
 
     With P = X/W, P_s x P_t = M/W^3 for C = X_s x X_t and
     M = W*C - W_s*(X x X_t) + W_t*(X x X_s), and M.X = W*(X.C), so the
-    plane through P(s, t) is M.x - X.C = 0.  For a polynomial map W = 1
-    and M = C.
+    plane through P(s, t) is M.x - X.C = 0.  When W = 1, M = C.
     """
     if P.params != ("s", "t"):
         raise ValueError("parametric surfaces use parameters (s, t)")
-    *X, W = homogeneous_form(P)
+    *X, W = P.form
     Xs = [x.derivative("s") for x in X]
     Xt = [x.derivative("t") for x in X]
     C = cross3(Xs, Xt)
     M = C
-    if not W.is_constant():
+    if W != 1:
         Ws, Wt = W.derivative("s"), W.derivative("t")
         M = [W * c - Ws * a + Wt * b for c, a, b in zip(C, cross3(X, Xt), cross3(X, Xs))]
     if all(c.is_zero() for c in M):
         raise DegenerateInputError("normal vector vanishes identically; the image is a curve or a point")
-    return NormalData(m=(*M, -dot3(X, C)), x=tuple(X), w=W)
+    return NormalData(m=(*M, -dot3(X, C)), surface=P)
 
 
 def gaussian_form_parametric(P: RationalMap3, nd: Optional[NormalData] = None) -> RatFunc:
@@ -100,7 +96,7 @@ def gaussian_form_parametric(P: RationalMap3, nd: Optional[NormalData] = None) -
     K = det(M_s, M_t, M)/W^9; a zero K needs no W^9."""
     nd = nd or surface_normal(P)
     d = det3([[m.derivative("s"), m.derivative("t"), m] for m in nd.m[:3]])
-    return RatFunc(d, nd.w**9 if d else 1)
+    return RatFunc(d, nd.surface.form[3] ** 9 if d else 1)
 
 
 def detect_apex_parametric(nd: NormalData):
@@ -151,18 +147,17 @@ def singular_parameter_locus(P: RationalMap3, nd: Optional[NormalData] = None) -
     """Candidate components of the common zero locus of the normal in the
     (s, t) plane: the preimage of the cuspidal edge lies among them."""
     nd = nd or surface_normal(P)
-    den = nd.w**3
-    g = gcd_many([RatFunc(m, den).num for m in nd.m[:3]])
+    W = P.form[3]
+    g = gcd_many([RatFunc(m, W**3).num for m in nd.m[:3]])
     if g.is_constant():
         raise DevsurfError("normal components share no positive-dimensional zero locus")
     g = squarefree_part(g)
-    for comp in P.components:
-        shared = gcd_multi(g, comp.den)
-        while not shared.is_constant():
-            g = exact_div(g, shared)
-            if g.is_constant():
-                raise DevsurfError("singular locus lies entirely on the map's poles")
-            shared = gcd_multi(g, comp.den)
+    shared = gcd_multi(g, W)  # W vanishes on every pole
+    while not shared.is_constant():
+        g = exact_div(g, shared)
+        if g.is_constant():
+            raise DevsurfError("singular locus lies entirely on the map's poles")
+        shared = gcd_multi(g, W)
     return _split_locus_factors(squarefree_part(g))
 
 
@@ -186,7 +181,7 @@ def reparametrize_space_curve(curve: RationalMap3, point_budget: int = 200) -> R
         if proj.is_constant():
             continue
         try:
-            cp = parametrize_plane_curve(PlaneCurve(proj, None), budget=point_budget)
+            cp = parametrize_plane_curve(PlaneCurve(proj, None), budget=point_budget, param=t)
         except (UnsupportedCurveError, PointSearchExhaustedError, NotRationalError) as err:
             last = DevsurfError(f"no projection of the curve could be reparametrized: {err}")
             continue
@@ -208,9 +203,7 @@ def reparametrize_space_curve(curve: RationalMap3, point_budget: int = 200) -> R
             cfs = g.coeffs_in(nk)
             third = RatFunc(-cfs.get(0, MultiPoly.zero()), cfs[1])
         out_vals = {names[0]: vals[names[0]], names[1]: vals[names[1]], nk: third}
-        cand = RationalMap3([out_vals[n] for n in COORDS], (cp.param,))
-        if cp.param != "t":
-            cand = cand.rename_params({cp.param: "t"})
+        cand = RationalMap3([out_vals[n] for n in COORDS], (t,))
         proper, _ = is_proper_curve(cand, "t")
         if proper and _same_curve(curve, cand):
             return cand
@@ -264,20 +257,17 @@ def _parameter_lines(polys, bound: int):
     raise ArithmeticError(f"no usable parameter line within {bound} values")
 
 
-def section_parametric(
-    P: RationalMap3, plane: MultiPoly, cls: SurfaceClass, nd: Optional[NormalData] = None
-) -> RationalMap3:
+def section_parametric(P: RationalMap3, plane: MultiPoly, cls: SurfaceClass) -> RationalMap3:
     """Section of a parametric cone or cylinder by an admissible plane (one
     that misses the apex, or is not parallel to the direction), as a curve
     in t read off P itself.
 
-    P = X/W is taken in homogeneous form, from ``nd`` when it is given.
-    On a line of the parameter plane, from `_parameter_lines`, the point
+    P = X/W is taken in its stored form.  On a line of the parameter plane, from `_parameter_lines`, the point
     (X, W) is sent into the plane pi = (n, b) from the base point B of the
     surface, B = (a, 1) for the apex a or B = (v, 0) for the direction v:
     with l = n.X + b*W, the point pi(B)*(X, W) - l*B is polynomial and lies
     on the plane, since pi of it is pi(B)*l - l*pi(B).  Each of its first
-    three coordinates is divided by the last once.  A line is skipped when
+    three coordinates is divided by the last.  A line is skipped when
     W vanishes on all of it (it runs along a pole), when the last
     coordinate vanishes (for a cone, the line lies in the plane through
     the apex parallel to the section), or when the point is constant: the
@@ -292,28 +282,28 @@ def section_parametric(
     section curve, of degree m >= 2 since the surface is not a plane, and
     some r = a/b in Q(s, t).  The line s = c is one point exactly when
     s - c divides a_t*b - a*b_t, whose s-degree is at most
-    2*max(deg_s a, deg_s b) = 2*deg_s G(a, b)/m, at most the sum S_s of
-    the s-degrees of the components of P; S_s bounds the lines s = c on a
-    pole as well.  So at most min(2*S_s, 2*S_t) <= S_s + S_t values of c
-    fail on both lines (at most S_t when every line s = c is a ruling),
-    and passing 2 + S_s + S_t values is an internal fault.
+    2*max(deg_s a, deg_s b) = 2*deg_s G(a, b)/m, at most the largest
+    s-degree D_s of the entries of the stored form of P; D_s bounds the
+    lines s = c on a pole, where s - c divides W, as well.  So at most
+    min(2*D_s, 2*D_t) <= D_s + D_t values of c fail on both lines (at most
+    D_t when every line s = c is a ruling), and passing 2 + D_s + D_t
+    values is an internal fault.
     """
-    bound = 2 + sum(max(c.num.degree_in(v), c.den.degree_in(v)) for c in P.components for v in ("s", "t"))
+    bound = 2 + sum(max(e.degree_in(v) for e in P.form) for v in ("s", "t"))
     normal = [plane.coeff({v: 1}) for v in COORDS]
     b = plane.coeff({})
     at_base = plane_at_base(cls, normal, b)  # nonzero: the plane is admissible
     base, base_w = (cls.apex, 1) if cls.tag == CONICAL else (cls.direction, 0)
-    form = homogeneous_form(P) if nd is None else [*nd.x, nd.w]
-    for *X, W in _parameter_lines(form, bound):
+    for *X, W in _parameter_lines(P.form, bound):
         if W.is_zero():
             continue
         ell = sum((x * n for x, n in zip(X, normal)), W * b)
         last = W * at_base - ell * base_w
         if last.is_zero():
             continue
-        point = [RatFunc(x * at_base - ell * a, last) for x, a in zip(X, base)]
-        if not all(x.is_constant() for x in point):
-            return RationalMap3(point, ("t",))
+        point = RationalMap3.from_form([x * at_base - ell * a for x, a in zip(X, base)] + [last], ("t",))
+        if not point.is_constant():
+            return point
 
 
 def cuspidal_edge(nd: NormalData) -> RationalMap3:
@@ -350,7 +340,7 @@ def cuspidal_edge(nd: NormalData) -> RationalMap3:
             continue
         if E[3].is_zero():
             raise ArithmeticError("the tangent planes of a tangent surface meet at infinity")
-        edge = RationalMap3([RatFunc(e, E[3]) for e in E[:3]], ("t",))
+        edge = RationalMap3.from_form(E, ("t",))
         if edge.is_constant():
             raise ArithmeticError("the tangent planes of a tangent surface share one point")
         return edge
@@ -425,7 +415,7 @@ def rebuild_and_verify(
         plane = next((plane for plane, _ in admissible_planes(cls, plane_budget)), None)
         if plane is None:
             raise DevsurfError("no usable section plane within budget")
-        curve = section_parametric(P, plane, cls, nd)
+        curve = section_parametric(P, plane, cls)
     else:
         raise ValueError(f"no rebuild for classification {cls.tag}")
     if not is_proper_curve(curve, "t")[0]:
@@ -451,9 +441,9 @@ def analyze_parametric(
     refine: bool = True,
 ) -> ParametricAnalysis:
     """Run the parametric pipeline end to end."""
-    if all(c.is_constant() or c.derivative("s").is_zero() for c in P.components):
+    if all(e.degree_in("s") == 0 for e in P.form):
         raise DegenerateInputError("map is constant in s; its image is a curve, not a surface")
-    if all(c.is_constant() or c.derivative("t").is_zero() for c in P.components):
+    if all(e.degree_in("t") == 0 for e in P.form):
         raise DegenerateInputError("map is constant in t; its image is a curve, not a surface")
     nd = surface_normal(P)
 

@@ -5,8 +5,13 @@ a canonical reduced form: gcd(num, den) is constant and den is
 integer-primitive with positive leading coefficient.  Structural equality
 therefore coincides with mathematical equality.
 
-A :class:`RationalMap3` bundles three rational functions sharing one
-parameter list; arity 1 maps are space curves, arity 2 maps are surfaces.
+A :class:`RationalMap3` is a map P = X/W of one parameter (a space curve)
+or two (a surface) into space, stored as its projective form
+[X1 : X2 : X3 : W]: four integer polynomials whose coefficients have gcd 1,
+whose gcd is 1, and with W of positive leading coefficient.  That form is
+canonical, so equal maps have equal forms.  Map operations and the
+substitution certificate work on it; the reduced components Xi/W are a
+view, for printing and for readers of per-component degrees.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import MultiPoly, Q, _int_terms, _reindex, canonical_vars, exact_div, gcd_multi, poly_divmod_univar
+from .poly import MultiPoly, Q, _int_terms, _reindex, canonical_vars, exact_div, gcd_many, gcd_multi, poly_divmod_univar
 
 _ONE = MultiPoly.const(1)
 
@@ -145,8 +150,6 @@ class RatFunc:
             return NotImplemented
         return self._addsub(o, 1)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return RatFunc(-self.num, self.den, _reduced=True)
 
@@ -200,24 +203,6 @@ class RatFunc:
             return RatFunc(self.den ** (-n), self.num ** (-n), _reduced=True)
         return RatFunc(self.num**n, self.den**n, _reduced=True)
 
-    # -- calculus ------------------------------------------------------------
-
-    def derivative(self, var: str) -> "RatFunc":
-        dn = self.num.derivative(var)
-        dd = self.den.derivative(var)
-        if dd.is_zero():
-            return RatFunc(dn, self.den)
-        return RatFunc(dn * self.den - self.num * dd, self.den * self.den)
-
-    # -- evaluation ------------------------------------------------------------
-
-    def eval_all(self, bindings: Mapping[str, object]):
-        """Exact value at a rational point, or None at a pole."""
-        d = self.den.eval_all(bindings)
-        if d == 0:
-            return None
-        return self.num.eval_all(bindings) / d
-
     def polynomial_part(self, var: str) -> MultiPoly:
         """Polynomial part of a univariate rational function in var."""
         if self.den.is_constant():
@@ -225,103 +210,156 @@ class RatFunc:
         quo, _ = poly_divmod_univar(self.num, self.den, var)
         return quo
 
-    def rename_vars(self, mapping: Mapping[str, str]) -> "RatFunc":
-        return RatFunc(self.num.rename_vars(mapping), self.den.rename_vars(mapping))
-
-    def subs(self, bindings: Mapping[str, "RatFunc"]) -> "RatFunc":
-        """Compose; variables without a binding stay themselves."""
-        full = dict(bindings)
-        for v in self.vars:
-            if v not in full:
-                full[v] = RatFunc(MultiPoly.var(v))
-        num = substitute(self.num, full)
-        den = substitute(self.den, full)
-        if den.is_zero():
-            raise ZeroDivisionError("substitution makes the denominator vanish identically")
-        return num / den
-
     def to_text(self) -> str:
         if self.den == _ONE:
             return self.num.to_text()
         return f"({self.num.to_text()})/({self.den.to_text()})"
 
 
-def substitute(p, bindings: Mapping[str, object]) -> RatFunc:
-    """Compose a polynomial or rational function with rational functions.
-
-    Every variable of ``p`` must be bound; bindings may be RatFunc,
-    MultiPoly or rational constants.  The result is reduced once at the
-    end, after assembling a single common-denominator numerator.
-    """
-    binds: dict[str, RatFunc] = {}
-    for k, v in bindings.items():
-        binds[k] = v if isinstance(v, RatFunc) else RatFunc(_coerce_poly(v))
-    if isinstance(p, RatFunc):
-        return p.subs(binds)
-    p = _coerce_poly(p)
-    for v in p.vars:
-        if v not in binds:
-            raise KeyError(f"unbound variable {v!r}")
-    if p.is_constant():
-        return RatFunc(p)
-    names = list(p.vars)
-    caps = {name: p.degree_in(name) for name in names}
-    num_pows: dict[str, list[MultiPoly]] = {}
-    den_pows: dict[str, list[MultiPoly]] = {}
-    for name in names:
-        b = binds[name]
-        num_pows[name] = [MultiPoly.const(1)]
-        den_pows[name] = [MultiPoly.const(1)]
-        for _ in range(caps[name]):
-            num_pows[name].append(num_pows[name][-1] * b.num)
-            den_pows[name].append(den_pows[name][-1] * b.den)
+def _cleared(p: MultiPoly, pairs: Mapping[str, tuple[MultiPoly, MultiPoly]], caps: Mapping[str, int]) -> MultiPoly:
+    """The numerator of p at v = num_v/den_v, for the pairs (num_v, den_v),
+    over the denominator prod_v den_v^caps[v]:
+    sum_e c_e * prod_v num_v^e_v * den_v^(caps[v] - e_v), for caps[v] >= deg_v p
+    over the bound variables v."""
+    pows = {}
+    for v, cap in caps.items():
+        num, den = [_ONE], [_ONE]
+        for _ in range(cap):
+            num.append(num[-1] * pairs[v][0])
+            den.append(den[-1] * pairs[v][1])
+        pows[v] = num, den
     total = MultiPoly.zero()
     for exps, coeff in p.terms.items():
+        e_of = dict(zip(p.vars, exps))
         term = MultiPoly.const(coeff)
-        for name, e in zip(p.vars, exps):
-            term = term * num_pows[name][e]
-            if caps[name] - e:
-                term = term * den_pows[name][caps[name] - e]
+        for v, (num, den) in pows.items():
+            e = e_of.get(v, 0)
+            term = term * num[e]
+            if caps[v] - e:
+                term = term * den[caps[v] - e]
         total = total + term
-    den = MultiPoly.const(1)
-    for name in names:
-        den = den * den_pows[name][caps[name]]
-    return RatFunc(total, den)
+    return total
+
+
+def _ratfunc(value) -> RatFunc:
+    return value if isinstance(value, RatFunc) else RatFunc(value)
+
+
+def _pair(value) -> tuple[MultiPoly, MultiPoly]:
+    f = _ratfunc(value)
+    return f.num, f.den
+
+
+def _compose(p: MultiPoly, pairs: Mapping[str, tuple[MultiPoly, MultiPoly]]) -> RatFunc:
+    """p at v = num_v/den_v for the pairs (num_v, den_v), reduced once, at
+    the end, from one common-denominator numerator."""
+    caps = {v: p.degree_in(v) for v in p.vars}
+    den = _ONE
+    for v, cap in caps.items():
+        den = den * pairs[v][1] ** cap
+    return RatFunc(_cleared(p, pairs, caps), den)
+
+
+def substitute(p, bindings: Mapping[str, object]) -> RatFunc:
+    """Compose a polynomial with rational functions.  Every variable of
+    ``p`` must be bound; bindings may be RatFunc, MultiPoly or rational
+    constants."""
+    p = _coerce_poly(p)
+    return _compose(p, {v: _pair(bindings[v]) for v in p.vars})
+
+
+def projective_form(funcs: Sequence[RatFunc]) -> list[MultiPoly]:
+    """[X1, ..., Xn, W] with Xi/W = funcs[i]: W is the lcm of the
+    denominators (1 when every function is a polynomial), and all entries
+    are scaled by one rational to integer coefficients with gcd 1.  The
+    entries have gcd 1 as well: an irreducible factor of W divides some
+    denominator to its full power in W, and that numerator is prime to it."""
+    W = _ONE
+    for f in funcs:
+        if not f.den.is_constant() and f.den != W:
+            W = f.den if W == _ONE else W * exact_div(f.den, gcd_multi(W, f.den))
+    return _primitive([f.num if f.den == W else f.num * exact_div(W, f.den) for f in funcs] + [W])
+
+
+def _primitive(entries: list[MultiPoly]) -> list[MultiPoly]:
+    """The entries times the one rational that makes their coefficients
+    integers with gcd 1 and the leading coefficient of the last positive."""
+    scaled = [_int_terms(e.terms) for e in entries]
+    den = math.lcm(*(d for d, _ in scaled))
+    g = 0
+    for d, ints in scaled:
+        for n in ints.values():
+            g = math.gcd(g, n * (den // d))
+    if entries[-1].leading()[1] < 0:
+        g = -g
+    if den == 1 and g == 1:
+        return entries
+    return [
+        MultiPoly._make(e.vars, {k: n * (den // d) // g for k, n in ints.items()}) for e, (d, ints) in zip(entries, scaled)
+    ]
 
 
 class RationalMap3:
-    """Triple of rational functions sharing one parameter tuple."""
+    """A map P = X/W of one or two parameters into space, stored as its
+    canonical projective form ``form = (X1, X2, X3, W)`` (see the module
+    docstring); ``components``, the reduced Xi/W, is computed on first use.
 
-    __slots__ = ("components", "params")
+    ``RationalMap3(components, params)`` clears three rational functions
+    with `projective_form`; ``RationalMap3.from_form(entries, params)``
+    divides four polynomials by their gcd.  Every map is built by one of
+    the two."""
+
+    __slots__ = ("form", "params", "_components")
 
     def __init__(self, components: Sequence[RatFunc], params: Sequence[str]):
-        comps = tuple(c if isinstance(c, RatFunc) else RatFunc(_coerce_poly(c)) for c in components)
+        comps = tuple(_ratfunc(c) for c in components)
         if len(comps) != 3:
             raise ValueError("a space map needs exactly 3 components")
+        self._store(projective_form(comps), params, comps)
+
+    @classmethod
+    def from_form(
+        cls, entries: Sequence[MultiPoly], params: Sequence[str], *, _reduced=False, _components=None
+    ) -> "RationalMap3":
+        """The map X/W of the entries [X1, X2, X3, W], W nonzero.  A caller
+        that has proven their gcd constant passes ``_reduced=True``, and
+        the reduced components when it has them without a gcd."""
+        entries = list(entries)
+        if entries[3].is_zero():
+            raise ZeroDivisionError("zero denominator polynomial")
+        g = _ONE if _reduced else gcd_many(entries[3:] + entries[:3])
+        if not g.is_constant():
+            entries = [exact_div(e, g) for e in entries]
+        m = object.__new__(cls)
+        m._store(_primitive(entries), params, _components)
+        return m
+
+    def _store(self, form: list[MultiPoly], params: Sequence[str], comps) -> None:
         params = tuple(params)
-        for c in comps:
-            extra = set(c.vars) - set(params)
-            if extra:
-                raise ValueError(f"component uses variables {sorted(extra)} outside parameters {params}")
-        object.__setattr__(self, "components", comps)
+        extra = set().union(*(e.vars for e in form)) - set(params)
+        if extra:
+            raise ValueError(f"component uses variables {sorted(extra)} outside parameters {params}")
+        object.__setattr__(self, "form", tuple(form))
         object.__setattr__(self, "params", params)
+        object.__setattr__(self, "_components", comps)
 
     def __setattr__(self, *_):
         raise AttributeError("RationalMap3 is immutable")
 
-    def __iter__(self):
-        return iter(self.components)
-
-    def __getitem__(self, i):
-        return self.components[i]
+    @property
+    def components(self) -> tuple[RatFunc, RatFunc, RatFunc]:
+        if self._components is None:
+            *X, W = self.form
+            object.__setattr__(self, "_components", tuple(RatFunc(x, W) for x in X))
+        return self._components
 
     def __eq__(self, other):
         if not isinstance(other, RationalMap3):
             return NotImplemented
-        return self.components == other.components and self.params == other.params
+        return self.form == other.form and self.params == other.params
 
     def __hash__(self):
-        return hash((self.components, self.params))
+        return hash((self.form, self.params))
 
     def __repr__(self):
         return f"RationalMap3({self.to_text()}; params={self.params})"
@@ -330,34 +368,34 @@ class RationalMap3:
         return "(" + ", ".join(c.to_text() for c in self.components) + ")"
 
     def is_constant(self) -> bool:
-        return all(c.is_constant() for c in self.components)
+        # X = c*W for a constant c makes W divide X, so W is constant
+        return all(e.is_constant() for e in self.form)
 
     def derivative(self, var: str | None = None) -> "RationalMap3":
+        """(X/W)' = (X'*W - X*W')/W^2."""
         v = var if var is not None else self.params[0]
-        return RationalMap3([c.derivative(v) for c in self.components], self.params)
+        *X, W = self.form
+        dW = W.derivative(v)
+        if dW.is_zero():
+            return RationalMap3.from_form([x.derivative(v) for x in X] + [W], self.params)
+        return RationalMap3.from_form([x.derivative(v) * W - x * dW for x in X] + [W * W], self.params)
 
     def subs(self, bindings: Mapping[str, RatFunc], params: Sequence[str]) -> "RationalMap3":
-        return RationalMap3([c.subs(bindings) for c in self.components], params)
-
-    def rename_params(self, mapping: Mapping[str, str]) -> "RationalMap3":
-        return RationalMap3(
-            [c.rename_vars(mapping) for c in self.components],
-            tuple(mapping.get(p, p) for p in self.params),
-        )
+        """Compose with rational functions of the new parameters; a
+        parameter without a binding stays itself.  Each entry is cleared
+        over the same denominator, prod_v den_v^(max deg_v of the entries)."""
+        pairs = {v: _pair(bindings.get(v, MultiPoly.var(v))) for v in self.params}
+        caps = {v: max(e.degree_in(v) for e in self.form) for v in self.params}
+        return RationalMap3.from_form([_cleared(e, pairs, caps) for e in self.form], params)
 
     def eval_all(self, bindings: Mapping[str, object]):
-        """Exact point on the map, or None when a denominator vanishes."""
-        out = []
-        for c in self.components:
-            v = c.eval_all(bindings)
-            if v is None:
-                return None
-            out.append(v)
-        return tuple(out)
-
-    def sub(self, other: "RationalMap3") -> "RationalMap3":
-        params = self.params if len(self.params) >= len(other.params) else other.params
-        return RationalMap3([a - b for a, b in zip(self.components, other.components)], params)
+        """Exact point on the map, or None at a pole: a zero of W, which is
+        a zero of some component's denominator."""
+        *X, W = self.form
+        w = W.eval_all(bindings)
+        if w == 0:
+            return None
+        return tuple(x.eval_all(bindings) / w for x in X)
 
     @staticmethod
     def constant(point: Sequence, params: Sequence[str]) -> "RationalMap3":
@@ -378,28 +416,17 @@ def dot3(a: Sequence, b: Sequence):
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def substitute_map(p: MultiPoly, map3: RationalMap3, coords=("x", "y", "z")) -> RatFunc:
-    """Substitute a space map into a polynomial in the given coordinates."""
-    bindings = dict(zip(coords, map3.components))
+def _check_coords(p: MultiPoly, coords) -> None:
     extra = set(p.vars) - set(coords)
     if extra:
         raise KeyError(f"polynomial involves non-coordinate variables {sorted(extra)}")
-    return substitute(p, {v: bindings[v] for v in p.vars})
 
 
-def _int_binding(rf: RatFunc, params: tuple[str, ...]) -> tuple[list, list]:
-    """Numerator and denominator of rf as integer term lists over params,
-    both scaled by one common integer, so that their ratio is rf."""
-    dn, num = _int_terms(rf.num.terms)
-    dd, den = _int_terms(rf.den.terms)
-    scale = math.lcm(dn, dd)
-    out = []
-    for poly, ints, factor in ((rf.num, num, scale // dn), (rf.den, den, scale // dd)):
-        for v in poly.vars:
-            if v not in params:
-                raise KeyError(f"unbound variable {v!r}")
-        out.append([(e, n * factor) for e, n in _reindex(ints, poly.vars, params).items()])
-    return out[0], out[1]
+def substitute_map(p: MultiPoly, map3: RationalMap3, coords=("x", "y", "z")) -> RatFunc:
+    """Substitute a space map X/W into a polynomial in the given coordinates."""
+    _check_coords(p, coords)
+    *X, W = map3.form
+    return _compose(p, {v: (x, W) for v, x in zip(coords, X)})
 
 
 def _row(terms: list, lead: tuple[int, ...]) -> list[int]:
@@ -414,75 +441,74 @@ def _row(terms: list, lead: tuple[int, ...]) -> list[int]:
     return row
 
 
-def compose_is_zero(p: MultiPoly, bindings: Mapping[str, RatFunc], params: Sequence[str]) -> bool:
-    """Certified exact test that p composed with the bindings vanishes
-    identically, without expanding the composition.
+def _form_is_zero(p: MultiPoly, names: Sequence[str], form: Sequence[MultiPoly], params: Sequence[str]) -> bool:
+    """Certified exact test that p vanishes identically on X/W, for a
+    projective form [X1, ..., Xn, W] of integer polynomials in 1 or 2
+    parameters, W nonzero and Xi standing for names[i], without expanding
+    the composition.
 
-    The cleared numerator N = sum_e c_e * prod_n num_n^e_n * den_n^(cap_n - e_n)
-    (cap_n the degree of p in n) has a computable degree bound in each of
-    the 1 or 2 parameters; N vanishes on an integer grid one point wider
+    For d = deg p, p(X/W) = N/W^d with N = sum_e c_e * X^e * W^(d - |e|)
+    the homogenization of p at (X, W), so p(X/W) == 0 exactly when N == 0.
+    In each parameter v, N has degree at most d * max deg_v of W and of the
+    Xi that p involves, so N vanishes on an integer grid one point wider
     than those bounds in each parameter exactly when N = 0.  The test runs
     in Python ints: p is scaled to integer coefficients over one
-    denominator, and each binding's numerator and denominator by one
-    common integer L_n, which leaves the binding unchanged and multiplies
-    N by the nonzero integer den_p * prod_n L_n^cap_n.  The grid is walked
-    row by row: each binding is restricted once per value of the first
-    parameter (once in all for one parameter) to a dense coefficient list
-    in the last one, which is then evaluated along the row by Horner's
-    rule.  There is no sampling uncertainty.
+    denominator, which multiplies N by a nonzero integer.  The grid is
+    walked row by row: each entry is restricted once per value of the
+    first parameter (once in all for one parameter) to a dense coefficient
+    list in the last one, which is then evaluated along the row by
+    Horner's rule.  There is no sampling uncertainty.
     """
-    for v in p.vars:
-        if v not in bindings:
-            raise KeyError(f"unbound variable {v!r}")
     if p.is_zero():
         return True
     if p.is_constant():
         return p.constant_value() == 0
     params = tuple(params)
     if len(params) not in (1, 2):
-        raise ValueError("compose_is_zero supports 1 or 2 parameters")
-    caps = [p.degree_in(n) for n in p.vars]
-    pairs = [_int_binding(bindings[n], params) for n in p.vars]
-    # degree bound of the cleared numerator in each parameter
-    bounds = []
-    for i in range(len(params)):
-        dn = [max((e[i] for e, _ in num), default=0) for num, _ in pairs]
-        dd = [max((e[i] for e, _ in den), default=0) for _, den in pairs]
-        bounds.append(max(
-            sum(e * a + (cap - e) * b for e, a, b, cap in zip(exps, dn, dd, caps))
-            for exps in p.terms
-        ))
+        raise ValueError("the substitution certificate supports 1 or 2 parameters")
+    d = p.total_degree()
+    entries = [form[names.index(v)] for v in p.vars] + [form[-1]]
+    rows_of = []
+    for e in entries:
+        for v in e.vars:
+            if v not in params:
+                raise KeyError(f"unbound variable {v!r}")
+        rows_of.append(list(_reindex(e.terms, e.vars, params).items()))
+    bounds = [d * max(e.degree_in(v) for e in entries) for v in params]
+    caps = [p.degree_in(v) for v in p.vars] + [d - min(map(sum, p.terms))]
     _, coeffs = _int_terms(p.terms)
-    terms = list(coeffs.items())
+    terms = [(exps + (d - sum(exps),), c) for exps, c in coeffs.items()]
     for lead in itertools.product(*(range(b + 1) for b in bounds[:-1])):
-        rows = [(_row(num, lead), _row(den, lead)) for num, den in pairs]
+        rows = [_row(r, lead) for r in rows_of]
         for x in range(bounds[-1] + 1):
             pows = []
-            for (num, den), cap in zip(rows, caps):
-                nv = dv = 0
-                for c in num:
-                    nv = nv * x + c
-                for c in den:
-                    dv = dv * x + c
-                npow, dpow = [1], [1]
+            for row, cap in zip(rows, caps):
+                val = 0
+                for c in row:
+                    val = val * x + c
+                pw = [1]
                 for _ in range(cap):
-                    npow.append(npow[-1] * nv)
-                    dpow.append(dpow[-1] * dv)
-                pows.append((npow, dpow))
+                    pw.append(pw[-1] * val)
+                pows.append(pw)
             acc = 0
             for exps, c in terms:
-                for (npow, dpow), e, cap in zip(pows, exps, caps):
-                    c *= npow[e] * dpow[cap - e]
+                for pw, e in zip(pows, exps):
+                    c *= pw[e]
                 acc += c
             if acc:
                 return False
     return True
 
 
+def compose_is_zero(p: MultiPoly, bindings: Mapping[str, RatFunc], params: Sequence[str]) -> bool:
+    """Certified exact test that p composed with the bindings vanishes
+    identically: `_form_is_zero` on the projective form of the bindings
+    of p's variables."""
+    return _form_is_zero(p, p.vars, projective_form([_ratfunc(bindings[v]) for v in p.vars]), params)
+
+
 def substitute_map_is_zero(p: MultiPoly, map3: RationalMap3, coords=("x", "y", "z")) -> bool:
-    """Exact zero test for p composed with a space map (grid-certified)."""
-    bindings = dict(zip(coords, map3.components))
-    extra = set(p.vars) - set(coords)
-    if extra:
-        raise KeyError(f"polynomial involves non-coordinate variables {sorted(extra)}")
-    return compose_is_zero(p, {v: bindings[v] for v in p.vars}, map3.params)
+    """Exact zero test for p composed with a space map: `_form_is_zero`
+    on its stored form, with the one denominator W."""
+    _check_coords(p, coords)
+    return _form_is_zero(p, coords, map3.form, map3.params)

@@ -13,12 +13,31 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from devsurf.poly import MultiPoly, Q
-from devsurf.ratfunc import RatFunc, RationalMap3
+from devsurf.ratfunc import RatFunc, RationalMap3, substitute
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.curves import is_proper_curve
 from devsurf.builder import affine_plane, build_conical, build_cylindrical, build_tangential
 
 import cases
+
+
+def rf_derivative(f: RatFunc, var: str) -> RatFunc:
+    """The quotient rule on one reduced rational function: the component
+    route that map derivatives are checked against."""
+    return RatFunc(f.num.derivative(var) * f.den - f.num * f.den.derivative(var), f.den * f.den)
+
+
+def rf_subs(f: RatFunc, bindings) -> RatFunc:
+    """f composed with rational bindings; a variable without one stays
+    itself."""
+    full = {v: bindings.get(v, RatFunc(MultiPoly.var(v))) for v in f.vars}
+    return substitute(f.num, full) / substitute(f.den, full)
+
+
+def rf_sub(a: RationalMap3, b: RationalMap3) -> RationalMap3:
+    """a - b component by component."""
+    params = a.params if len(a.params) >= len(b.params) else b.params
+    return RationalMap3([x - y for x, y in zip(a.components, b.components)], params)
 
 
 def _degenerates_to_plane(built) -> bool:

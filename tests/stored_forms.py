@@ -3,7 +3,10 @@
 While the reference surfaces of cases.py go through the CLI and a few
 kernel operations run on rational coefficients, every MultiPoly built is
 inspected: each stored coefficient must be a Python ``int`` or a
-non-integral ``Q``, and the value accessors must return a ``Q``.
+non-integral ``Q``, and the value accessors must return a ``Q``.  Every
+RationalMap3 built on the way is inspected too: its stored form
+[X1 : X2 : X3 : W] must hold Python ``int`` coefficients with gcd 1,
+entries with gcd 1, and W with a positive leading coefficient.
 
 ``check()`` runs in-process.  Run as a script, ``python stored_forms.py``
 prints the coefficient type and exits 0 when the check passes; the tests
@@ -14,13 +17,15 @@ from __future__ import annotations
 
 import contextlib
 import io
+import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from devsurf.cli import main as cli_main
-from devsurf.poly import MultiPoly, Q, bordered_hessian, det3, exact_div, gcd_multi, resultant
+from devsurf.poly import MultiPoly, Q, bordered_hessian, det3, exact_div, gcd_many, gcd_multi, resultant
+from devsurf.ratfunc import RationalMap3
 
 import cases
 
@@ -34,6 +39,13 @@ EXIT_CODES = [0, 0, 0, 3, 3, 0, 0, 3, 3, 0]
 def assert_stored(p: MultiPoly) -> None:
     for c in p.terms.values():
         assert type(c) is int or type(c) is Q and c.denominator != 1, repr(c)
+
+
+def assert_stored_map(m: RationalMap3) -> None:
+    coeffs = [c for e in m.form for c in e.terms.values()]
+    assert all(type(c) is int for c in coeffs), m.form
+    assert math.gcd(*coeffs) == 1 and m.form[3].leading()[1] > 0, m.form
+    assert gcd_many(m.form).is_constant(), m.form
 
 
 def assert_q(value) -> None:
@@ -63,8 +75,8 @@ def _kernel_values() -> list:
 
 def check() -> int:
     """Run the whole check; the number of polynomials inspected."""
-    seen = []
-    make, init = MultiPoly._make, MultiPoly.__init__
+    seen, maps = [], []
+    make, init, store = MultiPoly._make, MultiPoly.__init__, RationalMap3._store
 
     def spy_make(variables, terms):
         p = make(variables, terms)
@@ -77,8 +89,14 @@ def check() -> int:
         assert_stored(self)
         seen.append(self)
 
+    def spy_store(self, form, params, comps):
+        store(self, form, params, comps)
+        assert_stored_map(self)
+        maps.append(self)
+
     MultiPoly._make = staticmethod(spy_make)
     MultiPoly.__init__ = spy_init
+    RationalMap3._store = spy_store
     try:
         _kernel_values()
         codes = []
@@ -87,9 +105,11 @@ def check() -> int:
                 with contextlib.redirect_stdout(io.StringIO()):
                     codes.append(cli_main([mode, text]))
         assert codes == EXIT_CODES, codes
+        assert len(maps) > 10, len(maps)
     finally:
         MultiPoly._make = staticmethod(make)
         MultiPoly.__init__ = init
+        RationalMap3._store = store
     return len(seen)
 
 

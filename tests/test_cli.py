@@ -210,19 +210,28 @@ class TestExitCodes:
         src = Path(__file__).resolve().parent.parent / "src" / "devsurf"
         assert not any("section rebuild failed exact verification" in f.read_text() for f in src.glob("*.py"))
 
+    def test_bad_reduction_cone_proven_smooth_at_the_second_prime(self):
+        # the section w^2 - u^3 - P*u - P, P = 2^61 - 1, is smooth over Q
+        # and cuspidal mod P; modulo the next prime it is proven smooth
+        code, out = run_cli(["implicit", "y^2*z - x^3 - 2305843009213693951*x*z^2 - 2305843009213693951*z^3"])
+        report = json.loads(out)
+        assert code == 2
+        assert report["classification"]["tag"] == "Conical"
+        assert report["failure"] == "smooth plane curve of degree 3, genus 1"
+
     def test_unbounded_cylinder_certified_once_in_one_parameter(self, monkeypatch):
         # (x+y+z+1)^8 + x is a cylinder along (0, 1, -1); its certificate
         # runs in t alone, once
-        import devsurf.ratfunc
+        import devsurf.builder
 
-        real = devsurf.ratfunc.compose_is_zero
+        real = devsurf.builder.substitute_map_is_zero
         params_seen = []
 
-        def spy(p, bindings, params):
-            params_seen.append(tuple(params))
-            return real(p, bindings, params)
+        def spy(p, map3):
+            params_seen.append(map3.params)
+            return real(p, map3)
 
-        monkeypatch.setattr(devsurf.ratfunc, "compose_is_zero", spy)
+        monkeypatch.setattr(devsurf.builder, "substitute_map_is_zero", spy)
         code, out = run_cli(["implicit", "(x+y+z+1)^8+x"])
         report = json.loads(out)
         assert code == 0 and report["parametrization"]["verified"] is True
@@ -260,6 +269,16 @@ class TestVerifyCommand:
     def test_malformed_map(self):
         code, out = run_cli(["verify", cases.ELLIPTIC_CONE_F, "( t, s"])
         assert code == 1
+
+    def test_residue_over_distinct_denominators(self):
+        # the components have the denominators t^2 + 1 and t + 1; the
+        # residue is F(X/W) over the one denominator W of the stored form,
+        # printed in lowest terms
+        code, out = run_cli(["verify", "x^2+y^2-z^2", "( s*(1-t^2)/(1+t^2), s*2*t/(1+t), s )"])
+        assert code == 4
+        assert json.loads(out)["residue"] == (
+            "(4*s^2*t^6 + 4*s^2*t^4 - 8*s^2*t^3)/(t^6 + 2*t^5 + 3*t^4 + 4*t^3 + 3*t^2 + 2*t + 1)"
+        )
 
 
 class TestMesh:

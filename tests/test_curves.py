@@ -27,9 +27,9 @@ from devsurf.curves import (
     section_implicit,
 )
 from devsurf.curves import _conic_point_decision, _smooth_genus
-from devsurf.arith import factor, is_prime, legendre, newton_step, res_mod
+from devsurf.arith import factor, gcd_mod, is_prime, legendre, modulus, newton_step, res_mod
 
-from conftest import map2_with_zero, random_space_curve, ternary_form_solvable
+from conftest import map2_with_zero, random_space_curve, rf_subs, ternary_form_solvable
 
 import cases
 
@@ -216,16 +216,31 @@ class TestSmoothCertificate:
         assert _smooth_genus(c, ("u", "w")) is None
 
     def test_bad_reduction_claims_nothing(self):
-        # smooth over Q (the cubic u^3 + P*u + P is squarefree, and the
-        # point at infinity is a flex), but w^2 = u^3 mod P: no claim, and
-        # the families' error comes back unchanged
-        c = self.W**2 - self.U**3 - self.P * self.U - self.P
+        # smooth over Q (the cubic u^3 + N*u + N is squarefree, and the
+        # point at infinity is a flex), but w^2 = u^3 modulo both primes
+        # tried, the factors of N: no claim, and the families' error comes
+        # back unchanged
+        N = self.P * modulus(1)
+        c = self.W**2 - self.U**3 - N * self.U - N
         assert _smooth_genus(c, ("u", "w")) is None
         with pytest.raises(UnsupportedCurveError) as err:
             parametrize_plane_curve(PlaneCurve(c, None))
         assert str(err.value) == (
             "degree-3 curve outside the supported families: no rational (d-1)-fold singular point found"
         )
+
+    def test_bad_reduction_at_the_first_prime_certified_at_the_second(self):
+        # w^2 = u^3 mod P, smooth modulo the second prime
+        c = self.W**2 - self.U**3 - self.P * self.U - self.P
+        assert _smooth_genus(c, ("u", "w")) == 1
+        with pytest.raises(NotRationalError, match="^smooth plane curve of degree 3, genus 1$"):
+            parametrize_plane_curve(PlaneCurve(c, None))
+
+    def test_nodal_cubic_claims_nothing_at_either_prime(self, monkeypatch):
+        moduli = set()
+        monkeypatch.setattr(devsurf.curves, "gcd_mod", lambda a, b, p: moduli.add(p) or gcd_mod(a, b, p))
+        assert _smooth_genus(parse_poly("w^2-u^3-u^2", ("u", "w")), ("u", "w")) is None
+        assert moduli == {self.P, modulus(1)}
 
     def test_resultant_and_interpolation_mod_p(self):
         # sparse small coefficients make remainder degrees drop by more than
@@ -386,7 +401,7 @@ class TestProperImage:
 
     @staticmethod
     def compose(comps, r):
-        return tuple(c.subs({"t": r}) for c in comps)
+        return tuple(rf_subs(c, {"t": r}) for c in comps)
 
     @pytest.mark.parametrize("comps", seeded_curve_maps())
     def test_seeded_maps_match_exact_gcd(self, comps):
@@ -412,7 +427,7 @@ class TestProperImage:
         # would be a multiple of (t - 2)^2
         calls = []
         monkeypatch.setattr(devsurf.curves, "gcd_multi", lambda *a: calls.append(a) or gcd_multi(*a))
-        comps = tuple(parse_map("((2*t-6)/(t-2)^2, (2*t-8)/(t-2)^2, 0)", params=("t",)))
+        comps = parse_map("((2*t-6)/(t-2)^2, (2*t-8)/(t-2)^2, 0)", params=("t",)).components
         assert devsurf.curves._IMAGE_POINTS[0] == 2
         assert is_proper_curve(comps, "t") == (True, 1)
         assert calls == []

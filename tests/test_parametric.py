@@ -37,7 +37,7 @@ from devsurf.curves import is_proper_curve
 from devsurf.implicit import SurfaceClass, admissible_planes
 from devsurf.cli import main as cli_main
 
-from conftest import random_cone, random_cylinder, random_space_curve, random_tangent_surface
+from conftest import random_cone, random_cylinder, random_space_curve, random_tangent_surface, rf_derivative
 import cases
 
 X, Y, Z = (MultiPoly.var(v) for v in "xyz")
@@ -46,16 +46,12 @@ X, Y, Z = (MultiPoly.var(v) for v in "xyz")
 def k_oracle(P: RationalMap3) -> bool:
     """Independent developability form: naive RatFunc cross products and a
     cofactor determinant written out by hand."""
-    Ps = P.derivative("s")
-    Pt = P.derivative("t")
+    Ps = [rf_derivative(c, "s") for c in P.components]
+    Pt = [rf_derivative(c, "t") for c in P.components]
     l = Ps[1] * Pt[2] - Ps[2] * Pt[1]
     m = Ps[2] * Pt[0] - Ps[0] * Pt[2]
     n = Ps[0] * Pt[1] - Ps[1] * Pt[0]
-    rows = [
-        (l.derivative("s"), l.derivative("t"), l),
-        (m.derivative("s"), m.derivative("t"), m),
-        (n.derivative("s"), n.derivative("t"), n),
-    ]
+    rows = [(rf_derivative(c, "s"), rf_derivative(c, "t"), c) for c in (l, m, n)]
     det = (
         rows[0][0] * (rows[1][1] * rows[2][2] - rows[1][2] * rows[2][1])
         - rows[0][1] * (rows[1][0] * rows[2][2] - rows[1][2] * rows[2][0])
@@ -128,6 +124,9 @@ def minor_test_maps():
         maps.append(pytest.param(RationalMap3(comps, ("s", "t")), id=f"rational-ruled-{i}"))
     sphere = "( 2*s/(1+s^2+t^2), 2*t/(1+s^2+t^2), (s^2+t^2-1)/(1+s^2+t^2) )"
     maps.append(pytest.param(parse_map(sphere, params=("s", "t")), id="rational-sphere"))
+    # no denominator, but a stored form with the constant W = 210
+    fractional = parse_map("(s/2 + t^2/3, t/5 - s*t, s^2/7 + t)", params=("s", "t"))
+    maps.append(pytest.param(fractional, id="fractional-polynomial"))
     return maps
 
 
@@ -145,7 +144,7 @@ class TestTangentPlaneMinors:
                 surface_normal(P)
             return
         nd = surface_normal(P)
-        den = nd.w**3
+        den = P.form[3] ** 3
         assert tuple(RatFunc(m, den) for m in nd.m[:3]) == N
         # the plane M.x + M4 = 0 passes through P(s, t)
         assert RatFunc(nd.m[3], den) == -dot3(N, P.components)
@@ -188,22 +187,21 @@ class TestAffinePlane:
 
     @pytest.mark.parametrize("text", ("(s, t^2/(1+s^2), 2*s - t^2/(1+s^2) + 1)", cases.UNIT_CIRCLE_CONE_MAP))
     def test_analysis_clears_the_map_once(self, text, monkeypatch):
-        import devsurf.builder
-        import devsurf.parametric
+        # the parser clears P; the analysis reads its stored form
+        import devsurf.ratfunc
 
-        P = parse_map(text, params=("s", "t"))
         clears = []
-        original = devsurf.builder.homogeneous_form
+        original = devsurf.ratfunc.projective_form
 
-        def counted(m):
-            clears.append(m is P)
-            return original(m)
+        def counted(funcs):
+            clears.append(tuple(funcs))
+            return original(funcs)
 
-        monkeypatch.setattr(devsurf.builder, "homogeneous_form", counted)
-        monkeypatch.setattr(devsurf.parametric, "homogeneous_form", counted)
+        monkeypatch.setattr(devsurf.ratfunc, "projective_form", counted)
+        P = parse_map(text, params=("s", "t"))
         out = analyze_parametric(P)
         assert out.parametrization is not None
-        assert clears.count(True) == 1
+        assert clears.count(P.components) == 1
 
 
 class TestApexDetection:
@@ -257,6 +255,20 @@ class TestSingularLocus:
     def test_plane_rejected(self):
         P = parse_map(cases.PLANE_MAP, params=("s", "t"))
         with pytest.raises(DevsurfError):
+            singular_parameter_locus(P)
+
+    @pytest.mark.parametrize(
+        "text, loci",
+        [("(1 + s^3, (t^2 + 1)/s, 1)", ["t"]), ("((t + s^3)/t, 1, (1 + s^2)/s)", ["s + 1", "s - 1"])],
+    )
+    def test_pole_lines_removed(self, text, loci):
+        # the normal also vanishes on the pole line s = 0
+        P = parse_map(text, params=("s", "t"))
+        assert [l.to_text() for l in singular_parameter_locus(P)] == loci
+
+    def test_locus_on_poles_only(self):
+        P = parse_map("((1 + t^3)/t, (t^3 + s)/s, 1 + t^2)", params=("s", "t"))
+        with pytest.raises(DevsurfError, match="entirely on the map's poles"):
             singular_parameter_locus(P)
 
 
@@ -407,11 +419,8 @@ class TestSectionFromMap:
 
     @pytest.mark.parametrize("P, cls", seeded_sections())
     def test_homogeneous_section_matches_ratfunc_construction(self, P, cls):
-        nd = surface_normal(P)
         for plane, _ in itertools.islice(admissible_planes(cls, 35), 6):
-            expect = section_oracle(P, plane, cls)
-            assert section_parametric(P, plane, cls) == expect
-            assert section_parametric(P, plane, cls, nd) == expect
+            assert section_parametric(P, plane, cls) == section_oracle(P, plane, cls)
 
     def test_skipped_lines(self):
         # s = 0 is a pole, and t = 0 maps into x = 1, the plane through the

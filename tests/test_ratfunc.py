@@ -1,18 +1,21 @@
 """Rational functions: canonical reduction, arithmetic, substitution."""
 
 import itertools
+import math
 import random
 
 import pytest
 
-from devsurf.poly import MultiPoly, Q
-from devsurf.ratfunc import RatFunc, RationalMap3, compose_is_zero, substitute, substitute_map
+from devsurf.poly import MultiPoly, Q, gcd_many
+from devsurf.ratfunc import RatFunc, RationalMap3, compose_is_zero, substitute, substitute_map, substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
+from devsurf.builder import ParamResult, build_conical
+from devsurf.errors import DevsurfError
 
-from conftest import random_small_multipoly
+from conftest import random_small_multipoly, random_space_curve, rf_derivative, rf_subs
 import cases
 
-X, Y, T = MultiPoly.var("x"), MultiPoly.var("y"), MultiPoly.var("t")
+X, Y, Z, S, T = (MultiPoly.var(v) for v in "xyzst")
 
 
 def test_reduction_cancels_common_factor():
@@ -55,6 +58,8 @@ def test_field_arithmetic():
 
 
 def test_derivative_quotient_rule_randomized():
+    # on a map (f, g, f*g): the derivative of the third component is the
+    # product rule applied to the first two
     rng = random.Random(8)
     for _ in range(20):
         n1 = random_small_multipoly(rng, ("t",), 3)
@@ -67,9 +72,8 @@ def test_derivative_quotient_rule_randomized():
             continue
         f = RatFunc(n1, d1)
         g = RatFunc(n2, d2)
-        lhs = (f * g).derivative("t")
-        rhs = f.derivative("t") * g + f * g.derivative("t")
-        assert lhs == rhs
+        df, dg, lhs = RationalMap3([f, g, f * g], ("t",)).derivative("t").components
+        assert lhs == df * g + f * dg
 
 
 def test_substitute_simple():
@@ -84,9 +88,9 @@ def test_substitute_requires_bindings():
 
 
 def test_substitute_zero_denominator_binding():
-    p = parse_poly("x", ("x",))
+    m = RationalMap3([RatFunc(MultiPoly.const(1), X), RatFunc(X), RatFunc(MultiPoly.zero())], ("x",))
     with pytest.raises(ZeroDivisionError):
-        RatFunc(MultiPoly.const(1), X).subs({"x": RatFunc(MultiPoly.zero())})
+        m.subs({"x": RatFunc(MultiPoly.zero())}, ("x",))
 
 
 def test_curve_lies_on_cone(elliptic_cone):
@@ -108,8 +112,6 @@ def test_compose_is_zero_agrees_with_expansion():
     circle = parse_map("( (1-t^2)/(1+t^2), 2*t/(1+t^2), 0 )", params=("t",))
     sphere = parse_poly(cases.SPHERE_F, ("x", "y", "z"))
     assert substitute_map(sphere, circle).is_zero()
-    from devsurf.ratfunc import substitute_map_is_zero
-
     assert substitute_map_is_zero(sphere, circle)
     assert not substitute_map_is_zero(sphere + 1, circle)
     for _ in range(10):
@@ -127,8 +129,6 @@ def test_map_rename_and_derivative():
     d = tw.derivative("t")
     assert d.components[0] == RatFunc(MultiPoly.const(1))
     assert d.components[2] == RatFunc(3 * T**2)
-    renamed = tw.rename_params({"t": "u"})
-    assert renamed.params == ("u",)
 
 
 def test_compose_is_zero_grid_is_complete():
@@ -197,3 +197,144 @@ def test_compose_is_zero_against_sympy_cancel(params):
             oracle = compose(P, (X, Y, Z)) == 0
             assert compose_is_zero(to_multipoly(P, ("x", "y", "z")), bindings, params) == oracle
             checked[oracle] += 1
+
+
+@pytest.mark.parametrize(
+    "text, params, corner",
+    [
+        ("((t-2)*(t-3)/(t*(t-1)), 0, 1/(t*(t-1)))", ("t",), {"t": 4}),
+        ("((s-2)*(s-3)*(t-2)*(t-3)/(s*(s-1)*t*(t-1)), 0, 1/(s*(s-1)*t*(t-1)))", ("s", "t"), {"s": 4, "t": 4}),
+    ],
+)
+def test_form_grid_is_complete(text, params, corner):
+    # for p = x - y*z, N = X1*W - X2*X3 has degree 4 = deg p * 2 in each
+    # parameter and vanishes at every point of the grid 0..4 but the last
+    # corner, so a grid one point short would call p(X/W) zero
+    m = parse_map(text, params=params)
+    X1, X2, X3, W = m.form
+    N = X1 * W - X2 * X3
+    assert [max(e.degree_in(v) for e in m.form) for v in params] == [2] * len(params)
+    for point in itertools.product(range(5), repeat=len(params)):
+        value = N.eval_all(dict(zip(params, point)))
+        assert (value != 0) == (dict(zip(params, point)) == corner)
+    assert not substitute_map_is_zero(X - Y * Z, m)
+    assert not substitute_map(X - Y * Z, m).is_zero()
+
+
+def _seeded_maps(seed, params, count=25):
+    """Maps with distinct component denominators, a constant component, or
+    polynomial components, each with a relation z = x*y + c."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        kind = len(out) % 3
+        comps = []
+        for i in range(2):
+            num = random_small_multipoly(rng, params, 2)
+            den = MultiPoly.const(1) if kind == 2 else random_small_multipoly(rng, params, 2)
+            if kind == 1 and i == 1:
+                num, den = MultiPoly.const(rng.randint(-3, 3)), MultiPoly.const(rng.randint(1, 3))
+            comps.append(RatFunc(num, den))
+        c = Q(rng.randint(-3, 3), rng.randint(1, 3))
+        comps.append(comps[0] * comps[1] + c)
+        out.append((RationalMap3(comps, params), c))
+    return out
+
+
+def _point_oracle(m, bindings):
+    values = []
+    for f in m.components:
+        d = f.den.eval_all(bindings)
+        if d == 0:
+            return None
+        values.append(f.num.eval_all(bindings) / d)
+    return tuple(values)
+
+
+def _assert_stored(m):
+    assert all(type(c) is int for e in m.form for c in e.terms.values())
+    assert gcd_many(m.form).is_constant() and m.form[3].leading()[1] > 0
+    assert math.gcd(*(c for e in m.form for c in e.terms.values())) == 1
+
+
+class TestStoredForm:
+    """Each map operation on [X1 : X2 : X3 : W] against the route through
+    the reduced components, on seeded maps in one and two parameters, and
+    those two-parameter maps with s -> 1/s, whose lines s = 0 are poles."""
+
+    MAPS = (
+        [(m, c, ("t",)) for m, c in _seeded_maps(11, ("t",))]
+        + [(m, c, ("s", "t")) for m, c in _seeded_maps(12, ("s", "t"))]
+        + [(m.subs({"s": RatFunc(1, S)}, ("s", "t")), c, ("s", "t")) for m, c in _seeded_maps(13, ("s", "t"), 10)]
+    )
+
+    @pytest.mark.parametrize("m, c, params", MAPS)
+    def test_form_and_view(self, m, c, params):
+        _assert_stored(m)
+        view = m.components
+        again = RationalMap3(view, params)
+        assert again == m and hash(again) == hash(m)
+        assert RationalMap3.from_form(m.form, params).components == view
+        # a common factor of the four entries, and a rational scale, cancel
+        rng = random.Random(len(m.to_text()))
+        g = random_small_multipoly(rng, params, 2) * Q(-3, 7)
+        assert RationalMap3.from_form([e * g for e in m.form], params) == m
+        assert m.is_constant() == all(f.is_constant() for f in view)
+
+    @pytest.mark.parametrize("m, c, params", MAPS)
+    def test_operations_match_component_route(self, m, c, params):
+        for v in params:
+            d = m.derivative(v)
+            _assert_stored(d)
+            assert d.components == tuple(rf_derivative(f, v) for f in m.components)
+        binding = {"t": RatFunc(2 * T + 1, T - 3)}
+        composed = m.subs(binding, params)
+        _assert_stored(composed)
+        assert composed.components == tuple(rf_subs(f, binding) for f in m.components)
+        for point in itertools.product([Q(0), Q(1), Q(-1, 2), Q(3)], repeat=len(params)):
+            bindings = dict(zip(params, point))
+            assert m.eval_all(bindings) == _point_oracle(m, bindings)
+        F = Z - X * Y - c
+        assert substitute_map(F, m).is_zero() and substitute_map_is_zero(F, m)
+        rng = random.Random(len(m.to_text()))
+        for _ in range(3):
+            p = random_small_multipoly(rng, ("x", "y", "z"), 2)
+            expect = substitute(p, dict(zip("xyz", m.components)))
+            assert substitute_map(p, m) == expect
+            assert substitute_map_is_zero(p, m) == expect.is_zero()
+
+    def test_constant_and_pole_maps(self):
+        point = RationalMap3.constant((Q(1, 2), 3, Q(-4, 3)), ("t",))
+        _assert_stored(point)
+        assert point.form == (MultiPoly.const(3), MultiPoly.const(18), MultiPoly.const(-8), MultiPoly.const(6))
+        assert point.is_constant() and point.derivative("t").is_constant()
+        poles = parse_map("(1/s, t/s, 1)", params=("s", "t"))
+        assert poles.eval_all({"s": 0, "t": 1}) is None
+        assert poles.eval_all({"s": 2, "t": 1}) == (Q(1, 2), Q(1, 2), 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_full_map_matches_component_sum(self, seed):
+        rng = random.Random(seed)
+        s = RatFunc(MultiPoly.var("s"))
+        curves = [RationalMap3([RatFunc(random_small_multipoly(rng, ("t",), 2), random_small_multipoly(rng, ("t",), 1))
+                                for _ in range(3)], ("t",)) for _ in range(2)]
+        constant = RationalMap3.constant([Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)], ("t",))
+        for p0, p1 in ((curves[0], curves[1]), (constant, curves[1]), (curves[0], constant), (curves[0], curves[0])):
+            full = ParamResult(p0=p0, p1=p1, kind="Tangential").full_map()
+            _assert_stored(full)
+            oracle = tuple(a + s * b for a, b in zip(p0.components, p1.components))
+            assert full == RationalMap3(oracle, ("s", "t"))
+            assert full.components == oracle == RationalMap3.from_form(full.form, ("s", "t")).components
+
+    def test_cone_direction_view_matches_form(self):
+        rng = random.Random(7)
+        for _ in range(10):
+            curve = random_space_curve(rng, 2, den_deg=rng.randint(1, 2))
+            apex = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(3)]
+            try:
+                p1 = build_conical(apex, curve).p1
+            except DevsurfError:
+                continue
+            _assert_stored(p1)
+            assert p1.components == RationalMap3.from_form(p1.form, ("t",)).components
+            assert p1.components == tuple(f - a for f, a in zip(curve.components, apex))

@@ -30,7 +30,10 @@ the cone x^2 + y^2 - 2000009000009 z^2, whose coefficient is 1000003 *
 2000003: both factors lie past the trial division of the factoring
 behind Legendre's theorem, so Pollard rho splits the product and the
 primality test proves both factors prime, before -1 is found to be no
-square modulo 1000003 and the conic to have no rational point.  When two
+square modulo 1000003 and the conic to have no rational point.  Last,
+the cubic cone y^2 z = x^3 + P x z^2 + P z^3 for P = 2^61 - 1: its
+section is smooth over Q but cuspidal mod P, so the genus certificate
+proves it smooth modulo the second prime.  When two
 commits print the same text, they agree on every exit code,
 classification, apex, direction, printed K, parametrization, implicit
 equation and failure text of the benchmark inputs.  perfbench/gen.py is imported as
@@ -69,6 +72,8 @@ EXTRA = (
     ("cone with apex (1/2, 1/2, 1/2)", ["implicit", "(2*x-1)^2+(2*y-1)^2-(2*z-1)^2"]),
     ("cone times a plane through its apex", ["implicit", "(x^2+y^2-z^2)*(x-z)"]),
     ("cone over a conic with no rational point", ["implicit", "x^2+y^2-2000009000009*z^2"]),
+    ("cubic cone of bad reduction at 2^61 - 1",
+     ["implicit", "y^2*z - x^3 - 2305843009213693951*x*z^2 - 2305843009213693951*z^3"]),
 )
 
 
