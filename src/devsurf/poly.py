@@ -31,13 +31,20 @@ trusted constructor ``MultiPoly._make``.
 Besides the arithmetic operators, the module provides the elimination
 toolkit used by the analyzers: formal derivatives, determinants,
 Sylvester resultants, multivariate gcd, squarefree parts, exact
-division, and linear subresultants.  Determinants run on integer rows
-with each exponent vector packed into one int key: 3x3 and 4x4 ones by
-Laplace expansion, Sylvester matrices by fraction-free Bareiss
-elimination, whose radix is 2S + 1 (S bounds a minor's exponents, and
-each step multiplies two minors) and whose exact divisions by the
-previous pivot raise ArithmeticError on a remainder; the bordered Hessian
-differentiates on packed keys and shares the Laplace expansion.
+division, and linear subresultants.  Determinants run on integer rows.
+Sylvester matrices go through fraction-free Bareiss elimination on term
+dicts with each exponent vector packed into one int key, in the radix
+2S + 1 (S bounds a minor's exponents, and each step multiplies two
+minors); its exact divisions by the previous pivot raise ArithmeticError
+on a remainder.  The 3x3 and 4x4 determinants and the bordered Hessian,
+which differentiates on packed keys, are Laplace expansions on Kronecker
+images: an entry maps each exponent of the grid's first variable, the
+head, to one int, its polynomial in the other variables, the tail,
+evaluated at powers of 2^w.  A product of two entries is then (head
+keys)^2 big-int multiplies, each a convolution done by CPython's C
+multiply.  B, the product over rows of the rows' summed L1 norms, bounds
+every coefficient of the determinant, and w = bit_length(B) + 1 in whole
+bytes, so the determinant's image decodes uniquely, once, slot by slot.
 
 The gcd is Brown's dense modular algorithm on plain Python integers:
 images modulo fixed primes below 2^61, each computed by evaluation and
@@ -542,7 +549,8 @@ def partial_derivative(p: MultiPoly, var: str) -> MultiPoly:
 
 
 def _add_product(acc: dict, a: Mapping[int, int], b: Mapping[int, int], sign: int) -> None:
-    """acc += sign * a * b on term dicts with packed keys."""
+    """acc += sign * a * b on term dicts whose keys add: packed exponents,
+    or head exponents with Kronecker images as values."""
     get = acc.get
     for ka, ca in a.items():
         ca *= sign
@@ -566,52 +574,44 @@ def _decode(variables: tuple[str, ...], radix: Sequence[int], acc: Mapping[int, 
     return MultiPoly._make(variables, dict(zip(_unpack_all(acc, radix), [_ratio(c * num, den) for c in acc.values()])))
 
 
-def _pack_grid(rows: Sequence[Sequence[MultiPoly]], spread: int):
-    """A square grid as integer term dicts with packed keys: (packed rows,
-    radix, decoder).  Each row is scaled by the lcm of its entries'
-    denominators; the decoder divides by the product of those scales.  An
-    exponent vector packs into one int with a radix per variable of
-    spread * S + 1, S the sum over rows of the row's largest exponent of
-    that variable, so a product of terms is a sum of keys while no
-    exponent exceeds spread * S."""
+def _int_grid(rows: Sequence[Sequence[MultiPoly]]):
+    """A square grid on integers: (variables, top, scale, grid).  variables
+    are the grid's canonical variables, and top[i] is S for variable i: the
+    sum over rows of the row's largest exponent of it, which bounds that
+    exponent in every minor.  Each row is scaled by the lcm of its entries'
+    denominators, and scale is the product of those lcms.  grid[r][j] is
+    (the integer terms of entry rj, its factor): the scaled entry is the
+    terms times the factor."""
     variables = canonical_vars(v for row in rows for p in row for v in p.vars)
     slot = {v: i for i, v in enumerate(variables)}
     top = [0] * len(variables)
+    scale = 1
+    grid = []
     for row in rows:
         row_top = [0] * len(variables)
         for p in row:
             for v, col in zip(p.vars, zip(*p.terms)):
                 row_top[slot[v]] = max(row_top[slot[v]], *col)
         top = list(map(add, top, row_top))
-    radix = [spread * s + 1 for s in top]
-    place = list(itertools.accumulate(radix, mul, initial=1))
-    scale = 1
-    packed = []
-    for row in rows:
         ints = [_int_terms(p.terms) for p in row]
         den = math.lcm(*(d for d, _ in ints))
         scale *= den
-        weights = [[place[slot[v]] for v in p.vars] for p in row]
-        packed.append([
-            {sum(map(mul, w, e)): n * (den // d) for e, n in terms.items()}
-            for w, (d, terms) in zip(weights, ints)
-        ])
-
-    def decode(acc: Mapping[int, int], sign: int = 1) -> MultiPoly:
-        return _decode(variables, radix, acc, sign, scale)
-
-    return packed, radix, decode
+        grid.append([(terms, den // d) for d, terms in ints])
+    return variables, top, scale, grid
 
 
-def _laplace(packed: Sequence[Sequence[Mapping[int, int]]]) -> dict[int, int]:
-    """Determinant of a square grid of integer term dicts whose packed keys
-    add without carries, by Laplace expansion along the top row; each minor
-    of the trailing rows is computed once, and zeros are skipped."""
-    n = len(packed)
+def _laplace(grid: Sequence[Sequence[Mapping[int, int]]]) -> dict[int, int]:
+    """Determinant of a square grid of term dicts whose keys add, by Laplace
+    expansion along the top row; each minor of the trailing rows is computed
+    once, and zero entries and minors are skipped.  Its grids hold Kronecker
+    images keyed by head exponents (``_kronecker_det``), so a product is
+    (head keys)^2 big-int multiplies; minors need no bound, and only the
+    result is decoded, against B."""
+    n = len(grid)
     # minors[cols]: the minor of the trailing rows on the sorted columns cols
-    minors = {(j,): packed[n - 1][j] for j in range(n)}
+    minors = {(j,): grid[n - 1][j] for j in range(n)}
     for r in range(n - 2, -1, -1):
-        row = packed[r]
+        row = grid[r]
         upper = {}
         for cols in itertools.combinations(range(n), n - r):
             acc: dict[int, int] = {}
@@ -624,21 +624,85 @@ def _laplace(packed: Sequence[Sequence[Mapping[int, int]]]) -> dict[int, int]:
     return minors[tuple(range(n))]
 
 
+def _slot_width(bound: int) -> int:
+    """Bits per Kronecker slot for a determinant whose coefficients are at
+    most bound in absolute value: bit_length(bound) + 1, in whole bytes."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _kronecker_det(images: Sequence[Sequence[Mapping[int, int]]], w: int, head: int) -> dict[int, int]:
+    """The determinant of a square grid of integer polynomials as a term
+    dict with packed keys h + head * k: h is the exponent of the first
+    variable, the head, and k packs the others, the tail, in radices that
+    bound the determinant's exponents.
+
+    Each entry comes as its Kronecker image, a dict from h to one int: the
+    sum of c * 2^(w*k) over its terms c * head^h * tail^k.  Evaluation at
+    2^w is a ring homomorphism, so ``_laplace`` on images returns the
+    determinant's image, and the image decodes uniquely when w is
+    ``_slot_width(B)``, B the product over rows of the rows' summed L1
+    norms.  The tail exponents stay below the radices, so distinct ones
+    have distinct slots.  A coefficient is at most B in absolute value:
+    the determinant is a signed sum over permutations, so its L1 norm is at
+    most the permanent of the entries' L1 norms, and that is at most B <
+    2^(w-1).  Adding 2^(w-1) to every slot, as one offset, makes each slot
+    a digit in [0, 2^w) with no borrow between slots; the digits are read
+    from the bytes of the sum, less 2^(w-1).  If slot m is the top nonzero
+    one, |image| > 2^(w*m - 1), so bit_length // w + 1 slots hold them all.
+    Minors are never decoded, so they need no bound."""
+    size = w // 8
+    half = 1 << (w - 1)
+    zero = half.to_bytes(size, "little")
+    out = {}
+    for key, v in _laplace(images).items():
+        count = v.bit_length() // w + 1
+        raw = (v + int.from_bytes(zero * count, "little")).to_bytes(count * size, "little")
+        for i in range(0, count * size, size):
+            digit = raw[i : i + size]
+            if digit != zero:
+                out[key] = int.from_bytes(digit, "little") - half
+            key += head
+    return out
+
+
 def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant by ``_laplace`` on the integer rows of ``_pack_grid``
-    (spread 1: a minor's term takes one entry per row, so no exponent
-    exceeds S)."""
-    packed, _, decode = _pack_grid(rows, 1)
-    return decode(_laplace(packed))
+    """Determinant by ``_kronecker_det`` on the integer rows of
+    ``_int_grid``: the radix is S + 1, as a minor's term takes one entry per
+    row, so no exponent exceeds S.  A term's head exponent is its key, and
+    its tail exponents give its shift in the image."""
+    variables, top, scale, grid = _int_grid(rows)
+    radix = [s + 1 for s in top]
+    head = radix[0] if radix else 1
+    w = _slot_width(math.prod(sum(sum(map(abs, terms.values())) * f for terms, f in row) for row in grid))
+    # bits that one unit of each variable's exponent shifts a term by: 0 for
+    # the head, w times its place among the tail variables for the others
+    shift = dict(zip(variables, [0, *itertools.accumulate(radix[1:], mul, initial=w)]))
+    images = []
+    for poly_row, row in zip(rows, grid):
+        image_row = []
+        for p, (terms, f) in zip(poly_row, row):
+            weights = [shift[v] for v in p.vars]
+            has_head = bool(p.vars) and p.vars[0] == variables[0]  # else all terms go to key 0
+            image: dict[int, int] = {}
+            for e, n in terms.items():
+                h = e[0] if has_head else 0
+                image[h] = image.get(h, 0) + (n << sum(map(mul, weights, e)))
+            image_row.append(image if f == 1 else {h: v * f for h, v in image.items()})
+        images.append(image_row)
+    return _decode(variables, radix, _kronecker_det(images, w, head), 1, scale)
 
 
 def bordered_hessian(F: MultiPoly, coords: Sequence[str]) -> MultiPoly:
-    """det [[H, g], [g^T, 0]] for the gradient g and the Hessian H of F in
+    """det [[0, g^T], [g, H]] for the gradient g and the Hessian H of F in
     the n coordinates coords.  F = c * G with G integer primitive; every
     entry is linear in F, so the determinant is c^(n+1) times G's.  G packs
     with a radix of (n+1) * deg_v G + 1 per variable v (a minor's term takes
     at most n + 1 entries), and d/dv maps key to key - place_v, times e_v;
-    H is symmetric, so each second derivative is taken once."""
+    H is symmetric, so each second derivative is taken once.  The
+    determinant is ``_kronecker_det``'s, with F's first variable as the
+    head: a key splits into the head exponent key % radix_0 and the tail
+    slot key // radix_0, B is taken on these integer entries, and the
+    decoded slots come back as packed keys."""
     n = len(coords)
     content, ints = _primitive_ints(F.terms)
     radix = [(n + 1) * max(col) + 1 for col in zip(*ints)]
@@ -657,20 +721,36 @@ def bordered_hessian(F: MultiPoly, coords: Sequence[str]) -> MultiPoly:
     for a in range(n):
         for b in range(a, n):
             hess[a][b] = hess[b][a] = diff(grad[a], slots[b])
-    rows = [hess[a] + [grad[a]] for a in range(n)] + [grad + [{}]]
-    return _decode(F.vars, radix, _laplace(rows), *_num_den(content ** (n + 1)))
+    # [[H, g], [g^T, 0]] with its last row and column moved first: the same
+    # determinant, expanded along [0, g^T] over minors of the rows [g, H],
+    # so H's vanishing minors (every 2x2 one when H has rank 1) prune it
+    rows = [[{}] + grad] + [[grad[a]] + hess[a] for a in range(n)]
+    head = radix[0] if radix else 1
+    w = _slot_width(math.prod(sum(sum(map(abs, entry.values())) for entry in row) for row in rows))
+
+    def image(entry: dict[int, int]) -> dict[int, int]:
+        out: dict[int, int] = {}
+        for key, c in entry.items():
+            k, h = divmod(key, head)
+            out[h] = out.get(h, 0) + (c << w * k)
+        return out
+
+    acc = _kronecker_det([[image(entry) for entry in row] for row in rows], w, head)
+    return _decode(F.vars, radix, acc, *_num_den(content ** (n + 1)))
 
 
 def det3(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """3x3 determinant on integer rows with packed exponent keys."""
+    """3x3 determinant on integer rows by Laplace expansion on Kronecker
+    images: head exponents as keys, the tail in slots of w bits, w wide
+    enough for B, and one decode at the end (``_kronecker_det``)."""
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("det3 expects a 3x3 grid")
     return _det_ints(rows)
 
 
 def det4(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """4x4 determinant on integer rows with packed exponent keys: each
-    2x2 and 3x3 minor of the trailing rows is computed once."""
+    """4x4 determinant as ``det3``: each 2x2 and 3x3 minor of the trailing
+    rows is computed once, as an image, and only the result is decoded."""
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise ValueError("det4 expects a 4x4 grid")
     return _det_ints(rows)
@@ -678,13 +758,13 @@ def det4(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:
     """Determinant of a square polynomial grid by fraction-free elimination
-    (Bareiss, Math. Comp. 22, 1968) on the integer rows of ``_pack_grid``.
+    (Bareiss, Math. Comp. 22, 1968) on the integer rows of ``_int_grid``.
 
     After step k every entry of the trailing rows is a (k+1)x(k+1) minor of
     the integer grid: it has integer coefficients and no exponent above S.
     Each product in the numerator m[k][k]*m[i][j] - m[i][k]*m[k][j] takes
-    two such minors, with exponents up to 2S, so the radix is 2S + 1
-    (spread 2); with S + 1 its keys would carry into the next variable.
+    two such minors, with exponents up to 2S, so the radix is 2S + 1;
+    with S + 1 its keys would carry into the next variable.
     The exact division by the previous pivot takes two steps: by the
     pivot's signed content (a constant pivot divides by itself, sign
     included), then by the primitive part through ``_quotient`` on
@@ -693,8 +773,14 @@ def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:
     n = len(rows)
     if n == 0:
         return MultiPoly.const(1)
-    m, radix, decode = _pack_grid(rows, 2)
+    variables, bounds, scale, grid = _int_grid(rows)
+    radix = [2 * s + 1 for s in bounds]
     place = list(itertools.accumulate(radix, mul, initial=1))
+    place_of = dict(zip(variables, place))
+    m = []
+    for poly_row, row in zip(rows, grid):
+        weights = [[place_of[v] for v in p.vars] for p in poly_row]
+        m.append([{sum(map(mul, w, e)): c * f for e, c in terms.items()} for w, (terms, f) in zip(weights, row)])
     sign, content, prim = 1, 1, None
     for k in range(n - 1):
         if not m[k][k]:
@@ -719,7 +805,7 @@ def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:
                 row[j] = out if prim is None else {sum(map(mul, place, e)): c for e, c in out.items()}
         content = math.gcd(*top[k].values()) * (1 if next(iter(top[k].values())) > 0 else -1)
         prim = None if list(top[k]) == [0] else dict(zip(_unpack_all(top[k], radix), [c // content for c in top[k].values()]))
-    return decode(m[n - 1][n - 1], sign)
+    return _decode(variables, radix, m[n - 1][n - 1], sign, scale)
 
 
 def sylvester_matrix(p: MultiPoly, q: MultiPoly, var: str, k: int = 0) -> list[list[MultiPoly]]:

@@ -15,6 +15,7 @@ import pytest
 from devsurf.poly import (
     MultiPoly,
     Q,
+    bordered_hessian,
     canonical_vars,
     det3,
     det4,
@@ -142,6 +143,10 @@ class TestDeterminants:
             assert det4(rows) == perm_det(rows)
 
 
+# bit lengths k of the coefficients 2^k - 1 in the Kronecker width tests
+WIDE_BITS = (7, 8, 63, 64, 200)
+
+
 def _det(rows):
     got = det3(rows) if len(rows) == 3 else det4(rows)
     assert det_bareiss([list(r) for r in rows]) == got
@@ -149,8 +154,9 @@ def _det(rows):
 
 
 class TestDeterminantKernel:
-    """det3, det4 and det_bareiss scale rows to integers and pack exponents
-    into one int key; each case here stresses one of those steps against
+    """det3, det4 and det_bareiss scale rows to integers; det_bareiss packs
+    exponents into one int key, det3 and det4 multiply Kronecker images and
+    decode them once; each case here stresses one of those steps against
     perm_det."""
 
     @pytest.mark.parametrize("n", (3, 4))
@@ -214,6 +220,76 @@ class TestDeterminantKernel:
         F = sphere * Q(1, 3) + Q(2, 7)
         assert gaussian_form_implicit(F) == bordered_hessian_oracle(F)
 
+    # det3 and det4 multiply Kronecker images: each entry's terms in all but
+    # the first variable sit in slots of w bits, w = bit_length(B) + 1 in
+    # whole bytes, B the product over rows of the rows' summed L1 norms.
+    # Coefficients of 2^k - 1 put B at k * n bits, a multiple of 8 for k =
+    # 8, 64 and 200, where a width one bit short loses a byte.
+
+    @pytest.mark.parametrize("k", WIDE_BITS)
+    @pytest.mark.parametrize("n", (3, 4))
+    def test_coefficient_at_the_width_bound(self, n, k):
+        # one monomial per row, at a permutation's places: each row's L1 sum
+        # is c = 2^k - 1, so the determinant's one coefficient is +-c^n = +-B,
+        # and each of its exponents is the sum of the rows' largest, S; the
+        # second monomial is free of x, the fourth is a constant
+        c = 2**k - 1
+        zero = MultiPoly.zero()
+        monomials = [X * Y**2 * T, Y**3, X**2 * T**2, MultiPoly.const(1)]
+        for perm in (list(range(n)), list(range(n))[::-1], [*range(1, n), 0]):
+            for signs in itertools.product((1, -1), repeat=n):
+                rows = [[zero] * n for _ in range(n)]
+                for i, j in enumerate(perm):
+                    rows[i][j] = signs[i] * c * monomials[i]
+                got = _det(rows)
+                assert got == perm_det(rows)
+                assert [abs(v) for v in got.terms.values()] == [c**n]
+
+    @pytest.mark.parametrize("k", WIDE_BITS)
+    def test_alternating_signs_in_adjacent_slots(self, k):
+        # a triangular grid: the determinant c^3 * x * y * (t - 1)^3 has the
+        # signs +, -, +, - in adjacent slots of t, so a slot read without
+        # the borrow from the one below it is off by one
+        c = 2**k - 1
+        rows = [
+            [c * X * (T - 1), c * Y * T - 1, c * X * Y - c],
+            [MultiPoly.zero(), c * (T - 1), c * T**2 - c * T + c],
+            [MultiPoly.zero(), MultiPoly.zero(), c * Y * (T - 1)],
+        ]
+        got = _det(rows)
+        assert got == perm_det(rows) == c**3 * X * Y * (T - 1) ** 3
+        rows[2][0] = c * T**3 - c * X  # no longer triangular
+        assert _det(rows) == perm_det(rows)
+
+    @staticmethod
+    def _wide(rng, names, k):
+        """Up to 8 terms in names with coefficients +-(2^k - 1), +-2^(k-1) -
+        1 or +-1, the sign alternating with the total degree."""
+        c = 2**k - 1
+        deg = 2 if len(names) <= 2 else 1
+        terms = {
+            e: (-1) ** sum(e) * rng.choice((c, c >> 1, 1))
+            for e in itertools.product(range(deg + 1), repeat=len(names))
+            if rng.random() < 0.6
+        }
+        return MultiPoly(names, terms) if terms else MultiPoly.const(-c)
+
+    @pytest.mark.parametrize("k", WIDE_BITS)
+    @pytest.mark.parametrize("names", ((), ("t",), ("x", "t"), ("x", "y", "t"), ("x", "y", "s", "t")))
+    def test_wide_grids_over_each_number_of_variables(self, names, k):
+        rng = random.Random(1000 * k + len(names))
+        head = MultiPoly.var(names[0]) if names else MultiPoly.const(3)
+        for n in (3, 4):
+            for _ in range(2):
+                # about a third of the entries are free of the first variable
+                rows = [[self._wide(rng, names[1:] if rng.random() < 0.3 else names, k) for _ in range(n)] for _ in range(n)]
+                rows[1] = [p * Q(2**k - 1, 6) for p in rows[1]]
+                rows[2] = [p * Q(1, 2 ** (k // 2) * 7) for p in rows[2]]
+                assert _det(rows) == perm_det(rows)
+                rows[0] = [a * Q(2**k + 1, 5) - b * head for a, b in zip(rows[1], rows[2])]
+                assert perm_det(rows).is_zero()
+                assert _det(rows).is_zero()
+
 
 class TestBorderedHessian:
     """gaussian_form_implicit differentiates F's packed integer primitive
@@ -260,6 +336,23 @@ class TestBorderedHessian:
         plane = 2 * X - 3 * Y + Z * Q(1, 5) - 7
         assert bordered_hessian_oracle(plane).is_zero()
         assert gaussian_form_implicit(plane).is_zero()
+
+    @pytest.mark.parametrize("k", WIDE_BITS)
+    def test_wide_coefficients(self, k):
+        # K's Kronecker images take F's first variable as the head; here F
+        # is free of x, of two coordinates, or constant, and its
+        # coefficients +-(2^k - 1) alternate in sign with the degree
+        rng = random.Random(2000 + k)
+        c = 2**k - 1
+        for names in (("x", "y", "z"), ("y", "z"), ("x", "z"), ("z",), ()):
+            for deg in (2, 3, 4):
+                terms = {
+                    e: (-1) ** sum(e) * rng.choice((c, c >> 1, 1))
+                    for e in itertools.product(range(deg + 1), repeat=len(names))
+                    if sum(e) <= deg and rng.random() < 0.7
+                }
+                F = MultiPoly(names, terms or {(0,) * len(names): c}) * Q(rng.choice((1, -2)), rng.choice((1, 3)))
+                assert bordered_hessian(F, ("x", "y", "z")) == bordered_hessian_oracle(F), F
 
 
 class TestResultant:

@@ -33,7 +33,11 @@ primality test proves both factors prime, before -1 is found to be no
 square modulo 1000003 and the conic to have no rational point.  Last,
 the cubic cone y^2 z = x^3 + P x z^2 + P z^3 for P = 2^61 - 1: its
 section is smooth over Q but cuspidal mod P, so the genus certificate
-proves it smooth modulo the second prime.  When two
+proves it smooth modulo the second prime.  Then two non-developable
+inputs with 20-digit coefficients, whose determinants need Kronecker
+slots wider than 64 bits: a dense quartic surface, every monomial of
+degree at most 4 with signs alternating in the degree, and a ruled map.
+When two
 commits print the same text, they agree on every exit code,
 classification, apex, direction, printed K, parametrization, implicit
 equation and failure text of the benchmark inputs.  perfbench/gen.py is imported as
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -74,6 +79,13 @@ EXTRA = (
     ("cone over a conic with no rational point", ["implicit", "x^2+y^2-2000009000009*z^2"]),
     ("cubic cone of bad reduction at 2^61 - 1",
      ["implicit", "y^2*z - x^3 - 2305843009213693951*x*z^2 - 2305843009213693951*z^3"]),
+    ("dense quartic with 20-digit coefficients", ["implicit", " ".join(
+        f"{'-' if sum(e) % 2 else '+'} {31415926535897932384 + 2718281828459045235 * i}"
+        + "".join(f"*{v}^{k}" for v, k in zip("xyz", e) if k)
+        for i, e in enumerate(e for e in itertools.product(range(5), repeat=3) if sum(e) <= 4)
+    )]),
+    ("ruled map with 20-digit coefficients",
+     ["parametric", "(s*(t^2 + 123456789012345678901) + t, 98765432109876543210*s*t + t^2, s*t^2 - 55555555555555555555*t^3 + s)"]),
 )
 
 
