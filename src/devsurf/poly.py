@@ -36,15 +36,12 @@ Sylvester matrices go through fraction-free Bareiss elimination on term
 dicts with each exponent vector packed into one int key, in the radix
 2S + 1 (S bounds a minor's exponents, and each step multiplies two
 minors); its exact divisions by the previous pivot raise ArithmeticError
-on a remainder.  The 3x3 and 4x4 determinants and the bordered Hessian,
-which differentiates on packed keys, are Laplace expansions on Kronecker
-images: an entry maps each exponent of the grid's first variable, the
-head, to one int, its polynomial in the other variables, the tail,
-evaluated at powers of 2^w.  A product of two entries is then (head
-keys)^2 big-int multiplies, each a convolution done by CPython's C
-multiply.  B, the product over rows of the rows' summed L1 norms, bounds
-every coefficient of the determinant, and w = bit_length(B) + 1 in whole
-bytes, so the determinant's image decodes uniquely, once, slot by slot.
+on a remainder.  The 3x3 and 4x4 determinants (Laplace expansion) and
+the bordered Hessian (the quadratic form -g^T adj(H) g) multiply
+Kronecker images: an entry maps each exponent of its first variable, the
+head, to its polynomial in the others, the tail, evaluated at powers of
+2^w.  Radices bound the result's exponents and w, by the permanent of
+the entries' L1 norms, its coefficients; the result alone is decoded.
 
 The gcd is Brown's dense modular algorithm on plain Python integers:
 images modulo fixed primes below 2^61, each computed by evaluation and
@@ -63,7 +60,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from operator import add, mul, neg, sub
+from operator import add, getitem, mul, neg, sub
 from typing import Collection, Iterable, Mapping, Optional, Sequence
 
 from .arith import decimal, divmod_mod, eval_mod, gcd_mod, is_prime, modulus, mul_mod, newton_step, trim
@@ -602,11 +599,8 @@ def _int_grid(rows: Sequence[Sequence[MultiPoly]]):
 
 def _laplace(grid: Sequence[Sequence[Mapping[int, int]]]) -> dict[int, int]:
     """Determinant of a square grid of term dicts whose keys add, by Laplace
-    expansion along the top row; each minor of the trailing rows is computed
-    once, and zero entries and minors are skipped.  Its grids hold Kronecker
-    images keyed by head exponents (``_kronecker_det``), so a product is
-    (head keys)^2 big-int multiplies; minors need no bound, and only the
-    result is decoded, against B."""
+    expansion along the top row, each minor of the trailing rows computed
+    once and zero ones skipped; minors of Kronecker images need no bound."""
     n = len(grid)
     # minors[cols]: the minor of the trailing rows on the sorted columns cols
     minors = {(j,): grid[n - 1][j] for j in range(n)}
@@ -624,59 +618,48 @@ def _laplace(grid: Sequence[Sequence[Mapping[int, int]]]) -> dict[int, int]:
     return minors[tuple(range(n))]
 
 
-def _slot_width(bound: int) -> int:
-    """Bits per Kronecker slot for a determinant whose coefficients are at
-    most bound in absolute value: bit_length(bound) + 1, in whole bytes."""
-    return (bound.bit_length() + 8) // 8 * 8
+def _slot_width(norms: Sequence[Sequence[int]]) -> int:
+    """Bits per Kronecker slot for the determinant of a grid with entries of
+    L1 norms norms: bit_length(B) + 1 in whole bytes, B the permanent of
+    norms, which bounds the determinant's L1 norm; 0 when B = 0 (det = 0)."""
+    bound = sum([math.prod(map(getitem, norms, p)) for p in itertools.permutations(range(len(norms)))])
+    return (bound.bit_length() + 8) // 8 * 8 if bound else 0
 
 
-def _kronecker_det(images: Sequence[Sequence[Mapping[int, int]]], w: int, head: int) -> dict[int, int]:
-    """The determinant of a square grid of integer polynomials as a term
-    dict with packed keys h + head * k: h is the exponent of the first
-    variable, the head, and k packs the others, the tail, in radices that
-    bound the determinant's exponents.
-
-    Each entry comes as its Kronecker image, a dict from h to one int: the
-    sum of c * 2^(w*k) over its terms c * head^h * tail^k.  Evaluation at
-    2^w is a ring homomorphism, so ``_laplace`` on images returns the
-    determinant's image, and the image decodes uniquely when w is
-    ``_slot_width(B)``, B the product over rows of the rows' summed L1
-    norms.  The tail exponents stay below the radices, so distinct ones
-    have distinct slots.  A coefficient is at most B in absolute value:
-    the determinant is a signed sum over permutations, so its L1 norm is at
-    most the permanent of the entries' L1 norms, and that is at most B <
-    2^(w-1).  Adding 2^(w-1) to every slot, as one offset, makes each slot
-    a digit in [0, 2^w) with no borrow between slots; the digits are read
-    from the bytes of the sum, less 2^(w-1).  If slot m is the top nonzero
-    one, |image| > 2^(w*m - 1), so bit_length // w + 1 slots hold them all.
-    Minors are never decoded, so they need no bound."""
-    size = w // 8
-    half = 1 << (w - 1)
+def _kronecker_det(image: Mapping[int, int], w: int, radix: Sequence[int]) -> dict[tuple[int, ...], int]:
+    """A determinant's term dict from its Kronecker image, which maps h to
+    its coefficient of head^h with tail^e at 2^(w*k), k = sum e_i * place_i,
+    place_i the product of the radices after i: a key is h, then k's digits.
+    Evaluation at 2^w is a ring homomorphism, so the entries' images
+    multiply and add to the determinant's, and only the result must fit:
+    tail exponents below their radices, coefficients below 2^(w-1) in
+    absolute value (``_slot_width``).  An offset of 2^(w-1) per slot makes
+    each a digit in [0, 2^w), with no borrow, read from the sum's bytes; if
+    slot m is the top nonzero one, |image| > 2^(w*m - 1), so bit_length //
+    w + 1 slots hold them all."""
+    size, half = w // 8, 1 << (w - 1)
     zero = half.to_bytes(size, "little")
     out = {}
-    for key, v in _laplace(images).items():
+    for h, v in image.items():
         count = v.bit_length() // w + 1
         raw = (v + int.from_bytes(zero * count, "little")).to_bytes(count * size, "little")
-        for i in range(0, count * size, size):
+        # the keys of slots 0, 1, ... in order: h, then the slot's digits
+        for key, i in zip(itertools.product((h,), *map(range, radix)), range(0, count * size, size)):
             digit = raw[i : i + size]
             if digit != zero:
                 out[key] = int.from_bytes(digit, "little") - half
-            key += head
     return out
 
 
 def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant by ``_kronecker_det`` on the integer rows of
-    ``_int_grid``: the radix is S + 1, as a minor's term takes one entry per
-    row, so no exponent exceeds S.  A term's head exponent is its key, and
-    its tail exponents give its shift in the image."""
+    """``_laplace`` on Kronecker images of ``_int_grid``'s integer rows, then
+    ``_kronecker_det``; radix S + 1, as a term takes one entry per row."""
     variables, top, scale, grid = _int_grid(rows)
     radix = [s + 1 for s in top]
-    head = radix[0] if radix else 1
-    w = _slot_width(math.prod(sum(sum(map(abs, terms.values())) * f for terms, f in row) for row in grid))
-    # bits that one unit of each variable's exponent shifts a term by: 0 for
-    # the head, w times its place among the tail variables for the others
-    shift = dict(zip(variables, [0, *itertools.accumulate(radix[1:], mul, initial=w)]))
+    w = _slot_width([[sum(map(abs, terms.values())) * f for terms, f in row] for row in grid])
+    if not w:
+        return MultiPoly._make((), {})
+    shift = dict(zip(variables, [0] + [w * math.prod(radix[i + 1 :]) for i in range(1, len(radix))]))  # bits per unit
     images = []
     for poly_row, row in zip(rows, grid):
         image_row = []
@@ -689,24 +672,28 @@ def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
                 image[h] = image.get(h, 0) + (n << sum(map(mul, weights, e)))
             image_row.append(image if f == 1 else {h: v * f for h, v in image.items()})
         images.append(image_row)
-    return _decode(variables, radix, _kronecker_det(images, w, head), 1, scale)
+    terms = _kronecker_det(_laplace(images), w, radix[1:])
+    if scale != 1 or not variables:  # a grid of constants has no head: key (0,) becomes ()
+        terms = {e[: len(variables)]: _ratio(c, scale) for e, c in terms.items()}
+    return MultiPoly._make(variables, terms)
 
 
 def bordered_hessian(F: MultiPoly, coords: Sequence[str]) -> MultiPoly:
-    """det [[0, g^T], [g, H]] for the gradient g and the Hessian H of F in
-    the n coordinates coords.  F = c * G with G integer primitive; every
-    entry is linear in F, so the determinant is c^(n+1) times G's.  G packs
-    with a radix of (n+1) * deg_v G + 1 per variable v (a minor's term takes
-    at most n + 1 entries), and d/dv maps key to key - place_v, times e_v;
-    H is symmetric, so each second derivative is taken once.  The
-    determinant is ``_kronecker_det``'s, with F's first variable as the
-    head: a key splits into the head exponent key % radix_0 and the tail
-    slot key // radix_0, B is taken on these integer entries, and the
-    decoded slots come back as packed keys."""
-    n = len(coords)
+    """K = det [[0, g^T], [g, H]] = -g^T adj(H) g for the gradient g and the
+    Hessian H of F in the three coordinates coords: c^4 times G's for F = c
+    * G, G integer primitive.  A term of K is a cofactor of H (degree 2(d -
+    2), d = deg G) times g_i * g_j (degree 2(d - 1)), so G packs with the
+    radix min(4 deg_v G, 4d - 6) + 1 per variable v, above deg_v G if d > 1
+    (a plane has K = 0); d/dv maps key to key - place_v, times e_v.  Images
+    take the head key // place_0 and the tail slot key % place_0.  Six
+    cofactors of two products give adj(H), w_j = sum_i adj_ij g_i and K =
+    -sum_j w_j g_j; zero cofactors are skipped: a rank-1 H costs 12."""
     content, ints = _primitive_ints(F.terms)
-    radix = [(n + 1) * max(col) + 1 for col in zip(*ints)]
-    place = list(itertools.accumulate(radix, mul, initial=1))
+    d = max(map(sum, ints), default=0)
+    if d < 2:
+        return MultiPoly._make((), {})
+    radix = [min(4 * max(col), 4 * d - 6) + 1 for col in zip(*ints)]
+    place = [math.prod(radix[i + 1 :]) for i in range(len(radix))]
     slots = [F.vars.index(v) if v in F.vars else None for v in coords]
 
     def diff(terms: dict[int, int], i: Optional[int]) -> dict[int, int]:
@@ -715,34 +702,46 @@ def bordered_hessian(F: MultiPoly, coords: Sequence[str]) -> MultiPoly:
         step, base = place[i], radix[i]
         return {key - step: c * e for key, c in terms.items() if (e := key // step % base)}
 
-    packed = {sum(map(mul, place, e)): c for e, c in ints.items()}
-    grad = [diff(packed, i) for i in slots]
-    hess = [[{}] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            hess[a][b] = hess[b][a] = diff(grad[a], slots[b])
-    # [[H, g], [g^T, 0]] with its last row and column moved first: the same
-    # determinant, expanded along [0, g^T] over minors of the rows [g, H],
-    # so H's vanishing minors (every 2x2 one when H has rank 1) prune it
-    rows = [[{}] + grad] + [[grad[a]] + hess[a] for a in range(n)]
-    head = radix[0] if radix else 1
-    w = _slot_width(math.prod(sum(sum(map(abs, entry.values())) for entry in row) for row in rows))
-
     def image(entry: dict[int, int]) -> dict[int, int]:
         out: dict[int, int] = {}
         for key, c in entry.items():
-            k, h = divmod(key, head)
+            h, k = divmod(key, place[0])
             out[h] = out.get(h, 0) + (c << w * k)
         return out
 
-    acc = _kronecker_det([[image(entry) for entry in row] for row in rows], w, head)
-    return _decode(F.vars, radix, acc, *_num_den(content ** (n + 1)))
+    grad = [diff({sum(map(mul, place, e)): c for e, c in ints.items()}, i) for i in slots]
+    # H is symmetric: each second derivative, and its image, is taken once
+    lower = [[diff(grad[a], slots[b]) for b in range(a + 1)] for a in range(3)]
+    hess = [[lower[max(a, b)][min(a, b)] for b in range(3)] for a in range(3)]
+    norms = [sum(map(abs, entry.values())) for entry in grad]
+    w = _slot_width([[0, *norms]] + [[norms[a]] + [sum(map(abs, e.values())) for e in hess[a]] for a in range(3)])
+    if not w:
+        return MultiPoly._make((), {})
+    g, images = [image(entry) for entry in grad], [[image(entry) for entry in row] for row in lower]
+    H = [[images[max(a, b)][min(a, b)] for b in range(3)] for a in range(3)]
+    adj = [[{}] * 3 for _ in range(3)]
+    for i in range(3):
+        for j in range(i, 3):  # rows i+1, i+2 and columns j+1, j+2 (mod 3) carry the sign
+            acc: dict[int, int] = {}
+            _add_product(acc, H[i - 2][j - 2], H[i - 1][j - 1], 1)
+            _add_product(acc, H[i - 2][j - 1], H[i - 1][j - 2], -1)
+            adj[i][j] = adj[j][i] = {key: c for key, c in acc.items() if c}
+    K: dict[int, int] = {}
+    for j in range(3):
+        acc = {}
+        for i in range(3):
+            _add_product(acc, adj[i][j], g[i], 1)
+        _add_product(K, {key: c for key, c in acc.items() if c}, g[j], -1)
+    terms = _kronecker_det(K, w, radix[1:])
+    if content != 1:
+        num, den = _num_den(content**4)
+        terms = {e: _ratio(c * num, den) for e, c in terms.items()}
+    return MultiPoly._make(F.vars, terms)
 
 
 def det3(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     """3x3 determinant on integer rows by Laplace expansion on Kronecker
-    images: head exponents as keys, the tail in slots of w bits, w wide
-    enough for B, and one decode at the end (``_kronecker_det``)."""
+    images, decoded once (``_det_ints``)."""
     if len(rows) != 3 or any(len(r) != 3 for r in rows):
         raise ValueError("det3 expects a 3x3 grid")
     return _det_ints(rows)

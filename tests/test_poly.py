@@ -4,6 +4,7 @@ gcds, squarefree parts and division, checked against independent oracles."""
 import contextlib
 import io
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -222,9 +223,26 @@ class TestDeterminantKernel:
 
     # det3 and det4 multiply Kronecker images: each entry's terms in all but
     # the first variable sit in slots of w bits, w = bit_length(B) + 1 in
-    # whole bytes, B the product over rows of the rows' summed L1 norms.
-    # Coefficients of 2^k - 1 put B at k * n bits, a multiple of 8 for k =
-    # 8, 64 and 200, where a width one bit short loses a byte.
+    # whole bytes, B the permanent of the entries' L1 norms.  Coefficients
+    # of 2^k - 1 on a permutation's places put B at k * n bits, a multiple
+    # of 8 for k = 8, 64 and 200, where a width one bit short loses a byte.
+
+    def test_width_comes_from_the_permanent(self):
+        # a triangular grid: only the diagonal survives in the permanent,
+        # 255^3 (24 bits), though the rows' summed norms multiply to about 2^49
+        big = 2**20
+        assert poly_module._slot_width([[255, big, big], [0, 255, big], [0, 0, 255]]) == 32
+        # bit_length(B) + 1 = 32 fills four bytes, 33 takes a fifth
+        assert poly_module._slot_width([[2**15, 0, 0], [0, 2**15, 0], [0, 0, 1]]) == 32
+        assert poly_module._slot_width([[2**16, 0, 0], [0, 2**15, 0], [0, 0, 1]]) == 40
+        # a bordered grid [[0, a^T], [a, N]] with N diagonal: only the three
+        # permutations through a diagonal cofactor survive, 3 * 255^4
+        a, n = 255, 255
+        assert poly_module._slot_width([[0, a, a, a], [a, n, 0, 0], [a, 0, n, 0], [a, 0, 0, n]]) == 40
+        assert poly_module._slot_width([]) == 8  # a 0x0 grid's permanent is 1
+        # B = 0 bounds every coefficient by 0: no width, the determinant is 0
+        assert poly_module._slot_width([[1, 2, 3], [0, 0, 0], [4, 5, 6]]) == 0
+        assert poly_module._slot_width([[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]) == 0
 
     @pytest.mark.parametrize("k", WIDE_BITS)
     @pytest.mark.parametrize("n", (3, 4))
@@ -293,9 +311,72 @@ class TestDeterminantKernel:
 
 class TestBorderedHessian:
     """gaussian_form_implicit differentiates F's packed integer primitive
-    part, mirrors the six second derivatives into H and scales K by the
-    content to the fourth power; each case compares it with the
-    permutation formula of bordered_hessian_oracle."""
+    part, mirrors the six second derivatives into H, forms K = -g^T adj(H) g
+    on Kronecker images and scales it by the content to the fourth power;
+    each case compares it with the permutation formula of
+    bordered_hessian_oracle."""
+
+    @staticmethod
+    def dense(d):
+        """Every monomial of degree <= d in x, y, z, signs alternating with
+        the degree."""
+        exps = [e for e in itertools.product(range(d + 1), repeat=3) if sum(e) <= d]
+        return MultiPoly(("x", "y", "z"), {e: (-1) ** sum(e) * (1 + e[0] + 2 * e[1] + 3 * e[2]) for e in exps})
+
+    @pytest.mark.parametrize("d", (2, 3, 4, 5))
+    def test_form_reaches_the_capped_radix(self, d):
+        # K's exponent of each tail variable (y, z) reaches 4d - 6, one below
+        # its radix min(4d, 4d - 6) + 1, so a radix one smaller carries
+        F = self.dense(d)
+        K = bordered_hessian(F, ("x", "y", "z"))
+        assert K == bordered_hessian_oracle(F)
+        assert K.degree_in("y") == K.degree_in("z") == 4 * d - 6
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_rank_one_hessian_pays_only_the_cofactors(self, n, monkeypatch):
+        # F = u^n + x, u = x + y + z + 1: H = n(n-1) u^(n-2) times the all-ones
+        # matrix has rank 1, so all six cofactors cancel and K = 0; past the
+        # 12 cofactor products no product has two nonzero factors
+        F = P(f"(x+y+z+1)^{n} + x", ("x", "y", "z"))
+        assert bordered_hessian_oracle(F).is_zero()
+        paid = []
+        add_product = poly_module._add_product
+
+        def spy(acc, a, b, sign):
+            paid.append(bool(a) and bool(b))
+            add_product(acc, a, b, sign)
+
+        monkeypatch.setattr(poly_module, "_add_product", spy)
+        assert bordered_hessian(F, ("x", "y", "z")).is_zero()
+        assert sum(paid) == 12
+
+    def test_free_of_the_head_of_two_coordinates_of_a_parameter_and_planes(self):
+        # the head is F's first variable: y when F is free of x, z when F is
+        # in z alone; t is no coordinate but enters the degree bound
+        for text in ("y^3*z - 2*y*z^2 + 5*z - 7", "y^2 + z^2/3 - y*z", "3*z^4 - z + 2", "x^2*t + y*z*t^2 - z^3"):
+            F = P(text)
+            assert bordered_hessian(F, ("x", "y", "z")) == bordered_hessian_oracle(F), F
+        for text in ("2*x - 3*y + z/5 - 7", "y/2 + 4", "t + x", "5"):
+            F = P(text)
+            assert bordered_hessian_oracle(F).is_zero()
+            assert bordered_hessian(F, ("x", "y", "z")).is_zero()
+
+    @pytest.mark.parametrize(
+        "text", ("-2*x*y^2 + 17*z^3", "-43*x*y^2 + 3*z^3", "-271*x*y^2 + 3*z^3", "x^3 - 15*y*z", "4*x^3 - y*z")
+    )
+    def test_coefficient_in_the_top_half_of_the_width(self, text):
+        # B, the permanent of the bordered grid's L1 norms, has a multiple of
+        # 8 bits here, and a coefficient of K is at least 2^(bit_length(B) -
+        # 1), so a width one bit short of bit_length(B) + 1 loses it
+        F = P(text, ("x", "y", "z"))
+        grad = [F.derivative(v) for v in "xyz"]
+        grid = [[MultiPoly.zero(), *grad]] + [[g] + [g.derivative(v) for v in "xyz"] for g in grad]
+        norms = [[sum(map(abs, p.terms.values())) for p in row] for row in grid]
+        bound = sum(math.prod(row[j] for row, j in zip(norms, perm)) for perm in itertools.permutations(range(4)))
+        bits = bound.bit_length()
+        K = bordered_hessian(F, ("x", "y", "z"))
+        assert bits % 8 == 0 and max(map(abs, K.terms.values())) >= 2 ** (bits - 1)
+        assert K == bordered_hessian_oracle(F)
 
     @staticmethod
     def surfaces():
