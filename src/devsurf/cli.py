@@ -41,7 +41,7 @@ EXIT_INTERNAL = 5
 
 
 def _read_source(value: str) -> str:
-    if os.path.exists(value) and os.path.isfile(value):
+    if os.path.isfile(value):
         with open(value, "r", encoding="utf-8") as fh:
             return fh.read().strip()
     return value
@@ -222,7 +222,7 @@ def _cmd_analyze(kind: str, args) -> int:
             return EXIT_INPUT
     sources = [_read_source(v) for v in args.source]
     # fork starts every worker on the first submit: never more than can run
-    workers = min(args.jobs, len(sources), os.cpu_count() or 1)
+    workers = min(args.jobs, len(sources), os.cpu_count() or 1) if args.jobs > 1 else 1
     if workers > 1:
         import concurrent.futures
 

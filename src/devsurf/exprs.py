@@ -14,11 +14,16 @@ map is three comma-separated components in an optional outer pair of
 parentheses; the pair is outer when the first token is a '(' whose match
 is the last token.
 
-The text is evaluated as term dicts ``{exponent tuple: coefficient}``
+One ``finditer`` over a single regex tokenizes the text; any other
+non-blank character is a :class:`ParseError` at its line and column.
+The tokens are evaluated as term dicts ``{exponent tuple: coefficient}``
 over one variable tuple fixed before evaluation: ``+`` and ``-`` add in
-place, ``*`` and ``^`` convolve, ``/`` by a constant scales.  Only a
-division by a nonconstant polynomial builds a :class:`RatFunc`, and every
-operation with a RatFunc operand is then RatFunc arithmetic.  Before a
+place, ``*`` and ``^`` convolve (a one-term operand adds or scales
+exponents instead), ``/`` by a constant scales.  The finished dict
+becomes a :class:`MultiPoly` through the trusted ``MultiPoly._make``
+once its coefficients are in stored form.  Only a division by a
+nonconstant polynomial builds a :class:`RatFunc`, and every operation
+with a RatFunc operand is then RatFunc arithmetic.  Before a
 product or power is expanded it is checked against the input caps: an
 exponent or a total degree above ``MAX_DEGREE``, or a constant power
 b^e with e times the bit length of b's numerator or denominator above
@@ -27,17 +32,19 @@ literal of more than ``MAX_CONSTANT_BITS`` bits.  The degree of a
 quotient is the larger of its numerator's and denominator's.
 
 Printing is deterministic: terms in graded-lexicographic descending
-order, canonical sign placement, explicit ``*``.  ``parse(print(v))``
-reproduces ``v`` exactly.
+order, canonical sign placement, explicit ``*``; each monomial's text
+comes from a bounded cache in ``poly``.  ``parse(print(v))`` reproduces
+``v`` exactly.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import add
 from typing import Optional, Sequence
 
-from .poly import MultiPoly, Q, _mul_terms, canonical_vars
+from .poly import MultiPoly, Q, _canon, _mul_terms, canonical_vars
 from .ratfunc import RatFunc, RationalMap3
 
 
@@ -59,26 +66,19 @@ class ParseError(ValueError):
         self.col = col
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,]))")
+# the last group is any other non-blank character, an error
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,])|(\S)")
+_KINDS = (None, "int", "name", "op", None)
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.lastindex is None:
-            break  # illegal character, or only whitespace remains
-        start = m.start(m.lastindex)
-        value = m.group(m.lastindex)
-        kind = "int" if m.group(1) else ("name" if m.group(2) else "op")
-        tokens.append((kind, value, start))
-        pos = m.end()
-    rest = text[pos:]
-    if rest.strip():
-        bad = pos + len(rest) - len(rest.lstrip())
-        line, col = _line_col(text, bad)
-        raise ParseError(f"unexpected character {text[bad]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
+        kind = _KINDS[m.lastindex]
+        if kind is None:
+            line, col = _line_col(text, m.start())
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        tokens.append((kind, m.group(), m.start()))
     tokens.append(("end", "", len(text)))
     return tokens
 
@@ -95,52 +95,48 @@ class _Parser:
     A value is a term dict ``{exponent tuple: int or Q}`` with no zero
     coefficients, until a division by a nonconstant polynomial makes it a
     :class:`RatFunc`; an operation with a RatFunc operand lifts the other
-    operand too."""
+    operand too.  The grammar reads ``tokens[pos]`` directly; only op
+    tokens have the values ``+ - * / ^ ( ) ,``."""
 
     def __init__(self, text: str, allowed_vars: Optional[Sequence[str]]):
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.allowed = set(allowed_vars) if allowed_vars is not None else None
         names = allowed_vars if allowed_vars is not None else (v for k, v, _ in self.tokens if k == "name")
         self.vars = canonical_vars(names)
-        self.slot = {v: i for i, v in enumerate(self.vars)}
         self.one = (0,) * len(self.vars)
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+        # the exponent tuple of each variable that may occur
+        self.unit = {v: self.one[:i] + (1,) + self.one[i + 1 :] for i, v in enumerate(self.vars)}
 
     def error(self, message: str, tok=None) -> ParseError:
-        tok = tok if tok is not None else self.peek()
+        tok = tok if tok is not None else self.tokens[self.pos]
         line, col = _line_col(self.text, tok[2])
         return ParseError(message, line, col)
 
-    def expect_op(self, op: str):
-        kind, value, _ = self.peek()
-        if kind != "op" or value != op:
+    def expect_op(self, op: str) -> None:
+        if self.tokens[self.pos][1] != op:
             raise self.error(f"expected {op!r}")
-        return self.next()
+        self.pos += 1
+
+    def finish(self) -> None:
+        if self.tokens[self.pos][0] != "end":
+            raise self.error("unexpected trailing input")
 
     # -- values: term dicts, or RatFunc after a nonconstant division ------
 
     def poly(self, terms: dict) -> MultiPoly:
-        return MultiPoly(self.vars, terms)
+        return MultiPoly._make(self.vars, {e: _canon(c) for e, c in terms.items()})
 
     def lift(self, value) -> RatFunc:
         return value if isinstance(value, RatFunc) else RatFunc(self.poly(value))
 
     def constant(self, value):
-        """The constant a value equals, or None when it is not constant."""
+        """The constant (an int or Q) a value equals, or None."""
         if isinstance(value, RatFunc):
             return value.constant_value() if value.is_constant() else None
         if not value:
-            return Q(0)
-        return Q(value[self.one]) if len(value) == 1 and self.one in value else None
+            return 0
+        return value.get(self.one) if len(value) == 1 else None
 
     @staticmethod
     def degree(value) -> int:
@@ -171,6 +167,11 @@ class _Parser:
     def mul(self, a, b):
         if isinstance(a, RatFunc) or isinstance(b, RatFunc):
             return self.lift(a) * self.lift(b)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((eb, cb),) = b.items()
+            return {tuple(map(add, ea, eb)): ca * cb for ea, ca in a.items()}
         return {e: c for e, c in _mul_terms(a, b).items() if c}
 
     def div(self, a, b, tok):
@@ -181,11 +182,15 @@ class _Parser:
             return self.lift(a) / self.lift(b)
         if isinstance(a, RatFunc):
             return a / c
+        c = Q(c)
         return {e: co / c for e, co in a.items()}
 
     def power(self, base, n: int):
         if isinstance(base, RatFunc):
             return base**n
+        if len(base) == 1:
+            ((e, c),) = base.items()
+            return {tuple(k * n for k in e): c**n}
         result = {self.one: 1}
         while n:
             if n & 1:
@@ -198,90 +203,85 @@ class _Parser:
     # -- grammar -------------------------------------------------------------
 
     def parse_expr(self):
-        kind, value, _ = self.peek()
+        tokens = self.tokens
         negate = False
-        while kind == "op" and value in "+-":
-            if value == "-":
-                negate = not negate
-            self.next()
-            kind, value, _ = self.peek()
+        value = tokens[self.pos][1]
+        while value == "+" or value == "-":
+            negate ^= value == "-"
+            self.pos += 1
+            value = tokens[self.pos][1]
         result = self.parse_term()
         if negate:
             result = self.neg(result)
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "+-":
-                self.next()
-                rhs = self.parse_term()
-                result = self.add(result, rhs, 1 if value == "+" else -1)
-            else:
+            value = tokens[self.pos][1]
+            if value != "+" and value != "-":
                 return result
+            self.pos += 1
+            result = self.add(result, self.parse_term(), 1 if value == "+" else -1)
 
     def parse_term(self):
+        tokens = self.tokens
         result = self.parse_factor()
         while True:
-            kind, value, _ = self.peek()
-            if kind == "op" and value in "*/":
-                tok = self.next()
-                rhs = self.parse_factor()
-                self.check_degree(self.degree(result) + self.degree(rhs), tok)
-                result = self.mul(result, rhs) if value == "*" else self.div(result, rhs, tok)
-            else:
+            tok = tokens[self.pos]
+            op = tok[1]
+            if op != "*" and op != "/":
                 return result
+            self.pos += 1
+            rhs = self.parse_factor()
+            self.check_degree(self.degree(result) + self.degree(rhs), tok)
+            result = self.mul(result, rhs) if op == "*" else self.div(result, rhs, tok)
 
     def parse_factor(self):
         base = self.parse_atom()
-        kind, value, _ = self.peek()
-        if kind == "op" and value == "^":
-            tok = self.next()
-            e = self.constant(self.parse_factor())
-            if e is None:
-                raise self.error("exponent must be a constant", tok)
-            if e.denominator != 1:
-                raise self.error("non-integer exponent", tok)
-            if e < 0:
-                raise self.error("negative exponent", tok)
-            e = int(e)
-            if e > MAX_DEGREE:
-                raise self.error(f"exponent {e} exceeds the cap {MAX_DEGREE}", tok)
-            self.check_degree(self.degree(base) * e, tok)
-            c = self.constant(base)
-            if c is not None and e * max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_CONSTANT_BITS:
-                raise self.error(f"constant power exceeds the cap of {MAX_CONSTANT_BITS} bits", tok)
-            return self.power(base, e)
-        return base
+        tok = self.tokens[self.pos]
+        if tok[1] != "^":
+            return base
+        self.pos += 1
+        e = self.constant(self.parse_factor())
+        if e is None:
+            raise self.error("exponent must be a constant", tok)
+        if e.denominator != 1:
+            raise self.error("non-integer exponent", tok)
+        if e < 0:
+            raise self.error("negative exponent", tok)
+        e = int(e)
+        if e > MAX_DEGREE:
+            raise self.error(f"exponent {e} exceeds the cap {MAX_DEGREE}", tok)
+        self.check_degree(self.degree(base) * e, tok)
+        c = self.constant(base)
+        if c is not None and e * max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_CONSTANT_BITS:
+            raise self.error(f"constant power exceeds the cap of {MAX_CONSTANT_BITS} bits", tok)
+        return self.power(base, e)
 
     def parse_atom(self):
-        kind, value, _ = self.peek()
+        tok = self.tokens[self.pos]
+        kind, value, _ = tok
         if kind == "int":
-            tok = self.next()
+            self.pos += 1
             # the digit count bounds the size before int() converts it
             digits = value.lstrip("0") or "0"
             if len(digits) > _MAX_LITERAL_DIGITS or (n := int(digits)).bit_length() > MAX_CONSTANT_BITS:
                 raise self.error(f"integer literal exceeds the cap of {MAX_CONSTANT_BITS} bits", tok)
             return {self.one: n} if n else {}
         if kind == "name":
-            tok = self.next()
-            if self.allowed is not None and value not in self.allowed:
-                raise self.error(f"variable {value!r} is not allowed here", tok)
-            e = [0] * len(self.vars)
-            e[self.slot[value]] = 1
-            return {tuple(e): 1}
-        if kind == "op" and value == "(":
-            self.next()
+            e = self.unit.get(value)
+            if e is None:
+                raise self.error(f"variable {value!r} is not allowed here")
+            self.pos += 1
+            return {e: 1}
+        if value == "(":
+            self.pos += 1
             inner = self.parse_expr()
             self.expect_op(")")
             return inner
-        if kind == "op" and value in "+-":
+        if value == "+" or value == "-":
             # handled by parse_expr for leading signs; here it is a stray sign
-            tok = self.peek()
-            self.next()
+            self.pos += 1
             inner = self.parse_factor()
             return self.neg(inner) if value == "-" else inner
         raise self.error("expected a number, variable or parenthesized expression")
-
-    def at_end(self) -> bool:
-        return self.peek()[0] == "end"
 
 
 def _parse(text: str, allowed_vars: Optional[Sequence[str]]):
@@ -289,8 +289,7 @@ def _parse(text: str, allowed_vars: Optional[Sequence[str]]):
         raise ParseError("empty input", 1, 1)
     p = _Parser(text, allowed_vars)
     value = p.parse_expr()
-    if not p.at_end():
-        raise p.error("unexpected trailing input")
+    p.finish()
     return p, value
 
 
@@ -316,27 +315,26 @@ def parse_map(text: str, params: Sequence[str] = ("s", "t")) -> RationalMap3:
     if not text.strip():
         raise ParseError("empty input", 1, 1)
     p = _Parser(text, params)
+    tokens = p.tokens
     # the outer pair, when the first token is a '(' matched by the last one
     close = None
-    if p.peek()[:2] == ("op", "("):
+    if tokens[0][1] == "(":
         depth = 0
-        for i, (kind, value, _) in enumerate(p.tokens):
-            if kind == "op" and value in "()":
+        for i, (_, value, _) in enumerate(tokens):
+            if value == "(" or value == ")":
                 depth += 1 if value == "(" else -1
                 if depth == 0:
                     close = i
                     break
-    wrapped = close == len(p.tokens) - 2
-    if wrapped:
-        p.next()
+    wrapped = close == len(tokens) - 2
+    p.pos = int(wrapped)
     components = [p.parse_expr()]
-    while p.peek()[:2] == ("op", ","):
-        p.next()
+    while tokens[p.pos][1] == ",":
+        p.pos += 1
         components.append(p.parse_expr())
     if wrapped:
         p.expect_op(")")
-    if not p.at_end():
-        raise p.error("unexpected trailing input")
+    p.finish()
     if len(components) != 3:
         raise ParseError(f"a rational map needs 3 components, got {len(components)}", 1, 1)
     return RationalMap3([p.lift(c) for c in components], tuple(params))

@@ -56,6 +56,7 @@ are those of ``arith``.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -85,6 +86,12 @@ def canonical_vars(names: Iterable[str]) -> tuple[str, ...]:
 
 def _grlex_key(exps: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     return (sum(exps), exps)
+
+
+@functools.lru_cache(maxsize=4096)
+def _monomial_text(variables: tuple[str, ...], exps: tuple[int, ...]) -> str:
+    """A monomial's text ("" for 1), cached: monomials recur across prints."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(variables, exps) if e)
 
 
 def _canon(c):
@@ -177,7 +184,7 @@ class MultiPoly:
 
     @staticmethod
     def zero() -> "MultiPoly":
-        return MultiPoly((), {})
+        return MultiPoly._make((), {})
 
     @staticmethod
     def const(value) -> "MultiPoly":
@@ -245,21 +252,16 @@ class MultiPoly:
         """Deterministic text form: graded-lex descending, explicit '*'."""
         if not self.terms:
             return "0"
-        pieces = []
-        for exps in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[exps]
-            n, d = _num_den(coeff)
-            factors = "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(self.vars, exps) if e)
+        terms, variables = self.terms, self.vars
+        parts = []
+        for _, exps in sorted([(sum(e), e) for e in terms], reverse=True):
+            n, d = _num_den(terms[exps])
             mag = decimal(abs(n)) if d == 1 else f"{decimal(abs(n))}/{decimal(d)}"
-            if not factors:
-                body = mag
-            elif mag == "1":
-                body = factors
-            else:
-                body = mag + "*" + factors
-            pieces.append(("- " if n < 0 else "+ ") + body)
-        text = " ".join(pieces)
-        return text[2:] if text[0] == "+" else "-" + text[2:]
+            factors = _monomial_text(variables, exps)
+            parts.append(" - " if n < 0 else " + ")
+            parts.append(mag if not factors else factors if mag == "1" else mag + "*" + factors)
+        parts[0] = "" if parts[0] == " + " else "-"
+        return "".join(parts)
 
     # -- alignment helpers ---------------------------------------------
 

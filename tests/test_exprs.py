@@ -1,16 +1,19 @@
 """Parser and printer: grammar, errors with positions, round-trips."""
 
+import itertools
 import random
+import re
 
 import pytest
 
-from devsurf.poly import MultiPoly, Q
+from devsurf.poly import MultiPoly, Q, _monomial_text, canonical_vars
 from devsurf import cli
 from devsurf.exprs import (
     MAX_CONSTANT_BITS,
     MAX_DEGREE,
     ParseError,
     SurfaceInput,
+    _tokenize,
     parse_map,
     parse_poly,
     parse_ratfunc,
@@ -369,3 +372,102 @@ def test_to_text_matches_reference_formatting():
         assert parse_poly(p.to_text()) == p
     for p in (MultiPoly.zero(), MultiPoly.const(-1), MultiPoly.const(Q(-1, 3)), -MultiPoly.var("x")):
         assert p.to_text() == _old_to_text(p)
+
+
+_OLD_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,]))")
+
+
+def _old_tokenize(text):
+    """Reference: the tokenizer that matched one token at a time from the
+    end of the last, kept to pin token lists and error positions."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _OLD_TOKEN_RE.match(text, pos)
+        if m is None or m.lastindex is None:
+            break
+        kind = "int" if m.group(1) else ("name" if m.group(2) else "op")
+        tokens.append((kind, m.group(m.lastindex), m.start(m.lastindex)))
+        pos = m.end()
+    rest = text[pos:]
+    if rest.strip():
+        bad = pos + len(rest) - len(rest.lstrip())
+        line = text.count("\n", 0, bad) + 1
+        raise ParseError(f"unexpected character {text[bad]!r}", line, bad - text.rfind("\n", 0, bad))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def test_tokenizer_matches_reference():
+    """Seeded texts over the grammar's alphabet, blanks and illegal
+    characters: the same tokens, or the same error at the same place."""
+    rng = random.Random(20261020)
+    pieces = ["x", "y", "z", "s", "t", "_a1", "foo", "0", "7", "12", "007", "+", "-", "*", "/", "^", "(", ")", ","]
+    pieces += [" ", "  ", "\t", "\n", " \n\t"]
+    illegal = ["#", ".", "é", "٣"]  # ٣ is ARABIC-INDIC DIGIT THREE, a \d digit
+    outcomes = set()
+    for _ in range(2000):
+        chars = [rng.choice(pieces) for _ in range(rng.randint(0, 30))]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            chars.insert(rng.randint(0, len(chars)), rng.choice(illegal))
+        text = "".join(chars)
+        try:
+            expected = _old_tokenize(text)
+        except ParseError as err:
+            with pytest.raises(ParseError) as info:
+                _tokenize(text)
+            assert (str(info.value), info.value.line, info.value.col) == (str(err), err.line, err.col), repr(text)
+            outcomes.add("error")
+        else:
+            assert _tokenize(text) == expected, repr(text)
+            outcomes.add("tokens")
+    assert outcomes == {"error", "tokens"}
+
+
+def test_parse_stores_canonical_form():
+    """The parser builds its result without the canonicalizing
+    constructor: it must still equal its re-canonicalized twin, with
+    canonical variables, none unused, and int coefficients exactly when
+    integral."""
+    rng = random.Random(5)
+    texts = ["(3/2)^2*4*x", "x + y - y", "6/3*z*x", "2*y/4 + 1/2*y", "(x*y)^0 + 0*z"]
+    texts += [_random_expr(rng, ("x", "y", "z"), 8)[0] for _ in range(80)]
+    for text in texts:
+        value = parse_ratfunc(text, ("z", "y", "x"))
+        for p in (value.num, value.den):
+            assert p.vars == canonical_vars(p.vars) and all(any(e[i] for e in p.terms) for i in range(len(p.vars)))
+            assert all(type(c) is int if c.denominator == 1 else type(c) is Q for c in p.terms.values()), text
+            assert p == MultiPoly(p.vars, p.terms)
+    assert parse_poly("x + y - y", ("x", "y")).vars == ("x",)
+    assert parse_poly("(3/2)^2*4*x", ("x",)).terms == {(1,): 9}
+
+
+def test_printer_cache_keys_on_variable_names():
+    rng = random.Random(11)
+    exps = {tuple(rng.randint(0, 3) for _ in range(3)) for _ in range(40)} | {(1, 1, 1)}
+    terms = {e: rng.choice((1, -1, 2, Q(-3, 4))) for e in exps}
+    for names in (("x", "y", "z"), ("s", "t", "u"), ("x", "y", "z")):
+        p = MultiPoly(names, terms)
+        assert p.vars == names
+        assert print_poly(p) == _old_to_text(p)
+
+
+def test_printer_cache_under_eviction():
+    bound = _monomial_text.cache_info().maxsize
+    names = ("x", "y", "z", "t")
+    monomials = list(itertools.product(range(10), repeat=4))
+    assert len(monomials) > bound
+    chunks = [MultiPoly(names, {e: i + 1 for i, e in enumerate(monomials[k : k + 500])})
+              for k in range(0, len(monomials), 500)]
+    for p in chunks + chunks[:3]:
+        assert print_poly(p) == _old_to_text(p)
+    assert _monomial_text.cache_info().currsize == bound
+
+
+def test_print_parse_at_the_degree_cap():
+    p = (X + Y + Z + 1) ** MAX_DEGREE
+    assert len(p.terms) == 2925
+    text = print_poly(p)
+    assert text == _old_to_text(p)
+    assert parse_poly(text, ("x", "y", "z")) == p
+    assert parse_poly(f"(x+y+z+1)^{MAX_DEGREE}", ("x", "y", "z")) == p
