@@ -9,12 +9,14 @@ conjugate) double points without ever computing their coordinates.
 
 from devsurf import (
     MultiPoly,
+    RatFunc,
     analyze_implicit,
     detect_ruling_direction,
     parse_poly,
     parametrize_quartic_adjoint,
     print_map,
     print_poly,
+    print_ratfunc,
     section_implicit,
     verify_on_surface,
 )
@@ -35,9 +37,10 @@ print("profile curve in the plane x = 0:")
 print("   ", print_poly(section.poly))
 
 cp = parametrize_quartic_adjoint(section)
+U, V, W = cp.form  # the profile's coordinates are U/W and V/W
 print("adjoint parametrization of the profile (proper:", cp.proper, "):")
-print("   ", cp.names[0], "=", cp.components[0].to_text())
-print("   ", cp.names[1], "=", cp.components[1].to_text())
+print("   ", cp.names[0], "=", print_ratfunc(RatFunc(U, W)))
+print("   ", cp.names[1], "=", print_ratfunc(RatFunc(V, W)))
 
 analysis = analyze_implicit(F)
 result = analysis.parametrization

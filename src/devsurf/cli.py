@@ -113,16 +113,20 @@ def _emit(report: dict, pretty: bool) -> None:
         print(json.dumps(report))
 
 
-def _analyze_implicit_source(src: str, args) -> dict:
+def _analyze_source(kind: str, src: str, args) -> dict:
+    implicit = kind == "implicit"
     timings: dict[str, float] = {}
     t0 = time.perf_counter()
-    F = parse_poly(src, allowed_vars=("x", "y", "z"))
-    if F.is_constant():
-        raise ParseError("implicit surface polynomial is constant", 1, 1)
+    if implicit:
+        surface = parse_poly(src, allowed_vars=("x", "y", "z"))
+        if surface.is_constant():
+            raise ParseError("implicit surface polynomial is constant", 1, 1)
+    else:
+        surface = parse_map(src, params=("s", "t"))
     timings["parse_ms"] = round((time.perf_counter() - t0) * 1000, 3)
     t0 = time.perf_counter()
-    analysis = analyze_implicit(
-        F,
+    analysis = (analyze_implicit if implicit else analyze_parametric)(
+        surface,
         plane_budget=args.plane_budget,
         point_budget=args.point_search_budget,
         refine=not args.no_refine,
@@ -131,73 +135,31 @@ def _analyze_implicit_source(src: str, args) -> dict:
     cls = analysis.classification
     if cls.tag == NOT_DEVELOPABLE:
         code = EXIT_NOT_DEVELOPABLE
-        verification = "K(x, y, z) does not vanish on the surface"
+        verification = "K(x, y, z) does not vanish on the surface" if implicit else "K(s, t) is not identically zero"
     elif analysis.parametrization is not None:
         code = EXIT_OK
         verification = analysis.parametrization.certificate
     else:
         code = EXIT_UNSUPPORTED
-        verification = "developable, but no rational parametrization was produced"
-    report = {
-        "command": "implicit",
-        "input": print_poly(F),
+        verification = f"developable, but no rational {'' if implicit else 're'}parametrization was produced"
+    equation = None if implicit else analysis.implicit_equation
+    return {
+        "command": kind,
+        "input": print_poly(surface) if implicit else print_map(surface),
         "classification": _classification_dict(cls),
-        "k_poly": print_poly(analysis.k_poly),
+        "k_poly": print_poly(analysis.k_poly) if implicit else print_ratfunc(analysis.k_func),
         "parametrization": _param_dict(analysis.parametrization),
-        "implicit_equation": None,
+        "implicit_equation": None if equation is None else print_poly(equation),
         "verification": verification,
         "failure": analysis.failure,
         "exit_code": code,
         "timings_ms": timings,
     }
-    return report
-
-
-def _analyze_parametric_source(src: str, args) -> dict:
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
-    P = parse_map(src, params=("s", "t"))
-    timings["parse_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-    t0 = time.perf_counter()
-    analysis = analyze_parametric(
-        P,
-        plane_budget=args.plane_budget,
-        point_budget=args.point_search_budget,
-        refine=not args.no_refine,
-    )
-    timings["analyze_ms"] = round((time.perf_counter() - t0) * 1000, 3)
-    cls = analysis.classification
-    if cls.tag == NOT_DEVELOPABLE:
-        code = EXIT_NOT_DEVELOPABLE
-        verification = "K(s, t) is not identically zero"
-    elif analysis.parametrization is not None:
-        code = EXIT_OK
-        verification = analysis.parametrization.certificate
-    else:
-        code = EXIT_UNSUPPORTED
-        verification = "developable, but no rational reparametrization was produced"
-    report = {
-        "command": "parametric",
-        "input": print_map(P),
-        "classification": _classification_dict(cls),
-        "k_poly": print_ratfunc(analysis.k_func),
-        "parametrization": _param_dict(analysis.parametrization),
-        "implicit_equation": print_poly(analysis.implicit_equation)
-        if analysis.implicit_equation is not None
-        else None,
-        "verification": verification,
-        "failure": analysis.failure,
-        "exit_code": code,
-        "timings_ms": timings,
-    }
-    return report
 
 
 def _run_one(kind: str, src: str, args) -> dict:
     try:
-        if kind == "implicit":
-            return _analyze_implicit_source(src, args)
-        return _analyze_parametric_source(src, args)
+        return _analyze_source(kind, src, args)
     except ParseError as err:
         error, code = str(err), EXIT_INPUT
     except DevsurfError as err:
@@ -237,14 +199,18 @@ def _cmd_analyze(kind: str, args) -> int:
     return code
 
 
+def _input_error(command: str, error: str) -> int:
+    print(json.dumps({"command": command, "error": error, "exit_code": EXIT_INPUT}))
+    return EXIT_INPUT
+
+
 def _cmd_verify(args) -> int:
     try:
         F = parse_poly(_read_source(args.surface), allowed_vars=("x", "y", "z"))
         src = _read_source(args.parametrization)
         P = parse_map(src, params=("s", "t"))
     except ParseError as err:
-        print(json.dumps({"command": "verify", "error": str(err), "exit_code": EXIT_INPUT}))
-        return EXIT_INPUT
+        return _input_error("verify", str(err))
     residue = substitute_map(F, P)
     ok = residue.is_zero()
     report = {
@@ -277,8 +243,7 @@ def _cmd_mesh(args) -> int:
         if args.res < 1:
             raise ValueError("resolution must be a positive integer")
     except (ParseError, ValueError) as err:
-        print(json.dumps({"command": "mesh", "error": str(err), "exit_code": EXIT_INPUT}))
-        return EXIT_INPUT
+        return _input_error("mesh", str(err))
     n = args.res
     index = {}
     vertices = []
@@ -297,9 +262,10 @@ def _cmd_mesh(args) -> int:
         print(json.dumps({"command": "mesh", "error": "every grid point hits a pole", "exit_code": EXIT_UNSUPPORTED}))
         return EXIT_UNSUPPORTED
     lines = [f"# devsurf mesh: {len(vertices)} vertices, {skipped} pole skips"]
-    for pt in vertices:
-        coords = " ".join(format(float(v), ".12g") for v in pt)
-        lines.append(f"v {coords}")
+    try:
+        lines += ["v " + " ".join(format(float(v), ".12g") for v in pt) for pt in vertices]
+    except OverflowError as err:
+        return _input_error("mesh", f"a vertex coordinate is outside the float range: {err}")
     faces = 0
     for i in range(n - 1):
         for j in range(n - 1):
@@ -309,8 +275,11 @@ def _cmd_mesh(args) -> int:
                 faces += 1
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as err:
+            return _input_error("mesh", f"cannot write {args.out}: {err.strerror or err}")
         print(
             json.dumps(
                 {

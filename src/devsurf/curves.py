@@ -12,8 +12,12 @@ Supported families:
   rational individually (conic adjoints through the scheme plus one
   rational simple point).
 
-Every parametrization is validated by exact substitution into the curve
-before it is returned, and its tracing index is certified: an index of 1
+Every family returns one projective triple [U : V : W] of integer
+polynomials in the parameter, with gcd 1 and content 1 and W of positive
+leading coefficient: the kept coordinates are U/W and V/W.  The triple is
+validated by exact substitution into the curve before it is returned (one
+denominator, `ratfunc._form_is_zero`), and its tracing index is
+certified on the pairs (U, W) and (V, W): an index of 1
 by a gcd of images modulo 2^61 - 1 (`_index_one_image`) when one proves
 it, any other by the exact bivariate gcd.  A curve of degree d >= 3
 outside the families is certified not rational when it is proven smooth
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence
 
 from .arith import eval_mod, gcd_mod, legendre, modulus, newton_step, res_mod, trim
@@ -45,7 +50,7 @@ from .poly import (
     squarefree_part,
     subresultant_linear,
 )
-from .ratfunc import RatFunc, RationalMap3, compose_is_zero, substitute
+from .ratfunc import RationalMap3, _cleared, _form_is_zero, _primitive
 
 COORDS = ("x", "y", "z")
 
@@ -87,7 +92,7 @@ class PlaneCurve:
 
 @dataclass(frozen=True)
 class CurveParam:
-    components: tuple[RatFunc, RatFunc]   # values of the two kept coordinates
+    form: tuple[MultiPoly, MultiPoly, MultiPoly]  # [U : V : W], the kept coordinates U/W, V/W
     names: tuple[str, str]
     param: str
     proper: bool
@@ -111,74 +116,79 @@ def _fresh_name(avoid: Iterable[str]) -> str:
 _IMAGE_POINTS = (2, 3, 5, 7, 11, 13)
 
 
-def _index_one_image(comps, var: str) -> bool:
+def _dense(p: MultiPoly, var: str) -> list[int]:
+    """Ascending integer coefficients of p, univariate in ``var``."""
+    row = [0] * (p.degree_in(var) + 1)
+    for e, m in _int_terms(p.terms)[1].items():
+        row[e[0] if e else 0] = m
+    return row
+
+
+def _index_one_image(X: Sequence[MultiPoly], W: MultiPoly, var: str) -> bool:
     """True when images modulo 2^61 - 1 of the cross polynomials of the
-    nonconstant components, univariate in ``var``, prove tracing index 1;
-    the certificate and its soundness are in `is_proper_curve`."""
+    pairs (Xi, W) of nonconstant components, univariate in ``var``, prove
+    tracing index 1; the certificate and its soundness are in
+    `is_proper_curve`."""
     P = modulus(0)
-    dense = []
-    for c in comps:  # N and D as integer lists of one length
-        n = max(c.num.degree_in(var), c.den.degree_in(var)) + 1
-        pair = []
-        for p in (c.num, c.den):
-            row = [0] * n
-            for e, m in _int_terms(p.terms)[1].items():
-                row[e[0] if e else 0] = m
-            pair.append(row)
-        dense.append(pair)
+    D = _dense(W, var)
+    rows = [_dense(x, var) for x in X]
     for w0 in _IMAGE_POINTS:
-        dw = [eval_mod(D, w0, P) for _, D in dense]
-        if not all(dw):
+        d0 = eval_mod(D, w0, P)
+        if not d0:
             continue
         g: list[int] = []
         full = False
-        for (N, D), d0 in zip(dense, dw):
+        for N in rows:
             n0 = eval_mod(N, w0, P)
-            image = trim([(a * d0 - n0 * b) % P for a, b in zip(N, D)])
-            full = full or len(image) == len(N)
+            image = trim([(a * d0 - n0 * b) % P for a, b in zip_longest(N, D, fillvalue=0)])
+            full = full or len(image) == max(len(N), len(D))
             if image:
                 g = gcd_mod(g, image, P)
         return full and len(g) == 2
     return False
 
 
-def is_proper_curve(components, var: str = "t") -> tuple[bool, int]:
-    """Tracing index of a rational curve map; proper means index 1.
+def is_proper_curve(form, var: str = "t") -> tuple[bool, int]:
+    """Tracing index of a rational curve map, given as a `RationalMap3` or
+    as a projective form [X1, ..., Xn, W] with gcd 1; proper means index 1.
 
     The index is deg_t G, G the gcd over Q[t, w] of the cross polynomials
-    C = N(t)*D(w) - N(w)*D(t) of the nonconstant components N/D, here on
-    their integer numerators (Sendra, Winkler & Perez-Diaz, *Rational
-    Algebraic Curves*, 2008, ch. 4).  A map in ``var`` alone is first given
-    a one-sided certificate of index 1 (`_index_one_image`): each C is
-    mapped into Z_P[t], P = 2^61 - 1, at the first w = w0 of
-    `_IMAGE_POINTS` where no D vanishes mod P.  Take G primitive over Z;
-    by Gauss's lemma each C is G*H with H integer, so lc_t(G)(w0) divides
-    lc_t(C)(w0) and G(t, w0) mod P divides every image.  When one image
-    keeps the full t-degree of its C, lc_t(G)(w0) is a unit mod P and
-    G(t, w0) keeps degree deg_t G; an image gcd of degree 1 then bounds the
-    index by 1, and t - w, which divides every C, makes it 1.  A drop in
-    degree, a larger image gcd or no usable w0 proves nothing, and every
-    such case, every index above 1 among them, runs the exact bivariate
-    gcd.
+    C = Xi(t)*W(w) - Xi(w)*W(t) of the pairs (Xi, W) of nonconstant
+    components Xi/W (Sendra, Winkler & Perez-Diaz, *Rational Algebraic
+    Curves*, 2008, ch. 4); component i is constant exactly when
+    Xi*lc(W) = W*lc(Xi).  A pair need not be reduced: Xi = g*n and W = g*d
+    give C = g(t)*g(w) times the cross polynomial of n/d, which has no
+    factor in t or in w alone, so a factor that every such C gains is a
+    factor of every such g, and it would divide all entries.  G is
+    therefore that of the reduced components.  A map in ``var`` alone is
+    first given a one-sided certificate of index 1 (`_index_one_image`):
+    each C is mapped into Z_P[t], P = 2^61 - 1, at the first w = w0 of
+    `_IMAGE_POINTS` where W does not vanish mod P.  Take G primitive over
+    Z; by Gauss's lemma each C is G*H with H integer, so lc_t(G)(w0)
+    divides lc_t(C)(w0) and G(t, w0) mod P divides every image.  When one
+    image keeps the full t-degree of its C, lc_t(G)(w0) is a unit mod P
+    and G(t, w0) keeps degree deg_t G; an image gcd of degree 1 then
+    bounds the index by 1, and t - w, which divides every C, makes it 1.
+    A drop in degree, a larger image gcd or no usable w0 proves nothing,
+    and every such case, every index above 1 among them, runs the exact
+    bivariate gcd.
     """
-    if isinstance(components, RationalMap3):
-        comps = components.components
-    else:
-        comps = tuple(components)
-    used = set()
-    for c in comps:
-        used.update(c.vars)
-    nonconst = [c for c in comps if not c.is_constant()]
+    if isinstance(form, RationalMap3):
+        form = form.form
+    *X, W = form
+    # unequal supports, the cheap case, already rule out Xi = c*W
+    lw = W.leading()[1]
+    nonconst = [x for x in X if x and (x.terms.keys() != W.terms.keys() or x * lw != W * x.leading()[1])]
     if not nonconst:
         return False, 0
-    if used == {var} and _index_one_image(nonconst, var):
+    used = set(W.vars).union(*(x.vars for x in nonconst))
+    if used == {var} and _index_one_image(nonconst, W, var):
         return True, 1
     fresh = _fresh_name(used | {var})
+    W2 = W.rename_vars({var: fresh})
     g = MultiPoly.zero()
-    for c in nonconst:
-        n2 = c.num.rename_vars({var: fresh})
-        d2 = c.den.rename_vars({var: fresh})
-        cross = c.num * d2 - n2 * c.den
+    for x in nonconst:
+        cross = x * W2 - x.rename_vars({var: fresh}) * W
         g = gcd_multi(g, cross)
         if not g.is_zero() and g.degree_in(var) <= 1:
             break
@@ -309,31 +319,28 @@ def _pick_param(names: Iterable[str]) -> str:
     raise RuntimeError("no parameter name available")
 
 
-def _validate_on_curve(c: MultiPoly, names, comps) -> None:
-    params = set()
-    for comp in comps:
-        params.update(comp.vars)
-    params = tuple(sorted(params)) or ("t",)
-    bindings = dict(zip(names, comps))
-    if not compose_is_zero(c, {v: bindings[v] for v in c.vars}, params[:1]):
+def _finish(c: MultiPoly, names, form, param, source) -> CurveParam:
+    """Reduce a family's triple [U : V : W] to gcd 1, integer content 1 and
+    W of positive leading coefficient, certify it on c and compute its
+    tracing index, the only time it is computed: every family here is a
+    proper pencil by construction, and lifting a plane parametrization to
+    space cannot make it improper, so an improper result is an internal
+    error."""
+    g = gcd_many(form[2:] + form[:2])
+    if not g.is_constant():
+        form = tuple(exact_div(e, g) for e in form)
+    form = tuple(_primitive(list(form)))
+    if not _form_is_zero(c, names, form, (param,)):
         raise ArithmeticError("parametrization fails to satisfy its curve")
-
-
-def _finish(c: MultiPoly, names, comps, param, source) -> CurveParam:
-    """Certify a parametrization of c and compute its tracing index, the
-    only time it is computed: every family here is a proper pencil by
-    construction, and lifting a plane parametrization to space cannot make
-    it improper, so an improper result is an internal error."""
-    _validate_on_curve(c, names, comps)
-    proper, idx = is_proper_curve(comps, param)
+    proper, idx = is_proper_curve(form, param)
     if not proper:
         raise ArithmeticError(f"plane curve parametrization is improper (tracing index {idx})")
-    return CurveParam(tuple(comps), tuple(names), param, proper, idx, source)
+    return CurveParam(form, tuple(names), param, proper, idx, source)
 
 
 def _parametrize_graph(curve: PlaneCurve, param: Optional[str] = None) -> Optional[CurveParam]:
     """Curves linear in one coordinate: solve it as a rational function of
-    the other."""
+    the other, free = t and solved = -a0(t)/a1(t) for c = a1*solved + a0."""
     c = curve.poly
     names = curve.names
     u, w = names
@@ -341,16 +348,10 @@ def _parametrize_graph(curve: PlaneCurve, param: Optional[str] = None) -> Option
     for solved, free in ((w, u), (u, w)):
         if c.degree_in(solved) == 1:
             coeffs = c.coeffs_in(solved)
-            a1 = coeffs[1]
-            a0 = coeffs.get(0, MultiPoly.zero())
-            tv = MultiPoly.var(t)
-            a1t = substitute(a1, {free: RatFunc(tv)}) if not a1.is_constant() else RatFunc(a1)
-            a0t = substitute(a0, {free: RatFunc(tv)}) if not a0.is_constant() else RatFunc(a0)
-            if a1t.is_zero():
-                continue
-            val = -a0t / a1t
-            comps = (RatFunc(tv), val) if free == u else (val, RatFunc(tv))
-            return _finish(c, names, comps, t, "plane-section")
+            a1 = coeffs[1].rename_vars({free: t})
+            a0 = -coeffs.get(0, MultiPoly.zero()).rename_vars({free: t})
+            form = (MultiPoly.var(t) * a1, a0, a1) if free == u else (a0, MultiPoly.var(t) * a1, a1)
+            return _finish(c, names, form, t, "plane-section")
     return None
 
 
@@ -381,8 +382,8 @@ def parametrize_conic(curve: PlaneCurve, budget: int = 200, param: Optional[str]
         raise PointSearchExhaustedError(
             "conic parametrization over the rationals not found within the search budget"
         )
-    comps = _pencil(c, names, point, t)
-    if comps is None:
+    form = _pencil(c, names, point, t)
+    if form is None:
         # singular rational point: the conic is a pair of lines through it,
         # in the directions where its top form A*u^2 + B*u*w + C*w^2 vanishes
         A, B, C = (c.coeff({u: 2 - j, w: j}) for j in range(3))
@@ -394,16 +395,17 @@ def parametrize_conic(curve: PlaneCurve, budget: int = 200, param: Optional[str]
                 raise NotRationalError("conic splits into conjugate lines; only one rational point")
             direction = ((-B + disc) / (2 * A), Q(1))
         tv = MultiPoly.var(t)
-        comps = tuple(RatFunc(MultiPoly.const(p) + tv * dv) for p, dv in zip(point, direction))
-    return _finish(c, names, comps, t, "plane-section")
+        form = tuple(MultiPoly.const(p) + tv * dv for p, dv in zip(point, direction)) + (MultiPoly.const(1),)
+    return _finish(c, names, form, t, "plane-section")
 
 
-def _pencil(c: MultiPoly, names, point, t: str) -> Optional[tuple[RatFunc, RatFunc]]:
+def _pencil(c: MultiPoly, names, point, t: str) -> Optional[tuple[MultiPoly, MultiPoly, MultiPoly]]:
     """The lines u = p1 + lam, w = p2 + lam*t through a point of
     multiplicity d - 1 (at least) on the degree-d curve c, each cut with c
     once more: at lam = -b(t)/a(t), where b and a are the forms of degree
-    d - 1 and d of c shifted to the point, at (1, t).  None when b is 0:
-    then c is a union of lines through the point."""
+    d - 1 and d of c shifted to the point, at (1, t), as the triple
+    [p1*a - b : p2*a - b*t : a].  None when b is 0: then c is a union of
+    lines through the point."""
     u, w = names
     d = c.total_degree()
     p1, p2 = point
@@ -416,8 +418,8 @@ def _pencil(c: MultiPoly, names, point, t: str) -> Optional[tuple[RatFunc, RatFu
             forms[i + j][(j,)] = cf
     if not forms[d - 1]:
         return None
-    lam = RatFunc(-MultiPoly((t,), forms[d - 1]), MultiPoly((t,), forms[d]))
-    return RatFunc(MultiPoly.const(p1)) + lam, RatFunc(MultiPoly.const(p2)) + lam * RatFunc(MultiPoly.var(t))
+    b, a = MultiPoly((t,), forms[d - 1]), MultiPoly((t,), forms[d])
+    return a * p1 - b, a * p2 - b * MultiPoly.var(t), a
 
 
 def _solve_two_var_system(polys: Sequence[MultiPoly], names: tuple[str, str]) -> list[tuple[Q, Q]]:
@@ -501,10 +503,10 @@ def _fold_point_pencil(c: MultiPoly, names, t: str):
     if point is None:
         return None
 
-    comps = _pencil(c, names, point, t)
-    if comps is None:
+    form = _pencil(c, names, point, t)
+    if form is None:
         raise UnsupportedCurveError("curve is a cone of lines through its singular point")
-    return comps
+    return form
 
 
 def _homogenize(c: MultiPoly, names, hname: str) -> MultiPoly:
@@ -530,9 +532,9 @@ def parametrize_monomial_like(curve: PlaneCurve, param: Optional[str] = None) ->
         raise ValueError("parametrize_monomial_like expects degree >= 3")
     t = param or _pick_param(names)
 
-    comps = _fold_point_pencil(c, names, t)
-    if comps is not None:
-        return _finish(c, names, comps, t, "plane-section")
+    form = _fold_point_pencil(c, names, t)
+    if form is not None:
+        return _finish(c, names, form, t, "plane-section")
 
     # the fold point may be at infinity; look in the other two charts
     hname = _fresh_name(set(names) | {t})
@@ -549,18 +551,15 @@ def parametrize_monomial_like(curve: PlaneCurve, param: Optional[str] = None) ->
         cc = squarefree_part(cc)
         if cc.total_degree() < 3:
             continue
-        chart_comps = _fold_point_pencil(cc, names, t)
-        if chart_comps is None:
+        chart_form = _fold_point_pencil(cc, names, t)
+        if chart_form is None:
             continue
-        A, B = chart_comps
+        A, B, C = chart_form  # (a, b) = (A/C, B/C)
         if B.is_zero():
             continue
-        if chart == "w":
-            # (a, b) = (u/w, h/w)  =>  u = a/b, w = 1/b
-            back = (A / B, RatFunc(MultiPoly.const(1)) / B)
-        else:
-            # (a, b) = (w/u, h/u)  =>  u = 1/b, w = a/b
-            back = (RatFunc(MultiPoly.const(1)) / B, A / B)
+        # (a, b) = (u/w, h/w) gives u = a/b, w = 1/b; (w/u, h/u) gives
+        # u = 1/b, w = a/b
+        back = (A, C, B) if chart == "w" else (C, A, B)
         return _finish(c, names, back, t, "plane-section")
     raise UnsupportedCurveError("no rational (d-1)-fold singular point found")
 
@@ -684,17 +683,17 @@ def parametrize_quartic_adjoint(
         Q1 = sum((net[i] * pencil_vecs[1][i] for i in range(3)), MultiPoly.zero())
         Qt = Q0 + Q1 * tv
 
-        comps = _pencil_residual(c, Qt, (u, w), g, gw, (p1, p2), t)
-        if comps is None:
+        form = _pencil_residual(c, Qt, (u, w), g, gw, (p1, p2), t)
+        if form is None:
             continue
-        if k:
-            comps = (comps[0] + comps[1] * k, comps[1])
-        return _finish(c0, names, comps, t, "plane-section")
+        U, V, W = form
+        return _finish(c0, names, (U + V * k, V, W), t, "plane-section")
     raise last_err
 
 
 def _pencil_residual(c, Qt, names, g, gw, point, t):
-    """Residual intersection point of the adjoint pencil with the quartic."""
+    """Residual intersection point (-A0/A1, -B0/B1) of the adjoint pencil
+    with the quartic, as the triple [-A0*B1 : -B0*A1 : A1*B1]."""
     u, w = names
     p1, p2 = point
     try:
@@ -709,7 +708,6 @@ def _pencil_residual(c, Qt, names, g, gw, point, t):
     A1, A0 = lu[1], lu.get(0, MultiPoly.zero())
     if A1.is_zero():
         return None
-    u_t = RatFunc(-A0, A1)
     try:
         Rw = resultant(c, Qt, u)
     except ValueError:
@@ -722,8 +720,7 @@ def _pencil_residual(c, Qt, names, g, gw, point, t):
     B1, B0 = lw[1], lw.get(0, MultiPoly.zero())
     if B1.is_zero():
         return None
-    w_t = RatFunc(-B0, B1)
-    return (u_t, w_t)
+    return -A0 * B1, -B0 * A1, A1 * B1
 
 
 # the projective changes u -> u + a*h, w -> w + b*h that _smooth_genus tries
@@ -876,21 +873,29 @@ def section_implicit(F: MultiPoly, plane: MultiPoly) -> Optional[PlaneCurve]:
 
 
 def lift_to_space(cp: CurveParam, frame) -> RationalMap3:
-    """Lift an in-plane parametrization back to a space curve."""
-    values = dict(zip(cp.names, cp.components))
+    """Lift an in-plane parametrization [U : V : W] back to a space curve.
+    A plane frame gives the solved coordinate as a linear form in U, V
+    and W, and the lift keeps gcd 1.  An edge relation a1*x + a0, cleared
+    over one power of W to A1 and A0, gives x = -A0/A1 and the lift
+    [U*A1 : V*A1 : -A0*W : W*A1], divided by its gcd."""
+    U, V, W = cp.form
+    values = dict(zip(cp.names, (U, V)))
     if isinstance(frame, PlaneFrame):
-        values[frame.solved] = substitute(frame.expr, values)
-    elif isinstance(frame, EdgeFrame):
-        rel = frame.relation
-        if rel.degree_in(frame.solved) != 1:
-            raise UnsupportedCurveError("lift relation is not linear in the remaining coordinate")
-        coeffs = rel.coeffs_in(frame.solved)
-        a1, a0 = coeffs[1], coeffs.get(0, MultiPoly.zero())
-        a1v = substitute(a1, values)
-        a0v = substitute(a0, values)
-        if a1v.is_zero():
-            raise UnsupportedCurveError("lift relation degenerates along the curve")
-        values[frame.solved] = -a0v / a1v
-    else:
+        e = frame.expr
+        values[frame.solved] = sum((values[v] * e.coeff({v: 1}) for v in e.vars), W * e.coeff({}))
+        return RationalMap3.from_form([values[n] for n in COORDS] + [W], (cp.param,), _reduced=True)
+    if not isinstance(frame, EdgeFrame):
         raise TypeError("unknown frame type")
-    return RationalMap3([values[n] for n in COORDS], (cp.param,))
+    rel = frame.relation
+    if rel.degree_in(frame.solved) != 1:
+        raise UnsupportedCurveError("lift relation is not linear in the remaining coordinate")
+    coeffs = rel.coeffs_in(frame.solved)
+    a1, a0 = coeffs[1], coeffs.get(0, MultiPoly.zero())
+    pairs = {v: (values[v], W) for v in cp.names}
+    caps = {v: max(a1.degree_in(v), a0.degree_in(v)) for v in cp.names}
+    A1, A0 = _cleared(a1, pairs, caps), _cleared(a0, pairs, caps)
+    if A1.is_zero():
+        raise UnsupportedCurveError("lift relation degenerates along the curve")
+    values = {n: x * A1 for n, x in values.items()}
+    values[frame.solved] = -A0 * W
+    return RationalMap3.from_form([values[n] for n in COORDS] + [W * A1], (cp.param,))

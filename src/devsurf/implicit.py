@@ -31,7 +31,7 @@ from .poly import (
     squarefree_part,
     subresultant_linear,
 )
-from .ratfunc import RatFunc, RationalMap3, substitute, substitute_map_is_zero
+from .ratfunc import RationalMap3, substitute_map_is_zero
 from .curves import (
     COORDS,
     EdgeFrame,
@@ -222,9 +222,9 @@ def _plane_param(Fs: MultiPoly):
     """Canonical ruled parametrization of a plane."""
     frame = plane_frame(Fs)
     kept, solved = frame.kept, frame.solved
-    values = {kept[0]: RatFunc(MultiPoly.zero()), kept[1]: RatFunc(MultiPoly.var("t"))}
-    values[solved] = substitute(frame.expr, values)
-    directrix = RationalMap3([values[n] for n in COORDS], ("t",))
+    values = {kept[0]: MultiPoly.zero(), kept[1]: MultiPoly.var("t")}
+    values[solved] = frame.expr.subs_poly(values)
+    directrix = RationalMap3.from_form([values[n] for n in COORDS] + [MultiPoly.const(1)], ("t",), _reduced=True)
     # ruling direction inside the plane (slanted when the plane is slanted)
     dvec = [Q(0)] * 3
     dvec[COORDS.index(kept[0])] = Q(1)

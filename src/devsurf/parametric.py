@@ -186,7 +186,8 @@ def reparametrize_space_curve(curve: RationalMap3, point_budget: int = 200) -> R
             last = DevsurfError(f"no projection of the curve could be reparametrized: {err}")
             continue
         names = proj.vars
-        vals = dict(zip(cp.names, cp.components))
+        U, V, W = cp.form
+        vals = {cp.names[0]: RatFunc(U, W), cp.names[1]: RatFunc(V, W)}
         if Ek.degree_in(t) == 0:
             third = curve.components[k]
         else:

@@ -1152,9 +1152,6 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
     return h.normalized()
 
 
-# -- substitution of rational functions is provided by ratfunc.substitute --
-
-
 def subresultant_linear(p: MultiPoly, q: MultiPoly, var: str) -> Optional[tuple[MultiPoly, MultiPoly]]:
     """First subresultant S1 = a*var + b of p, q with respect to var.
 

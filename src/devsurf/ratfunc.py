@@ -10,8 +10,13 @@ or two (a surface) into space, stored as its projective form
 [X1 : X2 : X3 : W]: four integer polynomials whose coefficients have gcd 1,
 whose gcd is 1, and with W of positive leading coefficient.  That form is
 canonical, so equal maps have equal forms.  Map operations and the
-substitution certificate work on it; the reduced components Xi/W are a
-view, for printing and for readers of per-component degrees.
+substitution certificate work on it, and so does every plane-curve
+parametrization, a triple [U : V : W] (:mod:`devsurf.curves`).  The
+reduced components Xi/W are a view; its readers are the printing (and
+``builder.full_map`` and ``build_conical``, which hand it on to the maps
+they build), ``builder.reduce_directrix``,
+``parametric._mobius_normalized`` and
+``parametric.reparametrize_space_curve`` with its audit ``_same_curve``.
 """
 
 from __future__ import annotations
@@ -498,13 +503,6 @@ def _form_is_zero(p: MultiPoly, names: Sequence[str], form: Sequence[MultiPoly],
             if acc:
                 return False
     return True
-
-
-def compose_is_zero(p: MultiPoly, bindings: Mapping[str, RatFunc], params: Sequence[str]) -> bool:
-    """Certified exact test that p composed with the bindings vanishes
-    identically: `_form_is_zero` on the projective form of the bindings
-    of p's variables."""
-    return _form_is_zero(p, p.vars, projective_form([_ratfunc(bindings[v]) for v in p.vars]), params)
 
 
 def substitute_map_is_zero(p: MultiPoly, map3: RationalMap3, coords=("x", "y", "z")) -> bool:

@@ -313,6 +313,21 @@ class TestMesh:
         code, out = run_cli(["mesh", cases.PLANE_MAP, "--s", "0:1", "--t", "0:1", "--res", "0"])
         assert code == 1
 
+    def test_vertex_past_the_float_range_is_an_input_error(self):
+        code, out = run_cli(["mesh", "(s, t, s*t)", "--s", "0:1e400", "--t", "0:1", "--res", "2"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["command"] == "mesh" and report["exit_code"] == 1
+        assert report["error"].startswith("a vertex coordinate is outside the float range")
+
+    def test_unwritable_output_is_an_input_error(self, tmp_path):
+        target = tmp_path / "missing" / "x.obj"
+        code, out = run_cli(["mesh", "(s, t, s*t)", "--s", "0:1", "--t", "0:1", "--res", "2", "--out", str(target)])
+        assert code == 1
+        report = json.loads(out)
+        assert report == {"command": "mesh", "error": f"cannot write {target}: No such file or directory", "exit_code": 1}
+        assert not target.parent.exists()
+
 
 class TestGoldenReports:
     CASES = {

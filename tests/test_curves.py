@@ -1,14 +1,17 @@
 """Plane-curve parametrization: conics, (d-1)-fold curves, nodal quartics,
 lifting, properness, the rational-point decision for conics."""
 
+import ast
+import math
 import random
 import time
+from pathlib import Path
 
 import pytest
 
 import devsurf.curves
-from devsurf.poly import MultiPoly, Q, gcd_multi, resultant, squarefree_part
-from devsurf.ratfunc import RatFunc, compose_is_zero, substitute_map
+from devsurf.poly import MultiPoly, Q, exact_div, gcd_many, gcd_multi, resultant, squarefree_part
+from devsurf.ratfunc import RatFunc, RationalMap3, _form_is_zero, projective_form, substitute, substitute_map
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.errors import NotRationalError, PointSearchExhaustedError, UnsupportedCurveError
 from devsurf.curves import (
@@ -26,7 +29,7 @@ from devsurf.curves import (
     rational_point_on_curve,
     section_implicit,
 )
-from devsurf.curves import _conic_point_decision, _smooth_genus
+from devsurf.curves import _conic_point_decision, _is_square, _smooth_genus
 from devsurf.arith import factor, gcd_mod, is_prime, legendre, modulus, newton_step, res_mod
 
 from conftest import map2_with_zero, random_space_curve, rf_subs, ternary_form_solvable
@@ -37,8 +40,7 @@ X, Y, Z, T = (MultiPoly.var(v) for v in "xyzt")
 
 
 def on_curve(cp: CurveParam, poly: MultiPoly) -> bool:
-    bindings = dict(zip(cp.names, cp.components))
-    return compose_is_zero(poly, {v: bindings[v] for v in poly.vars}, (cp.param,))
+    return _form_is_zero(poly, cp.names, cp.form, (cp.param,))
 
 
 class TestConic:
@@ -49,8 +51,7 @@ class TestConic:
         assert cp.proper and cp.tracing_index == 1
         # the reference parametrization traces the same conic
         ref = parse_map(map2_with_zero(cases.ELLIPTIC_CONE_SECTION_MAP_2D), params=("t",))
-        bindings = {"x": ref.components[0], "y": ref.components[1]}
-        assert compose_is_zero(c, bindings, ("t",))
+        assert _form_is_zero(c, ("x", "y"), projective_form(ref.components[:2]), ("t",))
 
     def test_circle(self):
         c = X**2 + Y**2 - 1
@@ -81,8 +82,7 @@ class TestMonomialLike:
         assert cp.proper and cp.tracing_index == 1
         # the reference parametrization (corrected z-component) lies on it
         ref = parse_map(map2_with_zero(cases.TANGENT_EDGE_CUBIC_MAP_2D), params=("t",))
-        bindings = {"y": ref.components[0], "z": ref.components[1]}
-        assert compose_is_zero(c, bindings, ("t",))
+        assert _form_is_zero(c, ("y", "z"), projective_form(ref.components[:2]), ("t",))
 
     def test_standard_cusp(self):
         c = Y**2 - Z**3
@@ -110,8 +110,8 @@ class TestMonomialLike:
             calls.append(c)
             if len(calls) == 1:  # the affine chart: no fold point
                 return None
-            tv = RatFunc(MultiPoly.var(t))
-            return (tv, tv)  # (u, w) = (1, 1/t): off the curve
+            tv = MultiPoly.var(t)
+            return (tv, tv, MultiPoly.const(1))  # (u, w) = (1, 1/t): off the curve
 
         monkeypatch.setattr("devsurf.curves._fold_point_pencil", fake_pencil)
         with pytest.raises(ArithmeticError, match="fails to satisfy its curve"):
@@ -173,7 +173,7 @@ class TestQuarticAdjoint:
         # not one more retry that ends as an unsupported curve
         y_t, z_t = T**3 - 2 * T, T**4 - T
         c = squarefree_part(resultant((RatFunc(Y) - RatFunc(y_t)).num, (RatFunc(Z) - RatFunc(z_t)).num, "t"))
-        monkeypatch.setattr("devsurf.curves._pencil_residual", lambda *args: (RatFunc(T), RatFunc(T)))
+        monkeypatch.setattr("devsurf.curves._pencil_residual", lambda *args: (T, T, MultiPoly.const(1)))
         with pytest.raises(ArithmeticError):
             parametrize_quartic_adjoint(PlaneCurve(c, None))
 
@@ -300,7 +300,7 @@ class TestLift:
         frame = plane_frame(plane)
         cp2 = parse_map(map2_with_zero(cases.ELLIPTIC_CONE_SECTION_MAP_2D), params=("t",))
         cp = CurveParam(
-            components=(cp2.components[0], cp2.components[1]),
+            form=tuple(projective_form(cp2.components[:2])),
             names=frame.kept,
             param="t",
             proper=True,
@@ -317,7 +317,7 @@ class TestLift:
         frame = EdgeFrame(relation=h, kept=("y", "z"), solved="x")
         cp2 = parse_map(map2_with_zero(cases.TANGENT_EDGE_CUBIC_MAP_2D), params=("t",))
         cp = CurveParam(
-            components=(cp2.components[0], cp2.components[1]),
+            form=tuple(projective_form(cp2.components[:2])),
             names=("y", "z"),
             param="t",
             proper=True,
@@ -331,7 +331,7 @@ class TestLift:
     def test_lift_line(self):
         frame = plane_frame(Z)
         cp = CurveParam(
-            components=(RatFunc(T), RatFunc(MultiPoly.zero())),
+            form=(T, MultiPoly.zero(), MultiPoly.const(1)),
             names=("x", "y"),
             param="t",
             proper=True,
@@ -406,7 +406,7 @@ class TestProperImage:
     @pytest.mark.parametrize("comps", seeded_curve_maps())
     def test_seeded_maps_match_exact_gcd(self, comps):
         idx = index_oracle(comps)
-        assert is_proper_curve(comps, "t") == (idx == 1, idx)
+        assert is_proper_curve(projective_form(comps), "t") == (idx == 1, idx)
 
     @pytest.mark.parametrize("comps", seeded_curve_maps()[:8])
     @pytest.mark.parametrize("r, k", REPARAMETRIZATIONS)
@@ -415,12 +415,13 @@ class TestProperImage:
         composed = self.compose(comps, r)
         idx = index_oracle(composed)
         assert idx == k * base
-        assert is_proper_curve(composed, "t") == (idx == 1, idx)
+        assert is_proper_curve(projective_form(composed), "t") == (idx == 1, idx)
 
     def test_drop_in_degree_proves_nothing(self):
         composed = self.compose((self.T, self.T * self.T), (self.T - 2) / (self.T * self.T + 1))
-        assert not devsurf.curves._index_one_image(composed, "t")
-        assert is_proper_curve(composed, "t") == (False, 2)
+        *X, W = projective_form(composed)
+        assert not devsurf.curves._index_one_image(X, W, "t")
+        assert is_proper_curve(X + [W], "t") == (False, 2)
 
     def test_pole_at_the_first_point_is_skipped(self, monkeypatch):
         # both components have a double pole at w0 = 2, where every image
@@ -429,16 +430,66 @@ class TestProperImage:
         monkeypatch.setattr(devsurf.curves, "gcd_multi", lambda *a: calls.append(a) or gcd_multi(*a))
         comps = parse_map("((2*t-6)/(t-2)^2, (2*t-8)/(t-2)^2, 0)", params=("t",)).components
         assert devsurf.curves._IMAGE_POINTS[0] == 2
-        assert is_proper_curve(comps, "t") == (True, 1)
+        assert is_proper_curve(projective_form(comps), "t") == (True, 1)
         assert calls == []
         assert index_oracle(comps) == 1
 
+    @staticmethod
+    def planted(comps, seed):
+        """The projective form of comps with a factor g(t) planted in one
+        pair (Xi, W): Xi and W times g, the other entries as they are, so
+        the form keeps gcd 1 and the other components gain a pole at g."""
+        rng = random.Random(seed)
+        form = projective_form(comps)
+        while True:
+            i = rng.randrange(len(form) - 1)
+            if form[i].is_zero():
+                continue
+            g = T + rng.randint(-3, 3) if rng.random() < 0.5 else T**2 + rng.randint(-3, 3) * T + rng.randint(-3, 3)
+            out = [e * g if k in (i, len(form) - 1) else e for k, e in enumerate(form)]
+            if gcd_many(out).is_constant():
+                return out, i
+
+    @pytest.mark.parametrize("k", range(16))
+    def test_unreduced_pair_in_seeded_maps(self, k):
+        form, i = self.planted(seeded_curve_maps()[k], k)
+        assert not gcd_multi(form[i], form[-1]).is_constant()
+        idx = index_oracle([RatFunc(x, form[-1]) for x in form[:-1]])
+        assert is_proper_curve(form, "t") == (idx == 1, idx)
+
+    @pytest.mark.parametrize("comps", seeded_curve_maps()[:8])
+    @pytest.mark.parametrize("r, k", REPARAMETRIZATIONS)
+    def test_unreduced_pair_in_composed_maps(self, comps, r, k):
+        # planted before composing, so the map stays a composition with r:
+        # the pair (Xi, W) of the composed form shares the numerator of g(r)
+        base_form, i = self.planted(comps, k)
+        base = [RatFunc(x, base_form[-1]) for x in base_form[:-1]]
+        composed = self.compose(base, r)
+        form = projective_form(composed)
+        assert not gcd_multi(form[i], form[-1]).is_constant()
+        idx = index_oracle(composed)
+        assert idx == k * index_oracle(base)
+        assert is_proper_curve(form, "t") == (idx == 1, idx)
+
+    def test_unreduced_pair_with_pole_at_the_first_point(self, monkeypatch):
+        # (t - 2) planted in the first pair: W = (t - 2)^3 still vanishes at
+        # w0 = 2, and the certificate at w0 = 3 decides without the gcd
+        calls = []
+        monkeypatch.setattr(devsurf.curves, "gcd_multi", lambda *a: calls.append(a) or gcd_multi(*a))
+        m = parse_map("((2*t-6)/(t-2)^2, (2*t-8)/(t-2)^2, 0)", params=("t",))
+        X1, X2, X3, W = m.form
+        form = [X1 * (T - 2), X2, X3, W * (T - 2)]
+        assert gcd_many(form).is_constant()
+        assert is_proper_curve(form, "t") == (True, 1)
+        assert calls == []
+        assert index_oracle([RatFunc(x, form[-1]) for x in form[:-1]]) == 1
+
     def test_constant_and_foreign_components(self):
         one = RatFunc(MultiPoly.const(1))
-        assert is_proper_curve((one, one), "t") == (False, 0)
-        assert is_proper_curve((self.T, one), "t") == (True, 1)
+        assert is_proper_curve(projective_form((one, one)), "t") == (False, 0)
+        assert is_proper_curve(projective_form((self.T, one)), "t") == (True, 1)
         s = RatFunc(MultiPoly.var("s"))
-        assert is_proper_curve((self.T * s, self.T * self.T), "t") == (True, 1)
+        assert is_proper_curve(projective_form((self.T * s, self.T * self.T)), "t") == (True, 1)
 
     def test_cone_pencil_never_reaches_the_gcd(self, monkeypatch):
         from devsurf.implicit import analyze_implicit
@@ -450,6 +501,142 @@ class TestProperImage:
         assert calls == []
 
 
+# The parametrizers' former RatFunc route, kept as the oracle of the
+# triples: each family built reduced rational functions, and the lift
+# substituted them into the frame.
+
+
+def old_graph(c, names, t):
+    u, w = names
+    tv = RatFunc(MultiPoly.var(t))
+    for solved, free in ((w, u), (u, w)):
+        if c.degree_in(solved) == 1:
+            coeffs = c.coeffs_in(solved)
+            val = -substitute(coeffs.get(0, MultiPoly.zero()), {free: tv}) / substitute(coeffs[1], {free: tv})
+            return (tv, val) if free == u else (val, tv)
+    return None
+
+
+def old_pencil(c, names, point, t):
+    u, w = names
+    d = c.total_degree()
+    p1, p2 = point
+    sh = c.subs_poly({u: MultiPoly.var(u) + p1, w: MultiPoly.var(w) + p2})
+    forms = {d - 1: {}, d: {}}
+    for exps, cf in sh.terms.items():
+        e = dict(zip(sh.vars, exps))
+        i, j = e.get(u, 0), e.get(w, 0)
+        if i + j in forms:
+            forms[i + j][(j,)] = cf
+    if not forms[d - 1]:
+        return None
+    lam = RatFunc(-MultiPoly((t,), forms[d - 1]), MultiPoly((t,), forms[d]))
+    return RatFunc(MultiPoly.const(p1)) + lam, RatFunc(MultiPoly.const(p2)) + lam * RatFunc(MultiPoly.var(t))
+
+
+def old_line_pair(c, names, point, t):
+    u, w = names
+    A, B, C = (c.coeff({u: 2 - j, w: j}) for j in range(3))
+    direction = (Q(1), Q(0)) if A == 0 else ((-B + _is_square(B * B - 4 * A * C)) / (2 * A), Q(1))
+    return tuple(RatFunc(MultiPoly.const(p) + MultiPoly.var(t) * dv) for p, dv in zip(point, direction))
+
+
+def old_pencil_residual(c, Qt, names, g, gw, point, t):
+    u, w = names
+    out = []
+    for v, known in ((u, g * g * (MultiPoly.var(u) - point[0])), (w, gw * gw * (MultiPoly.var(w) - point[1]))):
+        other = w if v == u else u
+        lin = exact_div(resultant(c, Qt, other), known).coeffs_in(v)
+        out.append(RatFunc(-lin.get(0, MultiPoly.zero()), lin[1]))
+    return tuple(out)
+
+
+def old_lift(comps, names, frame, t):
+    values = dict(zip(names, comps))
+    if isinstance(frame, PlaneFrame):
+        values[frame.solved] = substitute(frame.expr, values)
+    else:
+        coeffs = frame.relation.coeffs_in(frame.solved)
+        values[frame.solved] = -substitute(coeffs.get(0, MultiPoly.zero()), values) / substitute(coeffs[1], values)
+    return RationalMap3([values[n] for n in "xyz"], (t,))
+
+
+def trinodal_quartic():
+    y_t, z_t = T**3 - 2 * T, T**4 - T
+    return squarefree_part(resultant(X - y_t, Y - z_t, "t"))
+
+
+class TestCurveForm:
+    """Each family's triple [U : V : W] against the former RatFunc route:
+    the same components, and the same lift through a slanted plane and
+    through an edge relation."""
+
+    FRAMES = (
+        plane_frame(2 * Z - X + 3 * Y - 1),
+        # a1 and a0 of unequal degrees: both must be cleared over one power of W
+        EdgeFrame(relation=(X + Y + 3) * Z - X * Y**2 + 2, kept=("x", "y"), solved="z"),
+    )
+
+    CASES = [
+        ("graph-in-y", "x^2*y+y-x^3+1", parametrize_plane_curve, "graph"),
+        ("graph-in-x", "x*y^2+x-y^3", parametrize_plane_curve, "graph"),
+        ("conic-with-point", "x^2+y^2-1", parametrize_conic, "pencil"),
+        ("conic-fractional", "3*x^2-x*y+y^2/2-x-7/2", parametrize_conic, "pencil"),
+        ("line-pair", "x^2-y^2", parametrize_conic, "lines"),
+        ("line-pair-horizontal", "x*y-y^2", parametrize_conic, "lines"),
+        ("triple-point", "x^3-y^4+x*y^3", parametrize_monomial_like, "pencil"),
+        ("shifted-cusp", "(y-1)^2-(x+2)^3", parametrize_monomial_like, "pencil"),
+        ("chart-w", "y*(x^2+1)+x^3+2*x+3", parametrize_monomial_like, "chart-w"),
+        ("chart-w-quartic", "y*(x^3+1)+x^4+x+2", parametrize_monomial_like, "chart-w"),
+        ("chart-u", "x*(y^2+1)+y^3+y+3", parametrize_monomial_like, "chart-u"),
+        ("quartic-adjoint", None, parametrize_quartic_adjoint, "quartic"),
+        ("quartic-adjoint-sheared", "y^4+x^3+7*x*y^2-2*x^2-18*y^2", parametrize_quartic_adjoint, "sheared"),
+    ]
+
+    @pytest.mark.parametrize("text, family, route", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+    def test_triple_matches_ratfunc_route(self, monkeypatch, text, family, route):
+        c = parse_poly(text, ("x", "y")) if text else trinodal_quartic()
+        spied = {}
+        for name in ("_pencil", "_pencil_residual"):
+
+            def spy(*args, _name=name, _real=getattr(devsurf.curves, name)):
+                spied[_name] = args  # the last call builds the result
+                return _real(*args)
+
+            monkeypatch.setattr(devsurf.curves, name, spy)
+        cp = family(PlaneCurve(c, None))
+        U, V, W = cp.form
+        assert gcd_many([U, V, W]).is_constant()
+        coeffs = [cf for e in cp.form for cf in e.terms.values()]
+        assert all(type(cf) is int for cf in coeffs) and math.gcd(*coeffs) == 1
+        assert W.leading()[1] > 0
+        assert cp.names == ("x", "y") and cp.param == "t"
+
+        if route == "graph":
+            old = old_graph(c, cp.names, "t")
+        elif route in ("quartic", "sheared"):
+            args = spied["_pencil_residual"]
+            u_t, w_t = old_pencil_residual(*args)
+            k = next(k for k in range(4) if c.subs_poly({"x": X + k * Y}) == args[0])
+            assert (k > 0) == (route == "sheared")
+            old = (u_t + w_t * k, w_t)
+        else:
+            args = spied["_pencil"]
+            if route == "lines":
+                assert old_pencil(*args) is None
+                old = old_line_pair(*args)
+            else:
+                old = old_pencil(*args)
+                if route == "chart-w":
+                    old = (old[0] / old[1], 1 / old[1])
+                elif route == "chart-u":
+                    old = (1 / old[1], old[0] / old[1])
+        assert (RatFunc(U, W), RatFunc(V, W)) == old
+        assert on_curve(cp, c)
+        for frame in self.FRAMES:
+            assert lift_to_space(cp, frame) == old_lift(old, cp.names, frame, "t")
+
+
 class TestImplicitizeRoundTrip:
     def test_conic_reparametrization_same_implicit_curve(self):
         # implicitize a known conic parametrization, re-parametrize the
@@ -459,8 +646,9 @@ class TestImplicitizeRoundTrip:
         ey = (RatFunc(Y) - circle.components[1]).num
         conic = squarefree_part(resultant(ex, ey, "t"))
         cp = parametrize_conic(PlaneCurve(conic, None))
-        ex2 = (RatFunc(X) - cp.components[0]).num
-        ey2 = (RatFunc(Y) - cp.components[1]).num
+        U, V, W = cp.form
+        ex2 = (RatFunc(X) - RatFunc(U, W)).num
+        ey2 = (RatFunc(Y) - RatFunc(V, W)).num
         conic2 = squarefree_part(resultant(ex2, ey2, "t"))
         assert conic2 == conic.normalized()
 
@@ -568,3 +756,21 @@ class TestLegendre:
         with pytest.raises(PointSearchExhaustedError, match="not found within the search budget"):
             parametrize_conic(PlaneCurve(c, None))
         assert time.perf_counter() - start < 10
+
+
+@pytest.mark.parametrize("module", ["curves", "implicit"])
+def test_curve_modules_never_touch_the_ratfunc_route(module):
+    # a plane curve is one projective triple from parametrizer to lift:
+    # these modules import, bind and name none of the RatFunc route
+    banned = {"RatFunc", "substitute", "compose_is_zero"}
+    tree = ast.parse((Path(devsurf.curves.__file__).parent / f"{module}.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found = {alias.name.split(".")[-1] for alias in node.names} & banned
+        elif isinstance(node, ast.Name):
+            found = {node.id} & banned
+        elif isinstance(node, ast.Attribute):
+            found = {node.attr} & banned
+        else:
+            continue
+        assert not found, f"{module}.py line {node.lineno}: {sorted(found)}"

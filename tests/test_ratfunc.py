@@ -7,7 +7,15 @@ import random
 import pytest
 
 from devsurf.poly import MultiPoly, Q, gcd_many
-from devsurf.ratfunc import RatFunc, RationalMap3, compose_is_zero, substitute, substitute_map, substitute_map_is_zero
+from devsurf.ratfunc import (
+    RatFunc,
+    RationalMap3,
+    _form_is_zero,
+    projective_form,
+    substitute,
+    substitute_map,
+    substitute_map_is_zero,
+)
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.builder import ParamResult, build_conical
 from devsurf.errors import DevsurfError
@@ -121,7 +129,7 @@ def test_compose_is_zero_agrees_with_expansion():
             "y": RatFunc(random_small_multipoly(rng, ("t",), 2)),
         }
         expanded = substitute(p, {v: bindings[v] for v in p.vars})
-        assert compose_is_zero(p, {v: bindings[v] for v in p.vars}, ("t",)) == expanded.is_zero()
+        assert _form_is_zero(p, p.vars, projective_form([bindings[v] for v in p.vars]), ("t",)) == expanded.is_zero()
 
 
 def test_map_rename_and_derivative():
@@ -136,8 +144,9 @@ def test_compose_is_zero_grid_is_complete():
     # each parameter, so a grid one point short would call them zero
     S = MultiPoly.var("s")
     cubic = T * (T - 1) * (T - 2)
-    assert not compose_is_zero(X, {"x": RatFunc(cubic)}, ("t",))
-    assert not compose_is_zero(X * Y, {"x": RatFunc(S * (S - 1)), "y": RatFunc(cubic, T + 5)}, ("s", "t"))
+    assert not _form_is_zero(X, ("x",), projective_form([RatFunc(cubic)]), ("t",))
+    form = projective_form([RatFunc(S * (S - 1)), RatFunc(cubic, T + 5)])
+    assert not _form_is_zero(X * Y, ("x", "y"), form, ("s", "t"))
 
 
 @pytest.mark.parametrize("params", [("t",), ("s", "t")])
@@ -195,7 +204,9 @@ def test_compose_is_zero_against_sympy_cancel(params):
         }
         for P in (p, bumped):
             oracle = compose(P, (X, Y, Z)) == 0
-            assert compose_is_zero(to_multipoly(P, ("x", "y", "z")), bindings, params) == oracle
+            p3 = to_multipoly(P, ("x", "y", "z"))
+            form = projective_form([bindings[v] for v in p3.vars])
+            assert _form_is_zero(p3, p3.vars, form, params) == oracle
             checked[oracle] += 1
 
 
