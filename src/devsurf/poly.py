@@ -43,6 +43,16 @@ head, to its polynomial in the others, the tail, evaluated at powers of
 2^w.  Radices bound the result's exponents and w, by the permanent of
 the entries' L1 norms, its coefficients; the result alone is decoded.
 
+Two univariate images answer the common case before an exact algorithm
+runs.  ``divides`` seeks a nonzero remainder on a coordinate image mod
+2^61 - 1 (``_image_refutes``: every variable but one set to a fixed
+integer).  ``squarefree_part`` certifies a squarefree input on its line
+image (``_line_image``: p on the fixed line a + t*b, its exact integer
+coefficients read from one evaluation at a power of 2) when that image
+keeps its degree mod 2^61 - 1 and is coprime to its derivative there.
+Either image only shortcuts a "no" or a "squarefree"; every other input
+takes the exact route.
+
 The gcd is Brown's dense modular algorithm on plain Python integers:
 images modulo fixed primes below 2^61, each computed by evaluation and
 Newton interpolation one variable at a time down to a univariate
@@ -1135,12 +1145,60 @@ def gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:
     return g
 
 
+# the line a + t*b of ``_line_image``.  Generic entries: a line through
+# small integer points meets the apexes of cones with small integer
+# apexes, and a small b is often a zero of an input's top form; either
+# only sends a squarefree input to the gcd.
+_LINE = ((13, -7, 29), (17, 31, -11))
+
+
+def _line_image(p: MultiPoly) -> list[int]:
+    """Ascending integer coefficients of p'(a + t*b), p' the integer
+    primitive part of the nonconstant p in at most three variables, its
+    i-th variable set to a_i + t*b_i (``_LINE``); a univariate p' is its
+    own image.  Each coefficient is at most B = |p'|_1 * (max |a_i| +
+    max |b_i|)^d in absolute value, d = deg p, so the one integer
+    p'(a + 2^w * b), 2^(w-1) > B, evaluated by Horner's rule one variable
+    at a time, holds them all as balanced base-2^w digits
+    (``_kronecker_det``)."""
+    ints = _primitive_ints(p.terms)[1]
+    d = max(map(sum, ints))
+    if len(p.vars) == 1:
+        return _split_last(ints)[()]
+    a, b = _LINE
+    bound = sum(map(abs, ints.values())) * (max(map(abs, a)) + max(map(abs, b))) ** d
+    w = (bound.bit_length() + 8) // 8 * 8
+    for x in reversed([ai + (bi << w) for ai, bi in zip(a, b)][: len(p.vars)]):
+        ints = {h: functools.reduce(lambda acc, c: acc * x + c, reversed(v), 0) for h, v in _split_last(ints).items()}
+    image = [0] * (d + 1)
+    for (_, k), c in _kronecker_det(ints, w, [d + 1]).items():
+        image[k] = c
+    return image
+
+
 def squarefree_part(p: MultiPoly) -> MultiPoly:
-    """Product of the distinct irreducible factors of p, normalized."""
+    """Product of the distinct irreducible factors of p, normalized.
+
+    A squarefree p in at most three variables is certified with no gcd
+    when its line image q = ``_line_image(p)`` keeps the degree d of p mod
+    P = 2^61 - 1 and is coprime to q' there.  That is sound: if p = g^2 h
+    with g nonconstant, g and h may be taken integer (Gauss's lemma), and
+    q = G^2 H for their images G and H.  The leading coefficient of q is
+    top(p)(b), top the homogeneous part of degree d (the leading
+    coefficient if p is univariate), and top(p) = top(g)^2 top(h); so
+    top(p)(b) != 0 mod P forces top(g)(b) != 0 mod P.  Then G keeps its
+    degree, at least 1, mod P, and G^2 divides q, so G divides gcd(q, q').
+    Every other p takes the gcd of p and its partial derivatives, then
+    one exact division."""
     if p.is_zero():
         raise ValueError("squarefree part of the zero polynomial")
     if p.is_constant():
         return MultiPoly.const(1)
+    if len(p.vars) <= len(_LINE[0]):
+        P = modulus(0)
+        q = [c % P for c in _line_image(p)]
+        if q[-1] and len(gcd_mod(q, [k * c % P for k, c in enumerate(q)][1:], P)) == 1:
+            return p.normalized()
     g = p
     for v in p.vars:
         g = gcd_multi(g, p.derivative(v))

@@ -348,6 +348,17 @@ class TestGoldenReports:
         golden = (GOLDEN_DIR / f"{name}.json").read_text()
         assert produced == golden
 
+    def test_squared_cone_reports_the_cone(self):
+        # not squarefree: squarefree_part takes the gcd route, and every
+        # field but the echoed input is the cone's golden report
+        code, out = run_cli(["implicit", f"({cases.ELLIPTIC_CONE_F})^2"])
+        report = json.loads(out)
+        golden = json.loads((GOLDEN_DIR / "elliptic_cone_implicit.json").read_text())
+        assert code == 0
+        for key in ("input", "timings_ms"):
+            del report[key], golden[key]
+        assert report == golden
+
     def test_emitted_parametrization_passes_own_verify(self):
         code, out = run_cli(["implicit", cases.TANGENT_QUARTIC_F])
         report = json.loads(out)

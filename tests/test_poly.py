@@ -33,7 +33,7 @@ from devsurf.poly import (
 )
 from devsurf.arith import modulus
 from devsurf.cli import main as cli_main
-from devsurf.exprs import parse_poly
+from devsurf.exprs import MAX_CONSTANT_BITS, parse_poly
 from devsurf.implicit import gaussian_form_implicit
 from devsurf.linalg import common_direction, common_point
 from devsurf import poly as poly_module
@@ -692,6 +692,139 @@ class TestSquarefree:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             squarefree_part(MultiPoly.zero())
+
+
+def gcd_route(p):
+    """The squarefree part by gcds alone, the route behind the line-image
+    certificate: p over the gcd of p and its partial derivatives."""
+    g = p
+    for v in p.vars:
+        g = gcd_multi(g, p.derivative(v))
+    return exact_div(p, g).normalized()
+
+
+@contextlib.contextmanager
+def gcd_spy(monkeypatch):
+    """Records every gcd_multi call that squarefree_part makes."""
+    calls = []
+    inner = poly_module.gcd_multi
+    monkeypatch.setattr(poly_module, "gcd_multi", lambda p, q: calls.append((p, q)) or inner(p, q))
+    yield calls
+    monkeypatch.setattr(poly_module, "gcd_multi", inner)
+
+
+class TestSquarefreeCertificate:
+    """squarefree_part certifies a squarefree p on its image on the line
+    a + t*b, a = (13, -7, 29) and b = (17, 31, -11), and takes the gcd route
+    for every input the image leaves open."""
+
+    A, B = (13, -7, 29), (17, 31, -11)
+
+    def substituted(self, p):
+        """p's integer primitive part on the line, by substitution; a
+        univariate p is its own image."""
+        w = MultiPoly.var("w")
+        q = p * (1 / abs(p.content_unit()))
+        q = q.rename_vars({p.vars[0]: "w"}) if len(p.vars) == 1 else q.subs_poly({v: a + b * w for v, a, b in zip(p.vars, self.A, self.B)})
+        return [q.coeff({"w": k}) for k in range(p.total_degree() + 1)]
+
+    def test_line_image_matches_substitution(self):
+        rng = random.Random(20261020)
+        # x + n*y: at n = 1059 the bound 60(n + 1) = 63,600 has 16 bits and the
+        # t-coefficient 31n + 17 = 32,846 exceeds 2^15: w needs a bit above it
+        polys = [X + Y * n for n in range(1, 2200)]
+        polys += [X * Y - Z**3 * Q(7, 4), (X - Y) ** 5 * Z + 1, 3 * Y**2 - 6 * Z + 9, (Y + Z + 1) ** 12]
+        for _ in range(40):
+            names = rng.choice((("x",), ("y", "z"), ("x", "t"), ("x", "y", "z")))
+            polys.append(random_small_multipoly(rng, names, rng.randint(1, 5)) * Q(rng.randint(1, 9), rng.randint(1, 9)))
+        big = 2 ** (MAX_CONSTANT_BITS - 1)
+        polys += [big * X**3 - (big + 1) * Y * Z + big - 3, X**4 * big + Y**4 * (big + 7) - Z * (big - 1)]
+        polys += [(2**61 - 1) * X**2 + Y, T**7 - 3 * T + 5]
+        for p in polys:
+            if not p.is_constant():
+                assert poly_module._line_image(p) == self.substituted(p), p
+
+    def test_matches_gcd_route_and_sympy(self):
+        rng = random.Random(29)
+        sympy_mod = None
+        with contextlib.suppress(ImportError):
+            import sympy as sympy_mod
+        big = 2 ** (MAX_CONSTANT_BITS - 8)
+        cases = []
+        while len(cases) < 50:
+            names = rng.choice((("x",), ("x", "y"), ("y", "z"), ("x", "y", "z")))
+            p = MultiPoly.const(Q(rng.randint(1, 7), rng.randint(1, 7)) * rng.choice((-1, 1)))
+            for _ in range(rng.randint(1, 3)):
+                p *= random_small_multipoly(rng, names, rng.randint(1, 2)) ** rng.choice((1, 1, 2, 3))
+            if p.total_degree() <= 8:
+                cases.append(p)
+        for i in range(6):  # coefficients near the parser's cap
+            names = rng.choice((("x", "y"), ("x", "y", "z")))
+            f = random_small_multipoly(rng, names, 2) * big + random_small_multipoly(rng, names, 1)
+            cases.append(f * (X + 2 * Y - 1) if i else f**2 * (Y - 3))
+        for p in cases:
+            if p.is_constant():
+                continue
+            sf = squarefree_part(p)
+            assert sf == gcd_route(p), p
+            if sympy_mod is not None:
+                expr = sympy_mod.sympify(p.to_text().replace("^", "**"))
+                gens = sympy_mod.symbols(p.vars)
+                assert sympy_mod.Poly(sf.to_text().replace("^", "**"), *gens).monic() == sympy_mod.Poly(
+                    sympy_mod.sqf_part(expr), *gens
+                ).monic()
+
+    def test_squares_are_never_certified(self, monkeypatch):
+        rng = random.Random(4242)
+        squares = [
+            X**2 + Y**2 - Z**2,  # homogeneous: a cone with its apex at the origin
+            4 * X**2 + 9 * Y**2 - 4 * X - 6 * Y - Z**2 + 2,
+            X - 2 * Y + 3 * Z,  # a plane through the origin
+            X**2 + Y - 3,  # free of z
+            Y * Z - 1,  # free of x
+            X**3 - Z**2,  # free of y
+            2 * X - Y + 3 * Z - 1,  # linear
+            31 * X - 17 * Y + 1,  # linear, top form zero at b: its image is a constant
+            X * (11 * Y + 31 * Z) - 1,  # a quadric whose top form is zero at b
+        ]
+        cofactors = [MultiPoly.const(Q(-3, 2)), X + Y + Z, X * Z + 2 * Y, 31 * X - 17 * Y + 5]
+        cofactors += [random_small_multipoly(rng, ("x", "y", "z"), 2) for _ in range(4)]
+        for g in squares:
+            for h in cofactors:
+                for k in (2, 3):
+                    p = g**k * h
+                    with gcd_spy(monkeypatch) as calls:
+                        sf = squarefree_part(p)
+                    assert calls, p
+                    assert sf == gcd_route(p) and sf.total_degree() < p.total_degree(), p
+        # the line has three coordinates: a fourth variable takes the gcd route
+        for p in ((X + T) ** 2 * (Y + Z), (X + Y + Z + T) * (X - T)):
+            with gcd_spy(monkeypatch) as calls:
+                sf = squarefree_part(p)
+            assert calls and sf == gcd_route(p), p
+
+    def test_top_form_vanishing_at_b_is_declined(self, monkeypatch):
+        # 31*17 - 17*31 = 0: the top form vanishes at b, the image drops a degree
+        for p in ((31 * X - 17 * Y) * (X + Z) + Y - 1, (11 * Y + 31 * Z) ** 3 + X * Y - 2, (X + Z * Q(17, 11)) * Y**2 + 5):
+            with gcd_spy(monkeypatch) as calls:
+                sf = squarefree_part(p)
+            assert calls, p
+            assert sf == p.normalized() == gcd_route(p)
+
+    def test_certified_with_no_gcd(self, monkeypatch):
+        rng = random.Random(1)
+        monomials = [e for e in itertools.product(range(5), repeat=3) if sum(e) <= 4]
+        quartic = MultiPoly(("x", "y", "z"), {e: Q(rng.choice((-3, -2, -1, 1, 2, 3))) for e in monomials})
+        certified = [quartic, quartic * Q(-5, 7), X**4 + Y + Z, Y**4 + X + Z, Z**4 + X + Y, X**2 + Y**2 - 1, T**3 - T]
+        for p in certified:
+            with gcd_spy(monkeypatch) as calls:
+                sf = squarefree_part(p)
+            assert not calls, p
+            assert sf == p.normalized()
+        cone = X**2 + Y**2 - Z**2
+        with gcd_spy(monkeypatch) as calls:
+            assert squarefree_part(cone**2) == cone
+        assert calls
 
 
 class TestDivision:

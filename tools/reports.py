@@ -37,11 +37,14 @@ proves it smooth modulo the second prime.  Then two non-developable
 inputs with 20-digit coefficients, whose determinants need Kronecker
 slots wider than 64 bits: a dense quartic surface, every monomial of
 degree at most 4 with signs alternating in the degree, and a ruled map.
-When two
-commits print the same text, they agree on every exit code,
-classification, apex, direction, printed K, parametrization, implicit
-equation and failure text of the benchmark inputs.  perfbench/gen.py is imported as
-it is, so sympy is needed, as for the benchmark.
+Last, two inputs that are not squarefree, so that ``squarefree_part``
+declines its line-image certificate and takes the gcd: the squared
+elliptic cone, whose verdict and parametrization are those of the cone,
+and a squared cone times a plane.  When two commits print the same text,
+they agree on every exit code, classification, apex, direction, printed
+K, parametrization, implicit equation and failure text of the benchmark
+inputs.  perfbench/gen.py is imported as it is, so sympy is needed, as
+for the benchmark.
 """
 
 from __future__ import annotations
@@ -86,6 +89,8 @@ EXTRA = (
     )]),
     ("ruled map with 20-digit coefficients",
      ["parametric", "(s*(t^2 + 123456789012345678901) + t, 98765432109876543210*s*t + t^2, s*t^2 - 55555555555555555555*t^3 + s)"]),
+    ("squared elliptic cone", ["implicit", "(4*x^2 + 9*y^2 - 4*x - 6*y - z^2 + 2)^2"]),
+    ("squared cone times a plane", ["implicit", "(x^2+y^2-z^2)^2*(x+y+2)"]),
 )
 
 
