@@ -6,8 +6,7 @@ that contain the rulings, then a single Sylvester resultant in t."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DevsurfError
 from .linalg import _rref, coefficient_rows, nullspace
@@ -20,8 +19,7 @@ CYLINDRICAL = "Cylindrical"
 TANGENTIAL = "Tangential"
 
 
-@dataclass(frozen=True)
-class ParamResult:
+class ParamResult(NamedTuple):
     """Standard-form ruled parametrization with its verification state."""
 
     p0: RationalMap3            # directrix, parameter t
@@ -49,7 +47,7 @@ class ParamResult:
         )
 
     def with_verification(self, certificate: str) -> "ParamResult":
-        return replace(self, verified=True, certificate=certificate)
+        return self._replace(verified=True, certificate=certificate)
 
 
 def ruling_triple_product(p0: RationalMap3, p1: RationalMap3) -> RatFunc:

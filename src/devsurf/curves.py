@@ -29,9 +29,8 @@ modulo that prime (bad reduction included) gets no claim.  That prime is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .arith import eval_mod, gcd_mod, legendre, modulus, newton_step, res_mod, trim
 from .errors import NotRationalError, PointSearchExhaustedError, UnsupportedCurveError
@@ -55,8 +54,7 @@ from .ratfunc import RationalMap3, _cleared, _form_is_zero, _primitive
 COORDS = ("x", "y", "z")
 
 
-@dataclass(frozen=True)
-class PlaneFrame:
+class PlaneFrame(NamedTuple):
     """Embedding of a coordinate plane section back into 3-space."""
 
     plane: MultiPoly          # linear polynomial in x, y, z defining the plane
@@ -65,8 +63,7 @@ class PlaneFrame:
     expr: MultiPoly           # linear polynomial in kept giving the solved value
 
 
-@dataclass(frozen=True)
-class EdgeFrame:
+class EdgeFrame(NamedTuple):
     """Lift data for a space curve given by a projection plus one more
     equation that is linear in the remaining coordinate along the curve."""
 
@@ -75,8 +72,7 @@ class EdgeFrame:
     solved: str
 
 
-@dataclass(frozen=True)
-class PlaneCurve:
+class PlaneCurve(NamedTuple):
     poly: MultiPoly
     frame: object = None      # PlaneFrame | EdgeFrame | None
 
@@ -90,8 +86,7 @@ class PlaneCurve:
         raise ValueError("plane curve without a frame must use two variables")
 
 
-@dataclass(frozen=True)
-class CurveParam:
+class CurveParam(NamedTuple):
     form: tuple[MultiPoly, MultiPoly, MultiPoly]  # [U : V : W], the kept coordinates U/W, V/W
     names: tuple[str, str]
     param: str
@@ -830,11 +825,12 @@ def parametrize_plane_curve(
 
 
 # candidate section planes n.(x, y, z) + b with their integer normals n and
-# constants b, in sweep order: x, y, z, x - z, x + y + z = c for each c
+# constants b, in sweep order: x, y, z, x - z, x + y + z = c for each c;
+# each is made from its terms, and _make drops zero terms and unused variables
 _PLANES = tuple(
-    (sum((MultiPoly.var(v) * n for v, n in zip(COORDS, normal)), MultiPoly.const(-c)), normal, -c)
+    (MultiPoly._make(COORDS, {(0, 0, 0): -c, (1, 0, 0): n[0], (0, 1, 0): n[1], (0, 0, 1): n[2]}), n, -c)
     for c in (0, 1, -1, 2, -2, 3, -3)
-    for normal in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (1, 1, 1))
+    for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (1, 1, 1))
 )
 
 

@@ -40,9 +40,8 @@ comes from a bounded cache in ``poly``.  ``parse(print(v))`` reproduces
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from operator import add
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .poly import MultiPoly, Q, _canon, _mul_terms, canonical_vars
 from .ratfunc import RatFunc, RationalMap3
@@ -354,8 +353,7 @@ def print_map(m: RationalMap3) -> str:
     return m.to_text()
 
 
-@dataclass(frozen=True)
-class SurfaceInput:
+class SurfaceInput(NamedTuple):
     """Either an implicit surface polynomial or a parametric surface map."""
 
     kind: str  # "implicit" | "parametric"

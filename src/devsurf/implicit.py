@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from operator import mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DegenerateInputError, DevsurfError, NotRationalError
 from .linalg import common_direction, common_point
@@ -58,8 +57,7 @@ PLANE = "Plane"
 UNRESOLVED = "DevelopableUnresolved"
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class SurfaceClass(NamedTuple):
     """Classification verdict for a surface."""
 
     tag: str
@@ -209,13 +207,24 @@ def classify_implicit(F: MultiPoly) -> tuple[SurfaceClass, MultiPoly, MultiPoly]
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ImplicitAnalysis:
-    classification: SurfaceClass
-    k_poly: MultiPoly
-    surface: MultiPoly           # squarefree normalized input
-    parametrization: object = None   # ParamResult | None
-    failure: str = ""
+    """The implicit pipeline's result, filled in as the analysis goes."""
+
+    __slots__ = ("classification", "k_poly", "surface", "parametrization", "failure")
+
+    def __init__(
+        self,
+        classification: SurfaceClass,
+        k_poly: MultiPoly,
+        surface: MultiPoly,          # squarefree normalized input
+        parametrization=None,        # ParamResult | None
+        failure: str = "",
+    ):
+        self.classification = classification
+        self.k_poly = k_poly
+        self.surface = surface
+        self.parametrization = parametrization
+        self.failure = failure
 
 
 def _plane_param(Fs: MultiPoly):

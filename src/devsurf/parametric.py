@@ -16,8 +16,7 @@ implicitizing the rebuilt surface and substituting the original map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     DegenerateInputError,
@@ -53,8 +52,7 @@ from .builder import (
 )
 
 
-@dataclass(frozen=True)
-class NormalData:
+class NormalData(NamedTuple):
     """Tangent plane of a surface P = X/W, read off its stored form, as four
     polynomials: the plane at P(s, t) is M1*x + M2*y + M3*z + M4 = 0, with
     (M1, M2, M3) = W^3 * (P_s x P_t)."""
@@ -366,13 +364,24 @@ def _mobius_normalized(curve: RationalMap3, kept: tuple[str, str]) -> RationalMa
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ParametricAnalysis:
-    classification: SurfaceClass
-    k_func: RatFunc
-    parametrization: Optional[ParamResult] = None
-    implicit_equation: Optional[MultiPoly] = None
-    failure: str = ""
+    """The parametric pipeline's result, filled in as the analysis goes."""
+
+    __slots__ = ("classification", "k_func", "parametrization", "implicit_equation", "failure")
+
+    def __init__(
+        self,
+        classification: SurfaceClass,
+        k_func: RatFunc,
+        parametrization: Optional[ParamResult] = None,
+        implicit_equation: Optional[MultiPoly] = None,
+        failure: str = "",
+    ):
+        self.classification = classification
+        self.k_func = k_func
+        self.parametrization = parametrization
+        self.implicit_equation = implicit_equation
+        self.failure = failure
 
 
 def _implicitized(result: ParamResult, P: RationalMap3, refine: bool) -> Optional[tuple[ParamResult, MultiPoly]]:

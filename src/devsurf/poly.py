@@ -488,7 +488,11 @@ class MultiPoly:
         """Integer-primitive representative with positive leading coefficient."""
         if not self.terms:
             return self
-        _, ints = _primitive_ints(self.terms)
+        return self._signed(_primitive_ints(self.terms)[1])
+
+    def _signed(self, ints: Mapping[tuple[int, ...], int]) -> "MultiPoly":
+        """``normalized`` from the integer primitive part ``ints`` of the
+        nonzero self, when the caller has it already."""
         if self.leading()[1] > 0:
             return self if ints is self.terms else MultiPoly._make(self.vars, ints)
         return MultiPoly._make(self.vars, {e: -n for e, n in ints.items()})
@@ -1152,16 +1156,16 @@ def gcd_many(polys: Iterable[MultiPoly]) -> MultiPoly:
 _LINE = ((13, -7, 29), (17, 31, -11))
 
 
-def _line_image(p: MultiPoly) -> list[int]:
+def _line_image(p: MultiPoly, ints: Mapping[tuple[int, ...], int]) -> list[int]:
     """Ascending integer coefficients of p'(a + t*b), p' the integer
-    primitive part of the nonconstant p in at most three variables, its
-    i-th variable set to a_i + t*b_i (``_LINE``); a univariate p' is its
-    own image.  Each coefficient is at most B = |p'|_1 * (max |a_i| +
-    max |b_i|)^d in absolute value, d = deg p, so the one integer
+    primitive part of the nonconstant p in at most three variables (its
+    terms ``ints``, from ``_primitive_ints``), its i-th variable set to
+    a_i + t*b_i (``_LINE``); a univariate p' is its own image.  Each
+    coefficient is at most B = |p'|_1 * (max |a_i| + max |b_i|)^d in
+    absolute value, d = deg p, so the one integer
     p'(a + 2^w * b), 2^(w-1) > B, evaluated by Horner's rule one variable
     at a time, holds them all as balanced base-2^w digits
     (``_kronecker_det``)."""
-    ints = _primitive_ints(p.terms)[1]
     d = max(map(sum, ints))
     if len(p.vars) == 1:
         return _split_last(ints)[()]
@@ -1196,9 +1200,10 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
         return MultiPoly.const(1)
     if len(p.vars) <= len(_LINE[0]):
         P = modulus(0)
-        q = [c % P for c in _line_image(p)]
+        ints = _primitive_ints(p.terms)[1]
+        q = [c % P for c in _line_image(p, ints)]
         if q[-1] and len(gcd_mod(q, [k * c % P for k, c in enumerate(q)][1:], P)) == 1:
-            return p.normalized()
+            return p._signed(ints)
     g = p
     for v in p.vars:
         g = gcd_multi(g, p.derivative(v))

@@ -80,6 +80,45 @@ def tangent_dev_map():
     return parse_map(cases.TANGENT_DEV_MAP, params=("s", "t"))
 
 
+def check_frozen_record(cls, fields: dict, changed: dict):
+    """The semantics of an immutable record of type ``cls`` built from
+    ``fields`` (every field, in declaration order): positional and keyword
+    construction agree; no field can be assigned and no attribute added;
+    records with equal fields compare equal and hash as the tuple of their
+    fields, and changing any field of ``changed`` to its value there makes
+    them unequal; the repr is Name(field=value, ...)."""
+    rec = cls(**fields)
+    again = cls(*fields.values())
+    assert rec == again and hash(rec) == hash(again) == hash(tuple(fields.values()))
+    assert [getattr(rec, k) for k in fields] == list(fields.values())
+    for k, v in changed.items():
+        assert rec != cls(**{**fields, k: v}), k
+    for k in [*fields, "extra"]:
+        with pytest.raises(AttributeError):
+            setattr(rec, k, None)
+    assert [getattr(rec, k) for k in fields] == list(fields.values())
+    assert repr(rec) == f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+    return rec
+
+
+def check_mutable_record(cls, fields: dict, defaults: dict):
+    """The calls that build a mutable record of type ``cls`` from
+    ``fields`` (every field, in declaration order), the last of them
+    optional with the given ``defaults``: positional, keyword and mixed
+    calls agree, a required field cannot be left out, and every field can
+    be assigned."""
+    values, n = list(fields.values()), len(fields) - len(defaults)
+    for rec in (cls(*values), cls(**fields), cls(*values[:n], **dict(list(fields.items())[n:]))):
+        assert [getattr(rec, k) for k in fields] == values
+    with pytest.raises(TypeError):
+        cls(*values[: n - 1])
+    rec = cls(*values[:n])
+    assert [getattr(rec, k) for k in defaults] == list(defaults.values())
+    for k, v in fields.items():
+        setattr(rec, k, v)
+    assert [getattr(rec, k) for k in fields] == values
+
+
 # ---------------------------------------------------------------------------
 # independent brute-force oracles
 # ---------------------------------------------------------------------------

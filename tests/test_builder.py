@@ -18,7 +18,7 @@ from devsurf.builder import (
     ruling_triple_product,
     verify_on_surface,
 )
-from conftest import random_cone, random_cylinder, random_space_curve, random_tangent_surface, rf_sub
+from conftest import check_frozen_record, random_cone, random_cylinder, random_space_curve, random_tangent_surface, rf_sub
 import cases
 
 X, Y, Z, T = (MultiPoly.var(v) for v in "xyzt")
@@ -424,3 +424,24 @@ class TestTripleProduct:
         p0 = parse_map("( 0, t, 0 )", params=("t",))
         p1 = parse_map("( 1, 0, t )", params=("t",))
         assert not ruling_triple_product(p0, p1).is_zero()
+
+
+class TestParamResultRecord:
+    def fields(self):
+        built = build_conical((0, 0, 1), parse_map(CIRCLE_Z1, params=("t",)))
+        return dict(p0=built.p0, p1=built.p1, kind="Conical", verified=False, certificate="", refined=False)
+
+    def test_frozen_record(self):
+        fields = self.fields()
+        changed = dict(p0=fields["p1"], p1=fields["p0"], kind="Cylindrical", verified=True, certificate="c", refined=True)
+        check_frozen_record(ParamResult, fields, changed)
+        assert ParamResult(fields["p0"], fields["p1"], "Conical") == ParamResult(**fields)
+
+    def test_with_verification_returns_a_new_record(self):
+        fields = self.fields()
+        result = ParamResult(**{**fields, "refined": True})
+        verified = result.with_verification("proof")
+        assert type(verified) is ParamResult and verified is not result
+        assert verified == ParamResult(**{**fields, "refined": True, "verified": True, "certificate": "proof"})
+        assert result == ParamResult(**{**fields, "refined": True})
+        assert verified.full_map() == result.full_map()

@@ -8,12 +8,14 @@ import json
 import os
 import pickle
 import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import devsurf
 from devsurf.arith import decimal
 from devsurf.cli import main
 
@@ -467,3 +469,14 @@ class TestParserReuse:
             assert self._stable(a) == self._stable(b)
         # a flag given to one call does not leak into the next
         assert json.loads(reused[5][1])["parametrization"]["refined"] is True
+
+
+def test_fresh_import_loads_no_oracle_or_introspection_modules():
+    # devsurf runs as a one-shot process, so its import is part of every
+    # verdict: it must not load the sympy test oracle, nor dataclasses or
+    # the inspect, ast and dis machinery that dataclasses pulls in
+    code = "import sys, devsurf.cli; print(sorted({'sympy', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(Path(devsurf.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

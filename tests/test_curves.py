@@ -32,7 +32,7 @@ from devsurf.curves import (
 from devsurf.curves import _conic_point_decision, _is_square, _smooth_genus
 from devsurf.arith import factor, gcd_mod, is_prime, legendre, modulus, newton_step, res_mod
 
-from conftest import map2_with_zero, random_space_curve, rf_subs, ternary_form_solvable
+from conftest import check_frozen_record, map2_with_zero, random_space_curve, rf_subs, ternary_form_solvable
 
 import cases
 
@@ -774,3 +774,48 @@ def test_curve_modules_never_touch_the_ratfunc_route(module):
         else:
             continue
         assert not found, f"{module}.py line {node.lineno}: {sorted(found)}"
+
+
+class TestRecords:
+    def test_plane_frame(self):
+        frame = plane_frame(X + Y + Z - 1)
+        fields = dict(plane=frame.plane, kept=("x", "y"), solved="z", expr=1 - X - Y)
+        assert frame == PlaneFrame(**fields)
+        check_frozen_record(PlaneFrame, fields, dict(plane=X, kept=("y", "x"), solved="y", expr=X))
+
+    def test_edge_frame(self):
+        fields = dict(relation=X * Z - Y, kept=("x", "y"), solved="z")
+        check_frozen_record(EdgeFrame, fields, dict(relation=Z, kept=("y", "x"), solved="x"))
+
+    def test_plane_curve(self):
+        fields = dict(poly=X**2 - Y, frame=EdgeFrame(X * Z - Y, ("x", "y"), "z"))
+        curve = check_frozen_record(PlaneCurve, fields, dict(poly=X - Y, frame=None))
+        assert curve.names == ("x", "y")
+        assert PlaneCurve(Y - Z**2) == PlaneCurve(Y - Z**2, None) and PlaneCurve(Y - Z**2).names == ("y", "z")
+
+    def test_curve_param(self):
+        cp = parametrize_plane_curve(PlaneCurve(Y - X**2), param="t")
+        fields = dict(form=cp.form, names=("x", "y"), param="t", proper=True, tracing_index=1, source=cp.source)
+        assert cp == CurveParam(*fields.values())
+        changed = dict(form=(T, T, T), names=("y", "x"), param="s", proper=False, tracing_index=2, source="other")
+        check_frozen_record(CurveParam, fields, changed)
+
+
+def old_planes():
+    """The candidate section planes as sums of var * n products: the
+    oracle of the term table ``curves._PLANES``."""
+    return tuple(
+        (sum((MultiPoly.var(v) * n for v, n in zip("xyz", normal)), MultiPoly.const(-c)), normal, -c)
+        for c in (0, 1, -1, 2, -2, 3, -3)
+        for normal in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (1, 1, 1))
+    )
+
+
+def test_plane_table_matches_the_arithmetic_construction():
+    table = devsurf.curves.plane_candidates(35)
+    assert table == old_planes() and len(table) == 35
+    assert devsurf.curves.plane_candidates(0) == table[:1] and devsurf.curves.plane_candidates(7) == table[:7]
+    for (plane, normal, b), (old, _, _) in zip(table, old_planes()):
+        assert plane.vars == tuple(v for v, n in zip("xyz", normal) if n)
+        assert list(plane.terms.items()) == list(old.terms.items())
+        assert all(type(c) is int for c in (*plane.terms.values(), *normal, b))

@@ -21,7 +21,7 @@ from devsurf.exprs import (
     print_poly,
 )
 
-from conftest import random_small_multipoly
+from conftest import check_frozen_record, random_small_multipoly
 import cases
 
 X, Y, Z = (MultiPoly.var(v) for v in "xyz")
@@ -142,6 +142,14 @@ def test_surface_input_sniffing():
         SurfaceInput.from_text("7")
     with pytest.raises(ParseError):
         SurfaceInput.from_text("(1, 2, 3)")
+
+
+def test_surface_input_record():
+    sphere, plane = parse_poly(cases.SPHERE_F), parse_map(cases.PLANE_MAP)
+    fields = dict(kind="implicit", implicit=sphere, parametric=None)
+    check_frozen_record(SurfaceInput, fields, dict(kind="parametric", implicit=None, parametric=plane))
+    assert SurfaceInput.from_text(cases.SPHERE_F) == SurfaceInput("implicit", sphere)
+    assert SurfaceInput.from_text(cases.PLANE_MAP) == SurfaceInput("parametric", parametric=plane)
 
 
 # (parser, text, message, line, column).  The messages and positions are

@@ -11,6 +11,7 @@ from devsurf.ratfunc import substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.curves import plane_candidates
 from devsurf.implicit import (
+    ImplicitAnalysis,
     SurfaceClass,
     _sections_by_degree,
     admissible_planes,
@@ -25,7 +26,7 @@ from devsurf.implicit import (
 from devsurf.builder import build_tangential, verify_on_surface
 from devsurf import poly as poly_module
 
-from conftest import bordered_hessian_oracle
+from conftest import bordered_hessian_oracle, check_frozen_record, check_mutable_record
 import cases
 
 X, Y, Z = (MultiPoly.var(v) for v in "xyz")
@@ -520,3 +521,18 @@ class TestSectionSweep:
         a = analyze_implicit(tangent_quartic)
         assert a.parametrization is not None
         assert len(started) == 1  # the classification's, never restarted
+
+
+class TestRecords:
+    def test_surface_class(self):
+        fields = dict(tag="Conical", apex=(Q(1, 2), Q(1, 3), Q(0)), direction=None, edge_system=None, note="")
+        changed = dict(tag="Cylindrical", apex=None, direction=(0, 0, 1), edge_system=(X, Y), note="n")
+        check_frozen_record(SurfaceClass, fields, changed)
+        assert SurfaceClass("Plane") == SurfaceClass(tag="Plane", apex=None, direction=None, edge_system=None, note="")
+
+    def test_analysis_calls(self, elliptic_cone):
+        a = analyze_implicit(elliptic_cone)
+        assert a.parametrization is not None and a.failure == ""
+        names = ("classification", "k_poly", "surface", "parametrization", "failure")
+        fields = {k: getattr(a, k) for k in names}
+        check_mutable_record(ImplicitAnalysis, {**fields, "failure": "f"}, dict(parametrization=None, failure=""))

@@ -23,6 +23,8 @@ from devsurf.builder import (
     ruling_triple_product,
 )
 from devsurf.parametric import (
+    NormalData,
+    ParametricAnalysis,
     _parameter_lines,
     analyze_parametric,
     cuspidal_edge,
@@ -37,7 +39,15 @@ from devsurf.curves import is_proper_curve
 from devsurf.implicit import SurfaceClass, admissible_planes
 from devsurf.cli import main as cli_main
 
-from conftest import random_cone, random_cylinder, random_space_curve, random_tangent_surface, rf_derivative
+from conftest import (
+    check_frozen_record,
+    check_mutable_record,
+    random_cone,
+    random_cylinder,
+    random_space_curve,
+    random_tangent_surface,
+    rf_derivative,
+)
 import cases
 
 X, Y, Z = (MultiPoly.var(v) for v in "xyz")
@@ -580,3 +590,19 @@ class TestTripleProductEquivalence:
             except DegenerateInputError:
                 continue
         assert agreements >= 5
+
+
+class TestRecords:
+    def test_normal_data(self, improper_cone_map, tangent_dev_map):
+        nd = surface_normal(improper_cone_map)
+        fields = dict(m=nd.m, surface=improper_cone_map)
+        check_frozen_record(NormalData, fields, dict(m=surface_normal(tangent_dev_map).m, surface=tangent_dev_map))
+        assert NormalData(*fields.values()).plane() is None
+
+    def test_analysis_calls(self, improper_cone_map):
+        a = analyze_parametric(improper_cone_map)
+        assert a.parametrization is not None and a.implicit_equation is not None and a.failure == ""
+        names = ("classification", "k_func", "parametrization", "implicit_equation", "failure")
+        fields = {k: getattr(a, k) for k in names}
+        defaults = dict(parametrization=None, implicit_equation=None, failure="")
+        check_mutable_record(ParametricAnalysis, {**fields, "failure": "f"}, defaults)
