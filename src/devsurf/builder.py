@@ -194,7 +194,7 @@ def verify_on_surface(p: ParamResult, F: MultiPoly) -> bool:
     F(P) = s^deg F * F(a + p1(t)); for a cylinder (p1 = v constant),
     v.grad F == 0 gives F(P) = F(p0(t)).  Either is then certified in t
     alone, and fails when its identity fails; any other map is certified
-    on the two-parameter grid."""
+    in both parameters, at one Kronecker point (`ratfunc._form_is_zero`)."""
     if not (p.p0.is_constant() or p.p1.is_constant()):
         return substitute_map_is_zero(F, p.full_map())
     grads = [F.derivative(n) for n in COORDS]

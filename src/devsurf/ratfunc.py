@@ -21,12 +21,11 @@ they build), ``builder.reduce_directrix``,
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import MultiPoly, Q, _int_terms, _reindex, canonical_vars, exact_div, gcd_many, gcd_multi, poly_divmod_univar
+from .poly import MultiPoly, Q, _int_terms, canonical_vars, exact_div, gcd_many, gcd_multi, poly_divmod_univar
 
 _ONE = MultiPoly.const(1)
 
@@ -434,16 +433,21 @@ def substitute_map(p: MultiPoly, map3: RationalMap3, coords=("x", "y", "z")) -> 
     return _compose(p, {v: (x, W) for v, x in zip(coords, X)})
 
 
-def _row(terms: list, lead: tuple[int, ...]) -> list[int]:
-    """Coefficients in the last parameter, highest first, at lead."""
-    top = max((e[-1] for e, _ in terms), default=0)
-    row = [0] * (top + 1)
-    for exps, n in terms:
-        for x, e in zip(lead, exps):
-            if e:
-                n *= x**e
-        row[top - exps[-1]] += n
-    return row
+def _power_sum(terms: list, values: Sequence[int], caps: Sequence[int]) -> int:
+    """sum c * prod_i values[i]^e_i over the terms (e, c), e_i <= caps[i],
+    each power computed once."""
+    pows = []
+    for x, cap in zip(values, caps):
+        pw = [1]
+        for _ in range(cap):
+            pw.append(pw[-1] * x)
+        pows.append(pw)
+    acc = 0
+    for exps, c in terms:
+        for pw, e in zip(pows, exps):
+            c *= pw[e]
+        acc += c
+    return acc
 
 
 def _form_is_zero(p: MultiPoly, names: Sequence[str], form: Sequence[MultiPoly], params: Sequence[str]) -> bool:
@@ -454,15 +458,18 @@ def _form_is_zero(p: MultiPoly, names: Sequence[str], form: Sequence[MultiPoly],
 
     For d = deg p, p(X/W) = N/W^d with N = sum_e c_e * X^e * W^(d - |e|)
     the homogenization of p at (X, W), so p(X/W) == 0 exactly when N == 0.
-    In each parameter v, N has degree at most d * max deg_v of W and of the
-    Xi that p involves, so N vanishes on an integer grid one point wider
-    than those bounds in each parameter exactly when N = 0.  The test runs
-    in Python ints: p is scaled to integer coefficients over one
-    denominator, which multiplies N by a nonzero integer.  The grid is
-    walked row by row: each entry is restricted once per value of the
-    first parameter (once in all for one parameter) to a dense coefficient
-    list in the last one, which is then evaluated along the row by
-    Horner's rule.  There is no sampling uncertainty.
+    p is scaled to integer coefficients c_e over one denominator, which
+    multiplies N by a nonzero integer.  As |fg|_1 <= |f|_1 * |g|_1, every
+    coefficient of N is at most B = sum_e |c_e| * prod_i |Xi|_1^e_i *
+    |W|_1^(d - |e|) in absolute value.  N is evaluated once, in Python
+    ints, at the Kronecker point t = T for the last parameter t and, with
+    two parameters (s, t), s = T^(D_t + 1), for T = 2^(bit_length(B) + 1)
+    and D_t = d * max deg_t of W and of the Xi that p involves, which
+    bounds deg_t N.  That makes N(T) a polynomial in T whose coefficients
+    a_k are exactly N's.
+    If N != 0, its lowest nonzero coefficient a_m has 0 < |a_m| <= B < T,
+    while N(T) = a_m * T^m mod T^(m + 1); so N(T) = 0 exactly when N = 0.
+    There is no sampling uncertainty.
     """
     if p.is_zero():
         return True
@@ -473,36 +480,24 @@ def _form_is_zero(p: MultiPoly, names: Sequence[str], form: Sequence[MultiPoly],
         raise ValueError("the substitution certificate supports 1 or 2 parameters")
     d = p.total_degree()
     entries = [form[names.index(v)] for v in p.vars] + [form[-1]]
-    rows_of = []
     for e in entries:
         for v in e.vars:
             if v not in params:
                 raise KeyError(f"unbound variable {v!r}")
-        rows_of.append(list(_reindex(e.terms, e.vars, params).items()))
-    bounds = [d * max(e.degree_in(v) for e in entries) for v in params]
-    caps = [p.degree_in(v) for v in p.vars] + [d - min(map(sum, p.terms))]
     _, coeffs = _int_terms(p.terms)
     terms = [(exps + (d - sum(exps),), c) for exps, c in coeffs.items()]
-    for lead in itertools.product(*(range(b + 1) for b in bounds[:-1])):
-        rows = [_row(r, lead) for r in rows_of]
-        for x in range(bounds[-1] + 1):
-            pows = []
-            for row, cap in zip(rows, caps):
-                val = 0
-                for c in row:
-                    val = val * x + c
-                pw = [1]
-                for _ in range(cap):
-                    pw.append(pw[-1] * val)
-                pows.append(pw)
-            acc = 0
-            for exps, c in terms:
-                for pw, e in zip(pows, exps):
-                    c *= pw[e]
-                acc += c
-            if acc:
-                return False
-    return True
+    caps = [max(col) for col in zip(*(exps for exps, _ in terms))]
+    norms = [sum(map(abs, e.terms.values())) for e in entries]
+    w = _power_sum([(exps, abs(c)) for exps, c in terms], norms, caps).bit_length() + 1
+    # bits per unit of exponent: t = T = 2^w and s = T^(D_t + 1)
+    bits = {params[-1]: w}
+    if len(params) == 2:
+        bits[params[0]] = w * (d * max(e.degree_in(params[1]) for e in entries) + 1)
+    images = []
+    for e in entries:
+        place = [bits[v] for v in e.vars]
+        images.append(sum(n << sum(b * k for b, k in zip(place, exps)) for exps, n in e.terms.items()))
+    return _power_sum(terms, images, caps) == 0
 
 
 def substitute_map_is_zero(p: MultiPoly, map3: RationalMap3, coords=("x", "y", "z")) -> bool:

@@ -282,6 +282,28 @@ class TestVerifyCommand:
             "(4*s^2*t^6 + 4*s^2*t^4 - 8*s^2*t^3)/(t^6 + 2*t^5 + 3*t^4 + 4*t^3 + 3*t^2 + 2*t + 1)"
         )
 
+    def test_composition_expanded_only_for_a_nonzero_residue(self, monkeypatch):
+        # exact_zero is decided by the substitution certificate; the
+        # composition is built once, to print the residue of a mismatch
+        import devsurf.cli
+
+        real = devsurf.cli.substitute_map
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(devsurf.cli, "substitute_map", spy)
+        code, out = run_cli(["verify", "x^2+y^2-z^2", "( s*(1-t^2)/(1+t^2), s*2*t/(1+t^2), s )"])
+        assert code == 0 and json.loads(out)["residue"] == "0" and json.loads(out)["exact_zero"] is True
+        assert calls == []
+        code, out = run_cli(["verify", "x^2+y^2-z^2", "( s*(1-t^2)/(1+t^2), s*2*t/(1+t), s )"])
+        assert code == 4 and len(calls) == 1
+        assert json.loads(out)["residue"] == (
+            "(4*s^2*t^6 + 4*s^2*t^4 - 8*s^2*t^3)/(t^6 + 2*t^5 + 3*t^4 + 4*t^3 + 3*t^2 + 2*t + 1)"
+        )
+
 
 class TestMesh:
     def test_cone_grid_complete(self, tmp_path):

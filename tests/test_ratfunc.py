@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from devsurf.poly import MultiPoly, Q, gcd_many
+from devsurf.poly import MultiPoly, Q, _int_terms, _reindex, gcd_many
 from devsurf.ratfunc import (
     RatFunc,
     RationalMap3,
@@ -230,6 +230,147 @@ def test_form_grid_is_complete(text, params, corner):
         assert (value != 0) == (dict(zip(params, point)) == corner)
     assert not substitute_map_is_zero(X - Y * Z, m)
     assert not substitute_map(X - Y * Z, m).is_zero()
+
+
+def _grid_row(terms, lead):
+    top = max((e[-1] for e, _ in terms), default=0)
+    row = [0] * (top + 1)
+    for exps, n in terms:
+        for x, e in zip(lead, exps):
+            if e:
+                n *= x**e
+        row[top - exps[-1]] += n
+    return row
+
+
+def _grid_form_is_zero(p, names, form, params):
+    """Oracle: the grid certificate that `_form_is_zero` replaced.
+    N = p^h(X, W), scaled to integers, is evaluated at every point of the
+    integer grid one point wider than d * max deg_v of the entries in each
+    parameter v, one Horner row in the last parameter per point."""
+    if p.is_zero():
+        return True
+    if p.is_constant():
+        return p.constant_value() == 0
+    params = tuple(params)
+    d = p.total_degree()
+    entries = [form[names.index(v)] for v in p.vars] + [form[-1]]
+    rows_of = [list(_reindex(e.terms, e.vars, params).items()) for e in entries]
+    bounds = [d * max(e.degree_in(v) for e in entries) for v in params]
+    caps = [p.degree_in(v) for v in p.vars] + [d - min(map(sum, p.terms))]
+    _, coeffs = _int_terms(p.terms)
+    terms = [(exps + (d - sum(exps),), c) for exps, c in coeffs.items()]
+    for lead in itertools.product(*(range(b + 1) for b in bounds[:-1])):
+        rows = [_grid_row(r, lead) for r in rows_of]
+        for x in range(bounds[-1] + 1):
+            pows = []
+            for row, cap in zip(rows, caps):
+                val = 0
+                for c in row:
+                    val = val * x + c
+                pows.append([val**k for k in range(cap + 1)])
+            acc = 0
+            for exps, c in terms:
+                for pw, e in zip(pows, exps):
+                    c *= pw[e]
+                acc += c
+            if acc:
+                return False
+    return True
+
+
+def _homogenized(p, names, form):
+    """N = sum_e c_e * X^e * W^(d - |e|), expanded."""
+    d = p.total_degree()
+    entries = [form[names.index(v)] for v in p.vars] + [form[-1]]
+    N = MultiPoly.zero()
+    for exps, c in p.terms.items():
+        term = MultiPoly.const(c)
+        for e, k in zip(entries, exps + (d - sum(exps),)):
+            term = term * e**k
+        N = N + term
+    return N
+
+
+@pytest.mark.parametrize("params", [("t",), ("s", "t")])
+def test_point_certificate_matches_the_grid(params):
+    # seeded maps with negative coefficients, poles (W nonconstant) and
+    # constant entries; p = (z - x*y - c) * R vanishes on each, p plus one
+    # rational monomial and a random p in x and z mostly do not
+    rng = random.Random(4400 + len(params))
+    checked = {True: 0, False: 0}
+    for m, c in _seeded_maps(4500 + len(params), params, 24):
+        p = (Z - X * Y - c) * random_small_multipoly(rng, ("x", "y", "z"), 1, lo=-5, hi=5)
+        exps = tuple(rng.randint(0, 2) for _ in range(3))
+        bumped = p + MultiPoly(("x", "y", "z"), {exps: Q(rng.choice((-1, 1)), rng.randint(1, 5))})
+        for q in (p, bumped, random_small_multipoly(rng, ("x", "z"), 2) * Q(-2, 3)):
+            oracle = _grid_form_is_zero(q, ("x", "y", "z"), m.form, params)
+            assert _form_is_zero(q, ("x", "y", "z"), m.form, params) == oracle
+            checked[oracle] += 1
+    assert min(checked.values()) >= 20
+
+
+@pytest.mark.parametrize(
+    "p, entries",
+    [
+        (X - Y, (S, T**2, T + 1)),  # N = s - t^2, over the pole t = -1
+        (X - Y**2, (S, T, MultiPoly.const(1))),  # N = s - t^2
+        (X - Y**3 * Q(2, 5), (S * 5, -T * 3 + 1, T - 1)),  # N = 5*s*(t - 1)^2 - 2/5*(1 - 3*t)^3
+        (X - 1, (S, T + 7, T)),  # N = s - t, whose t comes from W alone
+        (X - Y, (T, S**2, MultiPoly.const(1))),  # N = t - s^2
+    ],
+)
+def test_point_two_parameter_slot_holds_the_top_t_degree(p, entries):
+    # deg_t N reaches D_t = deg p * max deg_t of the entries, W included,
+    # so s must sit D_t + 1 slots above t.  With s = T^D_t the first two
+    # cases cancel, and so does the fourth if D_t leaves W out; the last
+    # one cancels at t = T^(D_t + 1) and s = T, the two slots traded
+    names, params = ("x", "y"), ("s", "t")
+    N = _homogenized(p, names, entries)
+    assert N.degree_in("t") == p.total_degree() * max(e.degree_in("t") for e in entries)
+    assert not _form_is_zero(p, names, entries, params)
+    assert not _grid_form_is_zero(p, names, entries, params)
+
+
+@pytest.mark.parametrize("k", [1, 7, 64, 100])
+@pytest.mark.parametrize("params", [("t",), ("s", "t")])
+def test_point_certificate_at_the_coefficient_bound(k, params):
+    # entries with positive coefficients only: x = t, y = s, W = 1.  N =
+    # t - 2^k, times s in two parameters, has L1 norm B = 2^k + 1, the
+    # bound, and its lowest coefficient is B - 1, so T must exceed B: T =
+    # 2^k is a root.  Scaling p by 1/3 scales N by a nonzero constant.
+    names = ("x", "y")
+    form = (T, S, MultiPoly.const(1))
+    p = (X - 2**k) * (Y if len(params) == 2 else 1)
+    N = _homogenized(p, names, form)
+    assert sum(map(abs, N.terms.values())) == 2**k + 1 == max(map(abs, N.terms.values())) + 1
+    for q in (p, p * Q(1, 3)):
+        assert not _form_is_zero(q, names, form, params)
+        assert not _grid_form_is_zero(q, names, form, params)
+
+
+@pytest.mark.parametrize("params", [("t",), ("s", "t")])
+@pytest.mark.parametrize(
+    "p, entries",
+    [
+        (X - Y, (2 * T - 1, MultiPoly.const(3), MultiPoly.const(1))),  # N = 2*t - 4
+        (X - 1, (MultiPoly.const(1), T + 5, T - 7)),  # N = 8 - t
+    ],
+)
+def test_point_bound_takes_every_norm_and_sign(params, p, entries):
+    # B sums |c_e| times the L1 norms of every entry, W's too.  Summing the
+    # signed c_e in the first case gives B = 0 and T = 2; leaving W's norm
+    # out in the second gives B = 2 and T = 8; either is a root of N
+    assert not _form_is_zero(p, ("x", "y"), entries, params)
+    assert not _grid_form_is_zero(p, ("x", "y"), entries, params)
+
+
+def test_point_certificate_parameter_errors():
+    U = MultiPoly.var("u")
+    with pytest.raises(ValueError):
+        _form_is_zero(X, ("x",), (U, MultiPoly.const(1)), ("s", "t", "u"))
+    with pytest.raises(KeyError):
+        _form_is_zero(X, ("x",), (U, MultiPoly.const(1)), ("t",))
 
 
 def _seeded_maps(seed, params, count=25):

@@ -40,10 +40,14 @@ degree at most 4 with signs alternating in the degree, and a ruled map.
 Last, two inputs that are not squarefree, so that ``squarefree_part``
 declines its line-image certificate and takes the gcd: the squared
 elliptic cone, whose verdict and parametrization are those of the cone,
-and a squared cone times a plane.  When two commits print the same text,
-they agree on every exit code, classification, apex, direction, printed
-K, parametrization, implicit equation and failure text of the benchmark
-inputs.  perfbench/gen.py is imported as it is, so sympy is needed, as
+and a squared cone times a plane.  Last, two ``verify`` calls, whose
+exact_zero the substitution certificate decides: README's matching pair
+(a cone and its rational parametrization), and the same cone against a
+map whose components have the distinct denominators t^2 + 1 and t + 1,
+which prints its nonzero residue over the one denominator of the stored
+form.  When two commits print the same text, they agree on every exit
+code, classification, apex, direction, printed K, parametrization,
+implicit equation, failure text and verify residue of these inputs.  perfbench/gen.py is imported as it is, so sympy is needed, as
 for the benchmark.
 """
 
@@ -91,6 +95,8 @@ EXTRA = (
      ["parametric", "(s*(t^2 + 123456789012345678901) + t, 98765432109876543210*s*t + t^2, s*t^2 - 55555555555555555555*t^3 + s)"]),
     ("squared elliptic cone", ["implicit", "(4*x^2 + 9*y^2 - 4*x - 6*y - z^2 + 2)^2"]),
     ("squared cone times a plane", ["implicit", "(x^2+y^2-z^2)^2*(x+y+2)"]),
+    ("verify README's cone", ["verify", "x^2+y^2-z^2", "( s*(1-t^2)/(1+t^2), s*2*t/(1+t^2), s )"]),
+    ("verify residue over distinct denominators", ["verify", "x^2+y^2-z^2", "( s*(1-t^2)/(1+t^2), s*2*t/(1+t), s )"]),
 )
 
 
