@@ -223,10 +223,13 @@ def reduce_directrix(p: ParamResult) -> ParamResult:
     """Slide the directrix along the rulings, p0 -> p0 + q(t)*p1, choosing
     q by polynomial division to shrink component degrees.  The surface is
     unchanged; only the base curve moves.  A cone's p0 is its apex, of
-    degree 0, which no candidate can undercut, so it returns p at once."""
+    degree 0, which no candidate can undercut, so it returns p at once.
+    q is a polynomial, so a cylinder's p0 + q*v keeps every reduced
+    denominator: gcd(X_j - q*v_j*W, W) = gcd(X_j, W).  When p0's degree is
+    already its largest denominator degree, it returns p at once too."""
     best = p.p0.components
     best_deg = _map_degree(best)
-    if best_deg == 0:
+    if best_deg == (max(c.den.degree_in("t") for c in best) if p.p1.is_constant() else 0):
         return p
     changed = True
     while changed:

@@ -211,7 +211,7 @@ def _cmd_verify(args) -> int:
         P = parse_map(src, params=("s", "t"))
     except ParseError as err:
         return _input_error("verify", str(err))
-    # the composition is expanded only to print a nonzero residue
+    # a mismatch decodes its residue from the certificate's image
     ok = substitute_map_is_zero(F, P)
     report = {
         "command": "verify",

@@ -31,17 +31,17 @@ trusted constructor ``MultiPoly._make``.
 Besides the arithmetic operators, the module provides the elimination
 toolkit used by the analyzers: formal derivatives, determinants,
 Sylvester resultants, multivariate gcd, squarefree parts, exact
-division, and linear subresultants.  Determinants run on integer rows.
-Sylvester matrices go through fraction-free Bareiss elimination on term
-dicts with each exponent vector packed into one int key, in the radix
-2S + 1 (S bounds a minor's exponents, and each step multiplies two
-minors); its exact divisions by the previous pivot raise ArithmeticError
-on a remainder.  The 3x3 and 4x4 determinants (Laplace expansion) and
-the bordered Hessian (the quadratic form -g^T adj(H) g) multiply
-Kronecker images: an entry maps each exponent of its first variable, the
-head, to its polynomial in the others, the tail, evaluated at powers of
-2^w.  Radices bound the result's exponents and w, by the permanent of
-the entries' L1 norms, its coefficients; the result alone is decoded.
+division, and linear subresultants.  Determinants run on integer rows
+and on Kronecker images of their entries: radices bound the result's
+exponents and a slot width w its coefficients, and the result alone is
+decoded.  ``det_bareiss`` and ``resultant`` map each entry to one int
+and run fraction-free Bareiss elimination on the ints (w from the
+Goldstein-Graham bound), whose exact divisions by the previous pivot
+raise ArithmeticError on a remainder.  The 3x3 and 4x4 determinants
+(Laplace expansion) and the bordered Hessian (the quadratic form -g^T
+adj(H) g) map each exponent of an entry's first variable, the head, to
+its polynomial in the others, the tail, at powers of 2^w (w from the
+permanent of the entries' L1 norms).
 
 Two univariate images answer the common case before an exact algorithm
 runs.  ``divides`` seeks a nonzero remainder on a coordinate image mod
@@ -72,7 +72,7 @@ import itertools
 import math
 from fractions import Fraction
 from operator import add, getitem, mul, neg, sub
-from typing import Collection, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .arith import decimal, divmod_mod, eval_mod, gcd_mod, is_prime, modulus, mul_mod, newton_step, trim
 
@@ -562,29 +562,14 @@ def partial_derivative(p: MultiPoly, var: str) -> MultiPoly:
 
 
 def _add_product(acc: dict, a: Mapping[int, int], b: Mapping[int, int], sign: int) -> None:
-    """acc += sign * a * b on term dicts whose keys add: packed exponents,
-    or head exponents with Kronecker images as values."""
+    """acc += sign * a * b on term dicts whose keys add: head exponents with
+    Kronecker images as values."""
     get = acc.get
     for ka, ca in a.items():
         ca *= sign
         for kb, cb in b.items():
             key = ka + kb
             acc[key] = get(key, 0) + ca * cb
-
-
-def _unpack_all(keys: Collection[int], radix: Sequence[int]) -> list[tuple[int, ...]]:
-    """The exponent tuples of packed keys, in order, one pass per variable."""
-    cols = []
-    place = 1
-    for base in radix:
-        cols.append([key // place % base for key in keys])
-        place *= base
-    return list(zip(*cols)) if cols else [()] * len(keys)
-
-
-def _decode(variables: tuple[str, ...], radix: Sequence[int], acc: Mapping[int, int], num: int, den: int) -> MultiPoly:
-    """num/den times the integer term dict acc with packed keys."""
-    return MultiPoly._make(variables, dict(zip(_unpack_all(acc, radix), [_ratio(c * num, den) for c in acc.values()])))
 
 
 def _int_grid(rows: Sequence[Sequence[MultiPoly]]):
@@ -649,10 +634,10 @@ def _kronecker_det(image: Mapping[int, int], w: int, radix: Sequence[int]) -> di
     Evaluation at 2^w is a ring homomorphism, so the entries' images
     multiply and add to the determinant's, and only the result must fit:
     tail exponents below their radices, coefficients below 2^(w-1) in
-    absolute value (``_slot_width``).  An offset of 2^(w-1) per slot makes
-    each a digit in [0, 2^w), with no borrow, read from the sum's bytes; if
-    slot m is the top nonzero one, |image| > 2^(w*m - 1), so bit_length //
-    w + 1 slots hold them all."""
+    absolute value (``_slot_width``, ``_det_image``).  An offset of 2^(w-1)
+    per slot makes each a digit in [0, 2^w), with no borrow, read from the
+    sum's bytes; if slot m is the top nonzero one, |image| > 2^(w*m - 1),
+    so bit_length // w + 1 slots hold them all."""
     size, half = w // 8, 1 << (w - 1)
     zero = half.to_bytes(size, "little")
     out = {}
@@ -665,6 +650,44 @@ def _kronecker_det(image: Mapping[int, int], w: int, radix: Sequence[int]) -> di
             if digit != zero:
                 out[key] = int.from_bytes(digit, "little") - half
     return out
+
+
+def _det_image(entries: list, rows: list, variables: tuple, radix: Sequence[int], num: int, den: int) -> MultiPoly:
+    """num/den times the determinant of a square grid over variables whose
+    entry rj is entries[rows[r][j]] = (names, terms, f), f times an integer
+    term dict over names (weight 0 for a name not in variables), so that a
+    Sylvester band maps each coefficient once.  An entry maps to one int,
+    variable i at 2^(w * place_i), place_i the product of the radices after
+    i.  Every coefficient of the determinant is at most B = isqrt(prod_r
+    sum_j |m_rj|_1^2) (Goldstein & Graham, SIAM Review 16, 1974), and w =
+    bit_length(B) + 1 in whole bytes.  Bareiss's elimination (Math. Comp.
+    22, 1968) runs on the ints: evaluation is a ring map, so each division
+    by the previous pivot is exact (Sylvester's identity), and a remainder
+    raises ArithmeticError.  Only the result is decoded."""
+    norms = [sum(map(abs, terms.values())) * f for _, terms, f in entries]
+    w = (math.isqrt(math.prod(sum(norms[i] ** 2 for i in row) for row in rows)).bit_length() + 8) // 8 * 8
+    shift = dict(zip(variables, [w * math.prod(radix[i + 1 :]) for i in range(len(radix))]))  # bits per unit
+    images = []
+    for names, terms, f in entries:
+        weights = [shift.get(v, 0) for v in names]
+        images.append(sum([n * f << sum(map(mul, weights, e)) for e, n in terms.items()]))
+    m = [[images[i] for i in row] for row in rows]
+    n, sign, prev = len(m), 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return MultiPoly._make((), {})
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        top = m[k]
+        for row in m[k + 1 :]:
+            for j in range(k + 1, n):
+                row[j], r = divmod(top[k] * row[j] - row[k] * top[j], prev)
+                if r:
+                    raise ArithmeticError("fraction-free elimination lost exactness")
+        prev = top[k]
+    terms = _kronecker_det({0: sign * (m[-1][-1] if m else 1)}, w, radix)
+    return MultiPoly._make(variables, {e[1:]: _ratio(c * num, den) for e, c in terms.items()})
 
 
 def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -772,55 +795,13 @@ def det4(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 
 def det_bareiss(rows: list[list[MultiPoly]]) -> MultiPoly:
-    """Determinant of a square polynomial grid by fraction-free elimination
-    (Bareiss, Math. Comp. 22, 1968) on the integer rows of ``_int_grid``.
-
-    After step k every entry of the trailing rows is a (k+1)x(k+1) minor of
-    the integer grid: it has integer coefficients and no exponent above S.
-    Each product in the numerator m[k][k]*m[i][j] - m[i][k]*m[k][j] takes
-    two such minors, with exponents up to 2S, so the radix is 2S + 1;
-    with S + 1 its keys would carry into the next variable.
-    The exact division by the previous pivot takes two steps: by the
-    pivot's signed content (a constant pivot divides by itself, sign
-    included), then by the primitive part through ``_quotient`` on
-    unpacked exponent tuples.  A remainder in either step raises
-    ArithmeticError."""
+    """Determinant of a square polynomial grid: ``_det_image`` on
+    ``_int_grid``'s integer rows, radix S + 1 (a term takes one entry per
+    row); the row scales are divided out of the result alone."""
+    variables, top, scale, grid = _int_grid(rows)
+    entries = [(p.vars, terms, f) for prow, row in zip(rows, grid) for p, (terms, f) in zip(prow, row)]
     n = len(rows)
-    if n == 0:
-        return MultiPoly.const(1)
-    variables, bounds, scale, grid = _int_grid(rows)
-    radix = [2 * s + 1 for s in bounds]
-    place = list(itertools.accumulate(radix, mul, initial=1))
-    place_of = dict(zip(variables, place))
-    m = []
-    for poly_row, row in zip(rows, grid):
-        weights = [[place_of[v] for v in p.vars] for p in poly_row]
-        m.append([{sum(map(mul, w, e)): c * f for e, c in terms.items()} for w, (terms, f) in zip(weights, row)])
-    sign, content, prim = 1, 1, None
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return MultiPoly.zero()
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        top = m[k]
-        for row in m[k + 1 :]:
-            for j in range(k + 1, n):
-                acc: dict[int, int] = {}
-                _add_product(acc, top[k], row[j], 1)
-                _add_product(acc, row[k], top[j], -1)
-                out = {key: c // content for key, c in acc.items() if c}
-                if any(c % content for c in acc.values()):
-                    out = None
-                elif prim is not None and out:
-                    out = _quotient(dict(zip(_unpack_all(out, radix), out.values())), prim)
-                if out is None:
-                    raise ArithmeticError("fraction-free elimination lost exactness")
-                row[j] = out if prim is None else {sum(map(mul, place, e)): c for e, c in out.items()}
-        content = math.gcd(*top[k].values()) * (1 if next(iter(top[k].values())) > 0 else -1)
-        prim = None if list(top[k]) == [0] else dict(zip(_unpack_all(top[k], radix), [c // content for c in top[k].values()]))
-    return _decode(variables, radix, m[n - 1][n - 1], sign, scale)
+    return _det_image(entries, [range(r * n, r * n + n) for r in range(n)], variables, [s + 1 for s in top], 1, scale)
 
 
 def sylvester_matrix(p: MultiPoly, q: MultiPoly, var: str, k: int = 0) -> list[list[MultiPoly]]:
@@ -844,6 +825,11 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     rows on top, i.e. lc(p)^deg(q) * prod q(alpha) over the roots of p.
     Swapping the arguments flips the sign when deg(p)*deg(q) is odd;
     some systems use that opposite convention.
+
+    For p = cp * P and q = cq * Q, P and Q integer primitive, each of their
+    coefficients in var is one int image, shared by its rows, and
+    ``_det_image`` gives cp^deg q * cq^deg p * Res(P, Q); another variable v
+    has the radix deg q * deg_v p + deg p * deg_v q + 1.
     """
     if p.is_zero() or q.is_zero():
         raise ValueError("resultant of a zero polynomial")
@@ -855,7 +841,19 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
         return p**n
     if n == 0:
         return q**m
-    return det_bareiss(sylvester_matrix(p, q, var))
+    variables = canonical_vars(v for f in (p, q) for v in f.vars if v != var)
+    radix = [n * p.degree_in(v) + m * q.degree_in(v) + 1 for v in variables]
+    entries, matrix, scale = [((), {}, 1)], [], Q(1)  # entries[0] is zero
+    for f, d, count in ((p, m, n), (q, n, m)):
+        content, ints = _primitive_ints(f.terms)
+        at, band = f.vars.index(var), list(range(len(entries), len(entries) + d + 1))
+        coeffs = [{} for _ in band]  # coeffs[i]: the terms with var^(d - i)
+        for e, c in ints.items():
+            coeffs[d - e[at]][e] = c
+        entries += [(f.vars, terms, 1) for terms in coeffs]  # var's exponent gets weight 0
+        matrix += [[0] * i + band + [0] * (count - 1 - i) for i in range(count)]
+        scale *= content**count
+    return _det_image(entries, matrix, variables, radix, *_num_den(scale))
 
 
 def exact_div(q: MultiPoly, p: MultiPoly) -> Optional[MultiPoly]:

@@ -25,7 +25,17 @@ import math
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import MultiPoly, Q, _int_terms, canonical_vars, exact_div, gcd_many, gcd_multi, poly_divmod_univar
+from .poly import (
+    MultiPoly,
+    Q,
+    _int_terms,
+    _kronecker_det,
+    canonical_vars,
+    exact_div,
+    gcd_many,
+    gcd_multi,
+    poly_divmod_univar,
+)
 
 _ONE = MultiPoly.const(1)
 
@@ -427,10 +437,19 @@ def _check_coords(p: MultiPoly, coords) -> None:
 
 
 def substitute_map(p: MultiPoly, map3: RationalMap3, coords=("x", "y", "z")) -> RatFunc:
-    """Substitute a space map X/W into a polynomial in the given coordinates."""
+    """Substitute a space map X/W into a polynomial in the given coordinates:
+    N/W^d for d = deg p and N = p^h(X, W), decoded from the one Kronecker
+    image that the substitution certificate tests (`_form_image`; its slots
+    are whole bytes, so `poly._kronecker_det` reads them), then divided by
+    p's integer denominator.  Nothing is expanded but W^d."""
     _check_coords(p, coords)
-    *X, W = map3.form
-    return _compose(p, {v: (x, W) for v, x in zip(coords, X)})
+    if p.is_constant():
+        return RatFunc(p)
+    image, w, step, den = _form_image(p, coords, map3.form, map3.params)
+    # slot k holds the coefficient of s^(k // step) * t^(k % step), or of t^k
+    terms = _kronecker_det({0: image}, w, [image.bit_length() // w + 1, step])
+    N = MultiPoly(map3.params, {e[1 : 1 + len(map3.params)]: Q(c, den) for e, c in terms.items()})
+    return RatFunc(N, map3.form[-1] ** p.total_degree())
 
 
 def _power_sum(terms: list, values: Sequence[int], caps: Sequence[int]) -> int:
@@ -463,19 +482,24 @@ def _form_is_zero(p: MultiPoly, names: Sequence[str], form: Sequence[MultiPoly],
     coefficient of N is at most B = sum_e |c_e| * prod_i |Xi|_1^e_i *
     |W|_1^(d - |e|) in absolute value.  N is evaluated once, in Python
     ints, at the Kronecker point t = T for the last parameter t and, with
-    two parameters (s, t), s = T^(D_t + 1), for T = 2^(bit_length(B) + 1)
-    and D_t = d * max deg_t of W and of the Xi that p involves, which
-    bounds deg_t N.  That makes N(T) a polynomial in T whose coefficients
-    a_k are exactly N's.
+    two parameters (s, t), s = T^(D_t + 1), for T = 2^w, w = bit_length(B)
+    + 1 in whole bytes, and D_t = d * max deg_t of W and of the Xi that p
+    involves, which bounds deg_t N (`_form_image`).  That makes N(T) a
+    polynomial in T whose coefficients a_k are exactly N's.
     If N != 0, its lowest nonzero coefficient a_m has 0 < |a_m| <= B < T,
     while N(T) = a_m * T^m mod T^(m + 1); so N(T) = 0 exactly when N = 0.
     There is no sampling uncertainty.
     """
-    if p.is_zero():
-        return True
     if p.is_constant():
-        return p.constant_value() == 0
-    params = tuple(params)
+        return p.is_zero()
+    return _form_image(p, names, form, params)[0] == 0
+
+
+def _form_image(p: MultiPoly, names: Sequence[str], form: Sequence[MultiPoly], params: Sequence[str]):
+    """(N(T), w, step, den) for the nonconstant p: N, T and w as in
+    `_form_is_zero`, step the slots per unit of the first parameter (D_t + 1
+    for two, 1 for one) and den the denominator of p's integer coefficients
+    c_e, so that `poly._kronecker_det` decodes N(T)."""
     if len(params) not in (1, 2):
         raise ValueError("the substitution certificate supports 1 or 2 parameters")
     d = p.total_degree()
@@ -484,11 +508,11 @@ def _form_is_zero(p: MultiPoly, names: Sequence[str], form: Sequence[MultiPoly],
         for v in e.vars:
             if v not in params:
                 raise KeyError(f"unbound variable {v!r}")
-    _, coeffs = _int_terms(p.terms)
+    den, coeffs = _int_terms(p.terms)
     terms = [(exps + (d - sum(exps),), c) for exps, c in coeffs.items()]
     caps = [max(col) for col in zip(*(exps for exps, _ in terms))]
     norms = [sum(map(abs, e.terms.values())) for e in entries]
-    w = _power_sum([(exps, abs(c)) for exps, c in terms], norms, caps).bit_length() + 1
+    w = (_power_sum([(exps, abs(c)) for exps, c in terms], norms, caps).bit_length() + 8) // 8 * 8
     # bits per unit of exponent: t = T = 2^w and s = T^(D_t + 1)
     bits = {params[-1]: w}
     if len(params) == 2:
@@ -497,7 +521,7 @@ def _form_is_zero(p: MultiPoly, names: Sequence[str], form: Sequence[MultiPoly],
     for e in entries:
         place = [bits[v] for v in e.vars]
         images.append(sum(n << sum(b * k for b, k in zip(place, exps)) for exps, n in e.terms.items()))
-    return _power_sum(terms, images, caps) == 0
+    return _power_sum(terms, images, caps), w, bits[params[0]] // w, den
 
 
 def substitute_map_is_zero(p: MultiPoly, map3: RationalMap3, coords=("x", "y", "z")) -> bool:

@@ -380,6 +380,44 @@ class TestReduceDirectrix:
         reduce_directrix(cylinder)
         assert divisions
 
+    def test_conic_cylinder_returned_without_polynomial_division(self, monkeypatch):
+        # p0 + q*v keeps a cylinder's reduced denominators, so a directrix
+        # whose degree is already its largest denominator degree (a conic's
+        # 2 over (1 + t^2)) is returned as it is, with no division
+        import devsurf.ratfunc
+
+        calls = []
+        divmod_univar = devsurf.ratfunc.poly_divmod_univar
+
+        def spy(*args):
+            calls.append(args)
+            return divmod_univar(*args)
+
+        monkeypatch.setattr(devsurf.ratfunc, "poly_divmod_univar", spy)
+        for text, direction in ((CIRCLE_Z1, (1, 1, 1)), (EQUATOR, (2, -1, 3)), ("( (t^2+1)/(t^2-2), t/(t^2-2), t )", (0, 1, 0))):
+            cylinder = build_cylindrical(direction, parse_map(text, params=("t",)))
+            assert reduce_directrix(cylinder) is cylinder
+        assert calls == []
+
+    def test_directrix_with_a_polynomial_part_still_refines(self, monkeypatch):
+        # a rational directrix of degree 3 over t^2 + 1 and a polynomial one
+        # of degree 3: sliding along x, resp. z, brings each to degree 2
+        import devsurf.ratfunc
+
+        calls = []
+        divmod_univar = devsurf.ratfunc.poly_divmod_univar
+        monkeypatch.setattr(devsurf.ratfunc, "poly_divmod_univar", lambda *a: calls.append(a) or divmod_univar(*a))
+        for text, direction, divided in (
+            ("( (t^3+1)/(t^2+1), t/(t^2+1), 1/(t^2+1) )", (1, 0, 0), True),
+            ("( t, t^2, t^3 )", (0, 0, 1), False),
+        ):
+            calls.clear()
+            cylinder = build_cylindrical(direction, parse_map(text, params=("t",)))
+            reduced = reduce_directrix(cylinder)
+            assert reduced.refined and bool(calls) is divided
+            assert max(max(c.num.degree_in("t"), c.den.degree_in("t")) for c in reduced.p0.components) == 2
+            assert implicitize_ruled(reduced) == implicitize_ruled(cylinder)
+
     def test_adversarial_degrees_drop_back(self):
         rng = random.Random(4)
         base = parse_map("( t, t^2, 1 )", params=("t",))

@@ -30,6 +30,7 @@ from devsurf.poly import (
     resultant,
     squarefree_part,
     subresultant_linear,
+    sylvester_matrix,
 )
 from devsurf.arith import modulus
 from devsurf.cli import main as cli_main
@@ -155,10 +156,11 @@ def _det(rows):
 
 
 class TestDeterminantKernel:
-    """det3, det4 and det_bareiss scale rows to integers; det_bareiss packs
-    exponents into one int key, det3 and det4 multiply Kronecker images and
-    decode them once; each case here stresses one of those steps against
-    perm_det."""
+    """det3, det4 and det_bareiss scale rows to integers and decode one
+    Kronecker image of the determinant, radix S + 1 per variable: det3 and
+    det4 expand Laplace minors of images split by the first variable,
+    det_bareiss maps each entry to one int and runs Bareiss on the ints;
+    each case here stresses one of those steps against perm_det."""
 
     @pytest.mark.parametrize("n", (3, 4))
     def test_rows_with_different_denominators(self, n):
@@ -221,11 +223,13 @@ class TestDeterminantKernel:
         F = sphere * Q(1, 3) + Q(2, 7)
         assert gaussian_form_implicit(F) == bordered_hessian_oracle(F)
 
-    # det3 and det4 multiply Kronecker images: each entry's terms in all but
-    # the first variable sit in slots of w bits, w = bit_length(B) + 1 in
-    # whole bytes, B the permanent of the entries' L1 norms.  Coefficients
-    # of 2^k - 1 on a permutation's places put B at k * n bits, a multiple
-    # of 8 for k = 8, 64 and 200, where a width one bit short loses a byte.
+    # Kronecker images hold coefficients in slots of w bits, w =
+    # bit_length(B) + 1 in whole bytes: for det3, det4 and the bordered
+    # Hessian B is the permanent of the entries' L1 norms, for det_bareiss
+    # and resultant the Goldstein-Graham bound isqrt(prod_r sum_j
+    # |m_rj|_1^2).  Coefficients of 2^k - 1 on a permutation's places put
+    # either B at k * n bits, a multiple of 8 for k = 8, 64 and 200, where a
+    # width one bit short loses a byte.
 
     def test_width_comes_from_the_permanent(self):
         # a triangular grid: only the diagonal survives in the permanent,
@@ -307,6 +311,73 @@ class TestDeterminantKernel:
                 rows[0] = [a * Q(2**k + 1, 5) - b * head for a, b in zip(rows[1], rows[2])]
                 assert perm_det(rows).is_zero()
                 assert _det(rows).is_zero()
+
+
+    def test_width_comes_from_the_goldstein_graham_bound(self, monkeypatch):
+        # det_bareiss hands the decoder w = bit_length(B) + 1 in whole bytes,
+        # B = isqrt(prod_r sum_j |m_rj|_1^2); rows orthogonal as vectors
+        # reach B, here the determinant -2^31 and the coefficients 2^30
+        widths = []
+        decode = poly_module._kronecker_det
+
+        def spy(image, w, radix):
+            widths.append(w)
+            return decode(image, w, radix)
+
+        monkeypatch.setattr(poly_module, "_kronecker_det", spy)
+        one, zero, c = MultiPoly.const(1), MultiPoly.zero(), 2**15
+        grids = [
+            ([[255 * X, zero, zero], [zero, 255 * one, zero], [zero, zero, 255 * Y]], 32),  # 255^3: 24 bits
+            ([[c * one, c * one], [c * one, -c * one]], 40),  # 2^31: 32 bits
+            ([[c * X, c * one], [-c * one, c * X]], 40),
+            ([[c * X, one], [one, c * Y]], 32),  # isqrt((2^30 + 1)^2) = 2^30 + 1: 31 bits
+            ([[X + 1, Y], [3 * one, zero]], 8),  # isqrt(5 * 9) = 6
+            ([[X, Y], [zero, zero]], 8),  # a zero row bounds every coefficient by 0
+        ]
+        for rows, w in grids:
+            widths.clear()
+            assert det_bareiss(rows) == perm_det(rows)
+            assert widths == [w]
+
+    @pytest.mark.parametrize("k", WIDE_BITS)
+    @pytest.mark.parametrize("n", (1, 2, 3, 5))
+    def test_diagonal_at_the_goldstein_graham_bound(self, n, k):
+        # a diagonal of +-(2^k - 1) times one monomial per row: each row's
+        # sum of squares is c^2, so B = c^n is the determinant's one
+        # coefficient, in a slot whose top bit is the sign bit; the
+        # monomials reach each radix S + 1 minus one, and the constant
+        # diagonal has no variable at all
+        c = 2**k - 1
+        zero = MultiPoly.zero()
+        monomials = [X**2 * T, Y, MultiPoly.const(1), X * Y * Z, T**3]
+        for diag in (monomials[:n], [MultiPoly.const(1)] * n):
+            for signs in ((1,) * n, tuple((-1) ** i for i in range(n))):
+                rows = [[signs[i] * c * diag[i] if i == j else zero for j in range(n)] for i in range(n)]
+                got = det_bareiss(rows)
+                assert got == math.prod(signs) * c**n * math.prod(diag, start=MultiPoly.const(1))
+                assert [abs(v) for v in got.terms.values()] == [c**n]
+                if n in (3, 4):
+                    assert _det(rows) == got
+
+    def test_kernels_never_divide_polynomials(self, monkeypatch):
+        # every division by a nonconstant pivot is an integer division of
+        # images, so _quotient never runs in a determinant or resultant
+        calls = []
+        quotient = poly_module._quotient
+
+        def spy(*args):
+            calls.append(args)
+            return quotient(*args)
+
+        monkeypatch.setattr(poly_module, "_quotient", spy)
+        p, q = P("(x*y + 2*z - 1)*x^2 + (y^2 - z)*x + 3*y - z^2"), P("(y - z)*x^3 - 2*x + y*z + 1")
+        assert not resultant(p, q, "x").is_zero()
+        assert subresultant_linear(p, q, "x") is not None
+        for rows in TestDeterminants.bareiss_grids():
+            det_bareiss([list(r) for r in rows])
+            if len(rows) in (3, 4):
+                _det(rows)
+        assert calls == []
 
 
 class TestBorderedHessian:
@@ -505,6 +576,84 @@ class TestResultant:
             # deg p < deg q its resultant(p, q) is Res(q, p) = (-1)^(mn) Res(p, q)
             m, n, v = p.degree_in(var), q.degree_in(var), sympy.Symbol(var)
             expected = sympy.resultant(sp, sq, v) if m >= n else (-1) ** (m * n) * sympy.resultant(sq, sp, v)
+            assert sympy.expand(got - expected) == 0
+
+
+    @staticmethod
+    def pairs():
+        """Seeded pairs in x over 0-3 more variables, each scaled by a
+        rational; then pairs with a common factor (resultant 0) and with a
+        constant resultant."""
+        rng = random.Random(2026)
+        for names in ((), ("y",), ("y", "z"), ("y", "z", "t")):
+            count = 0
+            while count < 6:
+                p, q = (
+                    random_small_multipoly(rng, ("x", *names), d, density=0.6) * Q(rng.choice((1, -2, 3)), rng.choice((1, 5, 6)))
+                    for d in (rng.randint(1, 3), rng.randint(2, 3))
+                )
+                if p.degree_in("x") and q.degree_in("x") and p.degree_in("x") + q.degree_in("x") <= 5:
+                    count += 1
+                    yield p, q
+        yield (X - Y) * (X + 2), (X - Y) * (X * Z - 1) * Q(3, 4)
+        yield X**2 + 1, X**3 - 2 * X + 5
+        yield X**2 * Q(1, 3) + Q(1, 2), (X - 1) * Q(-2, 7)
+
+    @staticmethod
+    def s1_oracle(p, q, var):
+        """(a, b) of S1 = a*var + b from the subresultant matrix, by perm_det."""
+        if p.degree_in(var) < q.degree_in(var):
+            p, q = q, p
+        rows = sylvester_matrix(p, q, var, 1)
+        r = len(rows)
+        return tuple(perm_det([row[: r - 1] + [row[c]] for row in rows]) for c in (r - 1, r))
+
+    def test_kernels_match_permutation_oracles(self):
+        # resultant builds its images from p's and q's coefficients, det_bareiss
+        # from the Sylvester matrix and subresultant_linear from the subresultant
+        # matrix; all three run one integer determinant
+        seen = set()
+        for p, q in self.pairs():
+            got = resultant(p, q, "x")
+            assert got == sylvester_oracle(p, q, "x"), (p, q)
+            assert det_bareiss(sylvester_matrix(p, q, "x")) == got
+            assert resultant(q, p, "x") == (-1) ** (p.degree_in("x") * q.degree_in("x")) * got
+            if min(p.degree_in("x"), q.degree_in("x")) >= 2:
+                assert subresultant_linear(p, q, "x") == self.s1_oracle(p, q, "x"), (p, q)
+            seen.add(len(got.vars) if got else "zero")
+        assert seen == {0, 1, 2, 3, "zero"}
+
+    def test_row_swap_flips_the_sign(self):
+        # the second pivot of Res(x^2 + y, x^3 + x) vanishes, so the kernel
+        # swaps rows once: y * (1 - y)^2, not its negative
+        p, q = X**2 + Y, X**3 + X
+        assert resultant(p, q, "x") == Y * (1 - Y) ** 2 == sylvester_oracle(p, q, "x")
+        assert resultant(q, p, "x") == Y * (1 - Y) ** 2
+
+    def test_contents_scale_the_result(self):
+        # cp^deg q * cq^deg p times the resultant of the primitive parts
+        p, q = X**2 * Y + 3 * X - 1, 2 * X**3 - Y * X + 5
+        base = resultant(p, q, "x")
+        assert resultant(p * Q(-3, 7), q * Q(5, 2), "x") == base * Q(-3, 7) ** 3 * Q(5, 2) ** 2
+
+    def test_subresultant_finds_a_shared_rational_root(self):
+        rng = random.Random(41)
+        for _ in range(12):
+            r = Q(rng.randint(-5, 5), rng.randint(1, 4))
+            a = random_small_multipoly(rng, ("x",), rng.randint(1, 3)) + X ** rng.randint(1, 3)
+            b = random_small_multipoly(rng, ("x",), rng.randint(1, 3)) * 2 + X ** rng.randint(1, 3)
+            if resultant(a, b, "x").is_zero() or a.eval_all({"x": r}) == 0 or b.eval_all({"x": r}) == 0:
+                continue
+            s1 = subresultant_linear((X - r) * a, (X - r) * b, "x")
+            assert s1 is not None and not s1[0].is_zero()
+            assert -s1[1].constant_value() / s1[0].constant_value() == r
+
+    def test_sympy_agrees_over_each_number_of_variables(self):
+        sympy = pytest.importorskip("sympy")
+        for p, q in self.pairs():
+            sp, sq, got = (sympy.sympify(f.to_text().replace("^", "**")) for f in (p, q, resultant(p, q, "x")))
+            m, n, x = p.degree_in("x"), q.degree_in("x"), sympy.Symbol("x")
+            expected = sympy.resultant(sp, sq, x) if m >= n else (-1) ** (m * n) * sympy.resultant(sq, sp, x)
             assert sympy.expand(got - expected) == 0
 
 

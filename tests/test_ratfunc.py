@@ -373,6 +373,47 @@ def test_point_certificate_parameter_errors():
         _form_is_zero(X, ("x",), (U, MultiPoly.const(1)), ("t",))
 
 
+
+@pytest.mark.parametrize("params", [("t",), ("s", "t")])
+def test_substitution_decoded_from_the_certificate_image(params):
+    # substitute_map reads N = p^h(X, W) off the one Kronecker image that
+    # _form_is_zero tests; the expansion of substitute (_cleared) is the
+    # oracle, on seeded maps with poles and constant entries, for p that
+    # vanishes on the map, p plus a rational monomial and a random p
+    rng = random.Random(4700 + len(params))
+    for m, c in _seeded_maps(4800 + len(params), params, 12):
+        p = (Z - X * Y - c) * random_small_multipoly(rng, ("x", "y", "z"), 1, lo=-5, hi=5)
+        exps = tuple(rng.randint(0, 2) for _ in range(3))
+        bumped = p + MultiPoly(("x", "y", "z"), {exps: Q(rng.choice((-1, 1)), rng.randint(1, 5))})
+        for q in (p, bumped, random_small_multipoly(rng, ("x", "z"), 3) * Q(-2, 3), MultiPoly.const(Q(5, 2))):
+            assert substitute_map(q, m) == substitute(q, dict(zip("xyz", m.components)))
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 63, 64, 100])
+@pytest.mark.parametrize("params", [("t",), ("s", "t")])
+def test_substitution_decoded_at_the_coefficient_bound(k, params):
+    # N = (t - 2^k) * s^e * W-powers: its coefficients reach the bound B of
+    # test_point_certificate_at_the_coefficient_bound, and the decoder reads
+    # slots of bit_length(B) + 1 bits in whole bytes, signs included
+    m = RationalMap3.from_form([T, S if len(params) == 2 else T + 1, MultiPoly.const(-1), T**2 + 3], params)
+    for p in (X - 2**k, (X - 2**k) * Y * Q(1, 3), Z * (2**k - 1) - X * Y):
+        assert substitute_map(p, m) == substitute(p, dict(zip("xyz", m.components)))
+
+
+def test_residue_of_a_large_mismatch_needs_no_expansion(monkeypatch):
+    # TANGENT_DEV_MAP against its implicit equation plus 1: the residue is
+    # decoded from the certificate's image, without the expansion of
+    # _cleared, and F(P) + 1 = 1 exactly
+    import devsurf.ratfunc
+
+    m = parse_map(cases.TANGENT_DEV_MAP, params=("s", "t"))
+    F = parse_poly(cases.TANGENT_DEV_IMPLICIT, ("x", "y", "z"))
+    assert substitute_map_is_zero(F, m)
+    monkeypatch.setattr(devsurf.ratfunc, "_cleared", None)
+    assert not substitute_map_is_zero(F + 1, m)
+    assert substitute_map(F + 1, m) == RatFunc(MultiPoly.const(1))
+    assert substitute_map(F - X, m) == -RatFunc(*m.form[::3])
+
 def _seeded_maps(seed, params, count=25):
     """Maps with distinct component denominators, a constant component, or
     polynomial components, each with a relation z = x*y + c."""
