@@ -40,6 +40,7 @@ from .poly import (
     Q,
     _int_terms,
     _primitive_ints,
+    compose,
     exact_div,
     gcd_many,
     gcd_multi,
@@ -49,7 +50,7 @@ from .poly import (
     squarefree_part,
     subresultant_linear,
 )
-from .ratfunc import RationalMap3, _cleared, _form_is_zero, _primitive
+from .ratfunc import RationalMap3, _form_is_zero, _primitive
 
 COORDS = ("x", "y", "z")
 
@@ -377,7 +378,7 @@ def parametrize_conic(curve: PlaneCurve, budget: int = 200, param: Optional[str]
         raise PointSearchExhaustedError(
             "conic parametrization over the rationals not found within the search budget"
         )
-    form = _pencil(c, names, point, t)
+    form = _pencil(_shifted(c, names, point), names, point, t)
     if form is None:
         # singular rational point: the conic is a pair of lines through it,
         # in the directions where its top form A*u^2 + B*u*w + C*w^2 vanishes
@@ -394,17 +395,21 @@ def parametrize_conic(curve: PlaneCurve, budget: int = 200, param: Optional[str]
     return _finish(c, names, form, t, "plane-section")
 
 
-def _pencil(c: MultiPoly, names, point, t: str) -> Optional[tuple[MultiPoly, MultiPoly, MultiPoly]]:
+def _shifted(c: MultiPoly, names, point) -> MultiPoly:
+    """c with the point moved to the origin."""
+    return c.subs_poly({v: MultiPoly.var(v) + x for v, x in zip(names, point)})
+
+
+def _pencil(sh: MultiPoly, names, point, t: str) -> Optional[tuple[MultiPoly, MultiPoly, MultiPoly]]:
     """The lines u = p1 + lam, w = p2 + lam*t through a point of
-    multiplicity d - 1 (at least) on the degree-d curve c, each cut with c
+    multiplicity d - 1 (at least) on a degree-d curve c, each cut with c
     once more: at lam = -b(t)/a(t), where b and a are the forms of degree
-    d - 1 and d of c shifted to the point, at (1, t), as the triple
-    [p1*a - b : p2*a - b*t : a].  None when b is 0: then c is a union of
-    lines through the point."""
+    d - 1 and d of sh, c shifted to the point (`_shifted`), at (1, t), as
+    the triple [p1*a - b : p2*a - b*t : a].  None when b is 0: then c is a
+    union of lines through the point."""
     u, w = names
-    d = c.total_degree()
+    d = sh.total_degree()
     p1, p2 = point
-    sh = c.subs_poly({u: MultiPoly.var(u) + p1, w: MultiPoly.var(w) + p2})
     forms: dict[int, dict[tuple[int], Q]] = {d - 1: {}, d: {}}
     for exps, cf in sh.terms.items():
         e = dict(zip(sh.vars, exps))
@@ -463,16 +468,6 @@ def _solve_two_var_system(polys: Sequence[MultiPoly], names: tuple[str, str]) ->
     return points
 
 
-def _multiplicity_at_least(c: MultiPoly, names, point, m: int) -> bool:
-    u, w = names
-    shifted = c.subs_poly(
-        {u: MultiPoly.var(u) + point[0], w: MultiPoly.var(w) + point[1]}
-    )
-    if shifted.is_zero():
-        return True
-    return min(sum(e) for e in shifted.terms) >= m
-
-
 def _fold_point_pencil(c: MultiPoly, names, t: str):
     """Pencil-of-lines parametrization through a rational (d-1)-fold point,
     or None when no such affine point exists."""
@@ -490,15 +485,13 @@ def _fold_point_pencil(c: MultiPoly, names, t: str):
             partials.append(p)
     if any(p.is_constant() for p in partials):
         return None
-    point = None
-    for cand in _solve_two_var_system(partials, names):
-        if _multiplicity_at_least(c, names, cand, d - 1):
-            point = cand
+    for point in _solve_two_var_system(partials, names):
+        sh = _shifted(c, names, point)
+        if min(map(sum, sh.terms)) >= d - 1:  # the point is (d-1)-fold
             break
-    if point is None:
+    else:
         return None
-
-    form = _pencil(c, names, point, t)
+    form = _pencil(sh, names, point, t)
     if form is None:
         raise UnsupportedCurveError("curve is a cone of lines through its singular point")
     return form
@@ -872,8 +865,10 @@ def lift_to_space(cp: CurveParam, frame) -> RationalMap3:
     """Lift an in-plane parametrization [U : V : W] back to a space curve.
     A plane frame gives the solved coordinate as a linear form in U, V
     and W, and the lift keeps gcd 1.  An edge relation a1*x + a0, cleared
-    over one power of W to A1 and A0, gives x = -A0/A1 and the lift
-    [U*A1 : V*A1 : -A0*W : W*A1], divided by its gcd."""
+    over one power of W to A1 and A0 by `poly.compose` (the pairs (U, W)
+    and (V, W), capped at the larger degree of a1 and a0 in each), gives
+    x = -A0/A1 and the lift [U*A1 : V*A1 : -A0*W : W*A1], divided by its
+    gcd."""
     U, V, W = cp.form
     values = dict(zip(cp.names, (U, V)))
     if isinstance(frame, PlaneFrame):
@@ -889,7 +884,7 @@ def lift_to_space(cp: CurveParam, frame) -> RationalMap3:
     a1, a0 = coeffs[1], coeffs.get(0, MultiPoly.zero())
     pairs = {v: (values[v], W) for v in cp.names}
     caps = {v: max(a1.degree_in(v), a0.degree_in(v)) for v in cp.names}
-    A1, A0 = _cleared(a1, pairs, caps), _cleared(a0, pairs, caps)
+    A1, A0 = compose(a1, pairs, caps), compose(a0, pairs, caps)
     if A1.is_zero():
         raise UnsupportedCurveError("lift relation degenerates along the curve")
     values = {n: x * A1 for n, x in values.items()}

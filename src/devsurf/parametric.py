@@ -26,8 +26,8 @@ from .errors import (
     UnsupportedCurveError,
 )
 from .linalg import common_direction, common_point
-from .poly import MultiPoly, Q, det3, exact_div, gcd_many, gcd_multi, resultant, squarefree_part
-from .ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute, substitute_map_is_zero
+from .poly import MultiPoly, Q, compose, det3, exact_div, gcd_many, gcd_multi, resultant, squarefree_part
+from .ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute_map_is_zero
 from .curves import COORDS, PlaneCurve, is_proper_curve, parametrize_plane_curve, plane_frame
 from .implicit import (
     CONICAL,
@@ -192,10 +192,10 @@ def reparametrize_space_curve(curve: RationalMap3, point_budget: int = 200) -> R
             # over a point of the projection the two eliminants share the
             # third coordinate as their one common root, since the
             # projection is birational when this candidate is accepted
-            bind = {**vals, nk: RatFunc(MultiPoly.var(nk))}
+            bind = {n: (f.num, f.den) for n, f in vals.items()}
             g = gcd_multi(
-                substitute(squarefree_part(resultant(Ei, Ek, t)), bind).num,
-                substitute(squarefree_part(resultant(Ej, Ek, t)), bind).num,
+                compose(squarefree_part(resultant(Ei, Ek, t)), bind),
+                compose(squarefree_part(resultant(Ej, Ek, t)), bind),
             )
             if g.degree_in(nk) != 1:
                 continue

@@ -24,9 +24,11 @@ substitutions work on Python integers: each operand is scaled to integer
 numerators over one common denominator (read as Python ints through
 ``_num_den``, since gmpy2 gives an mpz, and mpz / mpz is a float; an
 all-int operand is used as it is), and an output term becomes a rational
-only when that denominator does not divide it.  Internal results that
-are canonical by construction skip re-canonicalization through the
-trusted constructor ``MultiPoly._make``.
+only when that denominator does not divide it.  Every evaluation and
+substitution, here and in ``ratfunc`` and ``curves``, is the one kernel
+``compose``, which reads each binding (a float is refused).  Internal
+results that are canonical by construction skip re-canonicalization
+through the trusted constructor ``MultiPoly._make``.
 
 Besides the arithmetic operators, the module provides the elimination
 toolkit used by the analyzers: formal derivatives, determinants,
@@ -135,10 +137,12 @@ def _ratio(n: int, d: int):
 
 
 def _exact(value) -> Q:
-    """A coefficient given from outside as a ``Q``; a float is refused, as
-    its binary expansion is not the number it was written as."""
-    if isinstance(value, float):
-        raise TypeError("coefficients must be exact rationals, not floats")
+    """A number given from outside as a ``Q``; a float is refused, as its
+    binary expansion is not the number it was written as, and so is any
+    other object that is not an int or a rational."""
+    if not isinstance(value, _COEFF_TYPES):
+        kind = "floats" if isinstance(value, float) else type(value).__name__
+        raise TypeError(f"coefficients must be exact rationals, not {kind}")
     return Q(value)
 
 
@@ -376,68 +380,13 @@ class MultiPoly:
         return self.eval_partial(bindings).constant_value()
 
     def eval_partial(self, bindings: Mapping[str, object]) -> "MultiPoly":
-        """Substitute rational values for a subset of the variables."""
-        keep = [i for i, name in enumerate(self.vars) if name not in bindings]
-        if len(keep) == len(self.vars):
-            return self
-        den, ints = _int_terms(self.terms)
-        # a value a/b of a variable of degree d enters as a^k * b^(d-k) over
-        # b^d, so every term stays an integer over one common denominator
-        powers = []
-        for i, name in enumerate(self.vars):
-            if name in bindings:
-                value = bindings[name]
-                if not isinstance(value, (int, Q)):
-                    value = Q(value)
-                a, b = _num_den(value)
-                d = max((e[i] for e in ints), default=0)
-                powers.append((i, [a**k * b ** (d - k) for k in range(d + 1)]))
-                den *= b**d
-        out: dict[tuple[int, ...], int] = {}
-        for exps, n in ints.items():
-            for i, pw in powers:
-                n *= pw[exps[i]]
-            key = tuple(exps[i] for i in keep)
-            out[key] = out.get(key, 0) + n
-        vars_ = tuple(self.vars[i] for i in keep)
-        return MultiPoly._make(vars_, {e: _ratio(n, den) for e, n in out.items() if n})
+        """Substitute exact numbers or polynomials for some variables, all
+        at once (so {x: y, y: x} swaps them), by `compose`.  A float, or
+        any other object, raises TypeError."""
+        return compose(self, bindings)
 
-    def subs_poly(self, bindings: Mapping[str, "MultiPoly"]) -> "MultiPoly":
-        """Substitute polynomials for variables, all at once (so {x: y,
-        y: x} swaps them): pure polynomial composition.
-
-        A binding B/e of a variable of degree d, B integer and e its
-        denominator, enters as the power table B^k * e^(d-k) over e^d, so
-        every term is an integer over one common denominator; the terms
-        accumulate into one integer dict and one polynomial is built."""
-        bound = [(i, bindings[name]) for i, name in enumerate(self.vars) if name in bindings]
-        if not bound:
-            return self
-        free = [i for i, name in enumerate(self.vars) if name not in bindings]
-        vars_ = canonical_vars([self.vars[i] for i in free] + [v for _, b in bound for v in b.vars])
-        den, ints = _int_terms(self.terms)
-        powers = []
-        for i, value in bound:
-            e, b = _int_terms(_reindex(value.terms, value.vars, vars_))
-            d = max(x[i] for x in ints)
-            table = [{(0,) * len(vars_): e**d}]
-            for _ in range(d):  # B^k * e^(d-k) from B^(k-1) * e^(d-k+1)
-                table.append({x: c // e for x, c in _mul_terms(table[-1], b).items() if c})
-            powers.append((i, table))
-            den *= e**d
-        pos = [vars_.index(self.vars[i]) for i in free]
-        out: dict[tuple[int, ...], int] = {}
-        get = out.get
-        for exps, n in ints.items():
-            mono = [0] * len(vars_)
-            for i, p in zip(free, pos):
-                mono[p] = exps[i]
-            acc = {tuple(mono): n}
-            for i, table in powers:
-                acc = _mul_terms(acc, table[exps[i]])
-            for x, c in acc.items():
-                out[x] = get(x, 0) + c
-        return MultiPoly._make(vars_, {x: _ratio(c, den) for x, c in out.items() if c})
+    # one kernel: substituting polynomials is evaluating at them
+    subs_poly = eval_partial
 
     def rename_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
         new_names = [mapping.get(n, n) for n in self.vars]
@@ -549,6 +498,92 @@ def _reindex(terms, old_vars, new_vars):
             key[p] = e
         out[tuple(key)] = c
     return out
+
+
+def compose(p: MultiPoly, pairs: Mapping[str, tuple], caps: Optional[Mapping[str, int]] = None) -> MultiPoly:
+    """The one substitution kernel: sum_e c_e * prod_v N_v^e_v *
+    D_v^(cap_v - e_v) over the terms c_e * x^e of p, i.e. p at all v = N_v/D_v
+    at once times prod_v D_v^cap_v, for the pairs (N_v, D_v) of numbers or
+    MultiPolys (N_v alone means (N_v, 1)).  Unpaired variables stay, cap_v
+    >= deg_v p defaults to deg_v p, a name p lacks counts only with a cap,
+    and p comes back when nothing is bound.  Each bound variable has one
+    table of N^k * D^(cap - k): number factors as ints that multiply a
+    term's numerator, polynomial ones as terms that `_mul_terms` multiplies."""
+    names, terms, caps = p.vars, p.terms, caps or {}
+    absent = tuple([v for v in pairs if caps.get(v) and v not in names]) if caps else ()
+    if absent:  # a name bound by its cap alone: exponent 0 throughout
+        names, terms = names + absent, {e + (0,) * len(absent): c for e, c in terms.items()}
+    bound, keep = [], []
+    for i, v in enumerate(names):
+        if v not in pairs:
+            keep.append(i)
+        else:  # (i, N, D), N alone standing for (N, 1)
+            bound.append((i, *x) if type(x := pairs[v]) is tuple else (i, x, 1))
+    if not bound:
+        return p
+    # keys: the free exponents, then the pairs' new variables (reordered at the end)
+    layout = vars_ = tuple([names[i] for i in keep])
+    extra = [u for _, n, d in bound if MultiPoly in (type(n), type(d))
+             for x in (n, d) if type(x) is MultiPoly for u in x.vars if u not in layout]
+    if extra:
+        extra = canonical_vars(extra)
+        layout += extra
+        vars_ = canonical_vars(layout)
+    den, ints = _int_terms(terms)
+    nums, polys = [], []
+    for i, n, d in bound:
+        deg = max([e[i] for e in ints]) if ints else 0
+        cap = caps.get(names[i], deg)
+        if cap < deg:
+            raise ValueError(f"cap {cap} of {names[i]!r} is below its degree {deg}")
+        (da, a), (db, b) = _operand(n, layout), (1, d) if type(d) is int else _operand(d, layout)
+        # N^k * D^(cap-k) = (a*db)^k * (b*da)^(cap-k) / (da*db)^cap
+        den *= (da * db) ** cap
+        ka, a = (a * db, None) if type(a) is int else (db, a)
+        kb, b = (b * da, None) if type(b) is int else (da, b)
+        nums.append((i, [ka**k * kb ** (cap - k) for k in range(cap + 1)]))
+        if a or b:  # a product with the unit `one` is its other factor
+            one = {(0,) * len(layout): 1}
+            pw = zip(_powers(a, cap, one), _powers(b, cap, one)[::-1])
+            polys.append((i, [x if y is one else y if x is one else _mul_terms(x, y) for x, y in pw]))
+    pad = (0,) * len(extra)
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for exps, c in ints.items():
+        for i, table in nums:
+            c *= table[exps[i]]
+        key = tuple([exps[i] for i in keep]) + pad
+        if not polys:
+            out[key] = get(key, 0) + c
+        elif c:
+            acc = {key: c}
+            for i, table in polys:
+                acc = _mul_terms(acc, table[exps[i]])
+            for x, c in acc.items():
+                out[x] = get(x, 0) + c
+    if vars_ != layout:
+        out = _reindex(out, layout, vars_)
+    return MultiPoly._make(vars_, {e: _ratio(c, den) for e, c in out.items() if c})
+
+
+def _operand(x, layout: tuple[str, ...]):
+    """(d, n) with x == n / d for an entry x of a pair: n an int, or the
+    integer terms of x over ``layout``; anything else raises TypeError."""
+    if type(x) is int:
+        return 1, x
+    if isinstance(x, MultiPoly):
+        if x.vars:
+            return _int_terms(x.terms if x.vars == layout else _reindex(x.terms, x.vars, layout))
+        x = x.terms.get((), 0)
+    n, d = _num_den(x if type(x) is int or isinstance(x, Q) else _exact(x))
+    return d, n
+
+
+def _powers(x, cap: int, one) -> list:
+    """[one, x, ..., x^cap] for integer terms x, or cap + 1 ones for None."""
+    if x is None:
+        return [one] * (cap + 1)
+    return list(itertools.accumulate(itertools.repeat(x, cap), _mul_terms, initial=one))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,8 @@ reduced components Xi/W are a view; its readers are the printing (and
 they build), ``builder.reduce_directrix``,
 ``parametric._mobius_normalized`` and
 ``parametric.reparametrize_space_curve`` with its audit ``_same_curve``.
+Composition (``substitute``, ``RationalMap3.subs``) is ``poly.compose`` on
+the pairs (num, den) of the bindings, with no RatFunc arithmetic.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .poly import (
     _int_terms,
     _kronecker_det,
     canonical_vars,
+    compose,
     exact_div,
     gcd_many,
     gcd_multi,
@@ -230,56 +233,19 @@ class RatFunc:
         return f"({self.num.to_text()})/({self.den.to_text()})"
 
 
-def _cleared(p: MultiPoly, pairs: Mapping[str, tuple[MultiPoly, MultiPoly]], caps: Mapping[str, int]) -> MultiPoly:
-    """The numerator of p at v = num_v/den_v, for the pairs (num_v, den_v),
-    over the denominator prod_v den_v^caps[v]:
-    sum_e c_e * prod_v num_v^e_v * den_v^(caps[v] - e_v), for caps[v] >= deg_v p
-    over the bound variables v."""
-    pows = {}
-    for v, cap in caps.items():
-        num, den = [_ONE], [_ONE]
-        for _ in range(cap):
-            num.append(num[-1] * pairs[v][0])
-            den.append(den[-1] * pairs[v][1])
-        pows[v] = num, den
-    total = MultiPoly.zero()
-    for exps, coeff in p.terms.items():
-        e_of = dict(zip(p.vars, exps))
-        term = MultiPoly.const(coeff)
-        for v, (num, den) in pows.items():
-            e = e_of.get(v, 0)
-            term = term * num[e]
-            if caps[v] - e:
-                term = term * den[caps[v] - e]
-        total = total + term
-    return total
-
-
-def _ratfunc(value) -> RatFunc:
-    return value if isinstance(value, RatFunc) else RatFunc(value)
-
-
-def _pair(value) -> tuple[MultiPoly, MultiPoly]:
-    f = _ratfunc(value)
-    return f.num, f.den
-
-
-def _compose(p: MultiPoly, pairs: Mapping[str, tuple[MultiPoly, MultiPoly]]) -> RatFunc:
-    """p at v = num_v/den_v for the pairs (num_v, den_v), reduced once, at
-    the end, from one common-denominator numerator."""
-    caps = {v: p.degree_in(v) for v in p.vars}
-    den = _ONE
-    for v, cap in caps.items():
-        den = den * pairs[v][1] ** cap
-    return RatFunc(_cleared(p, pairs, caps), den)
+def _pair(value) -> tuple:
+    """A binding as the pair (N, D) of `poly.compose`, which checks N."""
+    return (value.num, value.den) if isinstance(value, RatFunc) else (value, 1)
 
 
 def substitute(p, bindings: Mapping[str, object]) -> RatFunc:
-    """Compose a polynomial with rational functions.  Every variable of
-    ``p`` must be bound; bindings may be RatFunc, MultiPoly or rational
-    constants."""
+    """Compose a polynomial with rational functions (`poly.compose` over
+    prod_v den_v^(deg_v p), reduced once).  Every variable of ``p`` must be
+    bound; bindings may be RatFunc, MultiPoly or rational constants."""
     p = _coerce_poly(p)
-    return _compose(p, {v: _pair(bindings[v]) for v in p.vars})
+    pairs = {v: _pair(bindings[v]) for v in p.vars}
+    den = math.prod((d ** p.degree_in(v) for v, (_, d) in pairs.items()), start=_ONE)
+    return RatFunc(compose(p, pairs), den)
 
 
 def projective_form(funcs: Sequence[RatFunc]) -> list[MultiPoly]:
@@ -326,7 +292,7 @@ class RationalMap3:
     __slots__ = ("form", "params", "_components")
 
     def __init__(self, components: Sequence[RatFunc], params: Sequence[str]):
-        comps = tuple(_ratfunc(c) for c in components)
+        comps = tuple(c if isinstance(c, RatFunc) else RatFunc(c) for c in components)
         if len(comps) != 3:
             raise ValueError("a space map needs exactly 3 components")
         self._store(projective_form(comps), params, comps)
@@ -396,11 +362,12 @@ class RationalMap3:
 
     def subs(self, bindings: Mapping[str, RatFunc], params: Sequence[str]) -> "RationalMap3":
         """Compose with rational functions of the new parameters; a
-        parameter without a binding stays itself.  Each entry is cleared
-        over the same denominator, prod_v den_v^(max deg_v of the entries)."""
-        pairs = {v: _pair(bindings.get(v, MultiPoly.var(v))) for v in self.params}
-        caps = {v: max(e.degree_in(v) for e in self.form) for v in self.params}
-        return RationalMap3.from_form([_cleared(e, pairs, caps) for e in self.form], params)
+        parameter without a binding stays itself.  `poly.compose` clears
+        each entry over the same denominator, prod_v den_v^(max deg_v of
+        the entries)."""
+        pairs = {v: _pair(bindings[v]) for v in self.params if v in bindings}
+        caps = {v: max(e.degree_in(v) for e in self.form) for v in pairs}
+        return RationalMap3.from_form([compose(e, pairs, caps) for e in self.form], params)
 
     def eval_all(self, bindings: Mapping[str, object]):
         """Exact point on the map, or None at a pole: a zero of W, which is

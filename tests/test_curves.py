@@ -101,6 +101,21 @@ class TestMonomialLike:
         cp = parametrize_monomial_like(PlaneCurve(c, None))
         assert on_curve(cp, c) and cp.proper
 
+    def test_one_shift_per_accepted_fold_point(self, monkeypatch):
+        # the multiplicity test of the cusp and the pencil through it read
+        # one shift of the cubic to the cusp
+        shifts = []
+
+        def spy(p, bindings, _real=MultiPoly.subs_poly):
+            shifts.append(dict(bindings))
+            return _real(p, bindings)
+
+        monkeypatch.setattr(MultiPoly, "subs_poly", spy)
+        c = parse_poly("(y-1)^2-(x+2)^3", ("x", "y"))
+        cp = parametrize_monomial_like(PlaneCurve(c, None))
+        assert shifts == [{"x": X - 2, "y": Y + 1}]
+        assert on_curve(cp, c) and cp.proper
+
     def test_chart_fault_is_internal_error(self, monkeypatch):
         # a pencil in a projective chart that misses the curve is a fault in
         # devsurf, not one more chart to try and in the end an exit-2 verdict
@@ -621,7 +636,11 @@ class TestCurveForm:
             assert (k > 0) == (route == "sheared")
             old = (u_t + w_t * k, w_t)
         else:
-            args = spied["_pencil"]
+            # _pencil is handed the curve shifted to the point, which the
+            # former route shifted itself: shift it back for the oracle
+            sh, names, point, t = spied["_pencil"]
+            back = {v: MultiPoly.var(v) - p for v, p in zip(names, point)}
+            args = (sh.subs_poly(back), names, point, t)
             if route == "lines":
                 assert old_pencil(*args) is None
                 old = old_line_pair(*args)

@@ -46,7 +46,7 @@ import stored_forms
 TESTS = Path(__file__).parent
 SRC = Path(devsurf.__file__).parents[1]
 
-X, Y, Z, T = (MultiPoly.var(v) for v in "xyzt")
+X, Y, Z, S, T = (MultiPoly.var(v) for v in "xyzst")
 
 
 def P(text, vars_=("x", "y", "z", "t")):
@@ -1207,11 +1207,25 @@ class TestIntCoefficients:
         assert MultiPoly.const(3).constant_value() == 3 and MultiPoly.zero().constant_value() == 0
 
     def test_floats_are_refused(self):
-        # a float's binary expansion is not the number it was written as
+        # a float's binary expansion is not the number it was written as;
+        # a binding is read by the substitution kernel, which refuses it too
+        from devsurf.ratfunc import RatFunc, RationalMap3, substitute
+
+        p = X**2 + Y
+        curve = RationalMap3.from_form([T, T**2, T + 1, MultiPoly.const(1)], ("t",))
         for build in (lambda: MultiPoly.const(0.1), lambda: MultiPoly.const(2.0),
-                      lambda: MultiPoly(("x",), {(1,): 0.1})):
+                      lambda: MultiPoly(("x",), {(1,): 0.1}),
+                      lambda: p.eval_partial({"x": 0.1}), lambda: p.eval_all({"x": 0.1, "y": 1}),
+                      lambda: p.eval_all({"x": 1, "y": 2.0}), lambda: p.subs_poly({"x": 0.1}),
+                      lambda: p.subs_poly({"x": Y, "y": 0.5}), lambda: substitute(p, {"x": 0.1, "y": T}),
+                      lambda: substitute(p, {"x": RatFunc(T, T + 1), "y": 2.0}),
+                      lambda: curve.subs({"t": 0.1}, ("t",)),
+                      lambda: poly_module.compose(p, {"x": (1, 0.5)})):
             with pytest.raises(TypeError, match="exact rationals, not floats"):
                 build()
+        for value in ("1/2", [1], None):
+            with pytest.raises(TypeError, match="exact rationals"):
+                p.eval_partial({"x": value})
 
     def test_no_float_stored_through_the_cli(self):
         # every polynomial built while the reference surfaces of
@@ -1349,7 +1363,137 @@ class TestSubsPoly:
     def test_unbound_polynomial_is_returned(self):
         p = P("x^2 + y", ("x", "y"))
         assert p.subs_poly({"t": X}) is p
+        assert p.eval_partial({"t": 3, "s": Q(1, 2)}) is p and p.eval_partial({}) is p
         assert MultiPoly.zero().subs_poly({"x": Y}).is_zero()
+
+    def test_eval_all_needs_every_variable(self):
+        p = P("x^2 + y", ("x", "y"))
+        with pytest.raises(KeyError, match="unbound variable 'y'"):
+            p.eval_all({"x": 1})
+        assert p.eval_all({"x": Q(1, 2), "y": 3, "t": 7}) == Q(13, 4)
+
+
+def compose_oracle(p, pairs, caps=None):
+    """sum_e c_e * prod_v N_v^e_v * D_v^(cap_v - e_v) in RatFunc
+    arithmetic: p at N_v/D_v term by term, times prod_v D_v^cap_v."""
+    from devsurf.ratfunc import RatFunc
+
+    caps = {v: (caps or {}).get(v, p.degree_in(v)) for v in pairs}
+    total = RatFunc(MultiPoly.zero())
+    for exps, coeff in p.terms.items():
+        term = RatFunc(MultiPoly.const(coeff))
+        for name, e in zip(p.vars, exps):
+            term = term * (RatFunc(*pairs[name]) ** e if name in pairs else RatFunc(MultiPoly.var(name) ** e))
+        total = total + term
+    for name, cap in caps.items():
+        total = total * RatFunc(pairs[name][1]) ** cap
+    assert total.is_polynomial()
+    return total.as_poly()
+
+
+class TestCompose:
+    """The one substitution kernel `poly.compose` against the RatFunc
+    route, the term-by-term oracle and sympy."""
+
+    rational_poly = staticmethod(TestSubsPoly.rational_poly)
+
+    @staticmethod
+    def check(p, pairs, caps=None):
+        r = poly_module.compose(p, pairs, caps)
+        assert r == compose_oracle(p, pairs, caps)
+        if not r.is_zero():
+            assert_canonical(r)
+        return r
+
+    def random_pairs(self, rng, names, pool):
+        pairs = {}
+        for name in names:
+            num = self.rational_poly(rng, rng.sample(pool, 2), rng.randint(0, 2))
+            den = self.rational_poly(rng, rng.sample(pool, 2), rng.randint(0, 2))
+            if den.is_zero():
+                den = MultiPoly.const(Q(rng.randint(1, 5), rng.randint(1, 4)))
+            pairs[name] = (num, den)
+        return pairs
+
+    def test_rational_bindings_with_polynomial_denominators(self):
+        rng = random.Random(3303)
+        for _ in range(40):
+            p = self.rational_poly(rng, ("x", "y", "z"), rng.randint(1, 3))
+            names = rng.sample(("x", "y", "z"), rng.randint(1, 3))
+            # the pool brings in new variables and shares p's own
+            pairs = self.random_pairs(rng, names, ("x", "y", "s", "t"))
+            self.check(p, pairs)
+            self.check(p, pairs, {v: p.degree_in(v) + rng.randint(0, 2) for v in names})
+
+    def test_numbers_over_number_denominators(self):
+        rng = random.Random(77)
+        for _ in range(30):
+            p = self.rational_poly(rng, ("x", "y", "z"), 3)
+            pairs = {v: (Q(rng.randint(-9, 9), rng.randint(1, 7)), Q(rng.randint(1, 9), rng.randint(1, 5)))
+                     for v in rng.sample("xyz", rng.randint(1, 3))}
+            r = self.check(p, pairs)
+            if set(pairs) == set(p.vars):
+                assert r.is_constant()
+            # (N, 1) is evaluation at N, and so is N alone
+            values = {v: n for v, (n, _) in pairs.items()}
+            assert poly_module.compose(p, {v: (n, 1) for v, n in values.items()}) == p.eval_partial(values)
+            assert p.eval_partial(values) == subs_poly_oracle(p, {v: MultiPoly.const(n) for v, n in values.items()})
+
+    def test_unbound_variables_stay(self):
+        p = P("x^2*y + 3*x*z - y^3 + 1/2", ("x", "y", "z"))
+        r = self.check(p, {"x": (T + 1, T - 2)})
+        assert r == P("(t+1)^2*y + 3*(t+1)*(t-2)*z - (t-2)^2*y^3 + (t-2)^2/2", ("y", "z", "t"))
+        self.check(p, {"x": (Y * Q(1, 3), Z + 1)})
+        assert poly_module.compose(p, {"t": (X, Y)}) is p
+
+    def test_swap_is_simultaneous(self):
+        rng = random.Random(8)
+        for _ in range(20):
+            p = self.rational_poly(rng, ("x", "y", "z"), 3)
+            assert self.check(p, {"x": (Y, 1), "y": (X, 1)}) == p.rename_vars({"x": "y", "y": "x"})
+            self.check(p, {"x": (Y, X + 2), "y": (X, Y - 3)})
+
+    def test_zero_bindings(self):
+        p = P("x^3 - 2*x*y + y^2/3 + 5", ("x", "y"))
+        assert self.check(p, {"x": (0, 1)}) == P("y^2/3 + 5", ("y",))
+        assert self.check(p, {"x": (MultiPoly.zero(), T + 1)}) == P("(t+1)^3*(y^2/3 + 5)", ("y", "t"))
+        assert self.check(p, {"x": (0, 1), "y": (0, Q(1, 2))}) == Q(5, 4)
+
+    def test_caps_above_the_degree(self):
+        p = P("x^2 + x*y - 1", ("x", "y"))
+        r = self.check(p, {"x": (T, T + 1), "y": (S, 2)}, {"x": 4, "y": 2})
+        assert r == P("4*t^2*(t+1)^2 + 2*t*s*(t+1)^3 - 4*(t+1)^4", ("s", "t"))
+        # a capped name p lacks contributes its denominator alone
+        assert self.check(p, {"z": (T, T + 1)}, {"z": 2}) == p * (T + 1) ** 2
+        assert self.check(p, {"x": (T, 3)}, {"x": 3, "z": 5}) == compose_oracle(p, {"x": (T, 3)}, {"x": 3})
+        with pytest.raises(ValueError, match="below its degree"):
+            poly_module.compose(p, {"x": (T, T + 1)}, {"x": 1})
+
+    def test_zero_and_constant_p(self):
+        for p in (MultiPoly.zero(), MultiPoly.const(Q(-7, 3))):
+            assert poly_module.compose(p, {"x": (T, T + 1)}) is p
+            assert self.check(p, {"x": (T, T + 1)}, {"x": 2}) == p * (T + 1) ** 2
+
+    def test_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+
+        def to_sympy(poly):
+            return sympy.sympify(poly.to_text().replace("^", "**"))
+
+        # sympy's own polynomial terms and expansion: sum_e c_e * N^e * D^(cap - e)
+        rng = random.Random(5150)
+        for _ in range(8):
+            p = self.rational_poly(rng, ("x", "y", "z"), rng.randint(1, 3))
+            names = rng.sample(("x", "y", "z"), rng.randint(1, 3))
+            pairs = self.random_pairs(rng, names, ("x", "z", "s", "t"))
+            caps = {v: p.degree_in(v) + rng.randint(0, 1) for v in names}
+            gens = [sympy.Symbol(v) for v in names]
+            want = 0
+            for exps, c in sympy.Poly(to_sympy(p), *gens).terms():
+                for v, e in zip(names, exps):
+                    c *= to_sympy(pairs[v][0]) ** e * to_sympy(pairs[v][1]) ** (caps[v] - e)
+                want += c
+            assert sympy.expand(to_sympy(poly_module.compose(p, pairs, caps)) - want) == 0
 
 
 class TestUnivariateHelpers:

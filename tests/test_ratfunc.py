@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from devsurf.poly import MultiPoly, Q, _int_terms, _reindex, gcd_many
+from devsurf.poly import MultiPoly, Q, _int_terms, _reindex, compose, gcd_many
 from devsurf.ratfunc import (
     RatFunc,
     RationalMap3,
@@ -377,7 +377,7 @@ def test_point_certificate_parameter_errors():
 @pytest.mark.parametrize("params", [("t",), ("s", "t")])
 def test_substitution_decoded_from_the_certificate_image(params):
     # substitute_map reads N = p^h(X, W) off the one Kronecker image that
-    # _form_is_zero tests; the expansion of substitute (_cleared) is the
+    # _form_is_zero tests; the expansion of substitute (poly.compose) is the
     # oracle, on seeded maps with poles and constant entries, for p that
     # vanishes on the map, p plus a rational monomial and a random p
     rng = random.Random(4700 + len(params))
@@ -402,17 +402,101 @@ def test_substitution_decoded_at_the_coefficient_bound(k, params):
 
 def test_residue_of_a_large_mismatch_needs_no_expansion(monkeypatch):
     # TANGENT_DEV_MAP against its implicit equation plus 1: the residue is
-    # decoded from the certificate's image, without the expansion of
-    # _cleared, and F(P) + 1 = 1 exactly
+    # decoded from the certificate's image, without the expansion of the
+    # substitution kernel poly.compose, and F(P) + 1 = 1 exactly
+    import devsurf.poly
     import devsurf.ratfunc
 
     m = parse_map(cases.TANGENT_DEV_MAP, params=("s", "t"))
     F = parse_poly(cases.TANGENT_DEV_IMPLICIT, ("x", "y", "z"))
     assert substitute_map_is_zero(F, m)
-    monkeypatch.setattr(devsurf.ratfunc, "_cleared", None)
+    for module in (devsurf.poly, devsurf.ratfunc):
+        monkeypatch.setattr(module, "compose", None)
     assert not substitute_map_is_zero(F + 1, m)
     assert substitute_map(F + 1, m) == RatFunc(MultiPoly.const(1))
     assert substitute_map(F - X, m) == -RatFunc(*m.form[::3])
+
+
+_ONE = MultiPoly.const(1)
+
+
+def _cleared(p: MultiPoly, pairs, caps) -> MultiPoly:
+    """Oracle: the expansion that `poly.compose` replaced, verbatim.
+    The numerator of p at v = num_v/den_v, for the pairs (num_v, den_v),
+    over the denominator prod_v den_v^caps[v]:
+    sum_e c_e * prod_v num_v^e_v * den_v^(caps[v] - e_v), for caps[v] >= deg_v p
+    over the bound variables v."""
+    pows = {}
+    for v, cap in caps.items():
+        num, den = [_ONE], [_ONE]
+        for _ in range(cap):
+            num.append(num[-1] * pairs[v][0])
+            den.append(den[-1] * pairs[v][1])
+        pows[v] = num, den
+    total = MultiPoly.zero()
+    for exps, coeff in p.terms.items():
+        e_of = dict(zip(p.vars, exps))
+        term = MultiPoly.const(coeff)
+        for v, (num, den) in pows.items():
+            e = e_of.get(v, 0)
+            term = term * num[e]
+            if caps[v] - e:
+                term = term * den[caps[v] - e]
+        total = total + term
+    return total
+
+
+class TestComposeAgainstCleared:
+    """`poly.compose` on the inputs of the former `_cleared`: every
+    variable of p bound, to seeded rational functions, with caps at and
+    above the degrees; and on the pairs `substitute`, `RationalMap3.subs`
+    and `lift_to_space` hand it."""
+
+    @staticmethod
+    def seeded_pair(rng, pool):
+        num = random_small_multipoly(rng, rng.sample(pool, 2), rng.randint(0, 2)) * Q(rng.randint(1, 5), rng.randint(1, 6))
+        den = random_small_multipoly(rng, rng.sample(pool, 2), rng.randint(0, 2))
+        return num, den if not den.is_zero() else MultiPoly.const(Q(rng.randint(1, 5), 3))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_compositions(self, seed):
+        rng = random.Random(9100 + seed)
+        for _ in range(25):
+            p = random_small_multipoly(rng, ("x", "y", "z"), rng.randint(0, 3)) * Q(rng.randint(-4, 4), rng.randint(1, 5))
+            # the pairs bring in s and t and share x with p
+            pairs = {v: self.seeded_pair(rng, ("x", "s", "t")) for v in ("x", "y", "z")}
+            for extra in (0, 1, 2):
+                caps = {v: p.degree_in(v) + rng.randint(0, extra) for v in ("x", "y", "z")}
+                assert compose(p, pairs, caps) == _cleared(p, pairs, caps)
+            caps = {v: p.degree_in(v) for v in p.vars}
+            if p.vars:
+                assert compose(p, pairs) == _cleared(p, {v: pairs[v] for v in caps}, caps)
+
+    def test_number_pairs_and_zero_bindings(self):
+        p = parse_poly("x^3*y - 2/3*x*y^2 + 5*y - 1/7", ("x", "y"))
+        for pairs in ({"x": (MultiPoly.const(Q(2, 3)), MultiPoly.const(Q(5, 7))), "y": (T, T + 1)},
+                      {"x": (MultiPoly.zero(), S + 2), "y": (MultiPoly.zero(), _ONE)},
+                      {"x": (T, _ONE), "y": (MultiPoly.const(-3), MultiPoly.const(Q(1, 4)))}):
+            for caps in ({"x": 3, "y": 2}, {"x": 5, "y": 2}, {"x": 3, "y": 4}):
+                assert compose(p, pairs, caps) == _cleared(p, pairs, caps)
+
+    def test_substitute_and_map_subs(self):
+        rng = random.Random(9200)
+        for m, _ in _seeded_maps(9201, ("s", "t"), 8):
+            b = {"s": RatFunc(*self.seeded_pair(rng, ("s", "t"))), "t": RatFunc(*self.seeded_pair(rng, ("s", "t")))}
+            pairs = {v: (f.num, f.den) for v, f in b.items()}
+            caps = {v: max(e.degree_in(v) for e in m.form) for v in ("s", "t")}
+            assert m.subs(b, ("s", "t")) == RationalMap3.from_form([_cleared(e, pairs, caps) for e in m.form], ("s", "t"))
+            p = random_small_multipoly(rng, ("x", "y", "z"), 2)
+            if p.is_constant():
+                continue
+            comps = dict(zip("xyz", m.components))
+            pairs = {v: (comps[v].num, comps[v].den) for v in p.vars}
+            caps = {v: p.degree_in(v) for v in p.vars}
+            den = _ONE
+            for v in p.vars:
+                den = den * pairs[v][1] ** caps[v]
+            assert substitute(p, comps) == RatFunc(_cleared(p, pairs, caps), den)
 
 def _seeded_maps(seed, params, count=25):
     """Maps with distinct component denominators, a constant component, or
