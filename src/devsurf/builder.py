@@ -41,9 +41,18 @@ class ParamResult(NamedTuple):
         # is reduced
         G = gcd_multi(W, V)
         Wq, Vq = exact_div(W, G), exact_div(V, G)
-        comps = tuple(a + s * b for a, b in zip(self.p0.components, self.p1.components))
+        # the components A/Da + s*B/Db = (A*db + s*B*da) / (Da*db) over the
+        # lcm Da*db, da = Da/g and db = Db/g for g = gcd(Da, Db), are reduced
+        # by the same argument
+        comps = []
+        for a, b in zip(self.p0.components, self.p1.components):
+            da, db = a.den, b.den
+            if not (da.is_constant() or db.is_constant()):  # cones and cylinders need no gcd
+                g = gcd_multi(da, db)
+                da, db = exact_div(da, g), exact_div(db, g)
+            comps.append(RatFunc(a.num * db + s * b.num * da, a.den * db, _reduced=True))
         return RationalMap3.from_form(
-            [x * Vq + s * y * Wq for x, y in zip(X, Y)] + [Wq * V], ("s", "t"), _reduced=True, _components=comps
+            [x * Vq + s * y * Wq for x, y in zip(X, Y)] + [Wq * V], ("s", "t"), _reduced=True, _components=tuple(comps)
         )
 
     def with_verification(self, certificate: str) -> "ParamResult":

@@ -40,6 +40,7 @@ from .poly import (
     Q,
     _int_terms,
     _primitive_ints,
+    _trimmed,
     compose,
     exact_div,
     gcd_many,
@@ -819,9 +820,9 @@ def parametrize_plane_curve(
 
 # candidate section planes n.(x, y, z) + b with their integer normals n and
 # constants b, in sweep order: x, y, z, x - z, x + y + z = c for each c;
-# each is made from its terms, and _make drops zero terms and unused variables
+# each is made from its terms, and _trimmed drops zero terms and unused variables
 _PLANES = tuple(
-    (MultiPoly._make(COORDS, {(0, 0, 0): -c, (1, 0, 0): n[0], (0, 1, 0): n[1], (0, 0, 1): n[2]}), n, -c)
+    (_trimmed(COORDS, {(0, 0, 0): -c, (1, 0, 0): n[0], (0, 1, 0): n[1], (0, 0, 1): n[2]}), n, -c)
     for c in (0, 1, -1, 2, -2, 3, -3)
     for n in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 0, -1), (1, 1, 1))
 )

@@ -20,7 +20,7 @@ The tokens are evaluated as term dicts ``{exponent tuple: coefficient}``
 over one variable tuple fixed before evaluation: ``+`` and ``-`` add in
 place, ``*`` and ``^`` convolve (a one-term operand adds or scales
 exponents instead), ``/`` by a constant scales.  The finished dict
-becomes a :class:`MultiPoly` through the trusted ``MultiPoly._make``
+becomes a :class:`MultiPoly` through the trusted ``poly._trimmed``
 once its coefficients are in stored form.  Only a division by a
 nonconstant polynomial builds a :class:`RatFunc`, and every operation
 with a RatFunc operand is then RatFunc arithmetic.  Before a
@@ -43,7 +43,7 @@ import re
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
-from .poly import MultiPoly, Q, _canon, _mul_terms, canonical_vars
+from .poly import MultiPoly, Q, _canon, _mul_terms, _trimmed, canonical_vars
 from .ratfunc import RatFunc, RationalMap3
 
 
@@ -124,7 +124,7 @@ class _Parser:
     # -- values: term dicts, or RatFunc after a nonconstant division ------
 
     def poly(self, terms: dict) -> MultiPoly:
-        return MultiPoly._make(self.vars, {e: _canon(c) for e, c in terms.items()})
+        return _trimmed(self.vars, {e: _canon(c) for e, c in terms.items()})
 
     def lift(self, value) -> RatFunc:
         return value if isinstance(value, RatFunc) else RatFunc(self.poly(value))

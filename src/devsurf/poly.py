@@ -26,9 +26,10 @@ numerators over one common denominator (read as Python ints through
 all-int operand is used as it is), and an output term becomes a rational
 only when that denominator does not divide it.  Every evaluation and
 substitution, here and in ``ratfunc`` and ``curves``, is the one kernel
-``compose``, which reads each binding (a float is refused).  Internal
-results that are canonical by construction skip re-canonicalization
-through the trusted constructor ``MultiPoly._make``.
+``compose``, which reads each binding (a float is refused).  Outside
+input is canonicalized by the public constructor; internal results are
+stored by the trusted ``MultiPoly._make``, behind ``_trimmed`` in each
+kernel that can cancel terms or lose variables.
 
 Besides the arithmetic operators, the module provides the elimination
 toolkit used by the analyzers: formal derivatives, determinants,
@@ -73,7 +74,7 @@ import heapq
 import itertools
 import math
 from fractions import Fraction
-from operator import add, getitem, mul, neg, sub
+from operator import add, getitem, itemgetter, mul, neg, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .arith import decimal, divmod_mod, eval_mod, gcd_mod, is_prime, modulus, mul_mod, newton_step, trim
@@ -178,17 +179,16 @@ class MultiPoly:
 
     @staticmethod
     def _make(variables: tuple[str, ...], terms: dict[tuple[int, ...], Q]) -> "MultiPoly":
-        """Trusted constructor for internal results: ``variables`` are in
-        canonical order and every coefficient is already in stored form.
-        Only zero terms and unused variables are dropped."""
-        terms = {e: c for e, c in terms.items() if c}
-        used = [i for i, col in enumerate(zip(*terms)) if any(col)]
-        if len(used) != len(variables):
-            variables = tuple(variables[i] for i in used)
-            terms = {tuple(e[i] for i in used): c for e, c in terms.items()}
+        """Trusted constructor for internal results: it stores and checks
+        nothing.  The caller guarantees the canonical form: ``variables`` in
+        canonical order, each of positive degree in some term, every key as
+        long as ``variables``, and every coefficient nonzero and in stored
+        form.  A negation, a nonzero scaling and a rename keep that form, a
+        product keeps every variable and drops its zero terms itself, and
+        every other kernel stores through ``_trimmed``."""
         obj = object.__new__(MultiPoly)
-        object.__setattr__(obj, "vars", variables)
-        object.__setattr__(obj, "terms", terms)
+        _set_vars(obj, variables)
+        _set_terms(obj, terms)
         return obj
 
     def __setattr__(self, *_):
@@ -202,7 +202,8 @@ class MultiPoly:
 
     @staticmethod
     def const(value) -> "MultiPoly":
-        return MultiPoly._make((), {(): value if type(value) is int else _canon(_exact(value))})
+        c = value if type(value) is int else _canon(_exact(value))
+        return MultiPoly._make((), {(): c} if c else {})
 
     @staticmethod
     def var(name: str) -> "MultiPoly":
@@ -247,14 +248,17 @@ class MultiPoly:
     def __bool__(self) -> bool:
         return bool(self.terms)
 
+    # operators test for a MultiPoly first: isinstance(_, Q) runs ABCMeta's check
     def __eq__(self, other) -> bool:
-        if isinstance(other, _COEFF_TYPES):
+        if type(other) is not MultiPoly:
+            if not isinstance(other, _COEFF_TYPES):
+                return NotImplemented
             other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
+        if not self.vars:  # a constant equals its value, so hashes as it
+            return hash(self.terms.get((), 0))
         return hash((self.vars, frozenset(self.terms.items())))
 
     def __repr__(self) -> str:
@@ -282,22 +286,23 @@ class MultiPoly:
     def _aligned(self, other: "MultiPoly"):
         if self.vars == other.vars:
             return self.vars, self.terms, other.terms
-        unified = canonical_vars(self.vars + other.vars)
+        unified = _union(self.vars, other.vars)
         return unified, _reindex(self.terms, self.vars, unified), _reindex(other.terms, other.vars, unified)
 
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, _COEFF_TYPES):
+        if type(other) is not MultiPoly:
+            if not isinstance(other, _COEFF_TYPES):
+                return NotImplemented
             other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
         vars_, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
             prev = out.get(e)
             out[e] = c if prev is None else _canon(prev + c)
-        return MultiPoly._make(vars_, out)
+        # a variable can go only with a cancelled term
+        return _trimmed(vars_, out) if 0 in out.values() else MultiPoly._make(vars_, out)
 
     __radd__ = __add__
 
@@ -305,44 +310,41 @@ class MultiPoly:
         return MultiPoly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, _COEFF_TYPES):
+        if type(other) is not MultiPoly:
+            if not isinstance(other, _COEFF_TYPES):
+                return NotImplemented
             other = MultiPoly.const(other)
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
         vars_, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
             prev = out.get(e)
             out[e] = -c if prev is None else _canon(prev - c)
-        return MultiPoly._make(vars_, out)
+        return _trimmed(vars_, out) if 0 in out.values() else MultiPoly._make(vars_, out)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, _COEFF_TYPES):
-            if not other:
-                return MultiPoly.zero()
-            c = _canon(Q(other))
-            if c == 1:
-                return self
-            return MultiPoly._make(self.vars, {e: _canon(co * c) for e, co in self.terms.items()})
-        if not isinstance(other, MultiPoly):
+        if type(other) is MultiPoly and other.vars and self.vars:
+            # Convolve integer numerators over one common denominator per
+            # operand; only the output terms become rationals.  Degrees add
+            # over an integral domain: terms may cancel, but no variable goes.
+            vars_, a, b = self._aligned(other)
+            da, a = _int_terms(a)
+            db, b = _int_terms(b)
+            out = _mul_terms(a, b)
+            den = da * db
+            return MultiPoly._make(vars_, {e: _ratio(n, den) for e, n in out.items() if n}
+                                   if den != 1 or 0 in out.values() else out)
+        if type(other) is MultiPoly:  # a constant factor scales the terms of the other
+            p, c = (self, other.terms.get((), 0)) if self.vars else (other, self.terms.get((), 0))
+        elif isinstance(other, _COEFF_TYPES):
+            p, c = self, other if type(other) is int else _canon(other if type(other) is Q else Q(other))
+        else:
             return NotImplemented
-        if not other.vars:  # a constant factor scales the terms
-            return self * other.terms.get((), 0)
-        if not self.vars:
-            return other * self.terms.get((), 0)
-        # Convolve integer numerators over one common denominator per
-        # operand; only the output terms become rationals.
-        vars_, a, b = self._aligned(other)
-        da, a = _int_terms(a)
-        db, b = _int_terms(b)
-        out = _mul_terms(a, b)
-        den = da * db
-        if den == 1:
-            return MultiPoly._make(vars_, out)
-        return MultiPoly._make(vars_, {e: _ratio(n, den) for e, n in out.items() if n})
+        if not c:
+            return MultiPoly.zero()
+        return p if c == 1 else MultiPoly._make(p.vars, {e: _canon(co * c) for e, co in p.terms.items()})
 
     __rmul__ = __mul__
 
@@ -389,10 +391,11 @@ class MultiPoly:
     subs_poly = eval_partial
 
     def rename_vars(self, mapping: Mapping[str, str]) -> "MultiPoly":
-        new_names = [mapping.get(n, n) for n in self.vars]
-        if len(set(new_names)) != len(new_names):
+        names = tuple([mapping.get(n, n) for n in self.vars])
+        if len(set(names)) != len(names):
             raise ValueError("variable rename collides")
-        return MultiPoly(tuple(new_names), dict(self.terms))
+        new = canonical_vars(names)
+        return MultiPoly._make(new, self.terms if new == names else _reindex(self.terms, names, new))
 
     # -- calculus ----------------------------------------------------------
 
@@ -405,7 +408,7 @@ class MultiPoly:
             e = exps[i]
             if e:
                 out[exps[:i] + (e - 1,) + exps[i + 1 :]] = _canon(coeff * e)
-        return MultiPoly._make(self.vars, out)
+        return _trimmed(self.vars, out)  # var goes at degree 1, and so may a variable of the dropped terms
 
     # -- views as a univariate polynomial -----------------------------------
 
@@ -420,7 +423,7 @@ class MultiPoly:
             k = exps[i]
             key = exps[:i] + exps[i + 1 :]
             buckets.setdefault(k, {})[key] = coeff
-        return {k: MultiPoly._make(rest, t) for k, t in buckets.items()}
+        return {k: _trimmed(rest, t) for k, t in buckets.items()}
 
     # -- normalization -------------------------------------------------------
 
@@ -445,6 +448,27 @@ class MultiPoly:
         if self.leading()[1] > 0:
             return self if ints is self.terms else MultiPoly._make(self.vars, ints)
         return MultiPoly._make(self.vars, {e: -n for e, n in ints.items()})
+
+
+_set_vars, _set_terms = MultiPoly.vars.__set__, MultiPoly.terms.__set__
+
+
+def _trimmed(variables: tuple[str, ...], terms: dict) -> MultiPoly:
+    """``MultiPoly._make`` for the result of a kernel that can cancel terms
+    or lose variables: zero terms and variables of degree 0 are dropped."""
+    if 0 in terms.values():
+        terms = {e: c for e, c in terms.items() if c}
+    used = list(map(any, zip(*terms)))
+    if len(used) == len(variables) and all(used):
+        return MultiPoly._make(variables, terms)
+    kept = tuple(itertools.compress(variables, used))
+    return MultiPoly._make(kept, _reindex(terms, variables, kept))
+
+
+@functools.lru_cache(maxsize=1024)
+def _union(a: tuple[str, ...], b: tuple[str, ...]) -> tuple[str, ...]:
+    """The canonical variables of two operands; few pairs recur."""
+    return canonical_vars(a + b)
 
 
 def _int_terms(terms: Mapping[tuple[int, ...], Q]) -> tuple[int, Mapping[tuple[int, ...], int]]:
@@ -489,15 +513,20 @@ def _primitive_ints(terms: Mapping[tuple[int, ...], Q]) -> tuple[Q, Mapping[tupl
 
 
 def _reindex(terms, old_vars, new_vars):
-    pos = [new_vars.index(v) for v in old_vars]
-    n = len(new_vars)
-    out = {}
-    for exps, c in terms.items():
-        key = [0] * n
-        for p, e in zip(pos, exps):
-            key[p] = e
-        out[tuple(key)] = c
-    return out
+    """terms over old_vars as terms over new_vars: a name only new_vars has
+    gets exponent 0, and one it lacks must have exponent 0 throughout."""
+    if old_vars == new_vars:
+        return terms
+    get = _key_getter(old_vars, new_vars)
+    return {get((*e, 0)): c for e, c in terms.items()}
+
+
+@functools.lru_cache(maxsize=1024)
+def _key_getter(old_vars: tuple[str, ...], new_vars: tuple[str, ...]) -> itemgetter:
+    """Picks ``_reindex``'s keys in C from (*e, 0), 0 at len(old_vars); a
+    slice stands for one position, whose itemgetter returns no tuple."""
+    pos = [old_vars.index(v) if v in old_vars else len(old_vars) for v in new_vars]
+    return itemgetter(*pos) if len(pos) > 1 else itemgetter(slice(pos[0], pos[0] + 1) if pos else slice(0))
 
 
 def compose(p: MultiPoly, pairs: Mapping[str, tuple], caps: Optional[Mapping[str, int]] = None) -> MultiPoly:
@@ -563,7 +592,7 @@ def compose(p: MultiPoly, pairs: Mapping[str, tuple], caps: Optional[Mapping[str
                 out[x] = get(x, 0) + c
     if vars_ != layout:
         out = _reindex(out, layout, vars_)
-    return MultiPoly._make(vars_, {e: _ratio(c, den) for e, c in out.items() if c})
+    return _trimmed(vars_, {e: _ratio(c, den) for e, c in out.items() if c})
 
 
 def _operand(x, layout: tuple[str, ...]):
@@ -722,7 +751,7 @@ def _det_image(entries: list, rows: list, variables: tuple, radix: Sequence[int]
                     raise ArithmeticError("fraction-free elimination lost exactness")
         prev = top[k]
     terms = _kronecker_det({0: sign * (m[-1][-1] if m else 1)}, w, radix)
-    return MultiPoly._make(variables, {e[1:]: _ratio(c * num, den) for e, c in terms.items()})
+    return _trimmed(variables, {e[1:]: _ratio(c * num, den) for e, c in terms.items()})
 
 
 def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -749,7 +778,7 @@ def _det_ints(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
     terms = _kronecker_det(_laplace(images), w, radix[1:])
     if scale != 1 or not variables:  # a grid of constants has no head: key (0,) becomes ()
         terms = {e[: len(variables)]: _ratio(c, scale) for e, c in terms.items()}
-    return MultiPoly._make(variables, terms)
+    return _trimmed(variables, terms)
 
 
 def bordered_hessian(F: MultiPoly, coords: Sequence[str]) -> MultiPoly:
@@ -810,7 +839,7 @@ def bordered_hessian(F: MultiPoly, coords: Sequence[str]) -> MultiPoly:
     if content != 1:
         num, den = _num_den(content**4)
         terms = {e: _ratio(c * num, den) for e, c in terms.items()}
-    return MultiPoly._make(F.vars, terms)
+    return _trimmed(F.vars, terms)
 
 
 def det3(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -913,7 +942,7 @@ def exact_div(q: MultiPoly, p: MultiPoly) -> Optional[MultiPoly]:
     if quot is None:
         return None
     num, den = _num_den(cq / cp)
-    return MultiPoly._make(vars_, {e: _ratio(h * num, den) for e, h in quot.items()})
+    return _trimmed(vars_, {e: _ratio(h * num, den) for e, h in quot.items()})
 
 
 def _quotient(dividend: Mapping, divisor: Mapping[tuple[int, ...], int], p: int = 0) -> Optional[dict]:
@@ -1139,7 +1168,7 @@ def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
     if any(shared):
         h = {tuple(map(add, e, shared)): c for e, c in h.items()}
     sign = -1 if h[max(h, key=_grlex_key)] < 0 else 1
-    return MultiPoly._make(vars_, {e: sign * c for e, c in h.items()})
+    return _trimmed(vars_, {e: sign * c for e, c in h.items()})
 
 
 def _mgcd(a: dict, b: dict) -> dict:

@@ -13,8 +13,9 @@ canonical, so equal maps have equal forms.  Map operations and the
 substitution certificate work on it, and so does every plane-curve
 parametrization, a triple [U : V : W] (:mod:`devsurf.curves`).  The
 reduced components Xi/W are a view; its readers are the printing (and
-``builder.full_map`` and ``build_conical``, which hand it on to the maps
-they build), ``builder.reduce_directrix``,
+``builder.full_map``, which forms the ruled surface's components from the
+views of its two curves with no RatFunc arithmetic, and ``build_conical``,
+both handing them on to the maps they build), ``builder.reduce_directrix``,
 ``parametric._mobius_normalized`` and
 ``parametric.reparametrize_space_curve`` with its audit ``_same_curve``.
 Composition (``substitute``, ``RationalMap3.subs``) is ``poly.compose`` on
@@ -114,6 +115,8 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
+        if self.den == _ONE:  # it equals its numerator, so hashes as it
+            return hash(self.num)
         return hash((self.num, self.den))
 
     def __repr__(self):

@@ -2,8 +2,13 @@
 
 While the reference surfaces of cases.py go through the CLI and a few
 kernel operations run on rational coefficients, every MultiPoly built is
-inspected: each stored coefficient must be a Python ``int`` or a
-non-integral ``Q``, and the value accessors must return a ``Q``.  Every
+inspected, through each constructor (the public one, the trusted
+``MultiPoly._make`` and ``poly._trimmed`` wherever it is bound), for the
+whole canonical form: no zero coefficient, each stored coefficient a
+Python ``int`` or a non-integral ``Q``, the variables strictly increasing
+under ``var_sort_key``, each of positive degree in some term, and every
+exponent tuple as long as the variable tuple.  The value accessors must
+return a ``Q``.  Every
 RationalMap3 built on the way is inspected too: its stored form
 [X1 : X2 : X3 : W] must hold Python ``int`` coefficients with gcd 1,
 entries with gcd 1, and W with a positive leading coefficient.
@@ -24,7 +29,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).parent))
 
 from devsurf.cli import main as cli_main
-from devsurf.poly import MultiPoly, Q, bordered_hessian, det3, exact_div, gcd_many, gcd_multi, resultant
+from devsurf import poly
+from devsurf.poly import MultiPoly, Q, bordered_hessian, det3, exact_div, gcd_many, gcd_multi, resultant, var_sort_key
 from devsurf.ratfunc import RationalMap3
 
 import cases
@@ -37,8 +43,13 @@ EXIT_CODES = [0, 0, 0, 3, 3, 0, 0, 3, 3, 0]
 
 
 def assert_stored(p: MultiPoly) -> None:
+    """p is in canonical form, as the module docstring lists it."""
     for c in p.terms.values():
-        assert type(c) is int or type(c) is Q and c.denominator != 1, repr(c)
+        assert c != 0 and (type(c) is int or type(c) is Q and c.denominator != 1), (p.vars, p.terms)
+    keys = list(map(var_sort_key, p.vars))
+    assert all(a < b for a, b in zip(keys, keys[1:])), p.vars
+    assert all(len(e) == len(p.vars) for e in p.terms), (p.vars, p.terms)
+    assert all(any(e[i] for e in p.terms) for i in range(len(p.vars))), (p.vars, p.terms)
 
 
 def assert_stored_map(m: RationalMap3) -> None:
@@ -75,19 +86,29 @@ def _kernel_values() -> list:
 
 def check() -> int:
     """Run the whole check; the number of polynomials inspected."""
-    seen, maps = [], []
-    make, init, store = MultiPoly._make, MultiPoly.__init__, RationalMap3._store
+    seen, maps, calls = [], [], {"_make": 0, "__init__": 0, "_trimmed": 0}
+    make, init, trimmed, store = MultiPoly._make, MultiPoly.__init__, poly._trimmed, RationalMap3._store
+    # every module that binds _trimmed under that name calls the spy
+    homes = [m for name, m in sys.modules.items() if name.startswith("devsurf.") and vars(m).get("_trimmed") is trimmed]
 
     def spy_make(variables, terms):
         p = make(variables, terms)
         assert_stored(p)
         seen.append(p)
+        calls["_make"] += 1
         return p
 
     def spy_init(self, variables, terms):
         init(self, variables, terms)
         assert_stored(self)
         seen.append(self)
+        calls["__init__"] += 1
+
+    def spy_trimmed(variables, terms):
+        p = trimmed(variables, terms)
+        assert_stored(p)
+        calls["_trimmed"] += 1
+        return p
 
     def spy_store(self, form, params, comps):
         store(self, form, params, comps)
@@ -96,6 +117,8 @@ def check() -> int:
 
     MultiPoly._make = staticmethod(spy_make)
     MultiPoly.__init__ = spy_init
+    for m in homes:
+        m._trimmed = spy_trimmed
     RationalMap3._store = spy_store
     try:
         _kernel_values()
@@ -106,9 +129,12 @@ def check() -> int:
                     codes.append(cli_main([mode, text]))
         assert codes == EXIT_CODES, codes
         assert len(maps) > 10, len(maps)
+        assert all(calls.values()), calls
     finally:
         MultiPoly._make = staticmethod(make)
         MultiPoly.__init__ = init
+        for m in homes:
+            m._trimmed = trimmed
         RationalMap3._store = store
     return len(seen)
 

@@ -1244,11 +1244,13 @@ class TestIntCoefficients:
     def test_stored_forms_under_mpz_numerators(self):
         # the stand-in's mpq reads numerators as mpz, whose true division
         # gives a float: none may reach storage or an accessor
-        assert self.run_stored_forms(TESTS / "gmpy2_stub").startswith("gmpy2.mpq: ")
+        out = self.run_stored_forms(TESTS / "gmpy2_stub")
+        assert out.startswith("gmpy2.mpq: ") and int(out.split()[1]) > 1000
 
     def test_stored_forms_under_gmpy2(self):
         gmpy2 = pytest.importorskip("gmpy2")
-        assert self.run_stored_forms().startswith(f"{gmpy2.mpq.__module__}.mpq: ")
+        out = self.run_stored_forms()
+        assert out.startswith(f"{gmpy2.mpq.__module__}.mpq: ") and int(out.split()[1]) > 1000
 
     def test_coeff_accessor(self):
         p = X * Q(1, 2) + 3 * Y**2 - 4
@@ -1273,6 +1275,82 @@ class TestIntCoefficients:
     def test_gcd_of_disjoint_variables_is_one(self):
         assert gcd_multi(X**2 + 2 * X, Y * T - 3) == 1
         assert gcd_multi(2 * X, 4 * Y) == 1
+
+
+class TestTrimming:
+    """Results of the kernels that can cancel terms or lose variables, on
+    seeded inputs built to do so: each is in canonical form and equals the
+    public constructor's canonical form of its own terms."""
+
+    NAMES = ("x", "y", "z", "t")
+
+    @staticmethod
+    def check(p):
+        stored_forms.assert_stored(p)
+        twin = MultiPoly(p.vars, dict(p.terms))
+        assert (p.vars, p.terms) == (twin.vars, twin.terms)
+        return p
+
+    @classmethod
+    def polys(cls, count=40):
+        """Pairs (a, b) of seeded polynomials, b free of x and z, with
+        rational coefficients in a."""
+        rng = random.Random(20260811)
+        for _ in range(count):
+            a = random_small_multipoly(rng, rng.sample(cls.NAMES, rng.randint(1, 4)), rng.randint(1, 3))
+            a = MultiPoly(a.vars, {e: Q(c, rng.choice((1, 2, 3))) for e, c in a.terms.items()})
+            yield a, random_small_multipoly(rng, ("y", "t"), rng.randint(1, 2))
+
+    def test_sums_and_differences(self):
+        for a, b in self.polys():
+            assert self.check(a - a) == 0 and (a - a).vars == ()
+            assert self.check((a + b) - b) == a and self.check((b + a) - b) == a
+            assert self.check((a - X * b) + b * X) == a
+            assert self.check((X + Y) - Y) == X
+
+    def test_products_that_cancel(self):
+        assert self.check((X + 1) * (X - 1)) == X**2 - 1
+        for a, b in self.polys():
+            # (a + b)(a - b): the cross terms cancel; a^2 and b^2 may cancel too
+            assert self.check((a + b) * (a - b)) == self.check(a * a - b * b)
+            assert self.check((a * Q(1, 2) + b) * (a * 2 - b * 4)) == self.check(a * a - b * b * 4)
+
+    def test_derivatives_that_remove_variables(self):
+        assert self.check((X * Y + Y**2 + 3 * X).derivative("x")) == Y + 3
+        assert self.check((X + Y).derivative("x")).vars == ()
+        for a, b in self.polys():
+            for v in self.NAMES:
+                self.check((X * b + a).derivative(v))
+                self.check((X * a + b).derivative(v))
+
+    def test_coeffs_in(self):
+        assert {k: self.check(c) for k, c in (X * Y + Z**2).coeffs_in("y").items()} == {1: X, 0: Z**2}
+        for a, b in self.polys():
+            for v in self.NAMES:
+                for c in (X * a + b * Z).coeffs_in(v).values():
+                    self.check(c)
+
+    def test_compose_binding_to_zero(self):
+        assert self.check((X * Y + 1).eval_partial({"x": 0})) == 1
+        for a, b in self.polys():
+            for v in self.NAMES:
+                self.check((X * a + b).eval_partial({v: 0}))
+                self.check((X * a + b).subs_poly({v: Y - Y**2 if v != "y" else T}))
+                self.check(poly_module.compose(a * Z, {"z": (0, 1)}))
+
+    def test_exact_div_that_removes_a_variable(self):
+        assert self.check(exact_div(X * Y + X, Y + 1)) == X
+        for a, b in self.polys():
+            if not b.is_constant():
+                assert self.check(exact_div(a * b, b)) == a
+                assert self.check(exact_div(a * b * Z, b * Z)) == a
+
+    def test_zero_and_constants(self):
+        for value in (0, Q(0), Q(0, 5)):
+            zero = self.check(MultiPoly.const(value))
+            assert zero.terms == {} and zero.vars == () and zero == MultiPoly.zero()
+        assert self.check(X * 0) == 0 and self.check(X * Q(0)) == 0 and self.check(0 * X) == 0
+        assert self.check(MultiPoly.const(Q(6, 3))).terms == {(): 2}
 
 
 def subs_poly_oracle(p, bindings):

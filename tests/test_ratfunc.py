@@ -51,6 +51,20 @@ def test_denominator_normalized_positive_primitive():
     assert r == RatFunc(3 * X, 3 * (-2 * X + 4))
 
 
+@pytest.mark.parametrize("value", [0, 3, -2, Q(1, 2)])
+def test_equal_values_hash_equal(value):
+    # constants equal their values, and RatFuncs over 1 their numerators:
+    # each pair must hash alike, for set and dict lookups
+    p, r = MultiPoly.const(value), RatFunc(value)
+    assert p == value and r == value and r == p
+    assert hash(p) == hash(value) and hash(r) == hash(value)
+    assert value in {p} and p in {value} and value in {r} and r in {p} and p in {r}
+    assert {value: "v"}[p] == {value: "v"}[r] == "v" and {p: "p"}[value] == {p: "p"}[r] == "p"
+    assert {r: "r"}[value] == {r: "r"}[p] == "r"
+    q = X * value + T
+    assert RatFunc(q) == q and hash(RatFunc(q)) == hash(q) and RatFunc(q) in {q} and q in {RatFunc(q)}
+
+
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         RatFunc(X, MultiPoly.zero())
