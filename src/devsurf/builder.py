@@ -10,7 +10,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .errors import DevsurfError
 from .linalg import _rref, coefficient_rows, nullspace
-from .poly import MultiPoly, Q, exact_div, gcd_many, gcd_multi, resultant, squarefree_part
+from .poly import MultiPoly, Q, det3, exact_div, gcd_many, gcd_multi, poly_divmod_univar, resultant, squarefree_part
 from .ratfunc import RatFunc, RationalMap3, cross3, dot3, substitute_map_is_zero
 from .curves import COORDS
 
@@ -62,10 +62,12 @@ class ParamResult(NamedTuple):
 def ruling_triple_product(p0: RationalMap3, p1: RationalMap3) -> RatFunc:
     """Developability form of a ruled surface P0 + s*P1: the triple product
     of P0', P1 and P1'.  Identically zero exactly for developable ruled
-    surfaces."""
-    d0 = p0.derivative("t")
-    d1 = p1.derivative("t")
-    return dot3(cross3(d0.components, p1.components), d1.components)
+    surfaces.  On the forms A/a, B/b and C/c of the three maps it is
+    det(A, B, C)/(a*b*c), reduced once."""
+    *A, a = p0.derivative("t").form
+    *B, b = p1.form
+    *C, c = p1.derivative("t").form
+    return RatFunc(det3([A, B, C]), a * b * c)
 
 
 def build_conical(apex: Sequence, curve: RationalMap3) -> ParamResult:
@@ -84,7 +86,7 @@ def build_conical(apex: Sequence, curve: RationalMap3) -> ParamResult:
     if all(c.is_zero() for c in cross3(n, [c.derivative("t") for c in n])):
         raise DevsurfError("cone degenerates: directrix runs along a single ruling")
     # gcd(n, W) = gcd(X, W) = 1, and n_i/W reduces as X_i/W does
-    comps = tuple(c - a for c, a in zip(curve.components, apex))
+    comps = tuple(RatFunc(c.num - a * c.den, c.den, _reduced=True) for c, a in zip(curve.components, apex))
     p1 = RationalMap3.from_form(n + [W], curve.params, _reduced=True, _components=comps)
     return ParamResult(p0=RationalMap3.constant(apex, ("t",)), p1=p1, kind=CONICAL)
 
@@ -235,31 +237,36 @@ def reduce_directrix(p: ParamResult) -> ParamResult:
     degree 0, which no candidate can undercut, so it returns p at once.
     q is a polynomial, so a cylinder's p0 + q*v keeps every reduced
     denominator: gcd(X_j - q*v_j*W, W) = gcd(X_j, W).  When p0's degree is
-    already its largest denominator degree, it returns p at once too."""
-    best = p.p0.components
-    best_deg = _map_degree(best)
-    if best_deg == (max(c.den.degree_in("t") for c in best) if p.p1.is_constant() else 0):
+    already its largest denominator degree, it returns p at once too.
+
+    It works on the forms p0 = X/W and p1 = Y/V.  q is the polynomial part
+    of the component ratio (X_i/W)/(Y_i/V), the quotient of X_i*V by
+    W*Y_i: a = q*b + r with deg r < deg b gives k*a = q*(k*b) + k*r, so
+    the quotient does not depend on how the ratio is written.  The
+    candidate is [X*V - q*Y*W : W*V].  Degrees are measured on its reduced
+    components, the largest degree of a numerator or denominator, which
+    the form's degree is not: (1/t, t, 0) has form degree 2 but degree 1."""
+    best = p.p0
+    best_deg = _map_degree(best.components)
+    if best_deg == (max(c.den.degree_in("t") for c in best.components) if p.p1.is_constant() else 0):
         return p
+    *Y, V = p.p1.form
     changed = True
     while changed:
         changed = False
         for i in range(3):
-            c0 = best[i]
-            c1 = p.p1.components[i]
-            if c1.is_zero() or c0.is_zero():
+            *X, W = best.form
+            if X[i].is_zero() or Y[i].is_zero():
                 continue
-            ratio = c0 / c1
-            if ratio.is_constant():
-                q = ratio
-            else:
-                qpoly = ratio.polynomial_part("t")
-                if qpoly.is_zero():
-                    continue
-                q = RatFunc(qpoly)
-            cand = tuple(a - q * b for a, b in zip(best, p.p1.components))
+            q, _ = poly_divmod_univar(X[i] * V, W * Y[i], "t")
+            if q.is_zero():
+                continue
+            entries = [x * V - q * y * W for x, y in zip(X, Y)] + [W * V]
+            cand = tuple(RatFunc(e, entries[3]) for e in entries[:3])
             d = _map_degree(cand)
             if d < best_deg:
-                best, best_deg, changed = cand, d, True
-    if best == p.p0.components:
+                best = RationalMap3.from_form(entries, best.params, _components=cand)
+                best_deg, changed = d, True
+    if best is p.p0:
         return p
-    return ParamResult(p0=RationalMap3(best, p.p0.params), p1=p.p1, kind=p.kind, refined=True)
+    return ParamResult(p0=best, p1=p.p1, kind=p.kind, refined=True)

@@ -745,7 +745,7 @@ def _smooth_genus(c: MultiPoly, names) -> Optional[int]:
     d = c.total_degree()
     n = (d - 1) ** 2
     F = {}  # (i, j) -> coefficient of u^i w^j h^(d-i-j)
-    for e, m in _primitive_ints(c.terms)[1].items():
+    for e, m in _primitive_ints(c.terms)[2].items():
         x = dict(zip(c.vars, e))
         F[x.get(u, 0), x.get(w, 0)] = m
     for P in (modulus(0), modulus(1)):

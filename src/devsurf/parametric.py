@@ -167,9 +167,8 @@ def reparametrize_space_curve(curve: RationalMap3, point_budget: int = 200) -> R
     last = DevsurfError("no projection of the curve could be reparametrized")
     for i, j, k in pairs:
         ni, nj, nk = COORDS[i], COORDS[j], COORDS[k]
-        Ei = (RatFunc(MultiPoly.var(ni)) - curve.components[i]).num
-        Ej = (RatFunc(MultiPoly.var(nj)) - curve.components[j]).num
-        Ek = (RatFunc(MultiPoly.var(nk)) - curve.components[k]).num
+        # the numerator of x_n - X_n/W_n, reduced as X_n/W_n is
+        Ei, Ej, Ek = (MultiPoly.var(COORDS[n]) * curve.components[n].den - curve.components[n].num for n in (i, j, k))
         if Ei.degree_in(t) == 0 or Ej.degree_in(t) == 0:
             continue
         proj = resultant(Ei, Ej, t)
@@ -226,8 +225,7 @@ def _same_curve(a: RationalMap3, b: RationalMap3) -> bool:
     if not samples:
         return False
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        Ei = (RatFunc(MultiPoly.var(COORDS[i])) - a.components[i]).num
-        Ej = (RatFunc(MultiPoly.var(COORDS[j])) - a.components[j]).num
+        Ei, Ej = (MultiPoly.var(COORDS[n]) * a.components[n].den - a.components[n].num for n in (i, j))
         if Ei.degree_in(t) == 0 or Ej.degree_in(t) == 0:
             continue
         r = resultant(Ei, Ej, t)

@@ -144,7 +144,7 @@ def _exact(value) -> Q:
     if not isinstance(value, _COEFF_TYPES):
         kind = "floats" if isinstance(value, float) else type(value).__name__
         raise TypeError(f"coefficients must be exact rationals, not {kind}")
-    return Q(value)
+    return value if type(value) is Q else Q(value)
 
 
 class MultiPoly:
@@ -433,14 +433,14 @@ class MultiPoly:
         into c as well."""
         if not self.terms:
             return Q(1)
-        unit, _ = _primitive_ints(self.terms)
-        return -unit if self.leading()[1] < 0 else unit
+        g, den, _ = _primitive_ints(self.terms)
+        return Q(-g if self.leading()[1] < 0 else g, den)
 
     def normalized(self) -> "MultiPoly":
         """Integer-primitive representative with positive leading coefficient."""
         if not self.terms:
             return self
-        return self._signed(_primitive_ints(self.terms)[1])
+        return self._signed(_primitive_ints(self.terms)[2])
 
     def _signed(self, ints: Mapping[tuple[int, ...], int]) -> "MultiPoly":
         """``normalized`` from the integer primitive part ``ints`` of the
@@ -500,16 +500,18 @@ def _mul_terms(a: Mapping[tuple[int, ...], object], b: Mapping[tuple[int, ...], 
     return out
 
 
-def _primitive_ints(terms: Mapping[tuple[int, ...], Q]) -> tuple[Q, Mapping[tuple[int, ...], int]]:
-    """Positive content c and integer primitive part n with terms == c * n;
-    like ``_int_terms``, n may be terms itself and is read-only."""
+def _primitive_ints(terms: Mapping[tuple[int, ...], Q]) -> tuple[int, int, Mapping[tuple[int, ...], int]]:
+    """(g, den, n) for the positive content g/den, two coprime ints, and the
+    integer primitive part n, with terms == g/den * n; like ``_int_terms``,
+    n may be terms itself and is read-only.  A caller that reads the
+    content builds its ``Q``."""
     den, ints = _int_terms(terms)
     g = 0
     for n in ints.values():
         g = math.gcd(g, n)
     if g != 1:
         ints = {e: n // g for e, n in ints.items()}
-    return Q(g, den), ints
+    return g, den, ints
 
 
 def _reindex(terms, old_vars, new_vars):
@@ -791,7 +793,7 @@ def bordered_hessian(F: MultiPoly, coords: Sequence[str]) -> MultiPoly:
     take the head key // place_0 and the tail slot key % place_0.  Six
     cofactors of two products give adj(H), w_j = sum_i adj_ij g_i and K =
     -sum_j w_j g_j; zero cofactors are skipped: a rank-1 H costs 12."""
-    content, ints = _primitive_ints(F.terms)
+    cn, cd, ints = _primitive_ints(F.terms)
     d = max(map(sum, ints), default=0)
     if d < 2:
         return MultiPoly._make((), {})
@@ -836,8 +838,8 @@ def bordered_hessian(F: MultiPoly, coords: Sequence[str]) -> MultiPoly:
             _add_product(acc, adj[i][j], g[i], 1)
         _add_product(K, {key: c for key, c in acc.items() if c}, g[j], -1)
     terms = _kronecker_det(K, w, radix[1:])
-    if content != 1:
-        num, den = _num_den(content**4)
+    if cn != 1 or cd != 1:
+        num, den = cn**4, cd**4
         terms = {e: _ratio(c * num, den) for e, c in terms.items()}
     return _trimmed(F.vars, terms)
 
@@ -909,14 +911,14 @@ def resultant(p: MultiPoly, q: MultiPoly, var: str) -> MultiPoly:
     radix = [n * p.degree_in(v) + m * q.degree_in(v) + 1 for v in variables]
     entries, matrix, scale = [((), {}, 1)], [], Q(1)  # entries[0] is zero
     for f, d, count in ((p, m, n), (q, n, m)):
-        content, ints = _primitive_ints(f.terms)
+        cn, cd, ints = _primitive_ints(f.terms)
         at, band = f.vars.index(var), list(range(len(entries), len(entries) + d + 1))
         coeffs = [{} for _ in band]  # coeffs[i]: the terms with var^(d - i)
         for e, c in ints.items():
             coeffs[d - e[at]][e] = c
         entries += [(f.vars, terms, 1) for terms in coeffs]  # var's exponent gets weight 0
         matrix += [[0] * i + band + [0] * (count - 1 - i) for i in range(count)]
-        scale *= content**count
+        scale *= Q(cn, cd) ** count
     return _det_image(entries, matrix, variables, radix, *_num_den(scale))
 
 
@@ -936,12 +938,12 @@ def exact_div(q: MultiPoly, p: MultiPoly) -> Optional[MultiPoly]:
     if not set(p.vars) <= set(q.vars):
         return None
     vars_, qt, pt = q._aligned(p)
-    cq, rem = _primitive_ints(qt)
-    cp, pi = _primitive_ints(pt)
+    nq, dq, rem = _primitive_ints(qt)
+    n_p, dp, pi = _primitive_ints(pt)
     quot = _quotient(rem, pi)
     if quot is None:
         return None
-    num, den = _num_den(cq / cp)
+    num, den = _num_den(Q(nq * dp, dq * n_p))
     return _trimmed(vars_, {e: _ratio(h * num, den) for e, h in quot.items()})
 
 
@@ -1156,8 +1158,8 @@ def gcd_multi(p: MultiPoly, q: MultiPoly) -> MultiPoly:
         # a factor of p involves only p's variables
         return MultiPoly.const(1)
     vars_, a, b = p._aligned(q)
-    ma, a = _strip_monomial(_primitive_ints(a)[1])
-    mb, b = _strip_monomial(_primitive_ints(b)[1])
+    ma, a = _strip_monomial(_primitive_ints(a)[2])
+    mb, b = _strip_monomial(_primitive_ints(b)[2])
     shared = tuple(map(min, ma, mb))
     used_a = [any(col) for col in zip(*a)]
     used_b = [any(col) for col in zip(*b)]
@@ -1197,7 +1199,7 @@ def _mgcd(a: dict, b: dict) -> dict:
                 lifted[e] = h + M * ((image.get(e, 0) - h) * inv % P)
             M *= P
         half = M // 2
-        h = _primitive_ints({e: c - M if c > half else c for e, c in lifted.items() if c})[1]
+        h = _primitive_ints({e: c - M if c > half else c for e, c in lifted.items() if c})[2]
         if _quotient(a, h) is not None and _quotient(b, h) is not None:
             return h
 
@@ -1262,7 +1264,7 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
         return MultiPoly.const(1)
     if len(p.vars) <= len(_LINE[0]):
         P = modulus(0)
-        ints = _primitive_ints(p.terms)[1]
+        ints = _primitive_ints(p.terms)[2]
         q = [c % P for c in _line_image(p, ints)]
         if q[-1] and len(gcd_mod(q, [k * c % P for k, c in enumerate(q)][1:], P)) == 1:
             return p._signed(ints)
@@ -1353,7 +1355,7 @@ def rational_roots(p: MultiPoly, var: str) -> list[Q]:
     if p.vars != (var,):
         raise ValueError("rational_roots expects univariate input")
     f = [0] * (p.degree_in(var) + 1)  # dense, ascending, content removed
-    for (k,), n in _primitive_ints(p.terms)[1].items():
+    for (k,), n in _primitive_ints(p.terms)[2].items():
         f[k] = n
     roots = [Q(0)] if f[0] == 0 else []
     f = f[next(k for k, c in enumerate(f) if c) :]

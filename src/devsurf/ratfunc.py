@@ -3,7 +3,10 @@
 A :class:`RatFunc` is a quotient num/den of multivariate polynomials kept in
 a canonical reduced form: gcd(num, den) is constant and den is
 integer-primitive with positive leading coefficient.  Structural equality
-therefore coincides with mathematical equality.
+therefore coincides with mathematical equality.  It is the public value
+type and the parser's (``exprs``): its arithmetic forms the unreduced
+result and reduces it once, in the constructor.  The pipeline does no
+RatFunc arithmetic; it computes on the stored forms below.
 
 A :class:`RationalMap3` is a map P = X/W of one parameter (a space curve)
 or two (a surface) into space, stored as its projective form
@@ -12,12 +15,14 @@ whose gcd is 1, and with W of positive leading coefficient.  That form is
 canonical, so equal maps have equal forms.  Map operations and the
 substitution certificate work on it, and so does every plane-curve
 parametrization, a triple [U : V : W] (:mod:`devsurf.curves`).  The
-reduced components Xi/W are a view; its readers are the printing (and
-``builder.full_map``, which forms the ruled surface's components from the
-views of its two curves with no RatFunc arithmetic, and ``build_conical``,
-both handing them on to the maps they build), ``builder.reduce_directrix``,
+reduced components Xi/W are a view; its readers are the printing,
+``builder.full_map`` and ``build_conical`` (each forms the components of
+the map it builds from the views of its inputs, with no RatFunc
+arithmetic, and hands them on), ``builder.reduce_directrix``, which
+measures degrees on the components of its candidates,
 ``parametric._mobius_normalized`` and
-``parametric.reparametrize_space_curve`` with its audit ``_same_curve``.
+``parametric.reparametrize_space_curve`` with its audit ``_same_curve``,
+whose eliminants x_i*den_i - num_i are read off the components.
 Composition (``substitute``, ``RationalMap3.subs``) is ``poly.compose`` on
 the pairs (num, den) of the bindings, with no RatFunc arithmetic.
 """
@@ -38,7 +43,6 @@ from .poly import (
     exact_div,
     gcd_many,
     gcd_multi,
-    poly_divmod_univar,
 )
 
 _ONE = MultiPoly.const(1)
@@ -53,7 +57,9 @@ def _coerce_poly(value) -> MultiPoly:
 
 
 class RatFunc:
-    """Quotient of two MultiPoly values, always reduced."""
+    """Quotient of two MultiPoly values, always reduced: each operation
+    builds its unreduced result, (a*d + c*b)/(b*d) for a/b + c/d, and the
+    constructor takes its one gcd and normalizes the denominator."""
 
     __slots__ = ("num", "den")
 
@@ -133,42 +139,13 @@ class RatFunc:
             return RatFunc(other)
         return None
 
-    def _addsub(self, o: "RatFunc", sign: int) -> "RatFunc":
-        # gcd of numerator and combined denominator divides gcd(d1, d2),
-        # so only that much reduction work is ever needed
-        if self.den == o.den:
-            num = self.num + o.num * sign
-            g = self.den if not self.den.is_constant() else None
-        else:
-            g = gcd_multi(self.den, o.den)
-            if g.is_constant():
-                g = None
-                num = self.num * o.den + o.num * self.den * sign
-                return RatFunc(num, self.den * o.den, _reduced=True)
-            dq = exact_div(o.den, g)
-            sq = exact_div(self.den, g)
-            num = self.num * dq + o.num * sq * sign
-            den = self.den * dq
-            if num.is_zero():
-                return RatFunc(MultiPoly.zero())
-            h = gcd_multi(num, g)
-            if not h.is_constant():
-                num = exact_div(num, h)
-                den = exact_div(den, h)
-            return RatFunc(num, den, _reduced=True)
-        if num.is_zero():
-            return RatFunc(MultiPoly.zero())
-        if g is not None:
-            h = gcd_multi(num, g)
-            if not h.is_constant():
-                return RatFunc(exact_div(num, h), exact_div(self.den, h), _reduced=True)
-        return RatFunc(num, self.den, _reduced=True)
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._addsub(o, 1)
+        return RatFunc(self.num * o.den + o.num * self.den, self.den * o.den)
+
+    __radd__ = __add__
 
     def __neg__(self):
         return RatFunc(-self.num, self.den, _reduced=True)
@@ -177,7 +154,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._addsub(o, -1)
+        return self + (-o)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -186,19 +163,7 @@ class RatFunc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b = self.num, self.den
-        c, d = o.num, o.den
-        if not d.is_constant() and not a.is_zero():
-            g1 = gcd_multi(a, d)
-            if not g1.is_constant():
-                a = exact_div(a, g1)
-                d = exact_div(d, g1)
-        if not b.is_constant() and not c.is_zero():
-            g2 = gcd_multi(c, b)
-            if not g2.is_constant():
-                c = exact_div(c, g2)
-                b = exact_div(b, g2)
-        return RatFunc(a * c, b * d, _reduced=True)
+        return RatFunc(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -208,7 +173,7 @@ class RatFunc:
             return NotImplemented
         if o.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self * RatFunc(o.den, o.num, _reduced=True)
+        return RatFunc(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
@@ -222,13 +187,6 @@ class RatFunc:
                 raise ZeroDivisionError("negative power of zero")
             return RatFunc(self.den ** (-n), self.num ** (-n), _reduced=True)
         return RatFunc(self.num**n, self.den**n, _reduced=True)
-
-    def polynomial_part(self, var: str) -> MultiPoly:
-        """Polynomial part of a univariate rational function in var."""
-        if self.den.is_constant():
-            return self.as_poly()
-        quo, _ = poly_divmod_univar(self.num, self.den, var)
-        return quo
 
     def to_text(self) -> str:
         if self.den == _ONE:

@@ -1,10 +1,11 @@
 """Standard-form assembly, implicitization, verification, refinement."""
 
+import contextlib
 import random
 
 import pytest
 
-from devsurf.poly import MultiPoly, Q, gcd_multi, squarefree_part
+from devsurf.poly import MultiPoly, Q, gcd_multi, poly_divmod_univar, squarefree_part
 from devsurf.ratfunc import RatFunc, RationalMap3, cross3, substitute_map_is_zero
 from devsurf.exprs import parse_map, parse_poly
 from devsurf.errors import DevsurfError
@@ -44,6 +45,38 @@ def _unimodular(rng):
     L, L_inv = [[1, 0, 0], [a, 1, 0], [b, c, 1]], [[1, 0, 0], [-a, 1, 0], [a * c - b, -c, 1]]
     U, U_inv = [[1, d, e], [0, 1, f], [0, 0, 1]], [[1, -d, d * f - e], [0, 1, -f], [0, 0, 1]]
     return _matmul(L, U), _matmul(U_inv, L_inv)
+
+
+def _ratfunc_reduce_directrix(p: ParamResult) -> ParamResult:
+    """``reduce_directrix`` on the reduced components with RatFunc
+    arithmetic, the route it took before it moved to the forms: the oracle
+    of the form route."""
+
+    def degree(comps):
+        return max(max(c.num.degree_in("t"), c.den.degree_in("t")) for c in comps)
+
+    best = p.p0.components
+    best_deg = degree(best)
+    if best_deg == (max(c.den.degree_in("t") for c in best) if p.p1.is_constant() else 0):
+        return p
+    changed = True
+    while changed:
+        changed = False
+        for i in range(3):
+            c0, c1 = best[i], p.p1.components[i]
+            if c1.is_zero() or c0.is_zero():
+                continue
+            ratio = c0 / c1
+            q = RatFunc(poly_divmod_univar(ratio.num, ratio.den, "t")[0])
+            if q.is_zero():
+                continue
+            cand = tuple(a - q * b for a, b in zip(best, p.p1.components))
+            d = degree(cand)
+            if d < best_deg:
+                best, best_deg, changed = cand, d, True
+    if best == p.p0.components:
+        return p
+    return ParamResult(p0=RationalMap3(best, p.p0.params), p1=p.p1, kind=p.kind, refined=True)
 
 
 def _curve(nums, den):
@@ -362,38 +395,32 @@ class TestReduceDirectrix:
         reduced = reduce_directrix(cone)
         assert reduced.p0 == cone.p0 and not reduced.refined
 
+    @staticmethod
+    def _spy_divisions(monkeypatch) -> list:
+        # the form route takes q as the quotient of X_i*V by W*Y_i
+        import devsurf.builder
+
+        calls = []
+        divmod_univar = devsurf.builder.poly_divmod_univar
+        monkeypatch.setattr(devsurf.builder, "poly_divmod_univar", lambda *a: calls.append(a) or divmod_univar(*a))
+        return calls
+
     def test_cone_returned_without_division(self, monkeypatch):
-        # a cone's p0 is its apex, of degree 0 already: no ratio is formed
-        divisions = []
-        truediv = RatFunc.__truediv__
-
-        def spy(self, other):
-            divisions.append(other)
-            return truediv(self, other)
-
+        # a cone's p0 is its apex, of degree 0 already: no quotient is taken
+        calls = self._spy_divisions(monkeypatch)
         cone = build_conical((1, -2, Q(1, 3)), parse_map(CIRCLE_Z1, params=("t",)))
         cylinder = build_cylindrical((0, 1, 1), parse_map("( t, t^2, 0 )", params=("t",)))
-        monkeypatch.setattr(RatFunc, "__truediv__", spy)
         assert reduce_directrix(cone) is cone
-        assert divisions == []
-        # a cylinder still forms its ratios, so the spy does see divisions
+        assert calls == []
+        # a cylinder still takes its quotients, so the spy does see divisions
         reduce_directrix(cylinder)
-        assert divisions
+        assert calls
 
     def test_conic_cylinder_returned_without_polynomial_division(self, monkeypatch):
         # p0 + q*v keeps a cylinder's reduced denominators, so a directrix
         # whose degree is already its largest denominator degree (a conic's
         # 2 over (1 + t^2)) is returned as it is, with no division
-        import devsurf.ratfunc
-
-        calls = []
-        divmod_univar = devsurf.ratfunc.poly_divmod_univar
-
-        def spy(*args):
-            calls.append(args)
-            return divmod_univar(*args)
-
-        monkeypatch.setattr(devsurf.ratfunc, "poly_divmod_univar", spy)
+        calls = self._spy_divisions(monkeypatch)
         for text, direction in ((CIRCLE_Z1, (1, 1, 1)), (EQUATOR, (2, -1, 3)), ("( (t^2+1)/(t^2-2), t/(t^2-2), t )", (0, 1, 0))):
             cylinder = build_cylindrical(direction, parse_map(text, params=("t",)))
             assert reduce_directrix(cylinder) is cylinder
@@ -401,22 +428,41 @@ class TestReduceDirectrix:
 
     def test_directrix_with_a_polynomial_part_still_refines(self, monkeypatch):
         # a rational directrix of degree 3 over t^2 + 1 and a polynomial one
-        # of degree 3: sliding along x, resp. z, brings each to degree 2
-        import devsurf.ratfunc
-
-        calls = []
-        divmod_univar = devsurf.ratfunc.poly_divmod_univar
-        monkeypatch.setattr(devsurf.ratfunc, "poly_divmod_univar", lambda *a: calls.append(a) or divmod_univar(*a))
-        for text, direction, divided in (
-            ("( (t^3+1)/(t^2+1), t/(t^2+1), 1/(t^2+1) )", (1, 0, 0), True),
-            ("( t, t^2, t^3 )", (0, 0, 1), False),
+        # of degree 3: sliding along x, resp. z, brings each to degree 2.  The
+        # form route divides for the polynomial directrix too
+        calls = self._spy_divisions(monkeypatch)
+        for text, direction in (
+            ("( (t^3+1)/(t^2+1), t/(t^2+1), 1/(t^2+1) )", (1, 0, 0)),
+            ("( t, t^2, t^3 )", (0, 0, 1)),
         ):
             calls.clear()
             cylinder = build_cylindrical(direction, parse_map(text, params=("t",)))
             reduced = reduce_directrix(cylinder)
-            assert reduced.refined and bool(calls) is divided
+            assert reduced.refined and calls
             assert max(max(c.num.degree_in("t"), c.den.degree_in("t")) for c in reduced.p0.components) == 2
             assert implicitize_ruled(reduced) == implicitize_ruled(cylinder)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_form_route_matches_the_ratfunc_route(self, seed):
+        # seeded cylinders over rational directrices and tangent surfaces of
+        # rational edges, as built and slid by a random polynomial q
+        rng = random.Random(seed)
+        built = [random_tangent_surface(rng, 2, with_denominator=True)[0]]
+        while len(built) < 2:
+            direction = [rng.randint(-2, 2) for _ in range(3)]
+            with contextlib.suppress(DevsurfError):
+                built.append(build_cylindrical(direction, random_space_curve(rng, 3, den_deg=rng.randint(1, 2))))
+        for p in list(built):
+            q = RatFunc(MultiPoly.var("t") ** rng.randint(1, 2) * rng.choice((-2, -1, 1, 3)) + rng.randint(-2, 2))
+            slid = RationalMap3([a + q * b for a, b in zip(p.p0.components, p.p1.components)], ("t",))
+            built.append(ParamResult(p0=slid, p1=p.p1, kind=p.kind))
+        refined = 0
+        for p in built:
+            mine, oracle = reduce_directrix(p), _ratfunc_reduce_directrix(p)
+            assert mine == oracle
+            assert mine.p0.components == oracle.p0.components
+            refined += mine.refined
+        assert refined
 
     def test_adversarial_degrees_drop_back(self):
         rng = random.Random(4)

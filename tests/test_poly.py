@@ -891,7 +891,7 @@ class TestSquarefreeCertificate:
         polys += [(2**61 - 1) * X**2 + Y, T**7 - 3 * T + 5]
         for p in polys:
             if not p.is_constant():
-                assert poly_module._line_image(p, poly_module._primitive_ints(p.terms)[1]) == self.substituted(p), p
+                assert poly_module._line_image(p, poly_module._primitive_ints(p.terms)[2]) == self.substituted(p), p
 
     def test_matches_gcd_route_and_sympy(self):
         rng = random.Random(29)

@@ -1,7 +1,10 @@
 """Rational functions: canonical reduction, arithmetic, substitution."""
 
+import contextlib
+import io
 import itertools
 import math
+import os
 import random
 
 import pytest
@@ -77,6 +80,53 @@ def test_field_arithmetic():
     assert a * b == RatFunc(MultiPoly.const(1), X + 1)
     assert (a / b) == RatFunc(X**2, X + 1)
     assert (a - a).is_zero()
+
+
+@pytest.mark.parametrize("left", [2, Q(-3, 4), MultiPoly.var("t")], ids=["int", "Q", "MultiPoly"])
+def test_operand_on_the_left(left):
+    # each operator with a number or a polynomial on the left gives the
+    # same operation with that operand on the right
+    r = RatFunc(T, T + 1)
+    assert left + r == r + left == RatFunc(left) + r
+    assert left - r == -(r - left) == RatFunc(left) - r
+    assert left * r == r * left == RatFunc(left) * r
+    assert left / r == 1 / (r / left) == RatFunc(left) / r
+
+
+def test_arithmetic_runs_only_in_the_parser(monkeypatch):
+    # the pipeline computes on the stored forms: RatFunc arithmetic on the
+    # reference inputs is called from the parser alone
+    import sys
+
+    from devsurf.cli import main as cli_main
+
+    callers = set()
+    depth = [0]
+
+    def spied(name, method):
+        def spy(*args):
+            if not depth[0]:
+                callers.add((sys._getframe(1).f_code.co_filename, name))
+            depth[0] += 1
+            try:
+                return method(*args)
+            finally:
+                depth[0] -= 1
+
+        return spy
+
+    names = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__neg__")
+    for name in set(names) & set(RatFunc.__dict__):
+        monkeypatch.setattr(RatFunc, name, spied(name, RatFunc.__dict__[name]))
+    implicit = (cases.ELLIPTIC_CONE_F, cases.QUARTIC_CYLINDER_F, cases.TANGENT_QUARTIC_F, cases.SPHERE_F, cases.TANGENT_DEV_IMPLICIT)
+    maps = (cases.ELLIPTIC_CONE_FULL_MAP, cases.IMPROPER_CONE_MAP, cases.TANGENT_DEV_MAP, cases.UNIT_CIRCLE_CONE_MAP, cases.PARABOLOID_MAP)
+    runs = [["implicit", f] for f in implicit] + [["parametric", m] for m in maps]
+    runs += [["verify", cases.ELLIPTIC_CONE_F, cases.ELLIPTIC_CONE_FULL_MAP], ["verify", cases.TANGENT_DEV_IMPLICIT, cases.TANGENT_DEV_MAP]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli_main(argv) for argv in runs]
+    assert codes == [0, 0, 0, 3, 0, 0, 0, 0, 0, 3, 0, 0]
+    assert "__truediv__" in {name for _, name in callers}  # the parser's divisions are seen
+    assert {os.path.basename(path) for path, _ in callers} == {"exprs.py"}
 
 
 def test_derivative_quotient_rule_randomized():

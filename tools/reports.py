@@ -45,7 +45,12 @@ exact_zero the substitution certificate decides: README's matching pair
 (a cone and its rational parametrization), and the same cone against a
 map whose components have the distinct denominators t^2 + 1 and t + 1,
 which prints its nonzero residue over the one denominator of the stored
-form.  When two commits print the same text, they agree on every exit
+form.  Last, two parametric maps that the round-trip workloads, which
+refine only polynomial edges, do not hold: the tangent surface of the
+rational edge (t, t^2, t^3)/(t^2 + 1), whose directrix refinement
+divides on forms X/W and Y/V with W and V both nonconstant, and a
+cylinder map whose components the parser adds over the distinct
+denominators t + 1 and t^2 + 1.  When two commits print the same text, they agree on every exit
 code, classification, apex, direction, printed K, parametrization,
 implicit equation, failure text and verify residue of these inputs.  perfbench/gen.py is imported as it is, so sympy is needed, as
 for the benchmark.
@@ -67,6 +72,11 @@ import cases  # noqa: E402
 import devsurf.cli  # noqa: E402
 import gen  # noqa: E402
 
+# the tangent surface of the edge t -> (t, t^2, t^3)/(t^2 + 1)
+RATIONAL_EDGE_TANGENT_MAP = (
+    "( -(s*t^2 - s - t^3 - t)/(t^2 + 1)^2, t*(2*s + t^3 + t)/(t^2 + 1)^2, "
+    "t^2*(s*t^2 + 3*s + t^3 + t)/(t^2 + 1)^2 )"
+)
 WORKLOADS = ("implicit-roundtrip", "parametric-roundtrip", "reject", "unsupported")
 DEFAULT_SEEDS = (20260811, 4242, 1)
 EXTRA = (
@@ -97,6 +107,9 @@ EXTRA = (
     ("squared cone times a plane", ["implicit", "(x^2+y^2-z^2)^2*(x+y+2)"]),
     ("verify README's cone", ["verify", "x^2+y^2-z^2", "( s*(1-t^2)/(1+t^2), s*2*t/(1+t^2), s )"]),
     ("verify residue over distinct denominators", ["verify", "x^2+y^2-z^2", "( s*(1-t^2)/(1+t^2), s*2*t/(1+t), s )"]),
+    ("tangent surface of a rational edge", ["parametric", RATIONAL_EDGE_TANGENT_MAP]),
+    ("cylinder map added over distinct denominators",
+     ["parametric", "( 1/(t+1) + t/(t^2+1) + s, t/(t+1) - 2/(t^2+1) + 2*s, 3/(t+1) + s )"]),
 )
 
 
