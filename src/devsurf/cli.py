@@ -16,13 +16,14 @@ unsupported / not rational / degenerate input, 3 not developable,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
+import re
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 from .arith import decimal
@@ -299,76 +300,205 @@ def _cmd_mesh(args) -> int:
     return EXIT_OK
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with bad arguments as an input error: exit 1, not 2."""
+# The command line as one table.  Each subcommand has its help text, its
+# positionals (dest, nargs: 1, or "+" for one or more, help) and its flags
+# (name, dest, type int, str or bool, default, required, help; a required
+# flag has no default); every subcommand also takes -h/--help.
+_ANALYZE_FLAGS = (
+    ("--pretty", "pretty", bool, False, False, "human-readable report instead of JSON"),
+    ("--plane-budget", "plane_budget", int, 35, False, "number of candidate section planes"),
+    ("--point-search-budget", "point_search_budget", int, 200, False, "rational point search sweep budget"),
+    ("--no-refine", "no_refine", bool, False, False, "skip directrix degree reduction"),
+    ("--jobs", "jobs", int, 1, False, "parallel workers for multiple inputs"),
+)
+_COMMANDS = {
+    "implicit": (
+        "analyze an implicit surface F(x, y, z)",
+        (("source", "+", "polynomial expression or file"),),
+        _ANALYZE_FLAGS,
+    ),
+    "parametric": (
+        "analyze a rational parametrization P(s, t)",
+        (("source", "+", "rational map expression or file"),),
+        _ANALYZE_FLAGS,
+    ),
+    "verify": (
+        "check a parametrization against an implicit surface",
+        (
+            ("surface", 1, "implicit polynomial expression or file"),
+            ("parametrization", 1, "rational map expression or file"),
+        ),
+        _ANALYZE_FLAGS[:1],
+    ),
+    "mesh": (
+        "sample a rational map to a vertex/face mesh",
+        (("parametrization", 1, "rational map expression or file"),),
+        (
+            ("--s", "s", str, None, True, "s range a:b (rationals)"),
+            ("--t", "t", str, None, True, "t range a:b (rationals)"),
+            ("--res", "res", int, None, True, "grid resolution per axis"),
+            ("--out", "out", str, None, False, "output file (default: stdout)"),
+        ),
+    ),
+}
+_HELP = ("-h", "--help")
+_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+def _usage(prog: str) -> str:
+    command = prog.partition(" ")[2]
+    if not command:
+        return f"usage: devsurf [-h] {{{','.join(_COMMANDS)}}} ..."
+    _, positionals, flags = _COMMANDS[command]
+    words = ["[-h]"]
+    for name, dest, kind, _, required, _ in flags:
+        word = name if kind is bool else f"{name} {dest.upper()}"
+        words.append(word if required else f"[{word}]")
+    words += [dest if nargs == 1 else f"{dest} [{dest} ...]" for dest, nargs, _ in positionals]
+    return f"usage: {prog} {' '.join(words)}"
 
 
-@functools.cache  # built on the first call, reused by every later main()
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="devsurf",
-        description="Exact developability analysis and rational parametrization of algebraic surfaces.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _fail(prog: str, message: str):
+    """A bad command line is an input error: usage and message on stderr, exit 1."""
+    print(_usage(prog), file=sys.stderr)
+    print(f"{prog}: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_INPUT)
 
-    def add_common(p):
-        p.add_argument("--pretty", action="store_true", help="human-readable report instead of JSON")
-        p.add_argument("--plane-budget", type=int, default=35, help="number of candidate section planes")
-        p.add_argument(
-            "--point-search-budget", type=int, default=200, help="rational point search sweep budget"
-        )
-        p.add_argument("--no-refine", action="store_true", help="skip directrix degree reduction")
-        p.add_argument("--jobs", type=int, default=1, help="parallel workers for multiple inputs")
 
-    p_imp = sub.add_parser("implicit", help="analyze an implicit surface F(x, y, z)")
-    p_imp.add_argument("source", nargs="+", help="polynomial expression or file")
-    add_common(p_imp)
+def _help(prog: str, value: Optional[str]):
+    """Print the help of ``prog``, from the table, and exit 0."""
+    if value is not None:
+        _fail(prog, f"argument -h/--help: ignored explicit argument {value!r}")
+    command = prog.partition(" ")[2]
+    if command:
+        about, positionals, flags = _COMMANDS[command]
+        options = [(name if kind is bool else f"{name} {dest.upper()}", text) for name, dest, kind, *_, text in flags]
+        sections = {
+            "positional arguments": [(dest, text) for dest, _, text in positionals],
+            "options": [("-h, --help", "show this help message and exit"), *options],
+        }
+    else:
+        about = "Exact developability analysis and rational parametrization of algebraic surfaces."
+        sections = {"commands": [(name, spec[0]) for name, spec in _COMMANDS.items()]}
+    lines = [_usage(prog), "", about]
+    for title, rows in sections.items():
+        lines += ["", f"{title}:"]
+        lines += [f"  {label:<21} {text}" if len(label) < 22 else f"  {label}\n{'':24}{text}" for label, text in rows]
+    print("\n".join(lines))
+    raise SystemExit(EXIT_OK)
 
-    p_par = sub.add_parser("parametric", help="analyze a rational parametrization P(s, t)")
-    p_par.add_argument("source", nargs="+", help="rational map expression or file")
-    add_common(p_par)
 
-    p_ver = sub.add_parser("verify", help="check a parametrization against an implicit surface")
-    p_ver.add_argument("surface", help="implicit polynomial expression or file")
-    p_ver.add_argument("parametrization", help="rational map expression or file")
-    p_ver.add_argument("--pretty", action="store_true")
+def _flag(token: str, names, prog: str) -> Optional[tuple[str, Optional[str]]]:
+    """(name, inline value) of the flag a token before "--" gives: its
+    exact name, "name=value", the one long name it is a prefix of, or -h
+    with the rest of a "-h..." token; ("", None) for an unknown option.
+    None for a positional: no leading "-", a lone "-", a negative number
+    or a token with a blank in it."""
+    if token in names:
+        return token, None
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        hits = [n for n in names if n.startswith(name)]
+    else:  # "-hx" is -h with the inline value "x"
+        hits = [token[:2]] if token[:2] in names else []
+        value, eq = token[2:], "="
+    if len(hits) > 1:
+        _fail(prog, f"ambiguous option: {token} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value if eq else None
+    return None if _NUMBER.match(token) or " " in token else ("", None)
 
-    p_mesh = sub.add_parser("mesh", help="sample a rational map to a vertex/face mesh")
-    p_mesh.add_argument("parametrization", help="rational map expression or file")
-    p_mesh.add_argument("--s", required=True, help="s range a:b (rationals)")
-    p_mesh.add_argument("--t", required=True, help="t range a:b (rationals)")
-    p_mesh.add_argument("--res", type=int, required=True, help="grid resolution per axis")
-    p_mesh.add_argument("--out", help="output file (default: stdout)")
-    return parser
+
+def read_argv(argv: list[str]) -> SimpleNamespace:
+    """The command line ``argv`` (without the program name) as a
+    namespace with the table's dests and ``command``.
+
+    The first token that is not -h or --help is the subcommand.  After it,
+    a flag takes the next token as its value (``--t -3:3``), "--" ends the
+    flags, and the other tokens fill the positionals in order; a "+"
+    positional takes one run of them between two flags.  -h prints help
+    and exits 0.  An ambiguous prefix anywhere before "--", then the first
+    bad flag or value in order, then a missing or a surplus argument is an
+    input error (``_fail``)."""
+    stray = []  # unknown flags, reported once the rest is read
+    for i, token in enumerate(argv):
+        found = None if token == "--" else _flag(token, _HELP, "devsurf")
+        if found is None:
+            break
+        if found[0]:
+            _help("devsurf", found[1])
+        stray.append(token)
+    else:
+        _fail("devsurf", "the following arguments are required: command")
+    command = argv[i]
+    if command not in _COMMANDS:
+        choices = ", ".join(map(repr, _COMMANDS))
+        _fail("devsurf", f"argument command: invalid choice: {command!r} (choose from {choices})")
+    prog = f"devsurf {command}"
+    _, positionals, flags = _COMMANDS[command]
+    table = dict.fromkeys(_HELP) | {flag[0]: flag for flag in flags}
+    rest = argv[i + 1 :]
+    for token in rest[: rest.index("--") if "--" in rest else None]:
+        _flag(token, table, prog)  # an ambiguous prefix fails before any flag acts
+    args = SimpleNamespace(command=command, **{flag[1]: flag[3] for flag in flags})
+    given, runs, dash_run = [], 0, None
+    tokens = iter(rest)
+    for token in tokens:
+        if dash_run is None and token == "--":
+            dash_run = runs  # the run of positionals that "--" stands in
+            continue
+        found = _flag(token, table, prog) if dash_run is None else None
+        if found is None:
+            given.append((runs, token))
+            continue
+        runs += 1
+        name, value = found
+        if not name:
+            stray.append(token)
+            continue
+        if name in _HELP:
+            _help(prog, value)
+        _, dest, kind, *_ = table[name]
+        if kind is bool:
+            if value is not None:
+                _fail(prog, f"argument {name}: ignored explicit argument {value!r}")
+            value = True
+        elif value is None and (value := next(tokens, None)) is None:
+            _fail(prog, f"argument {name}: expected one argument")
+        try:
+            setattr(args, dest, kind(value))
+        except ValueError:
+            _fail(prog, f"argument {name}: invalid int value: {value!r}")
+    for dest, nargs, _ in positionals:
+        if not given:
+            break
+        taken = given[:1] if nargs == 1 else [g for g in given if g[0] == given[0][0]]
+        setattr(args, dest, taken[0][1] if nargs == 1 else [token for _, token in taken])
+        if taken[-1][0] == dash_run:
+            dash_run = None
+        given = given[len(taken) :]
+    missing = [dest for dest, *_ in positionals if not hasattr(args, dest)]
+    missing += [name for name, dest, *_, required, _ in flags if required and getattr(args, dest) is None]
+    if missing:
+        _fail(prog, f"the following arguments are required: {', '.join(missing)}")
+    # "--" is kept only by a run that fills a positional
+    stray += [token for _, token in given] + ["--"] * (dash_run is not None)
+    if stray:
+        _fail(prog, f"unrecognized arguments: {' '.join(stray)}")
+    return args
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # join range flags with their values so negative bounds parse: --t -3:3
-    joined = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in ("--s", "--t") and i + 1 < len(argv):
-            joined.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            joined.append(tok)
-            i += 1
-    args = build_parser().parse_args(joined)
-    if args.command == "implicit":
-        return _cmd_analyze("implicit", args)
-    if args.command == "parametric":
-        return _cmd_analyze("parametric", args)
+    args = read_argv(list(sys.argv[1:] if argv is None else argv))
     if args.command == "verify":
         return _cmd_verify(args)
     if args.command == "mesh":
         return _cmd_mesh(args)
-    return EXIT_INPUT
+    return _cmd_analyze(args.command, args)
 
 
 if __name__ == "__main__":

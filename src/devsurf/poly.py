@@ -1244,6 +1244,14 @@ def _line_image(p: MultiPoly, ints: Mapping[tuple[int, ...], int]) -> list[int]:
     return image
 
 
+def _squarefree_image(q: list[int]) -> bool:
+    """The certificate of ``squarefree_part`` for ascending integer
+    coefficients q of degree at least 1."""
+    P = modulus(0)
+    q = [c % P for c in q]
+    return bool(q[-1]) and len(gcd_mod(q, [k * c % P for k, c in enumerate(q)][1:], P)) == 1
+
+
 def squarefree_part(p: MultiPoly) -> MultiPoly:
     """Product of the distinct irreducible factors of p, normalized.
 
@@ -1263,10 +1271,8 @@ def squarefree_part(p: MultiPoly) -> MultiPoly:
     if p.is_constant():
         return MultiPoly.const(1)
     if len(p.vars) <= len(_LINE[0]):
-        P = modulus(0)
         ints = _primitive_ints(p.terms)[2]
-        q = [c % P for c in _line_image(p, ints)]
-        if q[-1] and len(gcd_mod(q, [k * c % P for k, c in enumerate(q)][1:], P)) == 1:
+        if _squarefree_image(_line_image(p, ints)):
             return p._signed(ints)
     g = p
     for v in p.vars:
@@ -1310,24 +1316,15 @@ def poly_divmod_univar(p: MultiPoly, q: MultiPoly, var: str) -> tuple[MultiPoly,
     for poly in (p, q):
         if any(v != var for v in poly.vars):
             raise ValueError("poly_divmod_univar expects univariate input")
-    a = {k: v.constant_value() for k, v in p.coeffs_in(var).items()} if not p.is_zero() else {}
-    b = {k: v.constant_value() for k, v in q.coeffs_in(var).items()}
-    db = max(b) if b else 0
-    lc = b[db]
-    quo: dict[int, Q] = {}
+    a, b = ({e[0] if e else 0: _as_q(c) for e, c in poly.terms.items()} for poly in (p, q))
+    db, quo = max(b), {}
     while a and max(a) >= db:
-        da = max(a)
-        c = a[da] / lc
-        quo[da - db] = c
+        shift = max(a) - db
+        c = quo[shift] = a[db + shift] / b[db]
         for k, v in b.items():
-            key = k + da - db
-            nv = a.get(key, Q(0)) - c * v
-            if nv == 0:
-                a.pop(key, None)
-            else:
-                a[key] = nv
-    to_poly = lambda d: MultiPoly((var,), {(k,): v for k, v in d.items()})
-    return to_poly(quo), to_poly(a)
+            a[k + shift] = a.get(k + shift, 0) - c * v
+        a = {k: v for k, v in a.items() if v}
+    return tuple(_trimmed((var,), {(k,): _canon(c) for k, c in d.items()}) for d in (quo, a))
 
 
 def rational_roots(p: MultiPoly, var: str) -> list[Q]:
@@ -1336,7 +1333,8 @@ def rational_roots(p: MultiPoly, var: str) -> list[Q]:
     p-adic lifting (R. Loos, "Computing rational zeros of integral
     polynomials by p-adic expansion", SIAM J. Comput. 12, 1983).  Take the
     primitive integer polynomial f = a*t^d + ... + f0, strip the factor
-    t^k (root 0) so that f0 != 0, and make f squarefree.  Pick the first
+    t^k (root 0) so that f0 != 0, and make f squarefree: by a gcd with f'
+    only when ``_squarefree_image`` does not certify f.  Pick the first
     prime p with p not dividing a and f'(r) != 0 mod p at every root r of
     f mod p; only the finitely many primes dividing a*disc(f) fail.  Each
     root mod p is Newton-lifted to a root mod M > 2*|a*f0|, and the
@@ -1361,7 +1359,7 @@ def rational_roots(p: MultiPoly, var: str) -> list[Q]:
     f = f[next(k for k, c in enumerate(f) if c) :]
     if len(f) == 1:
         return roots
-    if len(f) > 2:  # a linear f is squarefree
+    if len(f) > 2 and not _squarefree_image(f):  # a linear f is squarefree too
         fd = {(k,): c for k, c in enumerate(f) if c}
         g = _mgcd(fd, {(k - 1,): k * c for (k,), c in fd.items() if k})
         if any(max(g)):

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report structure, golden files,
 mesh sampling."""
 
+import argparse
 import concurrent.futures
 import contextlib
 import io
@@ -17,7 +18,7 @@ import pytest
 
 import devsurf
 from devsurf.arith import decimal
-from devsurf.cli import main
+from devsurf.cli import main, read_argv
 
 import cases
 
@@ -477,28 +478,274 @@ class TestParserReuse:
         return lines
 
     def test_successive_calls_match_fresh_ones(self):
-        from devsurf.cli import build_parser
-
-        fresh = []
-        for argv in self.ARGVS:
-            build_parser.cache_clear()
-            fresh.append(run_cli(argv))
-        build_parser.cache_clear()
+        # every call reads its argv afresh from the flag table: running the
+        # commands in reverse order, so that each follows another one,
+        # changes no exit code and no report
+        fresh = [run_cli(argv) for argv in reversed(self.ARGVS)][::-1]
         reused = [run_cli(argv) for argv in self.ARGVS]
-        assert build_parser.cache_info().misses == 1
         assert [code for code, _ in reused] == [code for code, _ in fresh] == [0, 3, 0, 0, 0, 0, 1]
         for (_, a), (_, b) in zip(reused, fresh):
             assert self._stable(a) == self._stable(b)
         # a flag given to one call does not leak into the next
         assert json.loads(reused[5][1])["parametrization"]["refined"] is True
+        alone = [vars(read_argv(argv)) for argv in self.ARGVS]
+        every_flag = ["--pretty", "--no-refine", "--jobs", "2", "--plane-budget", "3", "--point-search-budget", "4"]
+        for argv in self.ARGVS:
+            read_argv([*argv[:2], *every_flag] if argv[0] == "implicit" else argv)
+            assert [vars(read_argv(argv)) for argv in self.ARGVS] == alone
+        assert vars(read_argv(["implicit", "x"])) == dict(
+            command="implicit", source=["x"], pretty=False, plane_budget=35, point_search_budget=200, no_refine=False, jobs=1
+        )
+
+
+def _oracle_parser():
+    """The argparse parser the command line was read with before the flag
+    table: the oracle of ``TestArgvReader``."""
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(prog="devsurf")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p):
+        p.add_argument("--pretty", action="store_true")
+        p.add_argument("--plane-budget", type=int, default=35)
+        p.add_argument("--point-search-budget", type=int, default=200)
+        p.add_argument("--no-refine", action="store_true")
+        p.add_argument("--jobs", type=int, default=1)
+
+    for name in ("implicit", "parametric"):
+        p = sub.add_parser(name)
+        p.add_argument("source", nargs="+")
+        add_common(p)
+    p_ver = sub.add_parser("verify")
+    p_ver.add_argument("surface")
+    p_ver.add_argument("parametrization")
+    p_ver.add_argument("--pretty", action="store_true")
+    p_mesh = sub.add_parser("mesh")
+    p_mesh.add_argument("parametrization")
+    p_mesh.add_argument("--s", required=True)
+    p_mesh.add_argument("--t", required=True)
+    p_mesh.add_argument("--res", type=int, required=True)
+    p_mesh.add_argument("--out")
+    return parser
+
+
+def _oracle(argv):
+    # range flags were joined with their values so negative bounds parsed
+    joined, i = [], 0
+    while i < len(argv):
+        if argv[i] in ("--s", "--t") and i + 1 < len(argv):
+            joined.append(f"{argv[i]}={argv[i + 1]}")
+            i += 2
+        else:
+            joined.append(argv[i])
+            i += 1
+    return _oracle_parser().parse_args(joined)
+
+
+def _outcome(read, argv):
+    """The attributes ``read`` gives argv, or "help" (exit 0, usage on
+    stdout) or "error" (exit 1, usage and error on stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return vars(read(list(argv)))
+    except SystemExit as exc:
+        if exc.code == 0 and out.getvalue().startswith("usage: devsurf"):
+            return "help"
+        if exc.code == 1 and err.getvalue().startswith("usage: devsurf") and ": error: " in err.getvalue():
+            return "error"
+        raise AssertionError(f"exit {exc.code} with stdout {out.getvalue()!r} and stderr {err.getvalue()!r}")
+
+
+MESH = ["mesh", "P", "--s", "0:1", "--t", "0:1", "--res", "3"]
+
+
+class TestArgvReader:
+    """The flag table's reader against the argparse parser it replaced, as
+    Python 3.10 and 3.11 run it: equal attributes, or an input error on
+    both, or help on both."""
+
+    CORPUS = [
+        # -h first, in the middle and last, for every subcommand and alone
+        ["-h"],
+        ["--help"],
+        ["--he"],
+        ["-h", "implicit", "x"],
+        ["implicit", "-h"],
+        ["implicit", "-h", "x", "--pretty"],
+        ["implicit", "x", "-h", "--pretty"],
+        ["implicit", "x", "--pretty", "-h"],
+        ["parametric", "--help", "(s, t, s*t)"],
+        ["parametric", "(s, t, s*t)", "--h", "--jobs", "2"],
+        ["parametric", "(s, t, s*t)", "--jobs", "2", "-h"],
+        ["verify", "-h", "F", "P"],
+        ["verify", "F", "-h", "P"],
+        ["verify", "F", "P", "-h"],
+        ["mesh", "-h", *MESH[1:]],
+        ["mesh", "P", "--s", "0:1", "-h", "--t", "0:1", "--res", "3"],
+        [*MESH, "--h"],
+        ["mesh", "--help"],
+        # help wins over an unknown flag or a missing argument, not over an
+        # ambiguous prefix or a bad value before it
+        ["implicit", "--bogus", "-h"],
+        ["mesh", "P", "-h"],
+        ["implicit", "-h", "--p", "5"],
+        ["implicit", "x", "--jobs", "abc", "-h"],
+        ["implicit", "x", "-hx"],
+        ["implicit", "x", "--help=1"],
+        # unique and ambiguous prefixes
+        ["implicit", "x", "--plane", "5"],
+        ["implicit", "x", "--pl", "5", "--po", "7", "--pr", "--no", "--j", "2"],
+        ["implicit", "x", "--p", "5"],
+        ["parametric", "x", "--p"],
+        ["verify", "F", "P", "--p"],
+        ["mesh", "P", "--s", "0:1", "--t", "0:1", "--r", "3", "--o", "m.obj"],
+        ["implicit", "x", "--=1"],
+        # --flag=value
+        ["implicit", "x", "--jobs=2", "--plane-budget=4", "--point-search-budget=0"],
+        ["implicit", "x", "--plane=4"],
+        ["implicit", "x", "--p=4"],
+        ["mesh", "P", "--s=0:1", "--t=-3:3", "--res=4", "--out=m.obj"],
+        ["mesh", "P", "--s=0:1", "--t=0:1", "--res=4", "--out="],
+        ["implicit", "x", "--pretty=1"],
+        ["implicit", "x", "--no-refine="],
+        ["implicit", "x", "--jobs="],
+        # "--" ends the flags
+        ["implicit", "--", "-x^2+y^2-z^2"],
+        ["implicit", "-x^2+y^2-z^2"],
+        ["implicit", "--pretty", "--", "-x^2+y^2-z^2", "--pretty"],
+        ["implicit", "x", "--", "-x^2+y^2-z^2"],
+        ["implicit", "x", "--"],
+        ["implicit", "--"],
+        ["implicit", "x", "--pretty", "--"],
+        ["implicit", "x", "--jobs", "2", "--"],
+        ["implicit", "x", "--pretty", "--", "y"],
+        ["verify", "--", "-x", "-y"],
+        ["verify", "F", "--", "-y"],
+        ["verify", "F", "P", "--"],
+        ["verify", "F", "P", "--pretty", "--"],
+        ["verify", "F", "--pretty", "--", "P"],
+        ["--", "implicit", "x"],
+        # numbers and texts with a blank are positionals, even with a "-"
+        ["implicit", "-2"],
+        ["implicit", "-1.5", "-.5"],
+        ["implicit", "-2*x^2 + 2*x*y - y^2 + z"],
+        ["implicit", "-2*x^2", "x"],
+        ["implicit", "x", "--plane-budget", "-5"],
+        ["implicit", "x", "--pretty x"],
+        ["implicit", "-"],
+        ["mesh", "P", "--s", "0:1", "--t", "0:1", "--res", "-1"],
+        # range flags take the next token, a negative bound too
+        ["mesh", "P", "--s", "-3:3", "--t", "-1:-1/2", "--res", "3"],
+        ["mesh", "P", "--t", "-3:3", "--s", "--res", "--res", "3"],
+        ["mesh", "P", "--s", "-h", "--t", "0:1", "--res", "3"],
+        ["mesh", "P", "--s", "0:1", "--t", "0:1", "--res", "3", "--s"],
+        # missing, bad and repeated values
+        ["mesh", "P", "--s", "0:1", "--t", "0:1"],
+        ["mesh", "P"],
+        ["mesh", "--s", "0:1", "--t", "0:1", "--res", "3"],
+        ["mesh", "P", "--s", "0:1", "--t", "0:1", "--res", "abc"],
+        ["mesh", "P", "--s", "0:1", "--t", "0:1", "--res"],
+        ["implicit", "x", "--jobs", "--pretty"],
+        ["implicit", "x", "--jobs", "-h"],
+        ["implicit", "x", "--jobs", "2.5"],
+        ["implicit", "x", "--jobs", " 7 "],
+        ["implicit", "x", "--jobs", "2", "--jobs", "3", "--pretty", "--pretty"],
+        [*MESH, "--res", "4", "--out", "a.obj", "--out", "b.obj"],
+        # positionals: in order, a "+" run between two flags, no surplus
+        ["verify", "F", "P"],
+        ["parametric", "(s, t, s*t)", "--no-refine", "--point-search-budget", "9"],
+        ["verify", "--pretty", "F", "P"],
+        ["verify", "F", "--pretty", "P"],
+        ["verify", "F", "P", "Q"],
+        ["verify", "F"],
+        ["implicit", "x", "y", "--pretty", "--no-refine"],
+        ["implicit", "--pretty", "x", "y"],
+        ["implicit", "--jobs", "2", "x", "y"],
+        ["implicit", "x", "--pretty", "y"],
+        ["implicit", "x", "--jobs", "2", "y"],
+        ["mesh", "--s", "0:1", "--t", "0:1", "--res", "3", "P"],
+        [*MESH, "Q"],
+        ["implicit"],
+        # unknown flags and subcommands
+        ["implicit", "x", "--bogus"],
+        ["implicit", "x", "-q"],
+        ["implicit", "x", "--s", "0:1"],
+        ["--bogus", "implicit", "x"],
+        ["--bogus"],
+        ["frobnicate", "x"],
+        ["-2", "x"],
+        ["Implicit", "x"],
+        [],
+    ]
+
+    @pytest.mark.parametrize("argv", CORPUS, ids=" ".join)
+    def test_reader_matches_argparse(self, argv):
+        assert _outcome(read_argv, argv) == _outcome(_oracle, argv)
+
+    def test_corpus_reaches_every_outcome(self):
+        outcomes = [_outcome(read_argv, argv) for argv in self.CORPUS]
+        assert outcomes.count("help") >= 20 and outcomes.count("error") >= 40
+        assert {o["command"] for o in outcomes if isinstance(o, dict)} == {"implicit", "parametric", "verify", "mesh"}
+
+    @pytest.mark.parametrize(
+        "argv, outcome",
+        [
+            # a flag takes the next token as its value, even one that starts
+            # with "-" (argparse took one only for --s and --t, as joined)
+            ([*MESH, "--out", "-m.obj"], dict(command="mesh", parametrization="P", s="0:1", t="0:1", res=3, out="-m.obj")),
+            ([*MESH, "--out", "--"], dict(command="mesh", parametrization="P", s="0:1", t="0:1", res=3, out="--")),
+            # --s and --t are flags of mesh alone; argparse joined them to
+            # the next token under every subcommand
+            (["implicit", "--s", "-h", "x"], "help"),
+            # -h takes no inline value; argparse read -hh as -h -h
+            (["implicit", "x", "-hh"], "error"),
+            # a range's value is classified like every token before "--"
+            (["mesh", "P", "--s", "--=1", "--t", "0:1", "--res", "3"], "error"),
+        ],
+    )
+    def test_departures_from_argparse(self, argv, outcome):
+        assert _outcome(read_argv, argv) == outcome
+
+    def test_error_names_the_subcommand(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "F", "P", "Q"])
+        assert exc.value.code == 1
+        usage, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: devsurf verify [-h] [--pretty] surface parametrization")
+        assert error == "devsurf verify: error: unrecognized arguments: Q"
+
+    def test_help_lists_the_table(self, capsys):
+        for argv, words in (
+            (["-h"], ["implicit", "parametric", "verify", "mesh"]),
+            (["mesh", "--help"], ["parametrization", "--s S", "--t T", "--res RES", "--out OUT", "grid resolution"]),
+            (["implicit", "-h"], ["source [source ...]", "--plane-budget PLANE_BUDGET", "--no-refine", "--jobs JOBS"]),
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            out = capsys.readouterr().out
+            assert exc.value.code == 0 and all(word in out for word in words), out
 
 
 def test_fresh_import_loads_no_oracle_or_introspection_modules():
-    # devsurf runs as a one-shot process, so its import is part of every
-    # verdict: it must not load the sympy test oracle, nor dataclasses or
-    # the inspect, ast and dis machinery that dataclasses pulls in
-    code = "import sys, devsurf.cli; print(sorted({'sympy', 'dataclasses', 'inspect'} & set(sys.modules)))"
+    # devsurf runs as a one-shot process, so its import and its first
+    # verdict are part of every verdict: neither may load the sympy test
+    # oracle, nor dataclasses or the inspect, ast and dis machinery that
+    # dataclasses pulls in, nor argparse and the gettext and locale it
+    # pulls in
+    code = (
+        "import sys, devsurf.cli\n"
+        "banned = {'sympy', 'dataclasses', 'inspect', 'argparse', 'gettext', 'locale'}\n"
+        "imported = sorted(banned & set(sys.modules))\n"
+        "code = devsurf.cli.main(['implicit', 'x^2+y^2-z^2'])\n"
+        "print(imported, sorted(banned & set(sys.modules)), code)\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(Path(devsurf.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.splitlines()[-1] == "[] [] 0"

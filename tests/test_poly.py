@@ -1345,6 +1345,23 @@ class TestTrimming:
                 assert self.check(exact_div(a * b, b)) == a
                 assert self.check(exact_div(a * b * Z, b * Z)) == a
 
+    def test_univariate_division_stores_through_trimmed(self, monkeypatch):
+        rng = random.Random(20261022)
+        pairs = [(T**3 - 2 * T + 5, T - 1), (T**2 - 1, T + 1), (T, 2 * T), (MultiPoly.const(3), T), (T**4, 3 * T**2 + 1)]
+        for _ in range(30):
+            num, den = (random_small_multipoly(rng, ("t",), rng.randint(0, d)) for d in (6, 3))
+            if not den.is_zero():
+                pairs.append((num * Q(rng.randint(1, 5), rng.randint(1, 5)), den * Q(1, rng.randint(1, 4))))
+        public = MultiPoly.__init__
+        built = []
+        for num, den in pairs:
+            monkeypatch.setattr(MultiPoly, "__init__", lambda self, *args: built.append(args) or public(self, *args))
+            quo, rem = poly_divmod_univar(num, den, "t")
+            monkeypatch.setattr(MultiPoly, "__init__", public)
+            assert self.check(quo) * den + self.check(rem) == num
+            assert rem.is_zero() or rem.degree_in("t") < den.degree_in("t")
+        assert built == []
+
     def test_zero_and_constants(self):
         for value in (0, Q(0), Q(0, 5)):
             zero = self.check(MultiPoly.const(value))
@@ -1666,6 +1683,51 @@ class TestUnivariateHelpers:
             )
             expected = sorted(Q(int(r.p), int(r.q)) for r in sympy.Poly(expr, t).ground_roots())
             assert rational_roots(p, "t") == expected
+
+    @staticmethod
+    def _seeded_univariates(seed, count):
+        """Seeded integer univariates of degree 2-8: half squarefree by
+        construction or by chance, half with a repeated factor."""
+        rng = random.Random(seed)
+        for i in range(count):
+            p = random_small_multipoly(rng, ("t",), rng.randint(1, 4))
+            while p.is_constant():
+                p = random_small_multipoly(rng, ("t",), rng.randint(1, 4))
+            if i % 2:
+                p = p * (rng.randint(1, 4) * T - rng.randint(-6, 6)) ** rng.randint(2, 3)
+            yield p * rng.choice((T, MultiPoly.const(Q(rng.randint(1, 9), rng.randint(1, 9)))))
+
+    def test_rational_roots_sympy_roots_oracle(self):
+        sympy = pytest.importorskip("sympy")
+        t = sympy.Symbol("t")
+        for p in self._seeded_univariates(20261022, 80):
+            expr = sympy.sympify(p.to_text().replace("^", "**"))
+            expected = sorted(Q(int(r.p), int(r.q)) for r in sympy.roots(expr, t, filter="Q"))
+            assert rational_roots(p, "t") == expected, p
+
+    def test_squarefree_image_agrees_with_the_gcd(self):
+        def image(p):
+            ints = poly_module._primitive_ints(p.terms)[2]
+            return [ints.get((k,), 0) for k in range(p.degree_in("t") + 1)]
+
+        rng = random.Random(61)
+        for p in self._seeded_univariates(4242, 80):
+            squarefree = gcd_multi(p, p.derivative("t")).is_constant()
+            assert poly_module._squarefree_image(image(p)) == squarefree, p
+            g = random_small_multipoly(rng, ("t",), rng.randint(1, 3))
+            if not g.is_constant():
+                assert not poly_module._squarefree_image(image(p * g * g)), (p, g)
+
+    def test_squarefree_quadratic_takes_no_gcd(self, monkeypatch):
+        calls = []
+        mgcd = poly_module._mgcd
+        monkeypatch.setattr(poly_module, "_mgcd", lambda a, b: calls.append(a) or mgcd(a, b))
+        assert rational_roots(2 * T**2 - 3 * T + 1, "t") == [Q(1, 2), Q(1)]
+        assert rational_roots(T**2 - 2, "t") == []
+        assert calls == []
+        # a repeated root leaves the image uncertified: the gcd removes it
+        assert rational_roots((T - 1) ** 2 * (T + 2), "t") == [Q(-2), Q(1)]
+        assert len(calls) == 1
 
     def test_rational_roots_rejects_bad_input(self):
         with pytest.raises(ValueError):
