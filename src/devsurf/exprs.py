@@ -14,27 +14,23 @@ map is three comma-separated components in an optional outer pair of
 parentheses; the pair is outer when the first token is a '(' whose match
 is the last token.
 
-One ``finditer`` over a single regex tokenizes the text; any other
-non-blank character is a :class:`ParseError` at its line and column.
-The tokens are evaluated as term dicts ``{exponent tuple: coefficient}``
-over one variable tuple fixed before evaluation: ``+`` and ``-`` add in
-place, ``*`` and ``^`` convolve (a one-term operand adds or scales
-exponents instead), ``/`` by a constant scales.  The finished dict
-becomes a :class:`MultiPoly` through the trusted ``poly._trimmed``
-once its coefficients are in stored form.  Only a division by a
-nonconstant polynomial builds a :class:`RatFunc`, and every operation
-with a RatFunc operand is then RatFunc arithmetic.  Before a
-product or power is expanded it is checked against the input caps: an
-exponent or a total degree above ``MAX_DEGREE``, or a constant power
-b^e with e times the bit length of b's numerator or denominator above
-``MAX_CONSTANT_BITS``, is a :class:`ParseError`, and so is an integer
-literal of more than ``MAX_CONSTANT_BITS`` bits.  The degree of a
-quotient is the larger of its numerator's and denominator's.
+The tokens are the strings of one ``findall``; any non-blank character
+outside the grammar is a :class:`ParseError` at its line and column, and
+an error rescans the text for its position, which no token stores.
+Values are term dicts ``{exponent tuple: coefficient}`` over one variable
+tuple fixed up front.  A run of simple factors (``3*x^2*y``) folds into
+one monomial in place; other factors go through dict arithmetic, and
+the result becomes a :class:`MultiPoly` through the trusted
+``poly._trimmed``.  Only a division by a nonconstant polynomial builds a
+:class:`RatFunc`, which lifts every operand it meets.  Each input cap is
+a :class:`ParseError` raised before anything is expanded: an exponent or
+a total degree above ``MAX_DEGREE`` (a quotient's is the larger of its
+numerator's and denominator's), a constant power b^e with e times the
+bit length of b's numerator or denominator above ``MAX_CONSTANT_BITS``,
+and an integer literal of more bits than that.
 
-Printing is deterministic: terms in graded-lexicographic descending
-order, canonical sign placement, explicit ``*``; each monomial's text
-comes from a bounded cache in ``poly``.  ``parse(print(v))`` reproduces
-``v`` exactly.
+Printing is ``MultiPoly.to_text``: graded-lex descending terms, canonical
+signs, explicit ``*``.  ``parse(print(v))`` reproduces ``v`` exactly.
 """
 
 from __future__ import annotations
@@ -61,64 +57,57 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, line: int, col: int):
         super().__init__(f"{message} (line {line}, column {col})")
-        self.line = line
-        self.col = col
+        self.line, self.col = line, col
 
 
-# the last group is any other non-blank character, an error
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,])|(\S)")
-_KINDS = (None, "int", "name", "op", None)
-
-
-def _tokenize(text: str):
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = _KINDS[m.lastindex]
-        if kind is None:
-            line, col = _line_col(text, m.start())
-            raise ParseError(f"unexpected character {m.group()!r}", line, col)
-        tokens.append((kind, m.group(), m.start()))
-    tokens.append(("end", "", len(text)))
-    return tokens
+# one token per match: a run of decimal digits, a name, an operator, or any
+# other non-blank character, which is an error
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^,]|\S")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_OPS = frozenset("()+-*/^,")
 
 
 def _line_col(text: str, offset: int) -> tuple[int, int]:
-    line = text.count("\n", 0, offset) + 1
-    last_nl = text.rfind("\n", 0, offset)
-    return line, offset - (last_nl + 1) + 1
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 class _Parser:
-    """Evaluates the token list over one variable tuple fixed up front.
-
-    A value is a term dict ``{exponent tuple: int or Q}`` with no zero
-    coefficients, until a division by a nonconstant polynomial makes it a
-    :class:`RatFunc`; an operation with a RatFunc operand lifts the other
-    operand too.  The grammar reads ``tokens[pos]`` directly; only op
-    tokens have the values ``+ - * / ^ ( ) ,``."""
+    """Evaluates the tokens of one text over one variable tuple fixed up
+    front.  The tokens are strings, then "" as the end; a token's kind is
+    read off its first character, and ``error`` finds a position only when
+    it raises.  ``parse_term`` folds runs of simple factors in place; a
+    value is otherwise a term dict ``{exponent tuple: int or Q}`` with no
+    zero coefficients, or a RatFunc, which lifts every other operand."""
 
     def __init__(self, text: str, allowed_vars: Optional[Sequence[str]]):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        names = allowed_vars if allowed_vars is not None else (v for k, v, _ in self.tokens if k == "name")
+        if not text.strip():
+            raise ParseError("empty input", 1, 1)
+        self.text, self.pos, self.tokens = text, 0, _TOKEN_RE.findall(text)
+        names = allowed_vars if allowed_vars is not None else (t for t in self.tokens if t[0] in _NAME_START)
         self.vars = canonical_vars(names)
-        self.one = (0,) * len(self.vars)
-        # the exponent tuple of each variable that may occur
-        self.unit = {v: self.one[:i] + (1,) + self.one[i + 1 :] for i, v in enumerate(self.vars)}
+        self.tokens.append("")
+        self.one, self.index = (0,) * len(self.vars), {v: i for i, v in enumerate(self.vars)}
 
-    def error(self, message: str, tok=None) -> ParseError:
-        tok = tok if tok is not None else self.tokens[self.pos]
-        line, col = _line_col(self.text, tok[2])
-        return ParseError(message, line, col)
+    def error(self, message: str, at: Optional[int] = None) -> ParseError:
+        """The error at token ``at`` (by default the current one), unless
+        the text holds an illegal character: that is the error then."""
+        at, offset = self.pos if at is None else at, len(self.text)
+        for i, m in enumerate(_TOKEN_RE.finditer(self.text)):
+            tok = m.group()
+            if not (tok.isdecimal() or tok[0] in _NAME_START or tok in _OPS):
+                message, offset = f"unexpected character {tok!r}", m.start()
+                break
+            if i == at:
+                offset = m.start()
+        return ParseError(message, *_line_col(self.text, offset))
 
     def expect_op(self, op: str) -> None:
-        if self.tokens[self.pos][1] != op:
+        if self.tokens[self.pos] != op:
             raise self.error(f"expected {op!r}")
         self.pos += 1
 
     def finish(self) -> None:
-        if self.tokens[self.pos][0] != "end":
+        if self.tokens[self.pos]:
             raise self.error("unexpected trailing input")
 
     # -- values: term dicts, or RatFunc after a nonconstant division ------
@@ -133,9 +122,7 @@ class _Parser:
         """The constant (an int or Q) a value equals, or None."""
         if isinstance(value, RatFunc):
             return value.constant_value() if value.is_constant() else None
-        if not value:
-            return 0
-        return value.get(self.one) if len(value) == 1 else None
+        return 0 if not value else value.get(self.one) if len(value) == 1 else None
 
     @staticmethod
     def degree(value) -> int:
@@ -143,17 +130,29 @@ class _Parser:
             return max(value.num.total_degree(), value.den.total_degree())
         return max(map(sum, value), default=0)
 
-    def check_degree(self, degree: int, tok) -> None:
-        if degree > MAX_DEGREE:
-            raise self.error(f"degree {degree} exceeds the cap {MAX_DEGREE}", tok)
+    def check_caps(self, at: int, degree: int, e: int = 1, c=None) -> None:
+        """The caps on b^e, b of this degree and constant value c (or None);
+        with e = 1 they check a degree alone."""
+        if e > MAX_DEGREE:
+            raise self.error(f"exponent {e} exceeds the cap {MAX_DEGREE}", at)
+        if degree * e > MAX_DEGREE:
+            raise self.error(f"degree {degree * e} exceeds the cap {MAX_DEGREE}", at)
+        if c is not None and e * max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_CONSTANT_BITS:
+            raise self.error(f"constant power exceeds the cap of {MAX_CONSTANT_BITS} bits", at)
+
+    def literal(self, at: int) -> int:
+        # the digit count bounds the size before int() converts it
+        digits = self.tokens[at].lstrip("0") or "0"
+        if len(digits) > _MAX_LITERAL_DIGITS or (n := int(digits)).bit_length() > MAX_CONSTANT_BITS:
+            raise self.error(f"integer literal exceeds the cap of {MAX_CONSTANT_BITS} bits", at)
+        return n
 
     def add(self, a, b, sign: int):
         if isinstance(a, RatFunc) or isinstance(b, RatFunc):
             a, b = self.lift(a), self.lift(b)
             return a + b if sign > 0 else a - b
         for e, c in b.items():
-            c = a.get(e, 0) + sign * c
-            if c:
+            if c := a.get(e, 0) + sign * c:
                 a[e] = c
             else:
                 del a[e]
@@ -173,10 +172,10 @@ class _Parser:
             return {tuple(map(add, ea, eb)): ca * cb for ea, ca in a.items()}
         return {e: c for e, c in _mul_terms(a, b).items() if c}
 
-    def div(self, a, b, tok):
+    def div(self, a, b, at: int):
         c = self.constant(b)
         if c == 0:
-            raise self.error("division by a zero polynomial", tok)
+            raise self.error("division by a zero polynomial", at)
         if c is None:
             return self.lift(a) / self.lift(b)
         if isinstance(a, RatFunc):
@@ -199,93 +198,104 @@ class _Parser:
                 base = self.mul(base, base)
         return result
 
+    def times_monomial(self, value, c: int, exps: Sequence[int]):
+        """value times the monomial c * vars^exps; value None stands for 1."""
+        mono = {tuple(exps): c} if c else {}
+        return mono if value is None or not mono else self.mul(value, mono)
+
     # -- grammar -------------------------------------------------------------
 
     def parse_expr(self):
-        tokens = self.tokens
-        negate = False
-        value = tokens[self.pos][1]
-        while value == "+" or value == "-":
-            negate ^= value == "-"
+        tokens, negate = self.tokens, False
+        while (tok := tokens[self.pos]) == "+" or tok == "-":
+            negate ^= tok == "-"
             self.pos += 1
-            value = tokens[self.pos][1]
         result = self.parse_term()
         if negate:
             result = self.neg(result)
-        while True:
-            value = tokens[self.pos][1]
-            if value != "+" and value != "-":
-                return result
+        while (tok := tokens[self.pos]) == "+" or tok == "-":
             self.pos += 1
-            result = self.add(result, self.parse_term(), 1 if value == "+" else -1)
+            result = self.add(result, self.parse_term(), 1 if tok == "+" else -1)
+        return result
 
     def parse_term(self):
-        tokens = self.tokens
-        result = self.parse_factor()
+        """A run of simple factors joined by '*' (an integer literal or a
+        name, raised or not to an integer literal no '^' follows) folds into
+        the monomial c * vars^exps.  ``deg``, the degree of the whole product
+        so far (0 when it is zero), raises each cap at its usual token."""
+        tokens, index, i = self.tokens, self.index, self.pos
+        value, deg, op = None, 0, None  # value: the product before the run
+        c, exps, run = 1, [0] * len(self.vars), False
         while True:
-            tok = tokens[self.pos]
-            op = tok[1]
-            if op != "*" and op != "/":
-                return result
-            self.pos += 1
-            rhs = self.parse_factor()
-            self.check_degree(self.degree(result) + self.degree(rhs), tok)
-            result = self.mul(result, rhs) if op == "*" else self.div(result, rhs, tok)
+            tok = tokens[i]
+            v = index.get(tok)
+            if (
+                (v is not None or tok.isdecimal())
+                and (tokens[i + 1] != "^" or tokens[i + 2].isdecimal() and tokens[i + 3] != "^")
+                and (op is None or tokens[op] == "*" and not isinstance(value, RatFunc))
+            ):
+                k, e = 1 if v is not None else self.literal(i), 1
+                if tokens[i + 1] == "^":
+                    e = self.literal(i + 2)
+                    self.check_caps(i + 1, 0 if v is None else 1, e, k if v is None else None)
+                    k, i = k**e, i + 2
+                if v is not None:
+                    self.check_caps(op, deg + e)
+                    exps[v] += e
+                    deg += e
+                c, i, run = c * k, i + 1, True
+                deg = deg if c else 0
+            else:
+                if run:
+                    value, run = self.times_monomial(value, c, exps), False
+                self.pos = i
+                rhs = self.parse_factor()
+                if op is not None:
+                    self.check_caps(op, deg + self.degree(rhs))
+                    rhs = self.mul(value, rhs) if tokens[op] == "*" else self.div(value, rhs, op)
+                value, deg, i = rhs, self.degree(rhs), self.pos
+                c, exps = 0 if type(value) is dict and not value else 1, [0] * len(self.vars)
+            if tokens[i] != "*" and tokens[i] != "/":
+                self.pos = i
+                return self.times_monomial(value, c, exps) if run else value
+            op, i = i, i + 1
 
     def parse_factor(self):
-        base = self.parse_atom()
-        tok = self.tokens[self.pos]
-        if tok[1] != "^":
+        """factor := atom ['^' factor], for a factor that is not folded."""
+        i = self.pos
+        tok = self.tokens[i]
+        self.pos = i + 1
+        if (v := self.index.get(tok)) is not None:
+            base = {self.one[:v] + (1,) + self.one[v + 1 :]: 1}
+        elif tok.isdecimal():
+            base = self.times_monomial(None, self.literal(i), self.one)
+        elif tok == "(":
+            base = self.parse_expr()
+            self.expect_op(")")
+        elif tok == "+" or tok == "-":
+            inner = self.parse_factor()
+            return self.neg(inner) if tok == "-" else inner
+        elif tok[:1] in _NAME_START:
+            raise self.error(f"variable {tok!r} is not allowed here", i)
+        else:
+            raise self.error("expected a number, variable or parenthesized expression", i)
+        at = self.pos
+        if self.tokens[at] != "^":
             return base
         self.pos += 1
         e = self.constant(self.parse_factor())
         if e is None:
-            raise self.error("exponent must be a constant", tok)
+            raise self.error("exponent must be a constant", at)
         if e.denominator != 1:
-            raise self.error("non-integer exponent", tok)
+            raise self.error("non-integer exponent", at)
         if e < 0:
-            raise self.error("negative exponent", tok)
+            raise self.error("negative exponent", at)
         e = int(e)
-        if e > MAX_DEGREE:
-            raise self.error(f"exponent {e} exceeds the cap {MAX_DEGREE}", tok)
-        self.check_degree(self.degree(base) * e, tok)
-        c = self.constant(base)
-        if c is not None and e * max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_CONSTANT_BITS:
-            raise self.error(f"constant power exceeds the cap of {MAX_CONSTANT_BITS} bits", tok)
+        self.check_caps(at, self.degree(base), e, self.constant(base))
         return self.power(base, e)
-
-    def parse_atom(self):
-        tok = self.tokens[self.pos]
-        kind, value, _ = tok
-        if kind == "int":
-            self.pos += 1
-            # the digit count bounds the size before int() converts it
-            digits = value.lstrip("0") or "0"
-            if len(digits) > _MAX_LITERAL_DIGITS or (n := int(digits)).bit_length() > MAX_CONSTANT_BITS:
-                raise self.error(f"integer literal exceeds the cap of {MAX_CONSTANT_BITS} bits", tok)
-            return {self.one: n} if n else {}
-        if kind == "name":
-            e = self.unit.get(value)
-            if e is None:
-                raise self.error(f"variable {value!r} is not allowed here")
-            self.pos += 1
-            return {e: 1}
-        if value == "(":
-            self.pos += 1
-            inner = self.parse_expr()
-            self.expect_op(")")
-            return inner
-        if value == "+" or value == "-":
-            # handled by parse_expr for leading signs; here it is a stray sign
-            self.pos += 1
-            inner = self.parse_factor()
-            return self.neg(inner) if value == "-" else inner
-        raise self.error("expected a number, variable or parenthesized expression")
 
 
 def _parse(text: str, allowed_vars: Optional[Sequence[str]]):
-    if not text.strip():
-        raise ParseError("empty input", 1, 1)
     p = _Parser(text, allowed_vars)
     value = p.parse_expr()
     p.finish()
@@ -311,24 +321,19 @@ def parse_poly(text: str, allowed_vars: Optional[Sequence[str]] = None) -> Multi
 
 def parse_map(text: str, params: Sequence[str] = ("s", "t")) -> RationalMap3:
     """Parse a 3-component rational map over the given parameters."""
-    if not text.strip():
-        raise ParseError("empty input", 1, 1)
     p = _Parser(text, params)
     tokens = p.tokens
     # the outer pair, when the first token is a '(' matched by the last one
-    close = None
-    if tokens[0][1] == "(":
-        depth = 0
-        for i, (_, value, _) in enumerate(tokens):
-            if value == "(" or value == ")":
-                depth += 1 if value == "(" else -1
-                if depth == 0:
-                    close = i
-                    break
+    depth, close = 0, None
+    for i, tok in enumerate(tokens if tokens[0] == "(" else ()):
+        depth += (tok == "(") - (tok == ")")
+        if depth == 0:
+            close = i
+            break
     wrapped = close == len(tokens) - 2
     p.pos = int(wrapped)
     components = [p.parse_expr()]
-    while tokens[p.pos][1] == ",":
+    while tokens[p.pos] == ",":
         p.pos += 1
         components.append(p.parse_expr())
     if wrapped:
@@ -365,15 +370,10 @@ class SurfaceInput(NamedTuple):
         stripped = text.strip()
         if not stripped:
             raise ParseError("empty input", 1, 1)
-        depth = 0
-        has_top_comma = False
+        depth, has_top_comma = 0, False
         for ch in stripped:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth <= 1:
-                has_top_comma = True
+            depth += (ch == "(") - (ch == ")")
+            has_top_comma |= ch == "," and depth <= 1
         if has_top_comma:
             m = parse_map(stripped, params=("s", "t"))
             if m.is_constant():

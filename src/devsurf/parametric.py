@@ -454,10 +454,13 @@ def analyze_parametric(
     if all(e.degree_in("t") == 0 for e in P.form):
         raise DegenerateInputError("map is constant in t; its image is a curve, not a surface")
     nd = surface_normal(P)
-
-    plane = nd.plane()
     K = gaussian_form_parametric(P, nd)
-    if plane is not None:
+    # a map into a plane n.x + b = 0 has normal N = lam(s, t)*n, so N_s, N_t
+    # and N are parallel and K == 0: a nonzero K needs no plane test
+    if not K.is_zero():
+        return ParametricAnalysis(classification=SurfaceClass(tag=NOT_DEVELOPABLE), k_func=K)
+
+    if nd.plane() is not None:
         cls = SurfaceClass(tag=PLANE)
         out = ParametricAnalysis(classification=cls, k_func=K)
         try:
@@ -467,9 +470,6 @@ def analyze_parametric(
         except DevsurfError as err:
             out.failure = str(err)
         return out
-
-    if not K.is_zero():
-        return ParametricAnalysis(classification=SurfaceClass(tag=NOT_DEVELOPABLE), k_func=K)
 
     status, apex = detect_apex_parametric(nd)
     if status == "point":

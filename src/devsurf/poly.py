@@ -107,6 +107,20 @@ def _monomial_text(variables: tuple[str, ...], exps: tuple[int, ...]) -> str:
     return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip(variables, exps) if e)
 
 
+def _terms_text(terms: Mapping, variables: tuple[str, ...], digits) -> str:
+    """The text of a nonzero polynomial.  The terms are sorted by a stable
+    degree sort of their lex-descending order; each is one expression, its
+    sign and then its magnitude ("n" or "n/d", by ``digits``) and its
+    monomial joined by '*', either left out when it is 1; one join."""
+    text = "".join([
+        (" - " if (c := terms[e]) < 0 else " + ")
+        + (m if (m := _monomial_text(variables, e)) and (c == 1 or c == -1)
+           else f"{digits(abs(c))}*{m}" if m else digits(abs(c)))
+        for e in sorted(sorted(terms, reverse=True), key=sum, reverse=True)
+    ])
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
 def _canon(c):
     """The stored form of an exact coefficient: an ``int`` when it
     is integral, else the reduced rational itself."""
@@ -267,19 +281,15 @@ class MultiPoly:
     # -- textual form ----------------------------------------------------
 
     def to_text(self) -> str:
-        """Deterministic text form: graded-lex descending, explicit '*'."""
+        """Deterministic text form: graded-lex descending, explicit '*'.
+        Integer coefficients print with ``str``, and with ``arith.decimal``
+        only when one is past the interpreter's int-to-str digit limit."""
         if not self.terms:
             return "0"
-        terms, variables = self.terms, self.vars
-        parts = []
-        for _, exps in sorted([(sum(e), e) for e in terms], reverse=True):
-            n, d = _num_den(terms[exps])
-            mag = decimal(abs(n)) if d == 1 else f"{decimal(abs(n))}/{decimal(d)}"
-            factors = _monomial_text(variables, exps)
-            parts.append(" - " if n < 0 else " + ")
-            parts.append(mag if not factors else factors if mag == "1" else mag + "*" + factors)
-        parts[0] = "" if parts[0] == " + " else "-"
-        return "".join(parts)
+        try:
+            return _terms_text(self.terms, self.vars, str)
+        except ValueError:
+            return _terms_text(self.terms, self.vars, decimal)
 
     # -- alignment helpers ---------------------------------------------
 

@@ -3,17 +3,22 @@
 import itertools
 import random
 import re
+from operator import add
+from typing import Optional, Sequence
 
 import pytest
 
-from devsurf.poly import MultiPoly, Q, _monomial_text, canonical_vars
+from devsurf.poly import MultiPoly, Q, _canon, _monomial_text, _mul_terms, _trimmed, canonical_vars
+from devsurf.ratfunc import RatFunc, RationalMap3
 from devsurf import cli
 from devsurf.exprs import (
+    _MAX_LITERAL_DIGITS,
+    _TOKEN_RE,
     MAX_CONSTANT_BITS,
     MAX_DEGREE,
     ParseError,
     SurfaceInput,
-    _tokenize,
+    _Parser,
     parse_map,
     parse_poly,
     parse_ratfunc,
@@ -406,9 +411,26 @@ def _old_tokenize(text):
     return tokens
 
 
+def _tokens_and_offsets(text):
+    """The new tokenizer's tokens and, for each token and the end, the
+    offset its errors are reported at, or the ParseError it reports."""
+    if not text.strip():  # the parser refuses it before tokenizing
+        return [""], [_ref_line_col(text, len(text))]
+    p = _Parser(text, ())
+    offsets = []
+    for at in range(len(p.tokens)):
+        err = p.error("marker", at)
+        if not str(err).startswith("marker"):
+            return err
+        offsets.append((err.line, err.col))
+    return p.tokens, offsets
+
+
 def test_tokenizer_matches_reference():
     """Seeded texts over the grammar's alphabet, blanks and illegal
-    characters: the same tokens, or the same error at the same place."""
+    characters: the token strings of one findall, and the positions that
+    errors rescan for, are those of the tokenizer that matched one token
+    at a time from the end of the last; so is the illegal-character error."""
     rng = random.Random(20261020)
     pieces = ["x", "y", "z", "s", "t", "_a1", "foo", "0", "7", "12", "007", "+", "-", "*", "/", "^", "(", ")", ","]
     pieces += [" ", "  ", "\t", "\n", " \n\t"]
@@ -419,17 +441,375 @@ def test_tokenizer_matches_reference():
         for _ in range(rng.choice((0, 0, 1, 2))):
             chars.insert(rng.randint(0, len(chars)), rng.choice(illegal))
         text = "".join(chars)
+        got = _tokens_and_offsets(text)
         try:
             expected = _old_tokenize(text)
         except ParseError as err:
-            with pytest.raises(ParseError) as info:
-                _tokenize(text)
-            assert (str(info.value), info.value.line, info.value.col) == (str(err), err.line, err.col), repr(text)
+            assert isinstance(got, ParseError), repr(text)
+            assert (str(got), got.line, got.col) == (str(err), err.line, err.col), repr(text)
             outcomes.add("error")
         else:
-            assert _tokenize(text) == expected, repr(text)
+            assert got == ([v for _, v, _ in expected], [_ref_line_col(text, pos) for _, _, pos in expected]), repr(text)
+            assert got[0] == _TOKEN_RE.findall(text) + [""]
             outcomes.add("tokens")
     assert outcomes == {"error", "tokens"}
+
+
+# -- the evaluator before simple factors were folded, as the oracle ----------
+
+
+def _ref_line_col(text: str, offset: int) -> tuple[int, int]:
+    line = text.count("\n", 0, offset) + 1
+    last_nl = text.rfind("\n", 0, offset)
+    return line, offset - (last_nl + 1) + 1
+
+
+_REF_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([()+\-*/^,])|(\S)")
+_KINDS = (None, "int", "name", "op", None)
+
+
+def _tokenize(text: str):
+    tokens = []
+    for m in _REF_TOKEN_RE.finditer(text):
+        kind = _KINDS[m.lastindex]
+        if kind is None:
+            line, col = _ref_line_col(text, m.start())
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _RefParser:
+    """Evaluates the token list over one variable tuple fixed up front.
+
+    A value is a term dict ``{exponent tuple: int or Q}`` with no zero
+    coefficients, until a division by a nonconstant polynomial makes it a
+    :class:`RatFunc`; an operation with a RatFunc operand lifts the other
+    operand too.  The grammar reads ``tokens[pos]`` directly; only op
+    tokens have the values ``+ - * / ^ ( ) ,``."""
+
+    def __init__(self, text: str, allowed_vars: Optional[Sequence[str]]):
+        self.text = text
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        names = allowed_vars if allowed_vars is not None else (v for k, v, _ in self.tokens if k == "name")
+        self.vars = canonical_vars(names)
+        self.one = (0,) * len(self.vars)
+        # the exponent tuple of each variable that may occur
+        self.unit = {v: self.one[:i] + (1,) + self.one[i + 1 :] for i, v in enumerate(self.vars)}
+
+    def error(self, message: str, tok=None) -> ParseError:
+        tok = tok if tok is not None else self.tokens[self.pos]
+        line, col = _ref_line_col(self.text, tok[2])
+        return ParseError(message, line, col)
+
+    def expect_op(self, op: str) -> None:
+        if self.tokens[self.pos][1] != op:
+            raise self.error(f"expected {op!r}")
+        self.pos += 1
+
+    def finish(self) -> None:
+        if self.tokens[self.pos][0] != "end":
+            raise self.error("unexpected trailing input")
+
+    # -- values: term dicts, or RatFunc after a nonconstant division ------
+
+    def poly(self, terms: dict) -> MultiPoly:
+        return _trimmed(self.vars, {e: _canon(c) for e, c in terms.items()})
+
+    def lift(self, value) -> RatFunc:
+        return value if isinstance(value, RatFunc) else RatFunc(self.poly(value))
+
+    def constant(self, value):
+        """The constant (an int or Q) a value equals, or None."""
+        if isinstance(value, RatFunc):
+            return value.constant_value() if value.is_constant() else None
+        if not value:
+            return 0
+        return value.get(self.one) if len(value) == 1 else None
+
+    @staticmethod
+    def degree(value) -> int:
+        if isinstance(value, RatFunc):
+            return max(value.num.total_degree(), value.den.total_degree())
+        return max(map(sum, value), default=0)
+
+    def check_degree(self, degree: int, tok) -> None:
+        if degree > MAX_DEGREE:
+            raise self.error(f"degree {degree} exceeds the cap {MAX_DEGREE}", tok)
+
+    def add(self, a, b, sign: int):
+        if isinstance(a, RatFunc) or isinstance(b, RatFunc):
+            a, b = self.lift(a), self.lift(b)
+            return a + b if sign > 0 else a - b
+        for e, c in b.items():
+            c = a.get(e, 0) + sign * c
+            if c:
+                a[e] = c
+            else:
+                del a[e]
+        return a
+
+    @staticmethod
+    def neg(value):
+        return -value if isinstance(value, RatFunc) else {e: -c for e, c in value.items()}
+
+    def mul(self, a, b):
+        if isinstance(a, RatFunc) or isinstance(b, RatFunc):
+            return self.lift(a) * self.lift(b)
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            ((eb, cb),) = b.items()
+            return {tuple(map(add, ea, eb)): ca * cb for ea, ca in a.items()}
+        return {e: c for e, c in _mul_terms(a, b).items() if c}
+
+    def div(self, a, b, tok):
+        c = self.constant(b)
+        if c == 0:
+            raise self.error("division by a zero polynomial", tok)
+        if c is None:
+            return self.lift(a) / self.lift(b)
+        if isinstance(a, RatFunc):
+            return a / c
+        c = Q(c)
+        return {e: co / c for e, co in a.items()}
+
+    def power(self, base, n: int):
+        if isinstance(base, RatFunc):
+            return base**n
+        if len(base) == 1:
+            ((e, c),) = base.items()
+            return {tuple(k * n for k in e): c**n}
+        result = {self.one: 1}
+        while n:
+            if n & 1:
+                result = self.mul(result, base)
+            n >>= 1
+            if n:
+                base = self.mul(base, base)
+        return result
+
+    # -- grammar -------------------------------------------------------------
+
+    def parse_expr(self):
+        tokens = self.tokens
+        negate = False
+        value = tokens[self.pos][1]
+        while value == "+" or value == "-":
+            negate ^= value == "-"
+            self.pos += 1
+            value = tokens[self.pos][1]
+        result = self.parse_term()
+        if negate:
+            result = self.neg(result)
+        while True:
+            value = tokens[self.pos][1]
+            if value != "+" and value != "-":
+                return result
+            self.pos += 1
+            result = self.add(result, self.parse_term(), 1 if value == "+" else -1)
+
+    def parse_term(self):
+        tokens = self.tokens
+        result = self.parse_factor()
+        while True:
+            tok = tokens[self.pos]
+            op = tok[1]
+            if op != "*" and op != "/":
+                return result
+            self.pos += 1
+            rhs = self.parse_factor()
+            self.check_degree(self.degree(result) + self.degree(rhs), tok)
+            result = self.mul(result, rhs) if op == "*" else self.div(result, rhs, tok)
+
+    def parse_factor(self):
+        base = self.parse_atom()
+        tok = self.tokens[self.pos]
+        if tok[1] != "^":
+            return base
+        self.pos += 1
+        e = self.constant(self.parse_factor())
+        if e is None:
+            raise self.error("exponent must be a constant", tok)
+        if e.denominator != 1:
+            raise self.error("non-integer exponent", tok)
+        if e < 0:
+            raise self.error("negative exponent", tok)
+        e = int(e)
+        if e > MAX_DEGREE:
+            raise self.error(f"exponent {e} exceeds the cap {MAX_DEGREE}", tok)
+        self.check_degree(self.degree(base) * e, tok)
+        c = self.constant(base)
+        if c is not None and e * max(c.numerator.bit_length(), c.denominator.bit_length()) > MAX_CONSTANT_BITS:
+            raise self.error(f"constant power exceeds the cap of {MAX_CONSTANT_BITS} bits", tok)
+        return self.power(base, e)
+
+    def parse_atom(self):
+        tok = self.tokens[self.pos]
+        kind, value, _ = tok
+        if kind == "int":
+            self.pos += 1
+            # the digit count bounds the size before int() converts it
+            digits = value.lstrip("0") or "0"
+            if len(digits) > _MAX_LITERAL_DIGITS or (n := int(digits)).bit_length() > MAX_CONSTANT_BITS:
+                raise self.error(f"integer literal exceeds the cap of {MAX_CONSTANT_BITS} bits", tok)
+            return {self.one: n} if n else {}
+        if kind == "name":
+            e = self.unit.get(value)
+            if e is None:
+                raise self.error(f"variable {value!r} is not allowed here")
+            self.pos += 1
+            return {e: 1}
+        if value == "(":
+            self.pos += 1
+            inner = self.parse_expr()
+            self.expect_op(")")
+            return inner
+        if value == "+" or value == "-":
+            # handled by parse_expr for leading signs; here it is a stray sign
+            self.pos += 1
+            inner = self.parse_factor()
+            return self.neg(inner) if value == "-" else inner
+        raise self.error("expected a number, variable or parenthesized expression")
+
+
+def _ref_parse(text: str, allowed_vars: Optional[Sequence[str]]):
+    if not text.strip():
+        raise ParseError("empty input", 1, 1)
+    p = _RefParser(text, allowed_vars)
+    value = p.parse_expr()
+    p.finish()
+    return p, value
+
+
+def _ref_parse_ratfunc(text: str, allowed_vars: Optional[Sequence[str]] = None) -> RatFunc:
+    p, value = _ref_parse(text, allowed_vars)
+    return p.lift(value)
+
+
+def _ref_parse_poly(text: str, allowed_vars: Optional[Sequence[str]] = None) -> MultiPoly:
+    p, value = _ref_parse(text, allowed_vars)
+    if not isinstance(value, RatFunc):
+        return p.poly(value)
+    if not value.is_polynomial():
+        raise ParseError("expression is not a polynomial (nonconstant denominator)", 1, 1)
+    return value.as_poly()
+
+
+def _ref_parse_map(text: str, params: Sequence[str] = ("s", "t")) -> RationalMap3:
+    if not text.strip():
+        raise ParseError("empty input", 1, 1)
+    p = _RefParser(text, params)
+    tokens = p.tokens
+    # the outer pair, when the first token is a '(' matched by the last one
+    close = None
+    if tokens[0][1] == "(":
+        depth = 0
+        for i, (_, value, _) in enumerate(tokens):
+            if value == "(" or value == ")":
+                depth += 1 if value == "(" else -1
+                if depth == 0:
+                    close = i
+                    break
+    wrapped = close == len(tokens) - 2
+    p.pos = int(wrapped)
+    components = [p.parse_expr()]
+    while tokens[p.pos][1] == ",":
+        p.pos += 1
+        components.append(p.parse_expr())
+    if wrapped:
+        p.expect_op(")")
+    p.finish()
+    if len(components) != 3:
+        raise ParseError(f"a rational map needs 3 components, got {len(components)}", 1, 1)
+    return RationalMap3([p.lift(c) for c in components], tuple(params))
+
+
+def _outcome(parse, text, names):
+    """The stored form of the value, or the error's text and position."""
+    try:
+        value = parse(text, names)
+    except ParseError as err:
+        return "error", str(err), err.line, err.col
+    if isinstance(value, RationalMap3):
+        polys = [q for c in value.components for q in (c.num, c.den)] + list(value.form)
+    else:
+        polys = [value.num, value.den] if isinstance(value, RatFunc) else [value]
+    return [(q.vars, [(e, type(c), c) for e, c in q.terms.items()]) for q in polys]
+
+
+def _differential_corpus():
+    """Seeded texts: the grammar's corners, each cap at and past its bound,
+    the reference surfaces, and random expressions over x, y, z."""
+    D, B = MAX_DEGREE, MAX_CONSTANT_BITS
+    texts = [
+        "((x + (y - (z*(x+1))))^2 - ((1)))", "(x+y+1)^3*(x-z)^2", "(x^2+y)^(1+1)", "2^3^2", "x^(1+1)", "x^2^2",
+        "(2)^3^0", "x^(2)*y", "x*-y", "--x", "-+-x*y", "x*+y^2", "2*x^-1", "x^--2",
+        "x/3", "3/2*x^2*y - 5/7", "x*y/(x+1)*z", "x/(y+1)^2 + 1/(x*y)", "(3/4)^2*x", "1/(x-x)", "x/0*y",
+        "x/(y-y)", "0*x/y", "(x^2-1)/(x-1)", "2*x*(y+1)/(y+1)", "(1/x)*x^3*y",
+        "007*x^02 + 0*y^0000", "x +\n  2*y\t- z", "\t\tx\n*\ny", "٣*x^٢ + ٠٠٧", "x^٢٥", "٠" * 3 + "x",
+        "*".join(["x"] * D), "*".join(["x"] * (D + 1)), "2*" + "*".join(["x"] * (D - 1)) + "*y",
+        f"x^{D}", f"x^{D + 1}", f"x^{D - 1}*y", f"x^{D}*y", f"x^12*y^12*3", f"x^12*y^13", f"(x+1)^{D}",
+        f"(x+y)^{D + 1}", f"(x*y)^12", f"(x*y)^13", f"x^{D}*(y+1)", f"(x-x)*x^{D}*x^{D}", f"0*x^{D}*x", f"x^{D}*0*x",
+        f"x^{D}*0^0*x", f"1/(x+1)*x^{D}", f"(1/(x^5+1))^5", f"x^{D}*7/3", f"1/x^2*x*x^{D - 1}", f"1/(x*y)*x*y*x^{D}",
+        f"x^12/x^11*x^{D - 1}",
+        str(2**B - 1), str(2**B), f"{2**B - 1}*x", f"x+{2**B}", "0" * 5000 + "7", f"{2**255}^16", f"{2**240}^17",
+        f"(1/{2**255})^16", f"(3/{2**240})^17", f"2^{B}", f"2^{D}", f"2^{D + 1}", f"0^{D + 1}", "0^0",
+        "((2^24)^24)^24", "x^y", "x^(1/2)", "x^(0-2)", "x +", "(x", "x)", "x y", "", " ", "x $ y", "x + w", "x,",
+    ]
+    texts += [cases.SPHERE_F, cases.ELLIPTIC_CONE_F, cases.TANGENT_QUARTIC_F, cases.QUARTIC_CYLINDER_F]
+    rng = random.Random(20261022)
+    texts += [_random_expr(rng, ("x", "y", "z"), rng.randint(2, 12))[0] for _ in range(60)]
+    return texts
+
+
+def _differential_maps():
+    rng = random.Random(20261023)
+    texts = [cases.IMPROPER_CONE_MAP, cases.UNIT_CIRCLE_CONE_MAP, cases.PARABOLOID_MAP, cases.PLANE_MAP,
+             "(s, t, s*t)", "s, t, s^2*t/(s+1)", "((s+t+1)^2/(s-t+2)^2, s, t)", "(s, (t), 1)) , (", "((s), (t), (1))"]
+    for _ in range(20):
+        parts = [_random_expr(rng, ("s", "t"), 6)[0] for _ in range(3)]
+        texts.append(f"({', '.join(parts)})" if rng.random() < 0.5 else ", ".join(parts))
+    return texts
+
+
+def _corrupted(rng, text):
+    """text with one character replaced, inserted or deleted."""
+    alphabet = "xyzst0123456789+-*/^(),  \n\t#.é٣w"
+    i = rng.randrange(len(text) + 1)
+    r = rng.random()
+    if r < 0.4 and i < len(text):
+        return text[:i] + rng.choice(alphabet) + text[i + 1 :]
+    if r < 0.7 or i == len(text):
+        return text[:i] + rng.choice(alphabet) + text[i:]
+    return text[:i] + text[i + 1 :]
+
+
+@pytest.mark.parametrize(
+    "parse,reference,names,corpus",
+    [
+        (parse_poly, _ref_parse_poly, ("x", "y", "z"), _differential_corpus),
+        (parse_ratfunc, _ref_parse_ratfunc, ("x", "y", "z"), _differential_corpus),
+        (parse_ratfunc, _ref_parse_ratfunc, None, _differential_corpus),
+        (parse_map, _ref_parse_map, ("s", "t"), _differential_maps),
+    ],
+    ids=["poly", "ratfunc", "ratfunc-any-names", "map"],
+)
+def test_parser_matches_reference_evaluator(parse, reference, names, corpus):
+    """The folding evaluator against the one it replaced, on a seeded
+    corpus and on one-character corruptions of it: equal stored values, or
+    the same ParseError text, line and column."""
+    rng = random.Random(20261021)
+    texts = corpus()
+    texts += [_corrupted(rng, text) for text in texts if len(text) < 2000 for _ in range(8)]
+    outcomes = set()
+    for text in texts:
+        expected = _outcome(reference, text, names)
+        assert _outcome(parse, text, names) == expected, repr(text)
+        outcomes.add(expected[0] == "error")
+    assert outcomes == {False, True}
 
 
 def test_parse_stores_canonical_form():

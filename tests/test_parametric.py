@@ -36,7 +36,7 @@ from devsurf.parametric import (
     surface_normal,
 )
 from devsurf.curves import is_proper_curve
-from devsurf.implicit import SurfaceClass, admissible_planes
+from devsurf.implicit import NOT_DEVELOPABLE, PLANE, SurfaceClass, admissible_planes
 from devsurf.cli import main as cli_main
 
 from conftest import (
@@ -212,6 +212,26 @@ class TestAffinePlane:
         out = analyze_parametric(P)
         assert out.parametrization is not None
         assert clears.count(P.components) == 1
+
+    def test_plane_test_runs_only_when_k_vanishes(self, monkeypatch):
+        # a map into a plane has K == 0, so a nonzero K is "not developable"
+        # without the nullspace of the plane test
+        calls = []
+
+        def spied(m):
+            calls.append(m)
+            return affine_plane(m)
+
+        monkeypatch.setattr("devsurf.parametric.affine_plane", spied)
+        for text in (cases.PARABOLOID_MAP, cases.HYPERBOLIC_PARABOLOID_MAP, "(s, t, s*t + s^3)"):
+            out = analyze_parametric(parse_map(text, params=("s", "t")))
+            assert out.classification.tag == NOT_DEVELOPABLE and not out.k_func.is_zero()
+        assert calls == []
+        P = parse_map(cases.PLANE_MAP, params=("s", "t"))
+        out = analyze_parametric(P)
+        assert out.classification.tag == PLANE and out.k_func.is_zero()
+        assert out.implicit_equation == affine_plane(P)
+        assert calls and all(m is P for m in calls)
 
 
 class TestApexDetection:

@@ -32,12 +32,14 @@ from devsurf.poly import (
     subresultant_linear,
     sylvester_matrix,
 )
-from devsurf.arith import modulus
+from devsurf.arith import decimal, modulus
 from devsurf.cli import main as cli_main
 from devsurf.exprs import MAX_CONSTANT_BITS, parse_poly
 from devsurf.implicit import gaussian_form_implicit
 from devsurf.linalg import common_direction, common_point
 from devsurf import poly as poly_module
+from devsurf.poly import _monomial_text, _num_den
+from devsurf.ratfunc import RatFunc, RationalMap3
 
 from conftest import bordered_hessian_oracle, perm_det, random_small_multipoly, sylvester_oracle
 import devsurf
@@ -1776,3 +1778,53 @@ class TestLinearIdentities:
 
     def test_direction_two_dimensional(self):
         assert common_direction([S, S, MultiPoly.zero()], ("s", "t")) == ("degenerate", None)
+
+
+def _to_text_oracle(self) -> str:
+    """MultiPoly.to_text before each term was one expression, verbatim."""
+    if not self.terms:
+        return "0"
+    terms, variables = self.terms, self.vars
+    parts = []
+    for _, exps in sorted([(sum(e), e) for e in terms], reverse=True):
+        n, d = _num_den(terms[exps])
+        mag = decimal(abs(n)) if d == 1 else f"{decimal(abs(n))}/{decimal(d)}"
+        factors = _monomial_text(variables, exps)
+        parts.append(" - " if n < 0 else " + ")
+        parts.append(mag if not factors else factors if mag == "1" else mag + "*" + factors)
+    parts[0] = "" if parts[0] == " + " else "-"
+    return "".join(parts)
+
+
+class TestPrinter:
+    """to_text against the printer it replaced, on seeded polynomials."""
+
+    @staticmethod
+    def polys():
+        rng = random.Random(20261022)
+        coefficients = (1, -1, 2, -3, 10**30, -(10**30), Q(1, 2), Q(-7, 3), Q(5, 10**25), Q(-(10**20), 7))
+        out = [MultiPoly.zero(), MultiPoly.const(1), MultiPoly.const(-1), MultiPoly.const(Q(-2, 3)), -X, X * Y - 1]
+        for _ in range(150):
+            names = rng.choice((("x", "y", "z"), ("s", "t"), ("x", "y", "z", "t"), ("t",)))
+            p = random_small_multipoly(rng, names, rng.randint(0, 5), density=0.4)
+            out.append(MultiPoly(p.vars, {e: c * rng.choice(coefficients) for e, c in p.terms.items()}))
+        # past the 4300-digit limit of int-to-str, so printed by arith.decimal
+        big = 7 ** 6000 + 1
+        out += [MultiPoly.const(big), X * big - Y, MultiPoly.const(Q(-big, 3)), X**2 * Q(1, big) + 5]
+        return out
+
+    def test_matches_oracle(self):
+        for p in self.polys():
+            assert p.to_text() == _to_text_oracle(p)
+
+    def test_ratfunc_and_map_text(self):
+        def oracle(f):
+            return _to_text_oracle(f.num) if f.den == 1 else f"({_to_text_oracle(f.num)})/({_to_text_oracle(f.den)})"
+
+        polys = [p for p in self.polys() if set(p.vars) <= {"s", "t"}]
+        dens = [p for p in polys if not p.is_zero()]
+        assert len(dens) > 20
+        for a, b, c in zip(polys, dens[1:], dens[2:]):
+            m = RationalMap3([RatFunc(a, b), RatFunc(c), RatFunc(a + 1, c)], ("s", "t"))
+            assert [f.to_text() for f in m.components] == list(map(oracle, m.components))
+            assert m.to_text() == "(" + ", ".join(map(oracle, m.components)) + ")"
